@@ -64,7 +64,17 @@ class FlowSolverConfig:
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
         if self.event_weighting not in ("uniform", "event_gated"):
-            raise ValueError("event_weighting must be 'uniform' or 'event_gated'")
+            raise ValueError(
+                f"event_weighting must be 'uniform' or 'event_gated', got '{self.event_weighting}'"
+            )
+        if self.charbonnier_eps <= 0:
+            raise ValueError("charbonnier_eps must be positive")
+        if not 0 < self.charbonnier_alpha < 1:
+            raise ValueError("charbonnier_alpha must be in (0, 1)")
+        if self.iters_per_level < 1:
+            raise ValueError("iters_per_level must be >= 1")
+        if self.convergence_tol < 0:
+            raise ValueError("convergence_tol must be >= 0")
 
 
 class SolverDivergenceError(RuntimeError):
@@ -94,15 +104,15 @@ def _uv(flow: Flow) -> tuple[np.ndarray, np.ndarray]:
     raise ShapeMismatchError(f"expected FlowField or (2, H, W) array, got shape {arr.shape}")
 
 
-def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """Clamp-to-edge bilinear sample.
+def _footprint(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Clamp-to-edge bilinear footprint of the samples at (xs, ys).
 
-    Returns (values, d/dx, d/dy, valid) where the derivatives are the exact
-    partials of the interpolant w.r.t. the sample position and valid flags
-    samples that stayed inside the raster.
+    Returns (corners, fx, fy, in_bounds): the four corner values (top-left,
+    top-right, bottom-left, bottom-right), the fractional offsets inside the
+    footprint, and a flag for samples that stayed inside the raster.
     """
     h, w = img.shape
-    valid = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
+    in_bounds = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
     xc = np.clip(xs, 0.0, w - 1.0)
     yc = np.clip(ys, 0.0, h - 1.0)
     x0 = np.floor(xc).astype(np.intp)
@@ -111,17 +121,30 @@ def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     np.minimum(y0, h - 2 if h > 1 else 0, out=y0)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = xc - x0
-    fy = yc - y0
-    i00 = img[y0, x0]
-    i01 = img[y0, x1]
-    i10 = img[y1, x0]
-    i11 = img[y1, x1]
+    corners = (img[y0, x0], img[y0, x1], img[y1, x0], img[y1, x1])
+    return corners, xc - x0, yc - y0, in_bounds
+
+
+def _interpolate(corners, fx, fy):
+    """Bilinear interpolant over a footprint, and its partial derivative in y."""
+    i00, i01, i10, i11 = corners
     top = i00 + fx * (i01 - i00)
     bottom = i10 + fx * (i11 - i10)
-    values = top + fy * (bottom - top)
-    ddx = (1.0 - fy) * (i01 - i00) + fy * (i11 - i10)
     ddy = bottom - top
+    return top + fy * ddy, ddy
+
+
+def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Clamp-to-edge bilinear sample.
+
+    Returns (values, d/dx, d/dy, valid) where the derivatives are the exact
+    partials of the interpolant w.r.t. the sample position and valid flags
+    samples that stayed inside the raster.
+    """
+    corners, fx, fy, valid = _footprint(img, xs, ys)
+    values, ddy = _interpolate(corners, fx, fy)
+    i00, i01, i10, i11 = corners
+    ddx = (1.0 - fy) * (i01 - i00) + fy * (i11 - i10)
     return values, ddx, ddy, valid
 
 
@@ -183,6 +206,10 @@ def _weights(shape, weight_mask) -> np.ndarray:
     return w
 
 
+def _evaluate(flow: Flow, img_t: Raster, img_t1: Raster, cfg: FlowSolverConfig, weight_mask):
+    return _loss_and_grad(*_uv(flow), _gray(img_t), _gray(img_t1), cfg, weight_mask)
+
+
 def photometric_loss(
     flow: Flow,
     img_t: Raster,
@@ -196,28 +223,14 @@ def photometric_loss(
 
     Out-of-bounds warped samples contribute zero.
     """
-    it = _gray(img_t)
-    it1 = _gray(img_t1)
-    u, v = _uv(flow)
-    if not (it.shape == it1.shape == u.shape):
-        raise ShapeMismatchError(
-            f"shape mismatch: {it.shape}, {it1.shape}, {u.shape}"
-        )
-    xs, ys = _sample_grid(it.shape, u, v)
-    sampled, _, _, valid = _bilinear(it1, xs, ys)
-    weights = _weights(it.shape, weight_mask) * valid
-    residual = it - sampled
-    return float(np.sum(weights * charbonnier(residual, eps, alpha)))
+    cfg = FlowSolverConfig(alpha=0.0, charbonnier_eps=eps, charbonnier_alpha=alpha)
+    return _evaluate(flow, img_t, img_t1, cfg, weight_mask)[0]
 
 
 def smoothness_loss(flow: Flow, *, eps: float = 0.001, alpha: float = 0.45) -> float:
     """Sum of rho over flow differences across 4-neighbour pairs (each pair once)."""
     u, v = _uv(flow)
-    total = 0.0
-    for channel in (u, v):
-        total += float(np.sum(charbonnier(channel[:, 1:] - channel[:, :-1], eps, alpha)))
-        total += float(np.sum(charbonnier(channel[1:, :] - channel[:-1, :], eps, alpha)))
-    return total
+    return _smoothness(u, None, eps, alpha, 1.0) + _smoothness(v, None, eps, alpha, 1.0)
 
 
 def total_loss(
@@ -228,11 +241,7 @@ def total_loss(
     weight_mask=None,
 ) -> float:
     """Combined objective l_f = l_p + alpha * l_s."""
-    lp = photometric_loss(
-        flow, img_t, img_t1, weight_mask, eps=cfg.charbonnier_eps, alpha=cfg.charbonnier_alpha
-    )
-    ls = smoothness_loss(flow, eps=cfg.charbonnier_eps, alpha=cfg.charbonnier_alpha)
-    return lp + cfg.alpha * ls
+    return _evaluate(flow, img_t, img_t1, cfg, weight_mask)[0]
 
 
 def loss_gradient(
@@ -243,12 +252,25 @@ def loss_gradient(
     weight_mask=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic d(total_loss)/dF as a pair of (H, W) float64 arrays (du, dv)."""
-    loss, gu, gv = _loss_and_grad(
-        *_uv(flow), _gray(img_t), _gray(img_t1), cfg,
-        None if weight_mask is None else np.asarray(weight_mask, dtype=np.float64),
-    )
-    del loss
+    _, gu, gv = _evaluate(flow, img_t, img_t1, cfg, weight_mask)
     return gu, gv
+
+
+def _smoothness(channel: np.ndarray, grad, eps: float, ca: float, weight: float) -> float:
+    """weight * sum of rho over one flow channel's 4-neighbour differences.
+
+    Unless grad is None, the term's gradient is added to it in place.
+    """
+    dh = channel[:, 1:] - channel[:, :-1]
+    dv = channel[1:, :] - channel[:-1, :]
+    if grad is not None:
+        th = weight * charbonnier_deriv(dh, eps, ca)
+        tv = weight * charbonnier_deriv(dv, eps, ca)
+        grad[:, 1:] += th
+        grad[:, :-1] -= th
+        grad[1:, :] += tv
+        grad[:-1, :] -= tv
+    return weight * float(np.sum(charbonnier(dh, eps, ca)) + np.sum(charbonnier(dv, eps, ca)))
 
 
 def _loss_and_grad(u, v, it, it1, cfg: FlowSolverConfig, weights, oob_zero: bool = True):
@@ -276,18 +298,8 @@ def _loss_and_grad(u, v, it, it1, cfg: FlowSolverConfig, weights, oob_zero: bool
     gv = -rho_prime * ddy
 
     if cfg.alpha > 0:
-        for channel, grad in ((u, gu), (v, gv)):
-            dh = channel[:, 1:] - channel[:, :-1]
-            dv_ = channel[1:, :] - channel[:-1, :]
-            loss += cfg.alpha * float(
-                np.sum(charbonnier(dh, eps, ca)) + np.sum(charbonnier(dv_, eps, ca))
-            )
-            th = cfg.alpha * charbonnier_deriv(dh, eps, ca)
-            tv = cfg.alpha * charbonnier_deriv(dv_, eps, ca)
-            grad[:, 1:] += th
-            grad[:, :-1] -= th
-            grad[1:, :] += tv
-            grad[:-1, :] -= tv
+        loss += _smoothness(u, gu, eps, ca, cfg.alpha)
+        loss += _smoothness(v, gv, eps, ca, cfg.alpha)
     return loss, gu, gv
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -181,7 +181,7 @@ def _decode_map_block(data: bytes, offset: int) -> tuple[np.ndarray, MapSemantic
     if len(data) - start < payload:
         raise TruncatedError(f"payload needs {payload} bytes, {len(data) - start} present")
     values = np.frombuffer(data, dtype="<f4", count=width * height, offset=start)
-    return values.reshape(height, width).copy(), semantics, width, height, start + payload
+    return values.reshape(height, width), semantics, width, height, start + payload
 
 
 def write_map(path, fmap: FloatMap) -> None:
@@ -194,13 +194,10 @@ def read_map(path) -> FloatMap:
     values, semantics, width, height, end = _decode_map_block(data, 0)
     if end != len(data):
         raise TruncatedError(f"{len(data) - end} trailing bytes after payload")
-    out = FloatMap.__new__(FloatMap)  # bypass validation: preserve raw bit patterns
-    object.__setattr__(out, "width", width)
-    object.__setattr__(out, "height", height)
-    object.__setattr__(out, "semantics", semantics)
-    values.setflags(write=False)
-    object.__setattr__(out, "values", values)
-    return out
+    try:
+        return float_map(values, semantics)
+    except ValueError as err:
+        raise FormatError(f"{semantics.name} payload: {err}") from None
 
 
 def write_flow(path, flow: FlowField) -> None:
@@ -303,27 +300,32 @@ def _parse_texture(text: str, key: str, line: int):
     parts = text.split()
     if not parts:
         raise ConfigError(f"key '{key}' expects 'flat|checker [amplitude] [period_m] [base]'", line)
-    kind = parts[0]
-    if kind not in ("flat", "checker"):
-        raise ConfigError(f"texture kind must be 'flat' or 'checker', got '{kind}'", line)
     nums = [_parse_float(p, key, line) for p in parts[1:]]
-    spec = TextureSpec(kind=kind)
-    if len(nums) >= 1:
-        spec = replace(spec, amplitude=nums[0])
-    if len(nums) >= 2:
-        spec = replace(spec, period_m=nums[1])
-    if len(nums) >= 3:
-        spec = replace(spec, base=nums[2])
     if len(nums) > 3:
         raise ConfigError(f"key '{key}' takes at most 3 numbers after the kind", line)
-    _check_range(0.0 <= spec.amplitude <= 1.0, key, "amplitude must be in [0, 1]", line)
-    _check_range(spec.period_m > 0, key, "period_m must be positive", line)
-    return spec
+    try:
+        return TextureSpec(parts[0], *nums)
+    except ValueError as err:
+        raise ConfigError(f"key '{key}': {err}", line) from None
 
 
-def _check_range(ok: bool, key: str, message: str, line: int | None = None):
-    if not ok:
-        raise ConfigError(f"key '{key}': {message}", line)
+# Dataclass fields whose config key is spelled differently.
+_FIELD_KEYS = {"half_extents": "room_half_extents", "yaw_rate_deg": "yaw_rate"}
+
+
+def _build(cls, kv: dict[str, tuple[str, int]], **fields):
+    """cls(**fields), with its ValueError re-raised as a ConfigError on the
+    config key of the first field the message names."""
+    try:
+        return cls(**fields)
+    except ValueError as err:
+        message = str(err)
+        for word in message.split():
+            if word in fields:
+                key = _FIELD_KEYS.get(word, word)
+                line = kv[key][1] if key in kv else None
+                raise ConfigError(f"key '{key}': {message}", line) from None
+        raise ConfigError(message) from None
 
 
 def read_config(path: Union[str, os.PathLike]) -> RunConfig:
@@ -379,13 +381,17 @@ def parse_config(text: str) -> RunConfig:
     def take(kv, key, parse, default):
         if key not in kv:
             return default
-        value, lineno = kv.pop(key)
+        value, lineno = kv[key]
         return parse(value, key, lineno)
+
+    def triple(value, key, lineno):
+        return _parse_floats(value, key, lineno, 3)
 
     cam_defaults = default_camera()
     width = take(camera_kv, "width", _parse_int, cam_defaults.width)
     height = take(camera_kv, "height", _parse_int, cam_defaults.height)
-    camera = type(cam_defaults)(
+    camera = _build(
+        type(cam_defaults), camera_kv,
         fx=take(camera_kv, "fx", _parse_float, cam_defaults.fx),
         fy=take(camera_kv, "fy", _parse_float, cam_defaults.fy),
         cx=take(camera_kv, "cx", _parse_float, (width - 1) / 2.0),
@@ -395,66 +401,48 @@ def parse_config(text: str) -> RunConfig:
     )
 
     traj_default = TrajectorySpec()
-    trajectory = TrajectorySpec(
+    trajectory = _build(
+        TrajectorySpec, traj_kv,
         waypoints=tuple(wp for wp, _ in waypoints) or traj_default.waypoints,
         speed=take(traj_kv, "speed", _parse_float, traj_default.speed),
         yaw_rate_deg=take(traj_kv, "yaw_rate", _parse_float, traj_default.yaw_rate_deg),
     )
-    _check_range(trajectory.speed > 0, "speed", "must be positive")
-    _check_range(trajectory.yaw_rate_deg > 0, "yaw_rate", "must be positive")
 
-    spheres = []
-    for kv in obstacles:
-        radius = take(kv, "radius", _parse_float, 0.2)
-        albedo = take(kv, "albedo", _parse_float, 0.9)
-        _check_range(radius > 0, "radius", "must be positive")
-        _check_range(0.0 <= albedo <= 1.0, "albedo", "must be in [0, 1]")
-        spheres.append(SphereObstacle(
-            radius=radius,
-            start=take(kv, "start", lambda v, k, l: _parse_floats(v, k, l, 3), (0.0, 0.0, 0.0)),
-            velocity=take(kv, "velocity", lambda v, k, l: _parse_floats(v, k, l, 3), (0.0, 0.0, 0.0)),
+    spheres = tuple(
+        _build(
+            SphereObstacle, kv,
+            radius=take(kv, "radius", _parse_float, 0.2),
+            start=take(kv, "start", triple, (0.0, 0.0, 0.0)),
+            velocity=take(kv, "velocity", triple, (0.0, 0.0, 0.0)),
             class_id=take(kv, "class_id", _parse_int, 2),
-            albedo=albedo,
-        ))
+            albedo=take(kv, "albedo", _parse_float, 0.9),
+        )
+        for kv in obstacles
+    )
 
     defaults = SceneConfig(camera=camera)
-    half_extents = take(scene_kv, "room_half_extents",
-                        lambda v, k, l: _parse_floats(v, k, l, 3), defaults.half_extents)
-    frame_rate = take(scene_kv, "frame_rate", _parse_float, defaults.frame_rate)
-    duration = take(scene_kv, "duration", _parse_float, defaults.duration)
-    contrast = take(scene_kv, "contrast_threshold", _parse_float, defaults.contrast_threshold)
-    camera_height = take(scene_kv, "camera_height", _parse_float, defaults.camera_height)
-    random_obstacles = take(scene_kv, "random_obstacles", _parse_int, defaults.random_obstacles)
-    _check_range(all(h > 0 for h in half_extents), "room_half_extents", "must be positive")
-    _check_range(frame_rate > 0, "frame_rate", "must be positive")
-    _check_range(duration > 0, "duration", "must be positive")
-    _check_range(contrast > 0, "contrast_threshold", "must be positive")
-    _check_range(random_obstacles >= 0, "random_obstacles", "must be >= 0")
-    _check_range(0 < camera_height < 2 * half_extents[2], "camera_height",
-                 "must lie between floor and ceiling")
-    scene = SceneConfig(
-        half_extents=half_extents,
-        frame_rate=frame_rate,
-        duration=duration,
-        contrast_threshold=contrast,
+    scene = _build(
+        SceneConfig, scene_kv,
+        half_extents=take(scene_kv, "room_half_extents", triple, defaults.half_extents),
+        frame_rate=take(scene_kv, "frame_rate", _parse_float, defaults.frame_rate),
+        duration=take(scene_kv, "duration", _parse_float, defaults.duration),
+        contrast_threshold=take(scene_kv, "contrast_threshold", _parse_float,
+                                defaults.contrast_threshold),
         rng_seed=take(scene_kv, "rng_seed", _parse_int, defaults.rng_seed),
-        camera_height=camera_height,
-        light_dir=take(scene_kv, "light_dir",
-                       lambda v, k, l: _parse_floats(v, k, l, 3), defaults.light_dir),
+        camera_height=take(scene_kv, "camera_height", _parse_float, defaults.camera_height),
+        light_dir=take(scene_kv, "light_dir", triple, defaults.light_dir),
         wall_texture=take(scene_kv, "wall_texture", _parse_texture, defaults.wall_texture),
         floor_texture=take(scene_kv, "floor_texture", _parse_texture, defaults.floor_texture),
         ceiling_texture=take(scene_kv, "ceiling_texture", _parse_texture, defaults.ceiling_texture),
-        random_obstacles=random_obstacles,
-        obstacles=tuple(spheres),
+        random_obstacles=take(scene_kv, "random_obstacles", _parse_int, defaults.random_obstacles),
+        obstacles=spheres,
         trajectory=trajectory,
         camera=camera,
     )
 
     flow_defaults = FlowSolverConfig()
-    weighting = take(flow_kv, "event_weighting", lambda v, k, l: v, flow_defaults.event_weighting)
-    if weighting not in ("uniform", "event_gated"):
-        raise ConfigError(f"event_weighting must be 'uniform' or 'event_gated', got '{weighting}'")
-    flow_cfg = FlowSolverConfig(
+    flow_cfg = _build(
+        FlowSolverConfig, flow_kv,
         alpha=take(flow_kv, "alpha", _parse_float, flow_defaults.alpha),
         charbonnier_eps=take(flow_kv, "charbonnier_eps", _parse_float,
                              flow_defaults.charbonnier_eps),
@@ -464,17 +452,11 @@ def parse_config(text: str) -> RunConfig:
         iters_per_level=take(flow_kv, "iters_per_level", _parse_int,
                              flow_defaults.iters_per_level),
         step_size=take(flow_kv, "step_size", _parse_float, flow_defaults.step_size),
-        event_weighting=weighting,
+        event_weighting=take(flow_kv, "event_weighting", lambda v, k, l: v,
+                             flow_defaults.event_weighting),
         convergence_tol=take(flow_kv, "convergence_tol", _parse_float,
                              flow_defaults.convergence_tol),
     )
-    _check_range(flow_cfg.alpha >= 0, "alpha", "must be >= 0")
-    _check_range(flow_cfg.pyramid_levels >= 1, "pyramid_levels", "must be >= 1")
-    _check_range(flow_cfg.step_size > 0, "step_size", "must be positive")
-    _check_range(flow_cfg.charbonnier_eps > 0, "charbonnier_eps", "must be positive")
-    _check_range(0 < flow_cfg.charbonnier_alpha < 1, "charbonnier_alpha", "must be in (0, 1)")
-    _check_range(flow_cfg.iters_per_level >= 1, "iters_per_level", "must be >= 1")
-    _check_range(flow_cfg.convergence_tol >= 0, "convergence_tol", "must be >= 0")
 
     return RunConfig(scene=scene, flow=flow_cfg)
 

@@ -81,11 +81,11 @@ class TextureSpec:
 
     def __post_init__(self):
         if self.kind not in ("flat", "checker"):
-            raise ValueError(f"texture kind must be 'flat' or 'checker', got '{self.kind}'")
+            raise ValueError(f"kind must be 'flat' or 'checker', got '{self.kind}'")
         if not 0.0 <= self.amplitude <= 1.0:
-            raise ValueError("texture amplitude must be in [0, 1]")
+            raise ValueError("amplitude must be in [0, 1]")
         if self.period_m <= 0:
-            raise ValueError("texture period must be positive")
+            raise ValueError("period_m must be positive")
 
     def sample(self, su: np.ndarray, sv: np.ndarray) -> np.ndarray:
         if self.kind == "flat" or self.amplitude == 0.0:
@@ -106,7 +106,9 @@ class SphereObstacle:
 
     def __post_init__(self):
         if self.radius <= 0:
-            raise ValueError("obstacle radius must be positive")
+            raise ValueError("radius must be positive")
+        if not 0.0 <= self.albedo <= 1.0:
+            raise ValueError("albedo must be in [0, 1]")
 
     def center(self, t: float) -> np.ndarray:
         return np.asarray(self.start, dtype=np.float64) + t * np.asarray(
@@ -126,6 +128,12 @@ class TrajectorySpec:
     waypoints: tuple[tuple[float, float, float], ...] = ((-1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     speed: float = 0.5
     yaw_rate_deg: float = 45.0
+
+    def __post_init__(self):
+        if self.speed <= 0:
+            raise ValueError("speed must be positive")
+        if self.yaw_rate_deg <= 0:
+            raise ValueError("yaw_rate_deg must be positive")
 
 
 class _Trajectory:
@@ -194,11 +202,13 @@ class SceneConfig:
 
     def __post_init__(self):
         if any(h <= 0 for h in self.half_extents):
-            raise ValueError("room half-extents must be positive")
-        if self.frame_rate <= 0 or self.duration <= 0:
-            raise ValueError("frame_rate and duration must be positive")
+            raise ValueError("half_extents must be positive")
+        if self.frame_rate <= 0:
+            raise ValueError("frame_rate must be positive")
+        if self.duration <= 0:
+            raise ValueError("duration must be positive")
         if self.contrast_threshold <= 0:
-            raise ValueError("contrast threshold must be positive")
+            raise ValueError("contrast_threshold must be positive")
         if not 0 < self.camera_height < 2 * self.half_extents[2]:
             raise ValueError("camera_height must lie between floor and ceiling")
         if self.random_obstacles < 0:

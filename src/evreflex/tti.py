@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flow import _footprint, _interpolate, _sample_grid, _uv
 from .types import (
     FloatMap,
     FlowField,
@@ -69,27 +70,13 @@ def _warp_depth(depth: np.ndarray, flow: FlowField):
     Returns (values, in_bounds, footprint_ok) where footprint_ok requires all
     four interpolation corners to hold valid depth with a bounded spread.
     """
-    h, w = depth.shape
-    u = np.asarray(flow.u, dtype=np.float64)
-    v = np.asarray(flow.v, dtype=np.float64)
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    xs = xs + u
-    ys = ys + v
-    in_bounds = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
-    xc = np.clip(xs, 0.0, w - 1.0)
-    yc = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(xc).astype(np.intp), w - 2 if w > 1 else 0)
-    y0 = np.minimum(np.floor(yc).astype(np.intp), h - 2 if h > 1 else 0)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xc - x0
-    fy = yc - y0
-    corners = np.stack([depth[y0, x0], depth[y0, x1], depth[y1, x0], depth[y1, x1]])
-    top = corners[0] + fx * (corners[1] - corners[0])
-    bottom = corners[2] + fx * (corners[3] - corners[2])
-    values = top + fy * (bottom - top)
-    spread = corners.max(axis=0) - corners.min(axis=0)
-    footprint_ok = np.all(corners > 0, axis=0) & (spread <= OCCLUSION_JUMP_RATIO * corners.min(axis=0))
+    u, v = _uv(flow)
+    corners, fx, fy, in_bounds = _footprint(depth, *_sample_grid(depth.shape, u, v))
+    values, _ = _interpolate(corners, fx, fy)
+    c00, c01, c10, c11 = corners
+    lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
+    hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
+    footprint_ok = (lo > 0) & (hi - lo <= OCCLUSION_JUMP_RATIO * lo)
     return values, in_bounds, footprint_ok
 
 
@@ -102,16 +89,35 @@ def _check_dims(flow: FlowField, *maps: FloatMap):
             )
 
 
-def _clamped_tti(numerator, d_curr, dt, valid) -> TtiMap:
-    tau = np.zeros(d_curr.shape, dtype=np.float64)
-    np.divide(numerator, d_curr * dt, out=tau, where=valid)
+def _range_closure(
+    flow: FlowField,
+    d_curr: FloatMap,
+    d_other: FloatMap,
+    dt: float,
+    occlusion_guard: bool,
+    forward: bool,
+) -> TtiMap:
+    """Clamped fractional range closure between d_curr and d_other warped by flow.
+
+    flow maps current-frame pixels into d_other's frame; forward says that
+    frame is the next one (closure d_curr - warped) rather than the previous
+    one (closure warped - d_curr).
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    _check_dims(flow, d_curr, d_other)
+    curr = _depth(d_curr)
+    warped, in_bounds, footprint_ok = _warp_depth(_depth(d_other), flow)
+    valid = in_bounds & (curr > 0)
+    if occlusion_guard:
+        valid &= footprint_ok
+    else:
+        valid &= warped > 0
+    closure = curr - warped if forward else warped - curr
+    tau = np.zeros(curr.shape, dtype=np.float64)
+    np.divide(closure, curr * dt, out=tau, where=valid)
     np.maximum(tau, 0.0, out=tau)
-    tau[~valid] = 0.0
-    return TtiMap(
-        tti=float_map(tau, MapSemantics.INV_TTI_S),
-        dt=float(dt),
-        valid=valid.copy(),
-    )
+    return TtiMap(tti=float_map(tau, MapSemantics.INV_TTI_S), dt=float(dt), valid=valid)
 
 
 def ground_truth_inverse_tti(
@@ -127,17 +133,7 @@ def ground_truth_inverse_tti(
     flow_to_prev mapping current-frame pixels to their previous-frame locations.
     Approaching surfaces give positive tau; receding ones clamp to zero.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _check_dims(flow_to_prev, d_prev, d_curr)
-    curr = _depth(d_curr)
-    warped, in_bounds, footprint_ok = _warp_depth(_depth(d_prev), flow_to_prev)
-    valid = in_bounds & (curr > 0)
-    if occlusion_guard:
-        valid &= footprint_ok
-    else:
-        valid &= warped > 0
-    return _clamped_tti(warped - curr, curr, dt, valid)
+    return _range_closure(flow_to_prev, d_curr, d_prev, dt, occlusion_guard, forward=False)
 
 
 def estimate_tti_static(flow: FlowField, d_curr: FloatMap, dt: float) -> TtiMap:
@@ -171,17 +167,7 @@ def estimate_tti_dynamic(
     tau(i) = max(0, (d_curr(i) - d_next(i + F(i))) / (d_curr(i) * dt)); flow
     maps current-frame pixels to their next-frame locations.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _check_dims(flow, d_curr, d_next)
-    curr = _depth(d_curr)
-    warped, in_bounds, footprint_ok = _warp_depth(_depth(d_next), flow)
-    valid = in_bounds & (curr > 0)
-    if occlusion_guard:
-        valid &= footprint_ok
-    else:
-        valid &= warped > 0
-    return _clamped_tti(curr - warped, curr, dt, valid)
+    return _range_closure(flow, d_curr, d_next, dt, occlusion_guard, forward=True)
 
 
 def tti_mse(pred: TtiMap, gt: TtiMap) -> float:

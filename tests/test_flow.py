@@ -390,3 +390,14 @@ def test_solver_config_validation():
         FlowSolverConfig(step_size=0)
     with pytest.raises(ValueError):
         FlowSolverConfig(event_weighting="sometimes")
+    with pytest.raises(ValueError, match="iters_per_level"):
+        FlowSolverConfig(iters_per_level=0)
+    with pytest.raises(ValueError, match="charbonnier_eps"):
+        FlowSolverConfig(charbonnier_eps=-1)
+    with pytest.raises(ValueError):
+        FlowSolverConfig(iters_per_level=0, charbonnier_eps=-1)
+    with pytest.raises(ValueError, match="charbonnier_alpha"):
+        FlowSolverConfig(charbonnier_alpha=1.0)
+    with pytest.raises(ValueError, match="convergence_tol"):
+        FlowSolverConfig(convergence_tol=-1e-9)
+

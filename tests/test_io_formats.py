@@ -9,6 +9,7 @@ from evreflex.io_formats import (
     BadMagicError,
     BoundsError,
     ConfigError,
+    FormatError,
     TruncatedError,
     VersionError,
     dump_config,
@@ -100,6 +101,16 @@ def test_float64_built_map_roundtrip(tmp_path):
     write_map(path, fm)
     back = read_map(path)
     assert np.array_equal(back.values, fm.values)
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_map_invalid_depth_payload_rejected(tmp_path, bad):
+    path = tmp_path / "d.evrf"
+    write_map(path, float_map(np.full((2, 2), 2.0), MapSemantics.DEPTH_M))
+    data = path.read_bytes()
+    path.write_bytes(data[:-4] + struct.pack("<f", bad))
+    with pytest.raises(FormatError, match="DEPTH_M"):
+        read_map(path)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -208,6 +219,24 @@ def test_config_parses_contrast_threshold():
 def test_config_range_error_names_key():
     with pytest.raises(ConfigError, match="contrast_threshold"):
         parse_config("contrast_threshold = -1\n")
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("wall_texture = checker 2.0\n", "wall_texture", 1),
+    ("[flow]\ncharbonnier_eps = -1\n", "charbonnier_eps", 2),
+    ("[flow]\n\ncharbonnier_alpha = 1.5\n", "charbonnier_alpha", 3),
+    ("[flow]\niters_per_level = 0\n", "iters_per_level", 2),
+    ("[flow]\nevent_weighting = sometimes\n", "event_weighting", 2),
+    ("[trajectory]\nyaw_rate = 0\n", "yaw_rate", 2),
+    ("[trajectory]\nspeed = 0\n", "speed", 2),
+    ("[obstacle]\nalbedo = 1.5\n", "albedo", 2),
+    ("room_half_extents = 3 3 -1\n", "room_half_extents", 1),
+    ("room_half_extents = 3 3 0.5\n", "camera_height", None),
+])
+def test_config_dataclass_range_errors_name_key_and_line(text, key, line):
+    with pytest.raises(ConfigError, match=f"key '{key}'") as err:
+        parse_config(text)
+    assert err.value.line == line
 
 
 def test_config_unknown_key_rejected():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evreflex.flow import warp
 from evreflex.tti import (
     TtiMap,
     estimate_tti_dynamic,
@@ -209,3 +212,27 @@ def test_tau_values_always_nonnegative():
         estimate_tti_static(flow, d_curr, 0.1),
     ):
         assert (out.values >= 0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(2, 9), w=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
+       dt=st.floats(0.01, 1.0))
+def test_gt_and_dynamic_are_one_closure_with_opposite_signs(h, w, seed, dt):
+    # Depth fields a few percent from flat keep most footprints inside the
+    # occlusion guard; flows up to 3 px push some samples out of the raster.
+    rng = np.random.default_rng(seed)
+    a = float_map(rng.uniform(1.0, 4.0) * (1.0 + 0.1 * rng.random((h, w))), MapSemantics.DEPTH_M)
+    b = float_map(rng.uniform(1.0, 4.0) * (1.0 + 0.1 * rng.random((h, w))), MapSemantics.DEPTH_M)
+    f = flow_field(rng.uniform(-3.0, 3.0, (h, w)), rng.uniform(-3.0, 3.0, (h, w)))
+
+    gt = ground_truth_inverse_tti(a, b, f, dt)
+    dyn = estimate_tti_dynamic(f, b, a, dt)
+    assert np.array_equal(gt.valid, dyn.valid)
+    g = gt.values[gt.valid].astype(np.float64)
+    d = dyn.values[dyn.valid].astype(np.float64)
+    assert not np.any((g != 0) & (d != 0))
+
+    warped, _ = warp(a.values, np.stack([f.u, f.v]))
+    curr = b.values.astype(np.float64)
+    closure = (warped - curr) / (curr * dt)
+    np.testing.assert_allclose(g - d, closure[gt.valid], rtol=1e-6, atol=0.0)
