@@ -5,6 +5,15 @@ bilinear warp) plus a weighted smoothness term on flow differences between
 4-neighbours.  It is minimized coarse-to-fine with plain gradient descent and
 backtracking, which keeps the per-level loss monotone non-increasing.
 
+Each evaluation is split in two: `_loss_terms` computes the loss and keeps
+the intermediate values its gradient needs (residual, Charbonnier bases,
+footprint, flow differences), and `_finish_grad` turns those into the
+gradient.  The descent scores every backtracking candidate by its loss alone
+and finishes the gradient only for a step it accepts and continues from, so
+a rejected candidate costs one loss evaluation.  Both steps keep the float
+operations of the fused `_loss_and_grad` in the same order, so the split
+changes no result bit.
+
 All internal arithmetic runs in float64; the analytic gradient uses the exact
 derivative of the bilinear interpolant, so it matches central finite
 differences of the loss wherever the loss is differentiable.
@@ -100,29 +109,49 @@ def _uv(flow: Flow) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(flow.u, dtype=np.float64), np.asarray(flow.v, dtype=np.float64)
     arr = np.asarray(flow, dtype=np.float64)
     if arr.ndim == 3 and arr.shape[0] == 2:
+        if np.isnan(arr).any():
+            raise ValueError("flow contains NaN")
         return arr[0], arr[1]
     raise ShapeMismatchError(f"expected FlowField or (2, H, W) array, got shape {arr.shape}")
 
 
-def _footprint(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+def _footprint(img: np.ndarray, xs: np.ndarray, ys: np.ndarray, with_mask: bool = True):
     """Clamp-to-edge bilinear footprint of the samples at (xs, ys).
 
     Returns (corners, fx, fy, in_bounds): the four corner values (top-left,
     top-right, bottom-left, bottom-right), the fractional offsets inside the
-    footprint, and a flag for samples that stayed inside the raster.
+    footprint, and a flag for samples that stayed inside the raster (None
+    unless with_mask).
     """
     h, w = img.shape
-    in_bounds = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
+    in_bounds = None
+    if with_mask:
+        in_bounds = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
     xc = np.clip(xs, 0.0, w - 1.0)
     yc = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.floor(xc).astype(np.intp)
-    y0 = np.floor(yc).astype(np.intp)
+    # xc, yc >= 0, so truncation is floor
+    x0 = xc.astype(np.intp)
+    y0 = yc.astype(np.intp)
     np.minimum(x0, w - 2 if w > 1 else 0, out=x0)
     np.minimum(y0, h - 2 if h > 1 else 0, out=y0)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    corners = (img[y0, x0], img[y0, x1], img[y1, x0], img[y1, x1])
-    return corners, xc - x0, yc - y0, in_bounds
+    fx = xc - x0
+    fy = yc - y0
+    # One linear index of the top-left corner gathers all four corners: the
+    # others sit at that index in views of the raveled raster that start one
+    # column, one row, or both further on (no offset along an axis of
+    # length 1, as the clamp gives).
+    flat = img.ravel()
+    right = 1 if w > 1 else 0
+    down = w if h > 1 else 0
+    top_left = y0 * w
+    top_left += x0
+    corners = (
+        flat.take(top_left),
+        flat[right:].take(top_left),
+        flat[down:].take(top_left),
+        flat[down + right:].take(top_left),
+    )
+    return corners, fx, fy, in_bounds
 
 
 def _interpolate(corners, fx, fy):
@@ -134,6 +163,12 @@ def _interpolate(corners, fx, fy):
     return top + fy * ddy, ddy
 
 
+def _x_partial(corners, fy):
+    """Partial derivative in x of the bilinear interpolant over a footprint."""
+    i00, i01, i10, i11 = corners
+    return (1.0 - fy) * (i01 - i00) + fy * (i11 - i10)
+
+
 def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     """Clamp-to-edge bilinear sample.
 
@@ -143,14 +178,17 @@ def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     """
     corners, fx, fy, valid = _footprint(img, xs, ys)
     values, ddy = _interpolate(corners, fx, fy)
-    i00, i01, i10, i11 = corners
-    ddx = (1.0 - fy) * (i01 - i00) + fy * (i11 - i10)
-    return values, ddx, ddy, valid
+    return values, _x_partial(corners, fy), ddy, valid
 
 
-def _sample_grid(shape: tuple[int, int], u: np.ndarray, v: np.ndarray):
+def _pixel_grid(shape: tuple[int, int]) -> np.ndarray:
+    """(2, H, W) float64 pixel coordinates: row indices, then column indices."""
     h, w = shape
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    return np.mgrid[0:h, 0:w].astype(np.float64)
+
+
+def _sample_grid(shape: tuple[int, int], u: np.ndarray, v: np.ndarray, grid=None):
+    ys, xs = _pixel_grid(shape) if grid is None else grid
     return xs + u, ys + v
 
 
@@ -186,15 +224,26 @@ def charbonnier(x, eps: float = 0.001, alpha: float = 0.45):
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     x = np.asarray(x, dtype=np.float64)
-    out = (x * x + eps * eps) ** alpha
+    out = _charbonnier_base(x, eps) ** alpha
     return float(out) if out.ndim == 0 else out
 
 
 def charbonnier_deriv(x, eps: float = 0.001, alpha: float = 0.45):
     """d/dx of the robust penalty: 2*alpha*x*(x^2 + eps^2)^(alpha - 1)."""
     x = np.asarray(x, dtype=np.float64)
-    out = 2.0 * alpha * x * (x * x + eps * eps) ** (alpha - 1.0)
+    out = _charbonnier_slope(x, _charbonnier_base(x, eps), alpha)
     return float(out) if out.ndim == 0 else out
+
+
+def _charbonnier_base(x: np.ndarray, eps: float) -> np.ndarray:
+    """x^2 + eps^2, shared by the penalty and its derivative."""
+    return x * x + eps * eps
+
+
+def _charbonnier_slope(x: np.ndarray, base: np.ndarray, alpha: float) -> np.ndarray:
+    """The penalty's derivative from its base.  The powers ^alpha and
+    ^(alpha - 1) stay separate: deriving one from the other changes bits."""
+    return 2.0 * alpha * x * base ** (alpha - 1.0)
 
 
 def _weights(shape, weight_mask) -> np.ndarray:
@@ -206,8 +255,9 @@ def _weights(shape, weight_mask) -> np.ndarray:
     return w
 
 
-def _evaluate(flow: Flow, img_t: Raster, img_t1: Raster, cfg: FlowSolverConfig, weight_mask):
-    return _loss_and_grad(*_uv(flow), _gray(img_t), _gray(img_t1), cfg, weight_mask)
+def _evaluate(kernel, flow: Flow, img_t: Raster, img_t1: Raster, cfg: FlowSolverConfig,
+              weight_mask):
+    return kernel(*_uv(flow), _gray(img_t), _gray(img_t1), cfg, weight_mask)
 
 
 def photometric_loss(
@@ -224,13 +274,13 @@ def photometric_loss(
     Out-of-bounds warped samples contribute zero.
     """
     cfg = FlowSolverConfig(alpha=0.0, charbonnier_eps=eps, charbonnier_alpha=alpha)
-    return _evaluate(flow, img_t, img_t1, cfg, weight_mask)[0]
+    return _evaluate(_loss_terms, flow, img_t, img_t1, cfg, weight_mask)[0]
 
 
 def smoothness_loss(flow: Flow, *, eps: float = 0.001, alpha: float = 0.45) -> float:
     """Sum of rho over flow differences across 4-neighbour pairs (each pair once)."""
     u, v = _uv(flow)
-    return _smoothness(u, None, eps, alpha, 1.0) + _smoothness(v, None, eps, alpha, 1.0)
+    return _smoothness(u, eps, alpha, 1.0)[0] + _smoothness(v, eps, alpha, 1.0)[0]
 
 
 def total_loss(
@@ -241,7 +291,7 @@ def total_loss(
     weight_mask=None,
 ) -> float:
     """Combined objective l_f = l_p + alpha * l_s."""
-    return _evaluate(flow, img_t, img_t1, cfg, weight_mask)[0]
+    return _evaluate(_loss_terms, flow, img_t, img_t1, cfg, weight_mask)[0]
 
 
 def loss_gradient(
@@ -252,33 +302,32 @@ def loss_gradient(
     weight_mask=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic d(total_loss)/dF as a pair of (H, W) float64 arrays (du, dv)."""
-    _, gu, gv = _evaluate(flow, img_t, img_t1, cfg, weight_mask)
+    _, gu, gv = _evaluate(_loss_and_grad, flow, img_t, img_t1, cfg, weight_mask)
     return gu, gv
 
 
-def _smoothness(channel: np.ndarray, grad, eps: float, ca: float, weight: float) -> float:
+def _smoothness(channel: np.ndarray, eps: float, ca: float, weight: float):
     """weight * sum of rho over one flow channel's 4-neighbour differences.
 
-    Unless grad is None, the term's gradient is added to it in place.
+    Returns (loss, diffs): diffs holds the horizontal and vertical
+    differences with their Charbonnier bases, for _finish_grad.
     """
     dh = channel[:, 1:] - channel[:, :-1]
     dv = channel[1:, :] - channel[:-1, :]
-    if grad is not None:
-        th = weight * charbonnier_deriv(dh, eps, ca)
-        tv = weight * charbonnier_deriv(dv, eps, ca)
-        grad[:, 1:] += th
-        grad[:, :-1] -= th
-        grad[1:, :] += tv
-        grad[:-1, :] -= tv
-    return weight * float(np.sum(charbonnier(dh, eps, ca)) + np.sum(charbonnier(dv, eps, ca)))
+    bh = _charbonnier_base(dh, eps)
+    bv = _charbonnier_base(dv, eps)
+    loss = weight * float(np.sum(bh ** ca) + np.sum(bv ** ca))
+    return loss, (dh, bh, dv, bv)
 
 
-def _loss_and_grad(u, v, it, it1, cfg: FlowSolverConfig, weights, oob_zero: bool = True):
-    """One fused evaluation of l_f and its gradient w.r.t. (u, v).
+def _loss_terms(u, v, it, it1, cfg: FlowSolverConfig, weights, oob_zero: bool = True,
+                grid=None):
+    """l_f at (u, v), and the terms _finish_grad needs for its gradient.
 
     With oob_zero the photometric term drops out-of-bounds samples (the
     reported objective); without it they contribute through the border clamp,
     which keeps the objective continuous in F and is what the solver descends.
+    grid is the raster's _pixel_grid, for callers that evaluate many flows.
     """
     if not (it.shape == it1.shape == u.shape == v.shape):
         raise ShapeMismatchError(
@@ -288,19 +337,44 @@ def _loss_and_grad(u, v, it, it1, cfg: FlowSolverConfig, weights, oob_zero: bool
     ca = cfg.charbonnier_alpha
     w = _weights(it.shape, weights)
 
-    xs, ys = _sample_grid(it.shape, u, v)
-    sampled, ddx, ddy, valid = _bilinear(it1, xs, ys)
+    xs, ys = _sample_grid(it.shape, u, v, grid)
+    corners, fx, fy, valid = _footprint(it1, xs, ys, with_mask=oob_zero)
+    sampled, ddy = _interpolate(corners, fx, fy)
     wv = w * valid if oob_zero else w
     residual = it - sampled
-    loss = float(np.sum(wv * charbonnier(residual, eps, ca)))
-    rho_prime = wv * charbonnier_deriv(residual, eps, ca)
-    gu = -rho_prime * ddx
-    gv = -rho_prime * ddy
+    base = _charbonnier_base(residual, eps)
+    loss = float(np.sum(wv * base ** ca))
 
+    diffs = []
     if cfg.alpha > 0:
-        loss += _smoothness(u, gu, eps, ca, cfg.alpha)
-        loss += _smoothness(v, gv, eps, ca, cfg.alpha)
-    return loss, gu, gv
+        for channel in (u, v):
+            part, channel_diffs = _smoothness(channel, eps, ca, cfg.alpha)
+            loss += part
+            diffs.append(channel_diffs)
+    return loss, (wv, residual, base, corners, fy, ddy, diffs)
+
+
+def _finish_grad(terms, cfg: FlowSolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient of l_f w.r.t. (u, v) from the terms _loss_terms kept."""
+    wv, residual, base, corners, fy, ddy, diffs = terms
+    ca = cfg.charbonnier_alpha
+    rho_prime = wv * _charbonnier_slope(residual, base, ca)
+    gu = -rho_prime * _x_partial(corners, fy)
+    gv = -rho_prime * ddy
+    for grad, (dh, bh, dv, bv) in zip((gu, gv), diffs):
+        th = cfg.alpha * _charbonnier_slope(dh, bh, ca)
+        tv = cfg.alpha * _charbonnier_slope(dv, bv, ca)
+        grad[:, 1:] += th
+        grad[:, :-1] -= th
+        grad[1:, :] += tv
+        grad[:-1, :] -= tv
+    return gu, gv
+
+
+def _loss_and_grad(u, v, it, it1, cfg: FlowSolverConfig, weights, oob_zero: bool = True):
+    """l_f and its gradient w.r.t. (u, v): _loss_terms, then _finish_grad."""
+    loss, terms = _loss_terms(u, v, it, it1, cfg, weights, oob_zero)
+    return (loss, *_finish_grad(terms, cfg))
 
 
 def _downsample2(a: np.ndarray) -> np.ndarray:
@@ -325,14 +399,19 @@ def _descend(u, v, it, it1, weights, cfg: FlowSolverConfig, level: int):
     # clamp: zeroing them (as the reported loss does) makes the objective
     # discontinuous wherever a sample crosses the raster edge, and plain
     # gradient descent jams on those ridges.
-    loss, gu, gv = _loss_and_grad(u, v, it, it1, cfg, weights, oob_zero=False)
+    # A candidate is scored by its loss alone; the gradient is finished only
+    # for an accepted step that the descent goes on from.
+    grid = _pixel_grid(it.shape)
+    weights = _weights(it.shape, weights)
+    loss, terms = _loss_terms(u, v, it, it1, cfg, weights, oob_zero=False, grid=grid)
     if not np.isfinite(loss):
         raise SolverDivergenceError(level, 0, loss)
+    gu, gv = _finish_grad(terms, cfg)
     step = cfg.step_size
     for iteration in range(1, cfg.iters_per_level + 1):
         cu = u - step * gu
         cv = v - step * gv
-        cand, cgu, cgv = _loss_and_grad(cu, cv, it, it1, cfg, weights, oob_zero=False)
+        cand, terms = _loss_terms(cu, cv, it, it1, cfg, weights, oob_zero=False, grid=grid)
         if not np.isfinite(cand):
             raise SolverDivergenceError(level, iteration, cand)
         if cand > loss:
@@ -341,9 +420,10 @@ def _descend(u, v, it, it1, weights, cfg: FlowSolverConfig, level: int):
                 break
             continue
         drop = loss - cand
-        u, v, loss, gu, gv = cu, cv, cand, cgu, cgv
+        u, v, loss = cu, cv, cand
         if drop <= cfg.convergence_tol * max(abs(loss), 1e-12):
             break
+        gu, gv = _finish_grad(terms, cfg)
         step *= _STEP_GROWTH
     return u, v, loss
 
@@ -394,5 +474,5 @@ def estimate_flow(
             u = _upsample2(u, lit.shape) * 2.0
             v = _upsample2(v, lit.shape) * 2.0
         u, v, _ = _descend(u, v, lit, lit1, lw, cfg, level)
-    final_loss, _, _ = _loss_and_grad(u, v, it, it1, cfg, weights, oob_zero=True)
+    final_loss, _ = _loss_terms(u, v, it, it1, cfg, weights, oob_zero=True)
     return flow_field(u, v), final_loss

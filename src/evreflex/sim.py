@@ -207,12 +207,17 @@ class SceneConfig:
             raise ValueError("frame_rate must be positive")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
+        if self.duration * self.frame_rate < 1:
+            raise ValueError("duration must span at least one frame interval (1 / frame_rate)")
         if self.contrast_threshold <= 0:
             raise ValueError("contrast_threshold must be positive")
         if not 0 < self.camera_height < 2 * self.half_extents[2]:
             raise ValueError("camera_height must lie between floor and ceiling")
         if self.random_obstacles < 0:
             raise ValueError("random_obstacles must be >= 0")
+        norm = np.linalg.norm(np.asarray(self.light_dir, dtype=np.float64))
+        if not (np.isfinite(norm) and norm > 0):
+            raise ValueError("light_dir must be a finite non-zero vector")
 
     @property
     def dt(self) -> float:

@@ -306,9 +306,15 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
-        if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image dimensions must be positive")
+        if self.fx <= 0:
+            raise ValueError("fx (focal length) must be positive")
+        if self.fy <= 0:
+            raise ValueError("fy (focal length) must be positive")
+        if self.width <= 0:
+            raise ValueError("width must be positive")
+        if self.height <= 0:
+            raise ValueError("height must be positive")
+        if not 0 <= self.cx < self.width:
+            raise ValueError("cx (principal point) must lie in [0, width)")
+        if not 0 <= self.cy < self.height:
+            raise ValueError("cy (principal point) must lie in [0, height)")

@@ -12,6 +12,8 @@ from evreflex.flow import (
     smoothness_loss,
     total_loss,
     warp,
+    _STEP_GROWTH,
+    _descend,
     _loss_and_grad,
 )
 from evreflex.types import (
@@ -72,6 +74,15 @@ def test_warp_floatmap_and_flowfield_types():
 def test_warp_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         warp(np.zeros((4, 4)), _const_flow((5, 5), 0, 0))
+
+
+@pytest.mark.parametrize("width", [5, 6])
+def test_warp_nan_flow_rejected(width):
+    img = np.arange(4.0 * width).reshape(4, width)
+    flow = _const_flow(img.shape, 0.0, 0.0)
+    flow[:, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        warp(img, flow)
 
 
 # -- charbonnier ---------------------------------------------------------------
@@ -192,6 +203,20 @@ def test_total_loss_composition():
         photometric_loss(F, it, it1, eps=cfg0.charbonnier_eps, alpha=cfg0.charbonnier_alpha),
         rel=1e-12,
     )
+
+
+def test_loss_views_equal_kernel_loss_exactly():
+    rng = np.random.default_rng(9)
+    it = rng.random((8, 8))
+    it1 = rng.random((8, 8))
+    F = np.stack([rng.normal(0, 1.5, (8, 8)), rng.normal(0, 1.5, (8, 8))])
+    w = (rng.random((8, 8)) > 0.4).astype(np.float64)
+    cfg = FlowSolverConfig(alpha=0.3)
+    photo_cfg = FlowSolverConfig(alpha=0.0)
+    for mask in (None, w):
+        assert total_loss(F, it, it1, cfg, mask) == _loss_and_grad(F[0], F[1], it, it1, cfg, mask)[0]
+        assert photometric_loss(F, it, it1, mask) == _loss_and_grad(
+            F[0], F[1], it, it1, photo_cfg, mask)[0]
 
 
 def test_total_loss_pure_smoothness_when_aligned():
@@ -322,15 +347,15 @@ def test_estimate_flow_monotone_loss_per_level(monkeypatch):
     import evreflex.flow as fl
 
     records = []
-    original = fl._loss_and_grad
+    original = fl._loss_terms
 
-    def recording(u, v, it, it1, cfg, weights, oob_zero=True):
-        out = original(u, v, it, it1, cfg, weights, oob_zero=oob_zero)
+    def recording(u, v, it, it1, cfg, weights, oob_zero=True, grid=None):
+        out = original(u, v, it, it1, cfg, weights, oob_zero=oob_zero, grid=grid)
         if not oob_zero:
             records.append((it.shape, out[0]))
         return out
 
-    monkeypatch.setattr(fl, "_loss_and_grad", recording)
+    monkeypatch.setattr(fl, "_loss_terms", recording)
     rng = np.random.default_rng(104)
     img0 = rng.random((32, 32))
     img1 = np.roll(img0, 1, axis=1)
@@ -341,9 +366,62 @@ def test_estimate_flow_monotone_loss_per_level(monkeypatch):
     by_level = {}
     for shape, loss in records:
         by_level.setdefault(shape, []).append(loss)
+    # every level records its starting loss and at least one candidate
+    assert sorted(by_level) == [(4, 4), (8, 8), (16, 16), (32, 32)]
+    assert all(len(losses) >= 2 for losses in by_level.values())
     for shape, losses in by_level.items():
         running = np.minimum.accumulate(losses)
         assert losses[-1] == running[-1]
+
+
+def _reference_descend(u, v, it, it1, weights, cfg):
+    """The backtracking loop that finishes a gradient for every candidate.
+
+    Returns (u, v, loss, rejected steps)."""
+    loss, gu, gv = _loss_and_grad(u, v, it, it1, cfg, weights, oob_zero=False)
+    step = cfg.step_size
+    rejected = 0
+    for _ in range(cfg.iters_per_level):
+        cu = u - step * gu
+        cv = v - step * gv
+        cand, cgu, cgv = _loss_and_grad(cu, cv, it, it1, cfg, weights, oob_zero=False)
+        if cand > loss:
+            rejected += 1
+            step *= 0.5
+            if step < 1e-14:
+                break
+            continue
+        drop = loss - cand
+        u, v, loss, gu, gv = cu, cv, cand, cgu, cgv
+        if drop <= cfg.convergence_tol * max(abs(loss), 1e-12):
+            break
+        step *= _STEP_GROWTH
+    return u, v, loss, rejected
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "event_gated"])
+def test_descend_bit_identical_to_full_gradient_loop(weighting):
+    rng = np.random.default_rng(105)
+    ys, xs = np.mgrid[0:24, 0:32].astype(np.float64)
+
+    def texture(dx, dy):
+        x, y = xs - dx, ys - dy
+        return (0.5 + 0.2 * np.sin(2 * np.pi * x / 9) * np.cos(2 * np.pi * y / 7)
+                + 0.1 * np.sin(2 * np.pi * (x + y) / 5))
+
+    img0 = texture(0.0, 0.0) + 0.02 * rng.random(xs.shape)
+    img1 = texture(1.3, -0.7)
+    weights = None
+    if weighting == "event_gated":
+        weights = (np.abs(img1 - img0) > 0.05).astype(np.float64)
+    cfg = FlowSolverConfig(iters_per_level=60, event_weighting=weighting)
+    u0 = np.zeros(xs.shape)
+    v0 = np.zeros(xs.shape)
+    ref_u, ref_v, ref_loss, rejected = _reference_descend(u0, v0, img0, img1, weights, cfg)
+    u, v, loss = _descend(u0, v0, img0, img1, weights, cfg, level=0)
+    assert rejected >= 1
+    assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+    assert loss == ref_loss
 
 
 def test_estimate_flow_shift_equivariance():

@@ -232,11 +232,26 @@ def test_config_range_error_names_key():
     ("[obstacle]\nalbedo = 1.5\n", "albedo", 2),
     ("room_half_extents = 3 3 -1\n", "room_half_extents", 1),
     ("room_half_extents = 3 3 0.5\n", "camera_height", None),
+    ("duration = 0.01\n", "duration", 1),
+    ("frame_rate = 10\nduration = 0.05\n", "duration", 2),
+    ("light_dir = 0 0 0\n", "light_dir", 1),
+    ("light_dir = nan 0 1\n", "light_dir", 1),
+    ("[camera]\nfx = -1\n", "fx", 2),
+    ("[camera]\n\nfy = 0\n", "fy", 3),
+    ("[camera]\ncx = 500\n", "cx", 2),
+    ("[camera]\ncy = -1\n", "cy", 2),
+    ("[camera]\nwidth = 0\n", "width", 2),
+    ("[camera]\nheight = -2\n", "height", 2),
 ])
 def test_config_dataclass_range_errors_name_key_and_line(text, key, line):
     with pytest.raises(ConfigError, match=f"key '{key}'") as err:
         parse_config(text)
     assert err.value.line == line
+
+
+def test_config_shortest_duration_is_one_frame_interval():
+    scene = parse_config("frame_rate = 20\nduration = 0.05\n").scene
+    assert scene.frame_times()[-1] <= scene.duration
 
 
 def test_config_unknown_key_rejected():

@@ -108,3 +108,15 @@ def test_trajectory_rejects_non_positive_rates():
 def test_sphere_rejects_albedo_outside_unit_interval():
     with pytest.raises(ValueError, match="albedo"):
         SphereObstacle(radius=0.2, start=(0.0, 0.0, 1.0), velocity=(0.0, 0.0, 0.0), albedo=1.5)
+
+
+@pytest.mark.parametrize("duration, frame_rate", [(0.01, 20.0), (0.099, 10.0)])
+def test_scene_rejects_duration_under_one_frame(duration, frame_rate):
+    with pytest.raises(ValueError, match="^duration "):
+        SceneConfig(duration=duration, frame_rate=frame_rate)
+
+
+@pytest.mark.parametrize("light_dir", [(0.0, 0.0, 0.0), (np.inf, 0.0, 1.0), (np.nan, 0.0, 1.0)])
+def test_scene_rejects_degenerate_light_dir(light_dir):
+    with pytest.raises(ValueError, match="^light_dir "):
+        SceneConfig(light_dir=light_dir)

@@ -151,6 +151,21 @@ def test_camera_model_validation():
         CameraModel(fx=1, fy=1, cx=9, cy=0, width=4, height=4)
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("fx", dict(fx=0)),
+    ("fy", dict(fy=-2)),
+    ("cx", dict(cx=4)),
+    ("cy", dict(cy=-0.5)),
+    ("width", dict(width=0, cx=0)),
+    ("height", dict(height=0, cy=0)),
+])
+def test_camera_model_message_starts_with_field(field, kwargs):
+    args = dict(fx=1, fy=1, cx=0, cy=0, width=4, height=4)
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=f"^{field} "):
+        CameraModel(**args)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.0, 0.999), st.integers(0, 7),
                           st.integers(0, 7), st.sampled_from([-1, 1])),
