@@ -22,10 +22,10 @@ import numpy as np
 
 from .types import (
     EVENT_DTYPE,
-    EventOrderError,
     FloatMap,
     FlowField,
     MapSemantics,
+    _check_stream,
     as_event_array,
     float_map,
     flow_field,
@@ -93,14 +93,16 @@ class ConfigError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the chunks (bytes or contiguous arrays), in order, via a temp file
+    in the same directory, then rename."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -118,36 +120,42 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_events(path, events, width: int, height: int) -> None:
-    """Serialize a sorted event stream; coordinates must fit the raster."""
+    """Serialize a stream sorted by finite timestamps; coordinates must fit the
+    raster and polarities be +1 / -1."""
     arr = as_event_array(events)
-    t = arr["t"]
-    if t.size and np.any(np.diff(t) < 0):
-        raise EventOrderError("events must be sorted by timestamp before writing")
-    if t.size and (int(arr["x"].max()) >= width or int(arr["y"].max()) >= height):
-        raise BoundsError("event coordinates exceed declared raster dimensions")
+    _check_stream(arr, width, height, bounds_error=BoundsError)
     # repack into a zeroed buffer so the record pad bytes are deterministic
     packed = np.zeros(arr.shape[0], dtype=EVENT_DTYPE)
     for name in ("t", "x", "y", "polarity"):
         packed[name] = arr[name]
     header = _EVENTS_HEADER.pack(EVENTS_MAGIC, FORMAT_VERSION, width, height, arr.shape[0])
-    atomic_write_bytes(path, header + packed.tobytes())
+    atomic_write_bytes(path, header, packed)
 
 
 def read_events(path) -> tuple[np.ndarray, int, int]:
-    """Read an event file; returns (events, width, height)."""
+    """Read an event file; returns (events, width, height).
+
+    The records are read straight into a fresh, writable array once the file
+    size has been checked against the header's count, so a corrupt count
+    cannot trigger a huge allocation.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _EVENTS_HEADER.size:
-        raise TruncatedError(f"file is {len(data)} bytes, header needs {_EVENTS_HEADER.size}")
-    magic, version, width, height, count = _EVENTS_HEADER.unpack_from(data)
-    if magic != EVENTS_MAGIC:
-        raise BadMagicError(f"expected {EVENTS_MAGIC!r}, found {magic!r}")
-    if version != FORMAT_VERSION:
-        raise VersionError(f"unsupported version {version}")
-    expected = _EVENTS_HEADER.size + count * _EVENT_RECORD_SIZE
-    if len(data) != expected:
-        raise TruncatedError(f"declared {count} records need {expected} bytes, file has {len(data)}")
-    arr = np.frombuffer(data, dtype=EVENT_DTYPE, count=count, offset=_EVENTS_HEADER.size).copy()
+        header = fh.read(_EVENTS_HEADER.size)
+        if len(header) < _EVENTS_HEADER.size:
+            raise TruncatedError(f"file is {len(header)} bytes, header needs {_EVENTS_HEADER.size}")
+        magic, version, width, height, count = _EVENTS_HEADER.unpack(header)
+        if magic != EVENTS_MAGIC:
+            raise BadMagicError(f"expected {EVENTS_MAGIC!r}, found {magic!r}")
+        if version != FORMAT_VERSION:
+            raise VersionError(f"unsupported version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = _EVENTS_HEADER.size + count * _EVENT_RECORD_SIZE
+        if size != expected:
+            raise TruncatedError(f"declared {count} records need {expected} bytes, file has {size}")
+        arr = np.empty(count, dtype=EVENT_DTYPE)
+        got = fh.readinto(arr.view(np.uint8))
+    if got != count * _EVENT_RECORD_SIZE:
+        raise TruncatedError(f"read {got} of {count * _EVENT_RECORD_SIZE} record bytes")
     if count and (int(arr["x"].max()) >= width or int(arr["y"].max()) >= height):
         raise BoundsError("event coordinates exceed header raster dimensions")
     return arr, width, height

@@ -132,10 +132,8 @@ def as_event_array(events: Union[np.ndarray, Iterable[Event]]) -> np.ndarray:
             return out
         return events
     seq = list(events)
-    out = np.zeros(len(seq), dtype=EVENT_DTYPE)
-    for i, ev in enumerate(seq):
-        out[i] = (ev.t, ev.x, ev.y, ev.polarity)
-    return out
+    return make_events([ev.t for ev in seq], [ev.x for ev in seq], [ev.y for ev in seq],
+                       [ev.polarity for ev in seq])
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +169,26 @@ class EventMap:
         return int(self.pos_count.sum()) + int(self.neg_count.sum())
 
 
+def _check_stream(arr: np.ndarray, width: int, height: int, bounds_error=ValueError) -> None:
+    """Refuse a stream that is not sorted by finite timestamps, has a pixel
+    outside width x height, or a polarity other than +1 / -1.
+
+    The time test is written in positive form: every comparison with NaN is
+    False, so a NaN anywhere fails the sort test (or, in a one-event stream,
+    the finite-endpoint test), and a sorted stream with finite endpoints is
+    finite throughout.
+    """
+    t = arr["t"]
+    if not t.size:
+        return
+    if not (np.all(np.diff(t) >= 0) and np.isfinite(t[0]) and np.isfinite(t[-1])):
+        raise EventOrderError("events must be sorted by finite timestamps")
+    if arr["x"].max() >= width or arr["y"].max() >= height:
+        raise bounds_error("event coordinates exceed raster dimensions")
+    if not np.all(np.abs(arr["polarity"]) == 1):
+        raise ValueError("polarity must be +1 or -1")
+
+
 def accumulate_events(
     events: Union[np.ndarray, Iterable[Event]],
     window: tuple[float, float],
@@ -181,52 +199,51 @@ def accumulate_events(
 
     Counts are summed per pixel and polarity; the timestamp channels keep the
     most recent event per pixel, normalized as (t - t0) / (t1 - t0).
+
+    Each event gets one linear index into a (2, height, width) stack:
+    ``y * width + x`` for a positive event, plus ``height * width`` for a
+    negative one.  Counts are one ``bincount`` over that index, and the latest
+    times one ``maximum.at`` of the float32 normalized times.  Both reductions
+    are order-independent (a sum and a maximum), and on a sorted stream the
+    maximum is the most recent event, so the result depends on no assignment
+    order.
     """
     t0, t1 = float(window[0]), float(window[1])
-    if t1 <= t0:
-        raise EventWindowError(f"window [{t0}, {t1}) is empty")
+    if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
+        raise EventWindowError(f"window [{t0}, {t1}) is empty or not finite")
     arr = as_event_array(events)
     t = arr["t"]
-    if t.size and np.any(np.diff(t) < 0):
-        raise EventOrderError("events must be sorted by timestamp")
-    if t.size and (t[0] < t0 or t[-1] >= t1):
-        raise EventWindowError(
-            f"events span [{t[0] if t.size else t0}, {t[-1] if t.size else t0}] "
-            f"outside window [{t0}, {t1})"
-        )
-    x = arr["x"].astype(np.intp)
-    y = arr["y"].astype(np.intp)
-    if t.size and (x.max() >= width or y.max() >= height):
-        raise ValueError("event coordinates exceed raster dimensions")
+    _check_stream(arr, width, height)
+    if t.size and not (t0 <= t[0] and t[-1] < t1):
+        raise EventWindowError(f"events span [{t[0]}, {t[-1]}] outside window [{t0}, {t1})")
 
-    shape = (height, width)
-    pos_count = np.zeros(shape, dtype=np.uint32)
-    neg_count = np.zeros(shape, dtype=np.uint32)
-    pos_time = np.zeros(shape, dtype=np.float32)
-    neg_time = np.zeros(shape, dtype=np.float32)
-    tn = ((t - t0) / (t1 - t0)).astype(np.float32)
-    pos = arr["polarity"] > 0
-    np.add.at(pos_count, (y[pos], x[pos]), 1)
-    np.add.at(neg_count, (y[~pos], x[~pos]), 1)
-    # Sorted input means max == most recent; maximum.at is order-independent.
-    np.maximum.at(pos_time, (y[pos], x[pos]), tn[pos])
-    np.maximum.at(neg_time, (y[~pos], x[~pos]), tn[~pos])
-
+    n = height * width
+    key = arr["y"].astype(np.intp)
+    key *= width
+    key += arr["x"]
+    key += (arr["polarity"] < 0) * np.intp(n)
+    counts = np.bincount(key, minlength=2 * n).astype(np.uint32)
+    latest = np.zeros(2 * n, dtype=np.float32)
+    np.maximum.at(latest, key, ((t - t0) / (t1 - t0)).astype(np.float32))
+    counts.setflags(write=False)
+    latest.setflags(write=False)
+    pos_count, neg_count = counts.reshape(2, height, width)
+    pos_time, neg_time = latest.reshape(2, height, width)
     return EventMap(
         width=width,
         height=height,
         t_start=t0,
         t_end=t1,
-        pos_count=_frozen(pos_count, np.uint32),
-        neg_count=_frozen(neg_count, np.uint32),
-        pos_time=_frozen(pos_time, np.float32),
-        neg_time=_frozen(neg_time, np.float32),
+        pos_count=pos_count,
+        neg_count=neg_count,
+        pos_time=pos_time,
+        neg_time=neg_time,
     )
 
 
 def event_mask(em: EventMap) -> np.ndarray:
     """Binary raster: 1 where at least one event of either polarity occurred."""
-    return (em.pos_count.astype(np.int64) + em.neg_count.astype(np.int64)) > 0
+    return (em.pos_count != 0) | (em.neg_count != 0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ from evreflex.io_formats import (
     FormatError,
     TruncatedError,
     VersionError,
+    atomic_write_bytes,
     dump_config,
     parse_config,
     read_config,
@@ -23,7 +24,7 @@ from evreflex.io_formats import (
     write_map,
     write_ppm,
 )
-from evreflex.types import MapSemantics, flow_field, float_map, make_events
+from evreflex.types import EventOrderError, MapSemantics, flow_field, float_map, make_events
 
 
 def _random_events(rng, n, width=32, height=24):
@@ -170,6 +171,59 @@ def test_out_of_bounds_coordinates_rejected(tmp_path):
         read_events(path)
     with pytest.raises(BoundsError):
         write_events(path, record, 2, 2)
+
+
+# Header (magic, version 1, width 65536, height 8, count 3), then one 16-byte
+# record per event: t f64, x u16, y u16, polarity i8, 3 zero pad bytes.
+_PINNED_EVRX = bytes.fromhex(
+    "45565258" "01000000" "00000100" "08000000" "0300000000000000"
+    "0000000000000000" "0000" "0000" "01" "000000"
+    "000000000000e03f" "0300" "0200" "ff" "000000"
+    "000000000000f43f" "ffff" "0700" "01" "000000"
+)
+
+
+def test_event_file_bytes_pinned(tmp_path):
+    path = tmp_path / "pinned.evrx"
+    ev = make_events([0.0, 0.5, 1.25], [0, 3, 65535], [0, 2, 7], [1, -1, 1])
+    write_events(path, ev, 65536, 8)
+    assert path.read_bytes() == _PINNED_EVRX
+    back, w, h = read_events(path)
+    assert (w, h) == (65536, 8) and np.array_equal(back, ev)
+    # an owned, writable array, independent of the file
+    assert back.flags.owndata and back.flags.writeable
+    assert back.tobytes() == _PINNED_EVRX[24:]
+
+
+def test_huge_declared_count_is_truncation_not_allocation(tmp_path):
+    path = tmp_path / "huge.evrx"
+    path.write_bytes(struct.pack("<4sIIIQ", b"EVRX", 1, 4, 4, 2**40) + b"\x00" * 16)
+    assert path.stat().st_size == 40
+    with pytest.raises(TruncatedError):
+        read_events(path)
+
+
+@pytest.mark.parametrize("t", [[0.1, np.nan, 0.2], [np.nan], [0.1, np.inf], [-np.inf, 0.1]])
+def test_write_events_rejects_non_finite_timestamps(tmp_path, t):
+    ev = make_events(t, [0] * len(t), [0] * len(t), [1] * len(t))
+    with pytest.raises(EventOrderError):
+        write_events(tmp_path / "nan.evrx", ev, 4, 4)
+    assert not (tmp_path / "nan.evrx").exists()
+
+
+@pytest.mark.parametrize("polarity", [0, 2, -128])
+def test_write_events_rejects_polarity_other_than_unit(tmp_path, polarity):
+    ev = make_events([0.1, 0.2], [0, 1], [0, 1], [-1, polarity])
+    with pytest.raises(ValueError, match="^polarity"):
+        write_events(tmp_path / "p.evrx", ev, 4, 4)
+
+
+def test_atomic_write_bytes_chunks_in_order(tmp_path):
+    path = tmp_path / "chunks.bin"
+    atomic_write_bytes(path, b"ab", np.arange(3, dtype="<u2"), b"")
+    assert path.read_bytes() == b"ab\x00\x00\x01\x00\x02\x00"
+    atomic_write_bytes(path, b"one")
+    assert path.read_bytes() == b"one"
 
 
 @settings(max_examples=50, deadline=None)

@@ -176,3 +176,91 @@ def test_accumulation_depends_only_on_multiset(raw):
     em = accumulate_events(ev, (0.0, 1.0), 8, 8)
     assert em.total_events == len(ev)
     assert (em.pos_time <= 1.0).all()
+
+
+def _accumulate_loop(events, t0, t1, width, height):
+    """Per-event oracle: counts add up, and the last event of each pixel and
+    polarity in stream order sets its latest time."""
+    counts = np.zeros((2, height, width), dtype=np.uint32)
+    latest = np.zeros((2, height, width), dtype=np.float32)
+    for ev in events:
+        c = 0 if ev["polarity"] > 0 else 1
+        counts[c, ev["y"], ev["x"]] += 1
+        latest[c, ev["y"], ev["x"]] = np.float32((float(ev["t"]) - t0) / (t1 - t0))
+    return counts, latest
+
+
+@st.composite
+def _windowed_streams(draw):
+    width, height = draw(st.one_of(
+        st.sampled_from([(1, 1), (1, 9), (9, 1)]),
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    ))
+    t0 = draw(st.floats(-5.0, 5.0))
+    span = draw(st.floats(0.01, 10.0))
+    # stamps on a coarse grid inside [t0, t0 + span): equal stamps are common
+    ticks = draw(st.lists(st.integers(0, 15), max_size=60))
+    n = len(ticks)
+    xs = draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n))
+    ys = draw(st.lists(st.integers(0, height - 1), min_size=n, max_size=n))
+    ps = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    t = t0 + np.sort(np.asarray(ticks, dtype=np.float64)) * (span / 16.0)
+    return make_events(t, xs, ys, ps), (t0, t0 + span), width, height
+
+
+@settings(max_examples=200, deadline=None)
+@given(_windowed_streams())
+def test_accumulate_matches_per_event_loop(case):
+    ev, (t0, t1), width, height = case
+    em = accumulate_events(ev, (t0, t1), width, height)
+    counts, latest = _accumulate_loop(ev, t0, t1, width, height)
+    for got, want in ((em.pos_count, counts[0]), (em.neg_count, counts[1]),
+                      (em.pos_time, latest[0]), (em.neg_time, latest[1])):
+        assert got.dtype == want.dtype and got.shape == (height, width)
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    mask = event_mask(em)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, (em.pos_count > 0) | (em.neg_count > 0))
+
+
+@pytest.mark.parametrize("t", [
+    [0.1, np.nan, 0.2],
+    [np.nan, 0.1],
+    [0.1, np.nan],
+    [np.nan],
+    [0.1, np.inf],
+    [-np.inf, 0.1],
+    [np.inf],
+])
+def test_accumulate_rejects_non_finite_timestamps(t):
+    ev = make_events(t, [0] * len(t), [0] * len(t), [1] * len(t))
+    with pytest.raises(EventOrderError):
+        accumulate_events(ev, (0.0, 1.0), 4, 4)
+
+
+@pytest.mark.parametrize("window", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf),
+                                    (-np.inf, 1.0)])
+def test_accumulate_rejects_non_finite_window(window):
+    with pytest.raises(EventWindowError):
+        accumulate_events([], window, 4, 4)
+
+
+@pytest.mark.parametrize("polarity", [0, 2, -2, 127, -128])
+def test_accumulate_rejects_polarity_other_than_unit(polarity):
+    ev = make_events([0.1, 0.2], [0, 1], [0, 1], [1, polarity])
+    with pytest.raises(ValueError, match="^polarity"):
+        accumulate_events(ev, (0.0, 1.0), 4, 4)
+
+
+def test_as_event_array_of_events_equals_make_events():
+    rng = np.random.default_rng(7)
+    n = 50
+    t = np.sort(rng.uniform(0, 1, n))
+    xs, ys = rng.integers(0, 400, n), rng.integers(0, 300, n)
+    ps = rng.choice([-1, 1], n)
+    arr = as_event_array(Event(float(a), int(b), int(c), int(d))
+                         for a, b, c, d in zip(t, xs, ys, ps))
+    want = make_events(t, xs, ys, ps)
+    assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes()
+    assert as_event_array([]).shape == (0,)
