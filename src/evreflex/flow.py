@@ -439,17 +439,29 @@ def estimate_flow(
     With event_gated weighting the photometric term is trusted only where the
     event map saw activity; elsewhere the smoothness term fills in.  Returns the
     finest-level flow and the final objective value.
+
+    Refused before any descent, with ValueError: an image holding a non-finite
+    pixel (the message names img_t or img_t1), and under event_gated weighting
+    an event map with no active pixel, which leaves the photometric term
+    nothing to weigh and would return zero flow.
     """
     it = _gray(img_t)
     it1 = _gray(img_t1)
     if it.shape != it1.shape:
         raise ShapeMismatchError(f"image shapes differ: {it.shape} vs {it1.shape}")
+    for name, img in (("img_t", it), ("img_t1", it1)):
+        if not np.all(np.isfinite(img)):
+            raise ValueError(f"{name} holds non-finite pixels")
     if cfg.event_weighting == "event_gated":
         if em is None:
             raise ValueError("event_gated weighting requires an event map")
         if (em.height, em.width) != it.shape:
             raise ShapeMismatchError("event map dimensions differ from images")
-        weights = event_mask(em).astype(np.float64)
+        mask = event_mask(em)
+        if not mask.any():
+            raise ValueError("event_gated weighting needs an event map with at least one "
+                             "active pixel")
+        weights = mask.astype(np.float64)
     else:
         weights = None
 

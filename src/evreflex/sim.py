@@ -2,10 +2,13 @@
 closed textured room with flying sphere obstacles.
 
 Geometry is analytic (axis-aligned box + spheres, ray-cast per pixel), so
-depth, optical flow and semantic maps are exact.  Events are emulated from the
-rendered intensity stream by log-intensity threshold crossings with linear
-interpolation of crossing times between frames; this is a frame-based stand-in
-for a true adaptive-rate event renderer.
+depth, optical flow and semantic maps are exact.  Each sphere's ray quadratic
+has its discriminant evaluated on the whole raster, but its roots are solved
+only where the discriminant is non-negative; normals, shading, classes and
+material motion touch only the pixels the sphere owns.  Events are emulated
+from the rendered intensity stream by log-intensity threshold crossings with
+linear interpolation of crossing times between frames; this is a frame-based
+stand-in for a true adaptive-rate event renderer.
 
 World frame: Z up, floor at z = 0, room spanning [-hx, hx] x [-hy, hy] x
 [0, 2*hz].  The camera looks along its yaw heading in the X-Y plane; camera
@@ -277,14 +280,13 @@ class Frame:
 class _Raycast:
     """Per-pixel hit result for one camera pose."""
 
-    __slots__ = ("depth", "points", "obj", "normals", "velocity")
+    __slots__ = ("depth", "points", "obj", "owned")
 
-    def __init__(self, depth, points, obj, normals, velocity):
+    def __init__(self, depth, points, obj, owned):
         self.depth = depth  # camera-frame Z (ray parameter), (H, W)
         self.points = points  # world hit points, (H, W, 3)
         self.obj = obj  # 0..5 room faces, 6+i for obstacle i
-        self.normals = normals  # world normals for obstacle pixels (else 0)
-        self.velocity = velocity  # material velocity, (H, W, 3)
+        self.owned = owned  # owned[i]: flat indices of the pixels obstacle i owns
 
 
 def _cast(scene: SceneConfig, obstacles, origin: np.ndarray, yaw: float, t: float) -> _Raycast:
@@ -312,37 +314,38 @@ def _cast(scene: SceneConfig, obstacles, origin: np.ndarray, yaw: float, t: floa
         best_t = np.where(closer, t_plane, best_t)
         best_obj = np.where(closer, face, best_obj)
 
+    # b and the discriminant cover the raster (the same matmul on the same
+    # array keeps its rounding); the roots are solved only on the rays that
+    # meet the sphere (disc >= 0).
+    a = np.sum(dirs * dirs, axis=-1).ravel()
+    flat_t = best_t.reshape(-1)
+    flat_obj = best_obj.reshape(-1)
     for i, sphere in enumerate(obstacles):
-        center = sphere.center(t)
-        oc = origin - center
-        a = np.sum(dirs * dirs, axis=-1)
-        b = 2.0 * (dirs @ oc)
+        oc = origin - sphere.center(t)
+        b = 2.0 * (dirs @ oc).ravel()
         c = float(oc @ oc) - sphere.radius**2
         disc = b * b - 4.0 * a * c
-        hit = disc >= 0
-        sq = np.sqrt(np.where(hit, disc, 0.0))
-        t1 = (-b - sq) / (2.0 * a)
-        t2 = (-b + sq) / (2.0 * a)
+        idx = np.flatnonzero(disc >= 0)
+        if idx.size == 0:
+            continue
+        bi, ai = b[idx], a[idx]
+        sq = np.sqrt(disc[idx])
+        t1 = (-bi - sq) / (2.0 * ai)
+        t2 = (-bi + sq) / (2.0 * ai)
         t_sph = np.where(t1 > tiny, t1, np.where(t2 > tiny, t2, np.inf))
-        t_sph = np.where(hit, t_sph, np.inf)
-        closer = t_sph < best_t
-        best_t = np.where(closer, t_sph, best_t)
-        best_obj = np.where(closer, 6 + i, best_obj)
+        closer = t_sph < flat_t[idx]
+        flat_t[idx[closer]] = t_sph[closer]
+        flat_obj[idx[closer]] = 6 + i
 
     points = origin + best_t[..., None] * dirs
-    normals = np.zeros_like(points)
-    velocity = np.zeros_like(points)
-    for i, sphere in enumerate(obstacles):
-        sel = best_obj == 6 + i
-        if np.any(sel):
-            normals[sel] = (points[sel] - sphere.center(t)) / sphere.radius
-            velocity[sel] = np.asarray(sphere.velocity, dtype=np.float64)
-    return _Raycast(depth=best_t, points=points, obj=best_obj, normals=normals, velocity=velocity)
+    owned = [np.flatnonzero(flat_obj == 6 + i) for i in range(len(obstacles))]
+    return _Raycast(depth=best_t, points=points, obj=best_obj, owned=owned)
 
 
-def _shade(scene: SceneConfig, obstacles, cast: _Raycast) -> np.ndarray:
-    p = cast.points
-    out = np.zeros(cast.depth.shape, dtype=np.float64)
+def _shade(scene: SceneConfig, obstacles, cast: _Raycast, t: float) -> np.ndarray:
+    p = cast.points.reshape(-1, 3)
+    obj = cast.obj.ravel()
+    out = np.zeros(obj.shape, dtype=np.float64)
     face_planes = {  # face id -> in-plane world coordinates
         0: (1, 2),
         1: (1, 2),
@@ -354,18 +357,19 @@ def _shade(scene: SceneConfig, obstacles, cast: _Raycast) -> np.ndarray:
     for face, tex in ((0, scene.wall_texture), (1, scene.wall_texture),
                       (2, scene.wall_texture), (3, scene.wall_texture),
                       (4, scene.floor_texture), (5, scene.ceiling_texture)):
-        sel = cast.obj == face
-        if np.any(sel):
+        idx = np.flatnonzero(obj == face)
+        if idx.size:
             au, av = face_planes[face]
-            out[sel] = tex.sample(p[sel][:, au], p[sel][:, av])
+            q = p[idx]
+            out[idx] = tex.sample(q[:, au], q[:, av])
     light = np.asarray(scene.light_dir, dtype=np.float64)
     light = light / np.linalg.norm(light)
-    for i, sphere in enumerate(obstacles):
-        sel = cast.obj == 6 + i
-        if np.any(sel):
-            lambert = np.maximum(cast.normals[sel] @ light, 0.0)
-            out[sel] = sphere.albedo * (_AMBIENT + (1.0 - _AMBIENT) * lambert)
-    return np.clip(out, 0.0, 1.0)
+    for sphere, idx in zip(obstacles, cast.owned):
+        if idx.size:
+            normals = (p[idx] - sphere.center(t)) / sphere.radius
+            lambert = np.maximum(normals @ light, 0.0)
+            out[idx] = sphere.albedo * (_AMBIENT + (1.0 - _AMBIENT) * lambert)
+    return np.clip(out.reshape(cast.depth.shape), 0.0, 1.0)
 
 
 def _project(cam: CameraModel, rot: np.ndarray, origin: np.ndarray, points: np.ndarray):
@@ -377,13 +381,16 @@ def _project(cam: CameraModel, rot: np.ndarray, origin: np.ndarray, points: np.n
     return u, v
 
 
-def _flow_to(scene: SceneConfig, cast: _Raycast, t_from: float, t_to: float,
+def _flow_to(scene: SceneConfig, obstacles, cast: _Raycast, t_from: float, t_to: float,
              traj: _Trajectory) -> FlowField:
     cam = scene.camera
     pos2, yaw2 = traj.pose(t_to)
     origin2 = np.array([pos2[0], pos2[1], scene.camera_height])
     rot2 = _camera_basis(yaw2)
-    moved = cast.points + cast.velocity * (t_to - t_from)
+    moved = cast.points.copy()
+    flat = moved.reshape(-1, 3)
+    for sphere, idx in zip(obstacles, cast.owned):
+        flat[idx] += np.asarray(sphere.velocity, dtype=np.float64) * (t_to - t_from)
     u2, v2 = _project(cam, rot2, origin2, moved)
     ys, xs = np.mgrid[0 : cam.height, 0 : cam.width].astype(np.float64)
     return flow_field(u2 - xs, v2 - ys)
@@ -403,17 +410,18 @@ def render_frame(scene: SceneConfig, t: float) -> Frame:
     origin = np.array([pos[0], pos[1], scene.camera_height])
 
     cast = _cast(scene, obstacles, origin, yaw, t)
-    intensity = _shade(scene, obstacles, cast)
+    intensity = _shade(scene, obstacles, cast, t)
     class_values = np.zeros(cast.depth.shape, dtype=np.float64)
     class_values[cast.obj == 4] = CLASS_FLOOR
-    for i, sphere in enumerate(obstacles):
-        class_values[cast.obj == 6 + i] = sphere.class_id
+    for sphere, idx in zip(obstacles, cast.owned):
+        class_values.flat[idx] = sphere.class_id
 
     times = scene.frame_times()
     dt = scene.dt
     t_last = float(times[-1])
-    flow_fwd = _flow_to(scene, cast, t, t + dt, traj) if t + dt <= t_last + 1e-9 else None
-    flow_bwd = _flow_to(scene, cast, t, t - dt, traj) if t - dt >= -1e-9 else None
+    flow_fwd = (_flow_to(scene, obstacles, cast, t, t + dt, traj)
+                if t + dt <= t_last + 1e-9 else None)
+    flow_bwd = _flow_to(scene, obstacles, cast, t, t - dt, traj) if t - dt >= -1e-9 else None
 
     return Frame(
         t=float(t),
@@ -456,7 +464,10 @@ def generate_events(
     c = float(contrast_threshold)
     logs = [np.log(img + LOG_EPS) for img in frames]
     l_ref = logs[0].copy()
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    # Per crossing: its time and one key, 2 * pixel + (polarity > 0).  Ordering
+    # by the key is ordering by (y, x, polarity), so one two-key sort on
+    # (t, key) gives the (t, y, x, polarity) order.
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
     for k in range(1, len(frames)):
         l_prev, l_curr = logs[k - 1], logs[k]
         delta = l_curr - l_ref
@@ -475,25 +486,29 @@ def generate_events(
         frac = (level - l_prev.flat[pix]) / (l_curr.flat[pix] - l_prev.flat[pix])
         np.clip(frac, 0.0, 1.0, out=frac)
         t_cross = times[k - 1] + (times[k] - times[k - 1]) * frac
-        ys, xs = np.unravel_index(pix, shape)
-        parts.append((t_cross, xs, ys, sgn))
+        parts.append((t_cross, 2 * pix + (sgn > 0)))
         l_ref.flat[idx] += sign * c * reps
 
     if not parts:
         return make_events([], [], [], [])
     t_all = np.concatenate([p[0] for p in parts])
-    x_all = np.concatenate([p[1] for p in parts])
-    y_all = np.concatenate([p[2] for p in parts])
-    p_all = np.concatenate([p[3] for p in parts])
-    order = np.lexsort((p_all, x_all, y_all, t_all))
-    return make_events(t_all[order], x_all[order], y_all[order], p_all[order])
+    key = np.concatenate([p[1] for p in parts])
+    order = np.lexsort((key, t_all))
+    key = key[order]
+    y, x = np.divmod(key >> 1, shape[1])
+    return make_events(t_all[order], x, y, 2 * (key & 1) - 1)
 
 
 @dataclass(frozen=True, eq=False)
 class SequenceResult:
     """A rendered sequence with its event stream and ground-truth inverse TTI.
 
-    event_windows[k] holds events in [t_k, t_{k+1}); tti_gt[k] is the map for
+    event_windows[k] holds events in [t_k, t_{k+1}), except the last window,
+    which is closed, [t_{n-2}, t_{n-1}]: the emulator can stamp a crossing at
+    exactly the last frame time, and that event belongs to the last window.  So
+    the windows together hold every event.  accumulate_events treats its window
+    as half-open, so a caller accumulating the last window passes
+    np.nextafter(t_{n-1}, np.inf) as the window end.  tti_gt[k] is the map for
     frame k+1, computed from (depth_k, depth_{k+1}, flow_bwd_{k+1}).
     """
 
@@ -518,12 +533,10 @@ def simulate_sequence(scene: SceneConfig, workers: int = 1) -> SequenceResult:
     events = generate_events(
         times, [f.intensity for f in frames], scene.contrast_threshold
     )
-    windows = []
-    t_ev = events["t"]
-    for k in range(len(times) - 1):
-        lo = np.searchsorted(t_ev, times[k], side="left")
-        hi = np.searchsorted(t_ev, times[k + 1], side="left")
-        windows.append(events[lo:hi].copy())
+    # Half-open windows [t_k, t_{k+1}), the last one closed at t_{n-1}.
+    bounds = np.searchsorted(events["t"], times, side="left")
+    bounds[-1] = np.searchsorted(events["t"], times[-1], side="right")
+    windows = [events[bounds[k]:bounds[k + 1]].copy() for k in range(len(times) - 1)]
 
     dt = scene.dt
     tti_maps = []

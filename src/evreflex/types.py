@@ -108,14 +108,33 @@ class Event:
             raise ValueError(f"event polarity must be +1 or -1, got {self.polarity}")
 
 
+def _int_component(name: str, values, dtype) -> np.ndarray:
+    """values as an integer array that fits dtype exactly, or a typed error
+    naming the field: ValueError for non-integers, OverflowError out of range."""
+    arr = np.asarray(values)
+    if arr.size == 0:
+        return arr.astype(dtype)
+    if arr.dtype.kind not in "biu":
+        if arr.dtype.kind != "f" or not np.all(np.floor(arr) == arr):
+            raise ValueError(f"{name} must hold integers")
+    info = np.iinfo(dtype)
+    lo, hi = arr.min(), arr.max()
+    if lo < info.min or hi > info.max:
+        raise OverflowError(f"{name} out of range [{info.min}, {info.max}]: holds {lo} .. {hi}")
+    return arr.astype(dtype)
+
+
 def make_events(t, x, y, polarity) -> np.ndarray:
-    """Pack parallel component sequences into a structured event array."""
+    """Pack parallel component sequences into a structured event array.
+
+    x, y and polarity must hold integers that fit uint16, uint16 and int8;
+    nothing is rounded or wrapped."""
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros(t.shape[0], dtype=EVENT_DTYPE)
     out["t"] = t
-    out["x"] = np.asarray(x, dtype=np.uint16)
-    out["y"] = np.asarray(y, dtype=np.uint16)
-    out["polarity"] = np.asarray(polarity, dtype=np.int8)
+    out["x"] = _int_component("x", x, np.uint16)
+    out["y"] = _int_component("y", y, np.uint16)
+    out["polarity"] = _int_component("polarity", polarity, np.int8)
     return out
 
 

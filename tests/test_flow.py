@@ -443,10 +443,12 @@ def test_estimate_flow_shift_equivariance():
 
 
 def test_estimate_flow_divergence_error_reports_location():
-    img = np.full((16, 16), np.nan)
-    em = _events_everywhere(img.shape)
-    with pytest.raises(SolverDivergenceError) as err:
-        estimate_flow(em, img, img, FlowSolverConfig(pyramid_levels=1))
+    # finite pixels whose squared residual overflows: the first loss is inf
+    img0 = np.full((16, 16), 1e200)
+    img1 = -img0
+    em = _events_everywhere(img0.shape)
+    with pytest.raises(SolverDivergenceError) as err, np.errstate(over="ignore"):
+        estimate_flow(em, img0, img1, FlowSolverConfig(pyramid_levels=1))
     assert err.value.level == 0
     assert "level" in str(err.value)
 
@@ -457,6 +459,28 @@ def test_estimate_flow_event_gated_requires_map():
         estimate_flow(None, img, img, FlowSolverConfig(event_weighting="event_gated"))
     flow, _ = estimate_flow(None, img, img, FlowSolverConfig(event_weighting="uniform"))
     assert flow.width == 16
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["img_t", "img_t1"])
+def test_estimate_flow_refuses_non_finite_pixels(which, bad):
+    rng = np.random.default_rng(106)
+    images = {"img_t": rng.random((16, 16)), "img_t1": rng.random((16, 16))}
+    images[which][5, 7] = bad
+    em = _events_everywhere((16, 16))
+    with pytest.raises(ValueError, match=f"^{which} "):
+        estimate_flow(em, images["img_t"], images["img_t1"])
+
+
+def test_estimate_flow_event_gated_refuses_map_without_events():
+    rng = np.random.default_rng(107)
+    img0, img1 = rng.random((16, 16)), rng.random((16, 16))
+    empty = accumulate_events(make_events([], [], [], []), (0.0, 1.0), 16, 16)
+    with pytest.raises(ValueError, match="active pixel"):
+        estimate_flow(empty, img0, img1)
+    # uniform weighting does not read the map
+    flow, loss = estimate_flow(empty, img0, img1, FlowSolverConfig(event_weighting="uniform"))
+    assert np.isfinite(loss)
 
 
 def test_solver_config_validation():

@@ -1,11 +1,19 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evreflex import sim
 from evreflex.sim import (
+    LOG_EPS,
     PoseError,
     SceneConfig,
     SphereObstacle,
     TrajectorySpec,
+    generate_events,
     render_frame,
     simulate_sequence,
 )
@@ -120,3 +128,204 @@ def test_scene_rejects_duration_under_one_frame(duration, frame_rate):
 def test_scene_rejects_degenerate_light_dir(light_dir):
     with pytest.raises(ValueError, match="^light_dir "):
         SceneConfig(light_dir=light_dir)
+
+
+# -- render_frame against a full-raster reference -----------------------------------
+
+
+def _reference_render(scene: SceneConfig, t: float):
+    """render_frame's outputs with every sphere solved on every pixel: the
+    ray-cast, shading and flow formulas written out on the full raster."""
+    cam, obstacles = scene.camera, scene.realized_obstacles()
+    traj = sim._Trajectory(scene.trajectory)
+    pos, yaw = traj.pose(t)
+    origin = np.array([pos[0], pos[1], scene.camera_height])
+    ys, xs = np.mgrid[0 : cam.height, 0 : cam.width].astype(np.float64)
+    dirs_cam = np.stack([(xs - cam.cx) / cam.fx, (ys - cam.cy) / cam.fy, np.ones_like(xs)],
+                        axis=-1)
+    dirs = dirs_cam @ sim._camera_basis(yaw).T
+    hx, hy, hz = scene.half_extents
+    best_t, best_obj = np.full(xs.shape, np.inf), np.full(xs.shape, -1)
+    for axis, (lo, hi) in enumerate(((-hx, hx), (-hy, hy), (0.0, 2 * hz))):
+        d = dirs[..., axis]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_plane = np.where(np.abs(d) > 1e-12, (np.where(d > 0, hi, lo) - origin[axis]) / d,
+                               np.inf)
+        closer = t_plane < best_t
+        best_t = np.where(closer, t_plane, best_t)
+        best_obj = np.where(closer, axis * 2 + (d > 0), best_obj)
+    for i, sphere in enumerate(obstacles):
+        oc = origin - sphere.center(t)
+        a = np.sum(dirs * dirs, axis=-1)
+        b = 2.0 * (dirs @ oc)
+        disc = b * b - 4.0 * a * (float(oc @ oc) - sphere.radius**2)
+        sq = np.sqrt(np.where(disc >= 0, disc, 0.0))
+        t1, t2 = (-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)
+        t_sph = np.where(t1 > 1e-12, t1, np.where(t2 > 1e-12, t2, np.inf))
+        t_sph = np.where(disc >= 0, t_sph, np.inf)
+        closer = t_sph < best_t
+        best_t = np.where(closer, t_sph, best_t)
+        best_obj = np.where(closer, 6 + i, best_obj)
+    points = origin + best_t[..., None] * dirs
+    normals, velocity = np.zeros_like(points), np.zeros_like(points)
+    out, classes = np.zeros(xs.shape), np.where(best_obj == 4, 1.0, 0.0)
+    textures = (scene.wall_texture,) * 4 + (scene.floor_texture, scene.ceiling_texture)
+    planes = ((1, 2), (1, 2), (0, 2), (0, 2), (0, 1), (0, 1))
+    for face, (tex, (au, av)) in enumerate(zip(textures, planes)):
+        sel = best_obj == face
+        if np.any(sel):
+            out[sel] = tex.sample(points[sel][:, au], points[sel][:, av])
+    light = np.asarray(scene.light_dir, dtype=np.float64)
+    light = light / np.linalg.norm(light)
+    for i, sphere in enumerate(obstacles):
+        sel = best_obj == 6 + i
+        if np.any(sel):
+            normals[sel] = (points[sel] - sphere.center(t)) / sphere.radius
+            velocity[sel] = np.asarray(sphere.velocity, dtype=np.float64)
+            lambert = np.maximum(normals[sel] @ light, 0.0)
+            out[sel] = sphere.albedo * (sim._AMBIENT + (1.0 - sim._AMBIENT) * lambert)
+            classes[sel] = sphere.class_id
+
+    def flow_to(t_to):
+        pos2, yaw2 = traj.pose(t_to)
+        origin2 = np.array([pos2[0], pos2[1], scene.camera_height])
+        moved = points + velocity * (t_to - t)
+        u2, v2 = sim._project(cam, sim._camera_basis(yaw2), origin2, moved)
+        return u2 - xs, v2 - ys
+
+    return np.clip(out, 0.0, 1.0), best_t, classes, flow_to(t + scene.dt), flow_to(t - scene.dt)
+
+
+# sphere placements relative to the camera, which starts at (X0, 0, 1.5) looking
+# along +x: (forward, left-right, up-down) offsets of the centre, radius,
+# velocity; drawn on a 1 cm grid, because integers shrink fast
+X0 = -0.5
+
+
+def _cm(lo: int, hi: int):
+    return st.integers(lo, hi).map(lambda k: k / 100.0)
+
+
+_offset = st.tuples(_cm(-250, 300), _cm(-120, 120), _cm(-120, 120))
+_sphere = st.tuples(_offset, _cm(5, 100), st.tuples(*[_cm(-200, 200)] * 3))
+
+
+def _obstacle(offset, radius, velocity, class_id):
+    fwd, side, up = offset
+    return SphereObstacle(radius=radius, start=(X0 + fwd, side, 1.5 + up), velocity=velocity,
+                          class_id=class_id)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spheres=st.lists(_sphere, max_size=5), enclosing=st.booleans(),
+       frame=st.integers(1, 2), yaw_to=st.integers(-40, 40))
+def test_render_frame_equals_full_raster_reference(spheres, enclosing, frame, yaw_to):
+    obstacles = [_obstacle(o, r, v, 2 + k) for k, (o, r, v) in enumerate(spheres)]
+    if enclosing:  # a sphere that contains the camera
+        obstacles.append(_obstacle((0.05, -0.02, 0.03), 0.4, (0.5, 0.0, 0.0), 9))
+    scene = SceneConfig(
+        camera=CameraModel(fx=12.0, fy=12.0, cx=7.5, cy=5.0, width=16, height=11),
+        trajectory=TrajectorySpec(waypoints=((X0, 0.0, 0.0), (X0 + 1.0, 0.2, yaw_to))),
+        obstacles=tuple(obstacles),
+        duration=0.2,
+    )
+    t = float(scene.frame_times()[frame])
+    got = render_frame(scene, t)
+    intensity, depth, classes, (fu, fv), (bu, bv) = _reference_render(scene, t)
+    assert np.array_equal(got.intensity.values, intensity.astype(np.float32))
+    assert np.array_equal(got.depth.values, depth.astype(np.float32))
+    assert np.array_equal(got.class_map.values, classes.astype(np.float32))
+    assert np.array_equal(got.flow_fwd.u, fu.astype(np.float32))
+    assert np.array_equal(got.flow_fwd.v, fv.astype(np.float32))
+    assert np.array_equal(got.flow_bwd.u, bu.astype(np.float32))
+    assert np.array_equal(got.flow_bwd.v, bv.astype(np.float32))
+
+
+@pytest.mark.parametrize("near_first", [True, False])
+def test_nearer_of_two_axis_spheres_owns_the_centre_pixel(near_first):
+    near = SphereObstacle(radius=0.2, start=(1.2, 0.0, 1.5), velocity=(0.0, 0.0, 0.0), class_id=4)
+    far = SphereObstacle(radius=0.3, start=(2.5, 0.0, 1.5), velocity=(0.0, 0.0, 0.0), class_id=7)
+    scene = replace(_head_on_scene(), obstacles=(near, far) if near_first else (far, near))
+    frame = render_frame(scene, 0.0)
+    assert frame.class_map.values[CY, CX] == 4
+    assert frame.depth.values[CY, CX] == pytest.approx(1.2 - 0.2, rel=1e-6)
+
+
+# -- generate_events against a per-pixel loop -------------------------------------
+
+
+def _reference_events(times, frames, c):
+    """Sorted (t, y, x, polarity) records from a per-pixel walk over the frames."""
+    logs = [np.log(np.asarray(f, dtype=np.float64) + LOG_EPS) for f in frames]
+    records = []
+    height, width = logs[0].shape
+    for y in range(height):
+        for x in range(width):
+            l_ref = float(logs[0][y, x])
+            for k in range(1, len(frames)):
+                l_prev, l_curr = float(logs[k - 1][y, x]), float(logs[k][y, x])
+                delta = l_curr - l_ref
+                n = math.floor(abs(delta) / c)
+                s = 1 if delta > 0 else -1
+                for j in range(1, n + 1):
+                    # numpy scalars: a crossing left over from rounding in the
+                    # reference level can fire while l_curr == l_prev, and the
+                    # emulator clips its x / 0 = +-inf to a frame end
+                    with np.errstate(divide="ignore"):
+                        frac = np.float64(l_ref + s * c * j - l_prev) / np.float64(l_curr - l_prev)
+                    frac = float(np.clip(frac, 0.0, 1.0))
+                    records.append((times[k - 1] + (times[k] - times[k - 1]) * frac, y, x, s))
+                l_ref += s * c * n
+    return sorted(records)
+
+
+def _records(events):
+    return [(float(e["t"]), int(e["y"]), int(e["x"]), int(e["polarity"])) for e in events]
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 6), w=st.integers(1, 6), n_frames=st.integers(2, 5),
+       seed=st.integers(0, 2**32 - 1), c=st.sampled_from([0.05, 0.15, 0.4]))
+def test_generate_events_matches_per_pixel_loop(h, w, n_frames, seed, c):
+    rng = np.random.default_rng(seed)
+    # a few intensity levels, so pixels repeat each other's crossings exactly
+    frames = [rng.choice([0.0, 0.1, 0.35, 0.8, 1.0], size=(h, w)) for _ in range(n_frames)]
+    times = list(np.cumsum(rng.uniform(0.01, 0.1, n_frames)))
+    with np.errstate(divide="ignore"):
+        got = generate_events(times, frames, c)
+    assert _records(got) == _reference_events(times, frames, c)
+
+
+def test_generate_events_orders_ties_at_a_frame_boundary_by_y_x():
+    # The two log levels lie within a factor of 2 of each other, so their
+    # difference is exact; with c half of it, the second crossing of every
+    # changing pixel lands exactly on the frame at t = 0.1.
+    lo, hi = 0.3, 0.5
+    c = (np.log(hi + LOG_EPS) - np.log(lo + LOG_EPS)) / 2
+    f0 = np.array([[lo, hi, lo], [hi, lo, lo]])
+    f1 = np.array([[hi, lo, hi], [lo, lo, hi]])
+    times = [0.0, 0.1, 0.2]
+    got = generate_events(times, [f0, f1, f1], c)
+    assert _records(got[got["t"] == 0.1]) == [
+        (0.1, 0, 0, 1), (0.1, 0, 1, -1), (0.1, 0, 2, 1), (0.1, 1, 0, -1), (0.1, 1, 2, 1)]
+    assert _records(got) == _reference_events(times, [f0, f1, f1], c)
+
+
+# -- simulate_sequence windows ------------------------------------------------------
+
+
+def test_simulate_sequence_last_window_holds_events_at_the_last_frame_time():
+    scene = SceneConfig(
+        camera=CameraModel(fx=45.0, fy=45.0, cx=23.5, cy=17.5, width=48, height=36),
+        duration=0.25,
+        random_obstacles=6,
+        rng_seed=29,
+    )
+    seq = simulate_sequence(scene)
+    times = [f.t for f in seq.frames]
+    at_last = seq.events[seq.events["t"] == times[-1]]
+    assert at_last.size > 0  # the emulator stamps crossings at the last frame time
+    assert np.array_equal(np.concatenate(seq.event_windows), seq.events)
+    assert np.array_equal(seq.event_windows[-1][-at_last.size:], at_last)
+    for k, w in enumerate(seq.event_windows[:-1]):
+        assert w.size == 0 or (times[k] <= w["t"][0] and w["t"][-1] < times[k + 1])

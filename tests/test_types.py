@@ -264,3 +264,37 @@ def test_as_event_array_of_events_equals_make_events():
     want = make_events(t, xs, ys, ps)
     assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes()
     assert as_event_array([]).shape == (0,)
+
+
+# -- make_events refuses values it cannot store ----------------------------------------
+
+
+@pytest.mark.parametrize("x, y, polarity, field", [
+    (np.array([-1]), np.array([0]), np.array([1]), "x"),
+    (np.array([0]), np.array([70000]), np.array([1]), "y"),
+    (np.array([0]), np.array([0]), np.array([300]), "polarity"),
+    (np.array([0.0]), np.array([np.inf]), np.array([1]), "y"),
+    ([0], [65536], [1], "y"),
+    ([0], [0], [-129], "polarity"),
+])
+def test_make_events_refuses_out_of_range_components(x, y, polarity, field):
+    with pytest.raises(OverflowError, match=f"^{field} "):
+        make_events([0.1], x, y, polarity)
+
+
+@pytest.mark.parametrize("x, y, polarity, field", [
+    ([1.5], [0], [1], "x"),
+    (np.array([0]), np.array([2.25]), np.array([1]), "y"),
+    ([0], [0], [np.nan], "polarity"),
+    (["3"], [0], [1], "x"),
+])
+def test_make_events_refuses_non_integer_components(x, y, polarity, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        make_events([0.1], x, y, polarity)
+
+
+def test_make_events_keeps_integral_floats_and_range_ends():
+    ev = make_events([0.1, 0.2], np.array([0.0, 65535.0]), [65535, 0], np.array([-128, 127]))
+    assert ev["x"].tolist() == [0, 65535]
+    assert ev["y"].tolist() == [65535, 0]
+    assert ev["polarity"].tolist() == [-128, 127]
