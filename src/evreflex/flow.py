@@ -5,14 +5,19 @@ bilinear warp) plus a weighted smoothness term on flow differences between
 4-neighbours.  It is minimized coarse-to-fine with plain gradient descent and
 backtracking, which keeps the per-level loss monotone non-increasing.
 
-Each evaluation is split in two: `_loss_terms` computes the loss and keeps
-the intermediate values its gradient needs (residual, Charbonnier bases,
-footprint, flow differences), and `_finish_grad` turns those into the
-gradient.  The descent scores every backtracking candidate by its loss alone
-and finishes the gradient only for a step it accepts and continues from, so
-a rejected candidate costs one loss evaluation.  Both steps keep the float
-operations of the fused `_loss_and_grad` in the same order, so the split
-changes no result bit.
+One kernel evaluates the objective: a `_Workspace` owns the buffers of one
+raster shape; its `loss` method evaluates l_f at a flow and keeps in those
+buffers the terms its gradient needs (residual, Charbonnier bases, corner
+differences, flow differences), and its `gradient` method finishes the
+gradient from them in place.  Every array operation writes into a buffer
+with `out=`, so the descent allocates no raster-sized temporary, and the
+float operations and their order are those of the plain expressions (kept
+as the reference in tests/test_flow.py), so the buffers change no result
+bit.  The descent builds one workspace per pyramid level, scores every
+backtracking candidate by its loss alone and finishes the gradient only for
+a step it accepts and continues from, so a rejected candidate costs one loss
+evaluation.  The public losses and gradients build a fresh workspace per
+call, so no array they return is overwritten later.
 
 All internal arithmetic runs in float64; the analytic gradient uses the exact
 derivative of the bilinear interpolant, so it matches central finite
@@ -115,70 +120,90 @@ def _uv(flow: Flow) -> tuple[np.ndarray, np.ndarray]:
     raise ShapeMismatchError(f"expected FlowField or (2, H, W) array, got shape {arr.shape}")
 
 
-def _footprint(img: np.ndarray, xs: np.ndarray, ys: np.ndarray, with_mask: bool = True):
+def _footprint(img: np.ndarray, xs: np.ndarray, ys: np.ndarray, with_mask: bool = True,
+               out=None):
     """Clamp-to-edge bilinear footprint of the samples at (xs, ys).
 
     Returns (corners, fx, fy, in_bounds): the four corner values (top-left,
     top-right, bottom-left, bottom-right), the fractional offsets inside the
     footprint, and a flag for samples that stayed inside the raster (None
     unless with_mask).
+
+    out, when given, is (fx, fy, x0, y0, corners): float64 buffers for the
+    offsets, intp buffers for the corner indices and a tuple of four float64
+    buffers, all of xs's shape, which receive the result.  xs and ys may be
+    out's fx and fy themselves; they are clamped in place.
     """
     h, w = img.shape
     in_bounds = None
     if with_mask:
         in_bounds = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
-    xc = np.clip(xs, 0.0, w - 1.0)
-    yc = np.clip(ys, 0.0, h - 1.0)
-    # xc, yc >= 0, so truncation is floor
-    x0 = xc.astype(np.intp)
-    y0 = yc.astype(np.intp)
+    if out is None:
+        out = (np.empty(xs.shape), np.empty(xs.shape), np.empty(xs.shape, np.intp),
+               np.empty(xs.shape, np.intp), tuple(np.empty(xs.shape) for _ in range(4)))
+    fx, fy, x0, y0, corners = out
+    np.clip(xs, 0.0, w - 1.0, out=fx)
+    np.clip(ys, 0.0, h - 1.0, out=fy)
+    # fx, fy >= 0 now, so truncation is floor
+    np.copyto(x0, fx, casting="unsafe")
+    np.copyto(y0, fy, casting="unsafe")
     np.minimum(x0, w - 2 if w > 1 else 0, out=x0)
     np.minimum(y0, h - 2 if h > 1 else 0, out=y0)
-    fx = xc - x0
-    fy = yc - y0
+    fx -= x0
+    fy -= y0
     # One linear index of the top-left corner gathers all four corners: the
     # others sit at that index in views of the raveled raster that start one
     # column, one row, or both further on (no offset along an axis of
-    # length 1, as the clamp gives).
+    # length 1, as the clamp gives).  The index is built in y0's buffer.
+    # The clamp keeps it inside every view, so take's "wrap" changes no
+    # value; its default "raise" would buffer the output.
     flat = img.ravel()
     right = 1 if w > 1 else 0
     down = w if h > 1 else 0
-    top_left = y0 * w
+    top_left = y0
+    top_left *= w
     top_left += x0
-    corners = (
-        flat.take(top_left),
-        flat[right:].take(top_left),
-        flat[down:].take(top_left),
-        flat[down + right:].take(top_left),
-    )
+    for corner, start in zip(corners, (0, right, down, down + right)):
+        flat[start:].take(top_left, out=corner, mode="wrap")
     return corners, fx, fy, in_bounds
 
 
-def _interpolate(corners, fx, fy):
-    """Bilinear interpolant over a footprint, and its partial derivative in y."""
-    i00, i01, i10, i11 = corners
-    top = i00 + fx * (i01 - i00)
-    bottom = i10 + fx * (i11 - i10)
-    ddy = bottom - top
-    return top + fy * ddy, ddy
+def _interpolate(corners, fx, fy, out=None):
+    """Bilinear interpolant over a footprint and the differences it is built from.
 
-
-def _x_partial(corners, fy):
-    """Partial derivative in x of the bilinear interpolant over a footprint."""
+    Returns (values, ddy, dx_top, dx_bottom): the interpolant, its partial
+    derivative in y, and the corner differences i01 - i00 and i11 - i10 along
+    the top and bottom rows, which give the partial in x as
+    (1 - fy) * dx_top + fy * dx_bottom.  fx serves as scratch and is
+    overwritten.  out, when given, holds four float64 buffers of fx's shape
+    that receive the result.
+    """
     i00, i01, i10, i11 = corners
-    return (1.0 - fy) * (i01 - i00) + fy * (i11 - i10)
+    if out is None:
+        out = tuple(np.empty(fx.shape) for _ in range(4))
+    values, ddy, dx_top, dx_bottom = out
+    np.subtract(i01, i00, out=dx_top)
+    np.subtract(i11, i10, out=dx_bottom)
+    # bottom = i10 + fx * dx_bottom, top = i00 + fx * dx_top (into fx)
+    np.multiply(fx, dx_bottom, out=ddy)
+    ddy += i10
+    top = np.multiply(fx, dx_top, out=fx)
+    top += i00
+    ddy -= top
+    # top + fy * ddy
+    np.multiply(fy, ddy, out=values)
+    values += top
+    return values, ddy, dx_top, dx_bottom
 
 
 def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     """Clamp-to-edge bilinear sample.
 
-    Returns (values, d/dx, d/dy, valid) where the derivatives are the exact
-    partials of the interpolant w.r.t. the sample position and valid flags
-    samples that stayed inside the raster.
+    Returns (values, valid) where valid flags samples that stayed inside the
+    raster.
     """
     corners, fx, fy, valid = _footprint(img, xs, ys)
-    values, ddy = _interpolate(corners, fx, fy)
-    return values, _x_partial(corners, fy), ddy, valid
+    return _interpolate(corners, fx, fy)[0], valid
 
 
 def _pixel_grid(shape: tuple[int, int]) -> np.ndarray:
@@ -187,8 +212,8 @@ def _pixel_grid(shape: tuple[int, int]) -> np.ndarray:
     return np.mgrid[0:h, 0:w].astype(np.float64)
 
 
-def _sample_grid(shape: tuple[int, int], u: np.ndarray, v: np.ndarray, grid=None):
-    ys, xs = _pixel_grid(shape) if grid is None else grid
+def _sample_grid(shape: tuple[int, int], u: np.ndarray, v: np.ndarray):
+    ys, xs = _pixel_grid(shape)
     return xs + u, ys + v
 
 
@@ -204,14 +229,14 @@ def warp(src: Union[Raster, Flow], flow: Flow):
         if (src.height, src.width) != u.shape:
             raise ShapeMismatchError("flow and source dimensions differ")
         xs, ys = _sample_grid(u.shape, u, v)
-        wu, _, _, valid = _bilinear(np.asarray(src.u, dtype=np.float64), xs, ys)
-        wv, _, _, _ = _bilinear(np.asarray(src.v, dtype=np.float64), xs, ys)
+        wu, valid = _bilinear(np.asarray(src.u, dtype=np.float64), xs, ys)
+        wv, _ = _bilinear(np.asarray(src.v, dtype=np.float64), xs, ys)
         return flow_field(wu, wv), valid
     img = _gray(src)
     if img.shape != u.shape:
         raise ShapeMismatchError("flow and source dimensions differ")
     xs, ys = _sample_grid(img.shape, u, v)
-    values, _, _, valid = _bilinear(img, xs, ys)
+    values, valid = _bilinear(img, xs, ys)
     if isinstance(src, FloatMap):
         return float_map(values, src.semantics), valid
     return values, valid
@@ -255,9 +280,12 @@ def _weights(shape, weight_mask) -> np.ndarray:
     return w
 
 
-def _evaluate(kernel, flow: Flow, img_t: Raster, img_t1: Raster, cfg: FlowSolverConfig,
-              weight_mask):
-    return kernel(*_uv(flow), _gray(img_t), _gray(img_t1), cfg, weight_mask)
+def _reported_loss(flow: Flow, img_t: Raster, img_t1: Raster, cfg: FlowSolverConfig,
+                   weight_mask) -> float:
+    """l_f with out-of-bounds samples dropped, from a fresh workspace."""
+    u, v = _uv(flow)
+    return _Workspace(u.shape, _gray(img_t), _gray(img_t1), weight_mask, cfg).loss(
+        u, v, oob_zero=True)
 
 
 def photometric_loss(
@@ -274,13 +302,14 @@ def photometric_loss(
     Out-of-bounds warped samples contribute zero.
     """
     cfg = FlowSolverConfig(alpha=0.0, charbonnier_eps=eps, charbonnier_alpha=alpha)
-    return _evaluate(_loss_terms, flow, img_t, img_t1, cfg, weight_mask)[0]
+    return _reported_loss(flow, img_t, img_t1, cfg, weight_mask)
 
 
 def smoothness_loss(flow: Flow, *, eps: float = 0.001, alpha: float = 0.45) -> float:
     """Sum of rho over flow differences across 4-neighbour pairs (each pair once)."""
     u, v = _uv(flow)
-    return _smoothness(u, eps, alpha, 1.0)[0] + _smoothness(v, eps, alpha, 1.0)[0]
+    cfg = FlowSolverConfig(alpha=1.0, charbonnier_eps=eps, charbonnier_alpha=alpha)
+    return _Workspace(u.shape, None, None, None, cfg).smoothness(u, v, 0.0)
 
 
 def total_loss(
@@ -291,7 +320,7 @@ def total_loss(
     weight_mask=None,
 ) -> float:
     """Combined objective l_f = l_p + alpha * l_s."""
-    return _evaluate(_loss_terms, flow, img_t, img_t1, cfg, weight_mask)[0]
+    return _reported_loss(flow, img_t, img_t1, cfg, weight_mask)
 
 
 def loss_gradient(
@@ -302,79 +331,135 @@ def loss_gradient(
     weight_mask=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic d(total_loss)/dF as a pair of (H, W) float64 arrays (du, dv)."""
-    _, gu, gv = _evaluate(_loss_and_grad, flow, img_t, img_t1, cfg, weight_mask)
+    _, gu, gv = _loss_and_grad(*_uv(flow), _gray(img_t), _gray(img_t1), cfg, weight_mask)
     return gu, gv
 
 
-def _smoothness(channel: np.ndarray, eps: float, ca: float, weight: float):
-    """weight * sum of rho over one flow channel's 4-neighbour differences.
+class _Workspace:
+    """The objective's kernel and the buffers it runs in, for one raster shape.
 
-    Returns (loss, diffs): diffs holds the horizontal and vertical
-    differences with their Charbonnier bases, for _finish_grad.
+    loss(u, v) evaluates l_f and leaves in the buffers the terms its gradient
+    needs; gradient() turns the terms of the last loss into (gu, gv) in place,
+    consuming them, so it runs at most once per loss.  The (gu, gv) it returns
+    are the workspace's own buffers, which the next gradient() overwrites.
+    it and it1 may be None for a workspace that only evaluates smoothness.
     """
-    dh = channel[:, 1:] - channel[:, :-1]
-    dv = channel[1:, :] - channel[:-1, :]
-    bh = _charbonnier_base(dh, eps)
-    bv = _charbonnier_base(dv, eps)
-    loss = weight * float(np.sum(bh ** ca) + np.sum(bv ** ca))
-    return loss, (dh, bh, dv, bv)
 
-
-def _loss_terms(u, v, it, it1, cfg: FlowSolverConfig, weights, oob_zero: bool = True,
-                grid=None):
-    """l_f at (u, v), and the terms _finish_grad needs for its gradient.
-
-    With oob_zero the photometric term drops out-of-bounds samples (the
-    reported objective); without it they contribute through the border clamp,
-    which keeps the objective continuous in F and is what the solver descends.
-    grid is the raster's _pixel_grid, for callers that evaluate many flows.
-    """
-    if not (it.shape == it1.shape == u.shape == v.shape):
-        raise ShapeMismatchError(
-            f"shape mismatch: images {it.shape}/{it1.shape}, flow {u.shape}/{v.shape}"
+    def __init__(self, shape, it, it1, weights, cfg: FlowSolverConfig):
+        if it is not None and not (it.shape == it1.shape == shape):
+            raise ShapeMismatchError(
+                f"shape mismatch: images {it.shape}/{it1.shape}, flow {shape}"
+            )
+        h, w = shape
+        self.it, self.it1, self.cfg = it, it1, cfg
+        self.weights = _weights(shape, weights)
+        self.grid_y, self.grid_x = _pixel_grid(shape)
+        # sample positions, clamped in place into the footprint's offsets
+        self.fx, self.fy = np.empty(shape), np.empty(shape)
+        self.x0, self.y0 = np.empty(shape, np.intp), np.empty(shape, np.intp)
+        self.corners = tuple(np.empty(shape) for _ in range(4))
+        # the interpolant, then the residual, then rho'; its y-partial; the
+        # corner differences along x, then the x-partial in dx_top
+        self.residual, self.ddy, self.dx_top, self.dx_bottom = (np.empty(shape) for _ in range(4))
+        self.base = np.empty(shape)
+        self.masked = np.empty(shape)  # weights times the in-bounds mask (oob_zero)
+        self.wv = self.weights  # the photometric weights of the last loss
+        self.gu, self.gv = np.empty(shape), np.empty(shape)
+        # per flow channel: horizontal differences and their Charbonnier
+        # bases, then the same for vertical differences
+        self.diffs = tuple(
+            (np.empty((h, w - 1)), np.empty((h, w - 1)), np.empty((h - 1, w)), np.empty((h - 1, w)))
+            for _ in range(2)
         )
-    eps = cfg.charbonnier_eps
-    ca = cfg.charbonnier_alpha
-    w = _weights(it.shape, weights)
+        # One scratch for every power: each is consumed before the next one
+        # is taken, and contiguous views keep the sums' summation order.
+        power = np.empty(h * w)
+        self.power = power.reshape(shape)
+        self.power_h = power[: h * (w - 1)].reshape(h, w - 1)
+        self.power_v = power[: (h - 1) * w].reshape(h - 1, w)
 
-    xs, ys = _sample_grid(it.shape, u, v, grid)
-    corners, fx, fy, valid = _footprint(it1, xs, ys, with_mask=oob_zero)
-    sampled, ddy = _interpolate(corners, fx, fy)
-    wv = w * valid if oob_zero else w
-    residual = it - sampled
-    base = _charbonnier_base(residual, eps)
-    loss = float(np.sum(wv * base ** ca))
+    def loss(self, u: np.ndarray, v: np.ndarray, oob_zero: bool = False) -> float:
+        """l_f at (u, v).
 
-    diffs = []
-    if cfg.alpha > 0:
-        for channel in (u, v):
-            part, channel_diffs = _smoothness(channel, eps, ca, cfg.alpha)
-            loss += part
-            diffs.append(channel_diffs)
-    return loss, (wv, residual, base, corners, fy, ddy, diffs)
+        With oob_zero the photometric term drops out-of-bounds samples (the
+        reported objective); without it they contribute through the border
+        clamp, which keeps the objective continuous in F and is what the
+        solver descends.
+        """
+        cfg = self.cfg
+        eps2 = cfg.charbonnier_eps * cfg.charbonnier_eps
+        np.add(self.grid_x, u, out=self.fx)
+        np.add(self.grid_y, v, out=self.fy)
+        corners, fx, fy, in_bounds = _footprint(
+            self.it1, self.fx, self.fy, with_mask=oob_zero,
+            out=(self.fx, self.fy, self.x0, self.y0, self.corners),
+        )
+        sampled = _interpolate(corners, fx, fy,
+                               out=(self.residual, self.ddy, self.dx_top, self.dx_bottom))[0]
+        self.wv = self.weights
+        if oob_zero:
+            self.wv = np.multiply(self.weights, in_bounds, out=self.masked)
+        residual = np.subtract(self.it, sampled, out=sampled)
+        base = np.multiply(residual, residual, out=self.base)
+        base += eps2
+        weighted = np.power(base, cfg.charbonnier_alpha, out=self.power)
+        weighted *= self.wv
+        loss = float(np.sum(weighted))
+        return self.smoothness(u, v, loss) if cfg.alpha > 0 else loss
 
+    def smoothness(self, u: np.ndarray, v: np.ndarray, loss: float) -> float:
+        """loss plus alpha times each flow channel's smoothness sum, added in
+        turn; the differences and their bases stay for gradient()."""
+        cfg = self.cfg
+        eps2 = cfg.charbonnier_eps * cfg.charbonnier_eps
+        ca = cfg.charbonnier_alpha
+        for channel, (dh, bh, dv, bv) in zip((u, v), self.diffs):
+            np.subtract(channel[:, 1:], channel[:, :-1], out=dh)
+            np.subtract(channel[1:, :], channel[:-1, :], out=dv)
+            np.multiply(dh, dh, out=bh)
+            bh += eps2
+            np.multiply(dv, dv, out=bv)
+            bv += eps2
+            loss += cfg.alpha * float(np.sum(np.power(bh, ca, out=self.power_h))
+                                      + np.sum(np.power(bv, ca, out=self.power_v)))
+        return loss
 
-def _finish_grad(terms, cfg: FlowSolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The gradient of l_f w.r.t. (u, v) from the terms _loss_terms kept."""
-    wv, residual, base, corners, fy, ddy, diffs = terms
-    ca = cfg.charbonnier_alpha
-    rho_prime = wv * _charbonnier_slope(residual, base, ca)
-    gu = -rho_prime * _x_partial(corners, fy)
-    gv = -rho_prime * ddy
-    for grad, (dh, bh, dv, bv) in zip((gu, gv), diffs):
-        th = cfg.alpha * _charbonnier_slope(dh, bh, ca)
-        tv = cfg.alpha * _charbonnier_slope(dv, bv, ca)
-        grad[:, 1:] += th
-        grad[:, :-1] -= th
-        grad[1:, :] += tv
-        grad[:-1, :] -= tv
-    return gu, gv
+    def gradient(self) -> tuple[np.ndarray, np.ndarray]:
+        """d l_f / d(u, v) at the flow of the last loss, from its terms."""
+        cfg = self.cfg
+        ca = cfg.charbonnier_alpha
+        slope = 2.0 * ca  # rho'(x) = slope * x * base^(a - 1)
+        rho = np.multiply(self.residual, slope, out=self.residual)
+        rho *= np.power(self.base, ca - 1.0, out=self.power)
+        rho *= self.wv
+        np.negative(rho, out=rho)
+        # the x-partial (1 - fy) * dx_top + fy * dx_bottom, into dx_top
+        fy, x_partial = self.fy, self.dx_top
+        self.dx_bottom *= fy
+        np.subtract(1.0, fy, out=fy)
+        x_partial *= fy
+        x_partial += self.dx_bottom
+        gu = np.multiply(rho, x_partial, out=self.gu)
+        gv = np.multiply(rho, self.ddy, out=self.gv)
+        if cfg.alpha > 0:
+            for grad, (dh, bh, dv, bv) in zip((gu, gv), self.diffs):
+                for d, b, power, ahead, behind in (
+                    (dh, bh, self.power_h, np.s_[:, 1:], np.s_[:, :-1]),
+                    (dv, bv, self.power_v, np.s_[1:, :], np.s_[:-1, :]),
+                ):
+                    term = np.multiply(d, slope, out=d)
+                    term *= np.power(b, ca - 1.0, out=power)
+                    term *= cfg.alpha
+                    grad[ahead] += term
+                    grad[behind] -= term
+        return gu, gv
 
 
 def _loss_and_grad(u, v, it, it1, cfg: FlowSolverConfig, weights, oob_zero: bool = True):
-    """l_f and its gradient w.r.t. (u, v): _loss_terms, then _finish_grad."""
-    loss, terms = _loss_terms(u, v, it, it1, cfg, weights, oob_zero)
-    return (loss, *_finish_grad(terms, cfg))
+    """l_f at (u, v) and its gradient w.r.t. (u, v), from a fresh workspace."""
+    ws = _Workspace(u.shape, it, it1, weights, cfg)
+    loss = ws.loss(u, v, oob_zero)
+    return (loss, *ws.gradient())
 
 
 def _downsample2(a: np.ndarray) -> np.ndarray:
@@ -400,18 +485,21 @@ def _descend(u, v, it, it1, weights, cfg: FlowSolverConfig, level: int):
     # discontinuous wherever a sample crosses the raster edge, and plain
     # gradient descent jams on those ridges.
     # A candidate is scored by its loss alone; the gradient is finished only
-    # for an accepted step that the descent goes on from.
-    grid = _pixel_grid(it.shape)
-    weights = _weights(it.shape, weights)
-    loss, terms = _loss_terms(u, v, it, it1, cfg, weights, oob_zero=False, grid=grid)
+    # for an accepted step that the descent goes on from.  The flow and the
+    # candidate live in two buffer pairs that swap roles on an accepted step,
+    # so the caller's u and v are never written.
+    ws = _Workspace(it.shape, it, it1, weights, cfg)
+    u, v = u.copy(), v.copy()
+    cu, cv = np.empty_like(u), np.empty_like(v)
+    loss = ws.loss(u, v)
     if not np.isfinite(loss):
         raise SolverDivergenceError(level, 0, loss)
-    gu, gv = _finish_grad(terms, cfg)
+    gu, gv = ws.gradient()
     step = cfg.step_size
     for iteration in range(1, cfg.iters_per_level + 1):
-        cu = u - step * gu
-        cv = v - step * gv
-        cand, terms = _loss_terms(cu, cv, it, it1, cfg, weights, oob_zero=False, grid=grid)
+        np.subtract(u, np.multiply(gu, step, out=cu), out=cu)
+        np.subtract(v, np.multiply(gv, step, out=cv), out=cv)
+        cand = ws.loss(cu, cv)
         if not np.isfinite(cand):
             raise SolverDivergenceError(level, iteration, cand)
         if cand > loss:
@@ -420,10 +508,10 @@ def _descend(u, v, it, it1, weights, cfg: FlowSolverConfig, level: int):
                 break
             continue
         drop = loss - cand
-        u, v, loss = cu, cv, cand
+        u, v, cu, cv, loss = cu, cv, u, v, cand
         if drop <= cfg.convergence_tol * max(abs(loss), 1e-12):
             break
-        gu, gv = _finish_grad(terms, cfg)
+        gu, gv = ws.gradient()
         step *= _STEP_GROWTH
     return u, v, loss
 
@@ -486,5 +574,5 @@ def estimate_flow(
             u = _upsample2(u, lit.shape) * 2.0
             v = _upsample2(v, lit.shape) * 2.0
         u, v, _ = _descend(u, v, lit, lit1, lw, cfg, level)
-    final_loss, _ = _loss_terms(u, v, it, it1, cfg, weights, oob_zero=True)
+    final_loss = _Workspace(it.shape, it, it1, weights, cfg).loss(u, v, oob_zero=True)
     return flow_field(u, v), final_loss

@@ -137,7 +137,10 @@ def read_events(path) -> tuple[np.ndarray, int, int]:
 
     The records are read straight into a fresh, writable array once the file
     size has been checked against the header's count, so a corrupt count
-    cannot trigger a huge allocation.
+    cannot trigger a huge allocation.  The records must pass the check
+    write_events makes: finite sorted timestamps (else EventOrderError),
+    coordinates inside the header's raster (else BoundsError) and
+    polarities of +1 / -1 (else ValueError).
     """
     with open(path, "rb") as fh:
         header = fh.read(_EVENTS_HEADER.size)
@@ -156,8 +159,7 @@ def read_events(path) -> tuple[np.ndarray, int, int]:
         got = fh.readinto(arr.view(np.uint8))
     if got != count * _EVENT_RECORD_SIZE:
         raise TruncatedError(f"read {got} of {count * _EVENT_RECORD_SIZE} record bytes")
-    if count and (int(arr["x"].max()) >= width or int(arr["y"].max()) >= height):
-        raise BoundsError("event coordinates exceed header raster dimensions")
+    _check_stream(arr, width, height, bounds_error=BoundsError)
     return arr, width, height
 
 

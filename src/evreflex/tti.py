@@ -72,7 +72,7 @@ def _warp_depth(depth: np.ndarray, flow: FlowField):
     """
     u, v = _uv(flow)
     corners, fx, fy, in_bounds = _footprint(depth, *_sample_grid(depth.shape, u, v))
-    values, _ = _interpolate(corners, fx, fy)
+    values = _interpolate(corners, fx, fy)[0]
     c00, c01, c10, c11 = corners
     lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
     hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))

@@ -13,6 +13,7 @@ from evreflex.flow import (
     total_loss,
     warp,
     _STEP_GROWTH,
+    _Workspace,
     _descend,
     _loss_and_grad,
 )
@@ -227,6 +228,127 @@ def test_total_loss_pure_smoothness_when_aligned():
     assert total_loss(F, img, img, cfg) == pytest.approx(expected, rel=1e-12)
 
 
+# -- reference kernel -----------------------------------------------------------
+# The objective and its gradient as plain array expressions, every result a
+# fresh array and the corners gathered by 2-D indexing.  The flow kernel runs
+# the same float operations in the same order in preallocated buffers, so the
+# two must agree to the bit.
+
+
+def _reference_slope(x, base, ca):
+    return 2.0 * ca * x * base ** (ca - 1.0)
+
+
+def _reference_loss_and_grad(u, v, it, it1, cfg, weights, oob_zero):
+    eps, ca = cfg.charbonnier_eps, cfg.charbonnier_alpha
+    h, w = it.shape
+    wt = np.ones(it.shape) if weights is None else np.asarray(weights, dtype=np.float64)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    xs = xs + u
+    ys = ys + v
+    valid = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
+    xc = np.clip(xs, 0.0, w - 1.0)
+    yc = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.minimum(xc.astype(np.intp), max(w - 2, 0))
+    y0 = np.minimum(yc.astype(np.intp), max(h - 2, 0))
+    fx = xc - x0
+    fy = yc - y0
+    x1 = x0 + (1 if w > 1 else 0)
+    y1 = y0 + (1 if h > 1 else 0)
+    i00, i01, i10, i11 = it1[y0, x0], it1[y0, x1], it1[y1, x0], it1[y1, x1]
+    top = i00 + fx * (i01 - i00)
+    bottom = i10 + fx * (i11 - i10)
+    ddy = bottom - top
+    sampled = top + fy * ddy
+    wv = wt * valid if oob_zero else wt
+    residual = it - sampled
+    base = residual * residual + eps * eps
+    loss = float(np.sum(wv * base ** ca))
+    diffs = []
+    if cfg.alpha > 0:
+        for channel in (u, v):
+            dh = channel[:, 1:] - channel[:, :-1]
+            dv = channel[1:, :] - channel[:-1, :]
+            bh = dh * dh + eps * eps
+            bv = dv * dv + eps * eps
+            loss += cfg.alpha * float(np.sum(bh ** ca) + np.sum(bv ** ca))
+            diffs.append((dh, bh, dv, bv))
+    rho_prime = wv * _reference_slope(residual, base, ca)
+    gu = -rho_prime * ((1.0 - fy) * (i01 - i00) + fy * (i11 - i10))
+    gv = -rho_prime * ddy
+    for grad, (dh, bh, dv, bv) in zip((gu, gv), diffs):
+        th = cfg.alpha * _reference_slope(dh, bh, ca)
+        tv = cfg.alpha * _reference_slope(dv, bv, ca)
+        grad[:, 1:] += th
+        grad[:, :-1] -= th
+        grad[1:, :] += tv
+        grad[:-1, :] -= tv
+    return loss, gu, gv
+
+
+def _kernel_weights(kind, shape, rng):
+    if kind == "none":
+        return None
+    if kind == "binary":
+        return (rng.random(shape) > 0.4).astype(np.float64)
+    # fractional, as a 2x block mean of a binary mask gives on a coarse level
+    return rng.integers(0, 5, shape) / 4.0
+
+
+def _kernel_flows(shape, rng):
+    """Flows that sample inside, across the border and far outside the raster,
+    on integer and fractional positions."""
+    yield np.zeros(shape), np.zeros(shape)
+    yield rng.normal(0, 1.5, shape), rng.normal(0, 1.5, shape)
+    yield rng.integers(-2, 3, (2, *shape)).astype(np.float64)
+    yield rng.normal(0, 0.3, shape) + 0.5, rng.normal(0, 4.0, shape)
+    yield np.full(shape, -50.0), np.full(shape, 50.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.0])
+@pytest.mark.parametrize("weighting", ["none", "binary", "fractional"])
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (2, 2), (3, 5), (24, 32)])
+def test_kernel_bit_identical_to_reference(shape, weighting, alpha):
+    rng = np.random.default_rng([*shape, ["none", "binary", "fractional"].index(weighting)])
+    it = rng.random(shape)
+    it1 = rng.random(shape)
+    weights = _kernel_weights(weighting, shape, rng)
+    cfg = FlowSolverConfig(alpha=alpha)
+    # one workspace for every flow in turn, with a loss-only evaluation (a
+    # rejected candidate) before each one, guards against stale buffers
+    ws = _Workspace(shape, it, it1, weights, cfg)
+    flows = list(_kernel_flows(shape, rng))
+    for (u, v), (ru, rv) in zip(flows, flows[::-1]):
+        for oob_zero in (False, True):
+            ws.loss(ru, rv, not oob_zero)
+            loss = ws.loss(u, v, oob_zero)
+            gu, gv = ws.gradient()
+            ref_loss, ref_gu, ref_gv = _reference_loss_and_grad(u, v, it, it1, cfg, weights,
+                                                                 oob_zero)
+            assert loss == ref_loss
+            assert np.array_equal(gu, ref_gu) and np.array_equal(gv, ref_gv)
+    # the public entry points build their own workspace
+    u, v = flows[1]
+    ref_loss, ref_gu, ref_gv = _reference_loss_and_grad(u, v, it, it1, cfg, weights, True)
+    assert total_loss(np.stack([u, v]), it, it1, cfg, weights) == ref_loss
+    gu, gv = loss_gradient(np.stack([u, v]), it, it1, cfg, weights)
+    assert np.array_equal(gu, ref_gu) and np.array_equal(gv, ref_gv)
+
+
+def test_loss_gradient_results_do_not_alias():
+    rng = np.random.default_rng(10)
+    it, it1 = rng.random((6, 9)), rng.random((6, 9))
+    cfg = FlowSolverConfig()
+    first = loss_gradient(rng.normal(size=(2, 6, 9)), it, it1, cfg)
+    kept = [g.copy() for g in first]
+    second = loss_gradient(rng.normal(size=(2, 6, 9)), it, it1, cfg)
+    for a in first:
+        for b in second:
+            assert not np.shares_memory(a, b)
+    assert not np.shares_memory(*first) and not np.shares_memory(*second)
+    assert all(np.array_equal(g, k) for g, k in zip(first, kept))
+
+
 # -- gradient -------------------------------------------------------------------
 
 
@@ -240,7 +362,7 @@ def _fd_safe_instance(rng, shape=(8, 8)):
     from evreflex.flow import _bilinear, _sample_grid
 
     xs, ys = _sample_grid(it.shape, u, v)
-    sampled, _, _, _ = _bilinear(it1, xs, ys)
+    sampled, _ = _bilinear(it1, xs, ys)
     residual = it - sampled
     it = it + np.where(np.abs(residual) < 8e-3, 0.05, 0.0)
     return it, it1, np.stack([u, v])
@@ -347,15 +469,15 @@ def test_estimate_flow_monotone_loss_per_level(monkeypatch):
     import evreflex.flow as fl
 
     records = []
-    original = fl._loss_terms
+    original = fl._Workspace.loss
 
-    def recording(u, v, it, it1, cfg, weights, oob_zero=True, grid=None):
-        out = original(u, v, it, it1, cfg, weights, oob_zero=oob_zero, grid=grid)
+    def recording(self, u, v, oob_zero=False):
+        loss = original(self, u, v, oob_zero)
         if not oob_zero:
-            records.append((it.shape, out[0]))
-        return out
+            records.append((u.shape, loss))
+        return loss
 
-    monkeypatch.setattr(fl, "_loss_terms", recording)
+    monkeypatch.setattr(fl._Workspace, "loss", recording)
     rng = np.random.default_rng(104)
     img0 = rng.random((32, 32))
     img1 = np.roll(img0, 1, axis=1)
@@ -378,13 +500,13 @@ def _reference_descend(u, v, it, it1, weights, cfg):
     """The backtracking loop that finishes a gradient for every candidate.
 
     Returns (u, v, loss, rejected steps)."""
-    loss, gu, gv = _loss_and_grad(u, v, it, it1, cfg, weights, oob_zero=False)
+    loss, gu, gv = _reference_loss_and_grad(u, v, it, it1, cfg, weights, oob_zero=False)
     step = cfg.step_size
     rejected = 0
     for _ in range(cfg.iters_per_level):
         cu = u - step * gu
         cv = v - step * gv
-        cand, cgu, cgv = _loss_and_grad(cu, cv, it, it1, cfg, weights, oob_zero=False)
+        cand, cgu, cgv = _reference_loss_and_grad(cu, cv, it, it1, cfg, weights, oob_zero=False)
         if cand > loss:
             rejected += 1
             step *= 0.5
@@ -420,6 +542,7 @@ def test_descend_bit_identical_to_full_gradient_loop(weighting):
     ref_u, ref_v, ref_loss, rejected = _reference_descend(u0, v0, img0, img1, weights, cfg)
     u, v, loss = _descend(u0, v0, img0, img1, weights, cfg, level=0)
     assert rejected >= 1
+    assert not u0.any() and not v0.any()  # the caller's flow is not written
     assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
     assert loss == ref_loss
 

@@ -173,6 +173,28 @@ def test_out_of_bounds_coordinates_rejected(tmp_path):
         write_events(path, record, 2, 2)
 
 
+
+def _two_record_file(path, t, polarity):
+    """A hand-written EVRX file of 2 records at pixels (0, 0) and (1, 1) of a
+    4x4 raster, bypassing write_events' checks."""
+    header = struct.pack("<4sIIIQ", b"EVRX", 1, 4, 4, 2)
+    records = b"".join(struct.pack("<dHHb3x", ti, i, i, p)
+                       for i, (ti, p) in enumerate(zip(t, polarity)))
+    path.write_bytes(header + records)
+    return path
+
+
+def test_read_events_refuses_what_write_events_refuses(tmp_path):
+    good = _two_record_file(tmp_path / "good.evrx", (0.5, 0.75), (1, -1))
+    back, w, h = read_events(good)
+    assert back["t"].tolist() == [0.5, 0.75] and back["polarity"].tolist() == [1, -1]
+    with pytest.raises(EventOrderError):
+        read_events(_two_record_file(tmp_path / "nan.evrx", (0.5, np.nan), (1, 1)))
+    with pytest.raises(EventOrderError):
+        read_events(_two_record_file(tmp_path / "order.evrx", (0.75, 0.5), (1, 1)))
+    with pytest.raises(ValueError, match="^polarity"):
+        read_events(_two_record_file(tmp_path / "p0.evrx", (0.5, 0.75), (0, 1)))
+
 # Header (magic, version 1, width 65536, height 8, count 3), then one 16-byte
 # record per event: t f64, x u16, y u16, polarity i8, 3 zero pad bytes.
 _PINNED_EVRX = bytes.fromhex(
