@@ -19,12 +19,32 @@ a step it accepts and continues from, so a rejected candidate costs one loss
 evaluation.  The public losses and gradients build a fresh workspace per
 call, so no array they return is overwritten later.
 
+The photometric term runs only where the weights are nonzero (the pixels
+the event gate leaves open under event_gated weighting).  A workspace
+gathers the pixel grid, I_t and the weights at those pixels into 1-D
+buffers, and each evaluation gathers the flow there, runs the footprint,
+interpolant, residual and powers on them, and scatters the weighted terms
+into a raster-sized buffer that holds each gated-out pixel's weight, +0.0
+(or -0.0), which is exactly base^a * weight there.  Summing that buffer
+adds the same array in the same pairwise order as summing every pixel's
+term, so the loss keeps every bit; summing the compact terms would change
+the summation tree.  The gradient's photometric part is scattered into a
+zeroed raster the same way.  Skipping a pixel is exact only while its
+terms are finite (0 times a finite term is 0, while 0 times inf is NaN and
+must still reach the divergence check), so the gate is used only when a
+bound from max|I_t|, max|I_t1| and eps shows that no term can overflow for
+any flow; otherwise, and when every weight is nonzero, the buffers span
+the whole raster as raveled views.  The descent reports each level
+(active pixels, accepted and rejected steps, final step, why it stopped)
+at DEBUG level on the "evreflex.flow" logger.
+
 All internal arithmetic runs in float64; the analytic gradient uses the exact
 derivative of the bilinear interpolant, so it matches central finite
 differences of the loss wherever the loss is differentiable.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -55,6 +75,8 @@ __all__ = [
 
 Raster = Union[FloatMap, np.ndarray]
 Flow = Union[FlowField, np.ndarray]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -335,6 +357,24 @@ def loss_gradient(
     return gu, gv
 
 
+def _gate_is_exact(it: np.ndarray, it1: np.ndarray, cfg: FlowSolverConfig) -> bool:
+    """Whether every pixel's photometric terms stay finite at any flow, so
+    that a pixel of weight 0 adds exactly (signed) zero to the loss and its
+    gradient and may be skipped.
+
+    With R = max|I_t| + max|I_t1|: the corners, their differences, the
+    interpolant and the residual are at most 4R in magnitude, the
+    Charbonnier base at most 16R^2 + eps^2, and since the base is at least
+    eps^2, base^(a - 1) is at most eps^(2(a - 1)), so rho' before weighting
+    is at most 8R eps^(2(a - 1)).  A NaN pixel makes R NaN, which fails too.
+    """
+    eps2 = np.float64(cfg.charbonnier_eps) ** 2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = np.maximum(it.max(), -it.min()) + np.maximum(it1.max(), -it1.min())
+        bound = 16.0 * r * r + eps2 + 8.0 * r * eps2 ** (cfg.charbonnier_alpha - 1.0)
+    return bool(np.isfinite(bound))
+
+
 class _Workspace:
     """The objective's kernel and the buffers it runs in, for one raster shape.
 
@@ -343,6 +383,10 @@ class _Workspace:
     consuming them, so it runs at most once per loss.  The (gu, gv) it returns
     are the workspace's own buffers, which the next gradient() overwrites.
     it and it1 may be None for a workspace that only evaluates smoothness.
+
+    The photometric term runs on the `pixels` pixels of nonzero weight, at
+    the flat indices `active`, when _gate_is_exact allows it and some weight
+    is zero; otherwise active is None and it runs on every pixel.
     """
 
     def __init__(self, shape, it, it1, weights, cfg: FlowSolverConfig):
@@ -351,19 +395,32 @@ class _Workspace:
                 f"shape mismatch: images {it.shape}/{it1.shape}, flow {shape}"
             )
         h, w = shape
-        self.it, self.it1, self.cfg = it, it1, cfg
-        self.weights = _weights(shape, weights)
-        self.grid_y, self.grid_x = _pixel_grid(shape)
+        self.shape, self.it1, self.cfg = shape, it1, cfg
+        gated = it is not None and weights is not None
+        weights = _weights(shape, weights)
+        self.active = None
+        if gated:
+            active = np.flatnonzero(weights)
+            if active.size < h * w and _gate_is_exact(it, it1, cfg):
+                self.active = active
+        # the photometric term's inputs at its pixels, as 1-D arrays
+        self.grid_y, self.grid_x = (self._gather(c) for c in _pixel_grid(shape))
+        self.it = None if it is None else self._gather(it)
+        self.weights = self._gather(weights)
+        n = self.pixels = self.weights.size
         # sample positions, clamped in place into the footprint's offsets
-        self.fx, self.fy = np.empty(shape), np.empty(shape)
-        self.x0, self.y0 = np.empty(shape, np.intp), np.empty(shape, np.intp)
-        self.corners = tuple(np.empty(shape) for _ in range(4))
+        self.fx, self.fy = np.empty(n), np.empty(n)
+        self.x0, self.y0 = np.empty(n, np.intp), np.empty(n, np.intp)
+        self.corners = tuple(np.empty(n) for _ in range(4))
         # the interpolant, then the residual, then rho'; its y-partial; the
         # corner differences along x, then the x-partial in dx_top
-        self.residual, self.ddy, self.dx_top, self.dx_bottom = (np.empty(shape) for _ in range(4))
-        self.base = np.empty(shape)
-        self.masked = np.empty(shape)  # weights times the in-bounds mask (oob_zero)
+        self.residual, self.ddy, self.dx_top, self.dx_bottom = (np.empty(n) for _ in range(4))
+        self.base = np.empty(n)
+        self.masked = np.empty(n)  # weights times the in-bounds mask (oob_zero)
         self.wv = self.weights  # the photometric weights of the last loss
+        if self.active is not None:
+            # every pixel's weighted term; a gated-out pixel's is its weight
+            self.terms = weights.ravel().copy()
         self.gu, self.gv = np.empty(shape), np.empty(shape)
         # per flow channel: horizontal differences and their Charbonnier
         # bases, then the same for vertical differences
@@ -374,9 +431,32 @@ class _Workspace:
         # One scratch for every power: each is consumed before the next one
         # is taken, and contiguous views keep the sums' summation order.
         power = np.empty(h * w)
-        self.power = power.reshape(shape)
+        self.power = power[:n]
         self.power_h = power[: h * (w - 1)].reshape(h, w - 1)
         self.power_v = power[: (h - 1) * w].reshape(h - 1, w)
+
+    def _gather(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Raster a at the photometric term's pixels, gathered into out (a new
+        array if None), or a raveled view of a when the term runs on every
+        pixel."""
+        flat = a.reshape(-1)
+        if self.active is None:
+            return flat
+        # every index is in range, so take's "wrap" changes no value; its
+        # default "raise" would buffer the output
+        return flat.take(self.active, out=out, mode="wrap")
+
+    def _scatter_product(self, rho: np.ndarray, partial: np.ndarray, grad: np.ndarray):
+        """grad = rho * partial at the photometric term's pixels, 0 elsewhere;
+        partial serves as scratch."""
+        flat = grad.reshape(-1)
+        if self.active is None:
+            np.multiply(rho, partial, out=flat)
+        else:
+            partial *= rho
+            flat.fill(0.0)
+            flat[self.active] = partial
+        return grad
 
     def loss(self, u: np.ndarray, v: np.ndarray, oob_zero: bool = False) -> float:
         """l_f at (u, v).
@@ -388,8 +468,8 @@ class _Workspace:
         """
         cfg = self.cfg
         eps2 = cfg.charbonnier_eps * cfg.charbonnier_eps
-        np.add(self.grid_x, u, out=self.fx)
-        np.add(self.grid_y, v, out=self.fy)
+        np.add(self.grid_x, self._gather(u, self.fx), out=self.fx)
+        np.add(self.grid_y, self._gather(v, self.fy), out=self.fy)
         corners, fx, fy, in_bounds = _footprint(
             self.it1, self.fx, self.fy, with_mask=oob_zero,
             out=(self.fx, self.fy, self.x0, self.y0, self.corners),
@@ -404,6 +484,10 @@ class _Workspace:
         base += eps2
         weighted = np.power(base, cfg.charbonnier_alpha, out=self.power)
         weighted *= self.wv
+        if self.active is not None:
+            # the raster-sized sum keeps the summation order of every pixel
+            self.terms[self.active] = weighted
+            weighted = self.terms
         loss = float(np.sum(weighted))
         return self.smoothness(u, v, loss) if cfg.alpha > 0 else loss
 
@@ -439,8 +523,8 @@ class _Workspace:
         np.subtract(1.0, fy, out=fy)
         x_partial *= fy
         x_partial += self.dx_bottom
-        gu = np.multiply(rho, x_partial, out=self.gu)
-        gv = np.multiply(rho, self.ddy, out=self.gv)
+        gu = self._scatter_product(rho, x_partial, self.gu)
+        gv = self._scatter_product(rho, self.ddy, self.gv)
         if cfg.alpha > 0:
             for grad, (dh, bh, dv, bv) in zip((gu, gv), self.diffs):
                 for d, b, power, ahead, behind in (
@@ -479,7 +563,7 @@ def _upsample2(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 _STEP_GROWTH = 1.3  # re-grow the step after an accepted iteration
 
 
-def _descend(u, v, it, it1, weights, cfg: FlowSolverConfig, level: int):
+def _descend(u, v, ws: _Workspace, level: int):
     # The descent objective counts out-of-bounds samples through the border
     # clamp: zeroing them (as the reported loss does) makes the objective
     # discontinuous wherever a sample crosses the raster edge, and plain
@@ -488,7 +572,7 @@ def _descend(u, v, it, it1, weights, cfg: FlowSolverConfig, level: int):
     # for an accepted step that the descent goes on from.  The flow and the
     # candidate live in two buffer pairs that swap roles on an accepted step,
     # so the caller's u and v are never written.
-    ws = _Workspace(it.shape, it, it1, weights, cfg)
+    cfg = ws.cfg
     u, v = u.copy(), v.copy()
     cu, cv = np.empty_like(u), np.empty_like(v)
     loss = ws.loss(u, v)
@@ -496,6 +580,8 @@ def _descend(u, v, it, it1, weights, cfg: FlowSolverConfig, level: int):
         raise SolverDivergenceError(level, 0, loss)
     gu, gv = ws.gradient()
     step = cfg.step_size
+    accepted = rejected = 0
+    stop = "iteration cap"
     for iteration in range(1, cfg.iters_per_level + 1):
         np.subtract(u, np.multiply(gu, step, out=cu), out=cu)
         np.subtract(v, np.multiply(gv, step, out=cv), out=cv)
@@ -503,16 +589,26 @@ def _descend(u, v, it, it1, weights, cfg: FlowSolverConfig, level: int):
         if not np.isfinite(cand):
             raise SolverDivergenceError(level, iteration, cand)
         if cand > loss:
+            rejected += 1
             step *= 0.5
             if step < 1e-14:
+                stop = "step underflow"
                 break
             continue
+        accepted += 1
         drop = loss - cand
         u, v, cu, cv, loss = cu, cv, u, v, cand
         if drop <= cfg.convergence_tol * max(abs(loss), 1e-12):
+            stop = "converged"
             break
         gu, gv = ws.gradient()
         step *= _STEP_GROWTH
+    if _log.isEnabledFor(logging.DEBUG):
+        h, w = ws.shape
+        _log.debug("level %d, %dx%d: photometric term on %d of %d pixels; %d iterations, "
+                   "%d accepted, %d rejected; final step %.6g; stopped: %s",
+                   level, w, h, ws.pixels, h * w, accepted + rejected, accepted, rejected,
+                   step, stop)
     return u, v, loss
 
 
@@ -573,6 +669,8 @@ def estimate_flow(
         if u.shape != lit.shape:
             u = _upsample2(u, lit.shape) * 2.0
             v = _upsample2(v, lit.shape) * 2.0
-        u, v, _ = _descend(u, v, lit, lit1, lw, cfg, level)
-    final_loss = _Workspace(it.shape, it, it1, weights, cfg).loss(u, v, oob_zero=True)
+        ws = _Workspace(lit.shape, lit, lit1, lw, cfg)
+        u, v, _ = _descend(u, v, ws, level)
+    # ws is level 0's: the raster, images and weights of the reported loss
+    final_loss = ws.loss(u, v, oob_zero=True)
     return flow_field(u, v), final_loss

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from evreflex.flow import (
     _STEP_GROWTH,
     _Workspace,
     _descend,
+    _downsample2,
     _loss_and_grad,
 )
 from evreflex.types import (
@@ -286,13 +290,30 @@ def _reference_loss_and_grad(u, v, it, it1, cfg, weights, oob_zero):
     return loss, gu, gv
 
 
+KERNEL_WEIGHTINGS = ["none", "binary", "fractional", "single", "border", "row_out",
+                     "block_mean"]
+
+
 def _kernel_weights(kind, shape, rng):
+    h, w = shape
     if kind == "none":
         return None
     if kind == "binary":
         return (rng.random(shape) > 0.4).astype(np.float64)
-    # fractional, as a 2x block mean of a binary mask gives on a coarse level
-    return rng.integers(0, 5, shape) / 4.0
+    if kind == "fractional":
+        return rng.integers(0, 5, shape) / 4.0
+    weights = np.zeros(shape)
+    if kind == "single":
+        weights[rng.integers(h), rng.integers(w)] = 1.0
+    elif kind == "border":
+        weights[[0, -1], :] = 1.0
+        weights[:, [0, -1]] = 1.0
+    elif kind == "row_out":
+        weights = (rng.random(shape) > 0.4).astype(np.float64)
+        weights[rng.integers(h)] = 0.0
+    else:  # the fractional weights a coarse pyramid level gets from a binary mask
+        weights = _downsample2((rng.random((2 * h, 2 * w)) > 0.7).astype(np.float64))
+    return weights
 
 
 def _kernel_flows(shape, rng):
@@ -306,10 +327,10 @@ def _kernel_flows(shape, rng):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.0])
-@pytest.mark.parametrize("weighting", ["none", "binary", "fractional"])
+@pytest.mark.parametrize("weighting", KERNEL_WEIGHTINGS)
 @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (2, 2), (3, 5), (24, 32)])
 def test_kernel_bit_identical_to_reference(shape, weighting, alpha):
-    rng = np.random.default_rng([*shape, ["none", "binary", "fractional"].index(weighting)])
+    rng = np.random.default_rng([*shape, KERNEL_WEIGHTINGS.index(weighting)])
     it = rng.random(shape)
     it1 = rng.random(shape)
     weights = _kernel_weights(weighting, shape, rng)
@@ -317,6 +338,10 @@ def test_kernel_bit_identical_to_reference(shape, weighting, alpha):
     # one workspace for every flow in turn, with a loss-only evaluation (a
     # rejected candidate) before each one, guards against stale buffers
     ws = _Workspace(shape, it, it1, weights, cfg)
+    # the photometric term skips the pixels of weight 0, if there are any
+    fully_active = weights is None or np.all(weights != 0)
+    assert (ws.active is None) == fully_active
+    assert ws.pixels == (it.size if fully_active else np.count_nonzero(weights))
     flows = list(_kernel_flows(shape, rng))
     for (u, v), (ru, rv) in zip(flows, flows[::-1]):
         for oob_zero in (False, True):
@@ -333,6 +358,24 @@ def test_kernel_bit_identical_to_reference(shape, weighting, alpha):
     assert total_loss(np.stack([u, v]), it, it1, cfg, weights) == ref_loss
     gu, gv = loss_gradient(np.stack([u, v]), it, it1, cfg, weights)
     assert np.array_equal(gu, ref_gu) and np.array_equal(gv, ref_gv)
+
+
+def test_all_ones_mask_matches_no_mask():
+    rng = np.random.default_rng(11)
+    it, it1 = rng.random((12, 15)), rng.random((12, 15))
+    F = rng.normal(0, 1.5, (2, 12, 15))
+    cfg = FlowSolverConfig()
+    ones = np.ones(it.shape)
+    assert total_loss(F, it, it1, cfg, None) == total_loss(F, it, it1, cfg, ones)
+    for a, b in zip(loss_gradient(F, it, it1, cfg, None), loss_gradient(F, it, it1, cfg, ones)):
+        assert a.tobytes() == b.tobytes()
+    # a gate open at every pixel solves exactly as uniform weighting does
+    em = _events_everywhere(it.shape)
+    gated, gated_loss = estimate_flow(em, it, it1, FlowSolverConfig(pyramid_levels=2))
+    uniform, uniform_loss = estimate_flow(
+        None, it, it1, FlowSolverConfig(pyramid_levels=2, event_weighting="uniform"))
+    assert gated.u.tobytes() == uniform.u.tobytes() and gated.v.tobytes() == uniform.v.tobytes()
+    assert gated_loss == uniform_loss
 
 
 def test_loss_gradient_results_do_not_alias():
@@ -521,7 +564,7 @@ def _reference_descend(u, v, it, it1, weights, cfg):
     return u, v, loss, rejected
 
 
-@pytest.mark.parametrize("weighting", ["uniform", "event_gated"])
+@pytest.mark.parametrize("weighting", ["uniform", "event_gated", "single_pixel"])
 def test_descend_bit_identical_to_full_gradient_loop(weighting):
     rng = np.random.default_rng(105)
     ys, xs = np.mgrid[0:24, 0:32].astype(np.float64)
@@ -536,11 +579,14 @@ def test_descend_bit_identical_to_full_gradient_loop(weighting):
     weights = None
     if weighting == "event_gated":
         weights = (np.abs(img1 - img0) > 0.05).astype(np.float64)
-    cfg = FlowSolverConfig(iters_per_level=60, event_weighting=weighting)
+    elif weighting == "single_pixel":
+        weights = np.zeros(xs.shape)
+        weights[11, 17] = 1.0
+    cfg = FlowSolverConfig(iters_per_level=60)
     u0 = np.zeros(xs.shape)
     v0 = np.zeros(xs.shape)
     ref_u, ref_v, ref_loss, rejected = _reference_descend(u0, v0, img0, img1, weights, cfg)
-    u, v, loss = _descend(u0, v0, img0, img1, weights, cfg, level=0)
+    u, v, loss = _descend(u0, v0, _Workspace(img0.shape, img0, img1, weights, cfg), level=0)
     assert rejected >= 1
     assert not u0.any() and not v0.any()  # the caller's flow is not written
     assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
@@ -574,6 +620,61 @@ def test_estimate_flow_divergence_error_reports_location():
         estimate_flow(em, img0, img1, FlowSolverConfig(pyramid_levels=1))
     assert err.value.level == 0
     assert "level" in str(err.value)
+
+
+def test_estimate_flow_divergence_at_gated_out_pixels():
+    # the residual overflows only where the event gate is shut: weight 0
+    # times an inf term is NaN, and the solver must still report it
+    em = accumulate_events(make_events([0.5] * 4, [3, 4, 3, 4], [5, 5, 6, 6], [1] * 4),
+                           (0.0, 1.0), 16, 16)
+    gate = event_mask(em)
+    img0 = np.where(gate, 0.5, 1e200)
+    img1 = np.where(gate, 0.4, -1e200)
+    with pytest.raises(SolverDivergenceError) as err, \
+            np.errstate(over="ignore", invalid="ignore"):
+        estimate_flow(em, img0, img1, FlowSolverConfig(pyramid_levels=1))
+    # the first loss is already NaN: it counts the gated-out pixels' 0 * inf
+    assert (err.value.level, err.value.iteration) == (0, 0) and np.isnan(err.value.loss)
+
+
+def test_estimate_flow_logs_each_level(monkeypatch, caplog):
+    import evreflex.flow as fl
+
+    candidates = {}
+    original = fl._Workspace.loss
+
+    def counting(self, u, v, oob_zero=False):
+        if not oob_zero:
+            candidates[u.shape] = candidates.get(u.shape, -1) + 1  # the first is no candidate
+        return original(self, u, v, oob_zero)
+
+    monkeypatch.setattr(fl._Workspace, "loss", counting)
+    rng = np.random.default_rng(108)
+    img0 = rng.random((32, 40))
+    img1 = np.roll(img0, 1, axis=1)
+    em = accumulate_events(make_events(np.zeros(200), rng.integers(0, 40, 200),
+                                       rng.integers(0, 32, 200), np.ones(200, int)),
+                           (0.0, 1.0), 40, 32)
+    with caplog.at_level(logging.DEBUG, logger="evreflex.flow"):
+        fl.estimate_flow(em, img0, img1, FlowSolverConfig(iters_per_level=40, pyramid_levels=3))
+    pattern = re.compile(r"level (\d+), (\d+)x(\d+): photometric term on (\d+) of (\d+) pixels; "
+                         r"(\d+) iterations, (\d+) accepted, (\d+) rejected; final step (\S+); "
+                         r"stopped: (converged|step underflow|iteration cap)$")
+    reports = [pattern.match(r.getMessage()) for r in caplog.records if r.name == "evreflex.flow"]
+    assert len(reports) == 3 and all(reports)
+    assert [int(m[1]) for m in reports] == [2, 1, 0]
+    active = np.count_nonzero(event_mask(em))
+    for m in reports:
+        level, w, h, pixels, total, iterations, accepted, rejected = (int(g) for g in m.groups()[:8])
+        assert total == w * h and candidates[(h, w)] == accepted + rejected == iterations
+        assert float(m[9]) > 0
+        if level == 0:
+            assert (w, h) == (40, 32) and pixels == active
+    # no record when DEBUG is off
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="evreflex.flow"):
+        fl.estimate_flow(em, img0, img1, FlowSolverConfig(iters_per_level=5, pyramid_levels=2))
+    assert not caplog.records
 
 
 def test_estimate_flow_event_gated_requires_map():
