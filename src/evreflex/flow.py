@@ -55,6 +55,7 @@ from .types import (
     FloatMap,
     FlowField,
     ShapeMismatchError,
+    _check_finite,
     event_mask,
     flow_field,
     float_map,
@@ -93,23 +94,24 @@ class FlowSolverConfig:
     convergence_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.alpha < 0:
+        _check_finite(self, "alpha", "charbonnier_eps", "step_size", "convergence_tol")
+        if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
-        if self.pyramid_levels < 1:
+        if not self.pyramid_levels >= 1:
             raise ValueError("pyramid_levels must be >= 1")
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if self.event_weighting not in ("uniform", "event_gated"):
             raise ValueError(
                 f"event_weighting must be 'uniform' or 'event_gated', got '{self.event_weighting}'"
             )
-        if self.charbonnier_eps <= 0:
+        if not self.charbonnier_eps > 0:
             raise ValueError("charbonnier_eps must be positive")
         if not 0 < self.charbonnier_alpha < 1:
             raise ValueError("charbonnier_alpha must be in (0, 1)")
-        if self.iters_per_level < 1:
+        if not self.iters_per_level >= 1:
             raise ValueError("iters_per_level must be >= 1")
-        if self.convergence_tol < 0:
+        if not self.convergence_tol >= 0:
             raise ValueError("convergence_tol must be >= 0")
 
 

@@ -9,19 +9,38 @@ Map files ("EVRF"): 20-byte header (magic, version u32, semantics u32, width u32
 height u32) followed by row-major little-endian f32, top row first.  A flow field
 is stored as one container holding two complete map blocks (semantics FLOW_U then
 FLOW_V).
+
+Config text: lines of `key = value`, `#` comments and `[section]` headers.
+Keys before the first header belong to `[scene]`.  The sections are `[scene]`
+(SceneConfig), `[camera]` (CameraModel), `[trajectory]` (TrajectorySpec),
+`[obstacle]` (SphereObstacle, one section per sphere, so it repeats) and
+`[flow]` (FlowSolverConfig); a section's keys are its dataclass's fields, with
+the spellings in `_FIELD_KEYS` (`room_half_extents`, `yaw_rate`, `waypoint`).
+Numbers are Python floats or ints, a triple is three numbers, and a texture
+is `flat|checker [amplitude] [period_m] [base]`.  `waypoint` is the one key
+that repeats; it adds one waypoint per line.  A missing key takes its
+dataclass default, except that `cx`/`cy` default to the raster centre and an
+`[obstacle]` to radius 0.2 at rest at the origin.  Unknown sections and keys,
+a key given twice in one section (repeated headers of a section merge) and
+values the dataclass refuses, non-finite numbers included, are ConfigErrors
+carrying the key and its line (a repeated key's first line).  dump_config
+writes every key of every section, in field order.
 """
 from __future__ import annotations
 
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Union
 
 import numpy as np
 
+from .flow import FlowSolverConfig
+from .sim import SceneConfig, SphereObstacle, TextureSpec, TrajectorySpec, default_camera
 from .types import (
     EVENT_DTYPE,
+    CameraModel,
     FloatMap,
     FlowField,
     MapSemantics,
@@ -234,18 +253,14 @@ def read_flow(path) -> FlowField:
 # ---------------------------------------------------------------------------
 # config text format
 # ---------------------------------------------------------------------------
-#
-# Lines of `key = value`, `#` comments, `[section]` headers.  Unknown keys and
-# sections are errors.  `[obstacle]` sections and `waypoint` keys may repeat.
 
 
 @dataclass
 class RunConfig:
-    """Parsed config bundle: a scene (if a [scene] block or defaults apply)
-    and flow-solver settings."""
+    """Parsed config bundle: a scene and flow-solver settings."""
 
-    scene: "object" = None  # sim.SceneConfig, kept loose to avoid an import cycle
-    flow: "object" = None  # flow.FlowSolverConfig
+    scene: SceneConfig | None = None
+    flow: FlowSolverConfig | None = None
 
 
 def _parse_float(text: str, key: str, line: int) -> float:
@@ -262,51 +277,14 @@ def _parse_int(text: str, key: str, line: int) -> int:
         raise ConfigError(f"key '{key}' expects an integer, got '{text}'", line) from None
 
 
-def _parse_floats(text: str, key: str, line: int, n: int) -> tuple[float, ...]:
+def _parse_triple(text: str, key: str, line: int) -> tuple[float, float, float]:
     parts = text.split()
-    if len(parts) != n:
-        raise ConfigError(f"key '{key}' expects {n} numbers, got '{text}'", line)
+    if len(parts) != 3:
+        raise ConfigError(f"key '{key}' expects 3 numbers, got '{text}'", line)
     return tuple(_parse_float(p, key, line) for p in parts)
 
 
-_SCENE_KEYS = {
-    "room_half_extents",
-    "frame_rate",
-    "duration",
-    "contrast_threshold",
-    "rng_seed",
-    "camera_height",
-    "light_dir",
-    "wall_texture",
-    "floor_texture",
-    "ceiling_texture",
-    "random_obstacles",
-}
-_CAMERA_KEYS = {"fx", "fy", "cx", "cy", "width", "height"}
-_TRAJECTORY_KEYS = {"speed", "yaw_rate", "waypoint"}
-_OBSTACLE_KEYS = {"radius", "start", "velocity", "class_id", "albedo"}
-_FLOW_KEYS = {
-    "alpha",
-    "charbonnier_eps",
-    "charbonnier_alpha",
-    "pyramid_levels",
-    "iters_per_level",
-    "step_size",
-    "event_weighting",
-    "convergence_tol",
-}
-_SECTIONS = {
-    "scene": _SCENE_KEYS,
-    "camera": _CAMERA_KEYS,
-    "trajectory": _TRAJECTORY_KEYS,
-    "obstacle": _OBSTACLE_KEYS,
-    "flow": _FLOW_KEYS,
-}
-
-
-def _parse_texture(text: str, key: str, line: int):
-    from .sim import TextureSpec
-
+def _parse_texture(text: str, key: str, line: int) -> TextureSpec:
     parts = text.split()
     if not parts:
         raise ConfigError(f"key '{key}' expects 'flat|checker [amplitude] [period_m] [base]'", line)
@@ -319,22 +297,60 @@ def _parse_texture(text: str, key: str, line: int):
         raise ConfigError(f"key '{key}': {err}", line) from None
 
 
+# Field annotation -> value parser.  A field annotated `tuple[T, ...]` with T
+# in this table is a key that may repeat; any other field is a nested section.
+_PARSERS = {
+    "float": _parse_float,
+    "int": _parse_int,
+    "str": lambda text, key, line: text,
+    "tuple[float, float, float]": _parse_triple,
+    "TextureSpec": _parse_texture,
+}
+
 # Dataclass fields whose config key is spelled differently.
-_FIELD_KEYS = {"half_extents": "room_half_extents", "yaw_rate_deg": "yaw_rate"}
+_FIELD_KEYS = {"half_extents": "room_half_extents", "yaw_rate_deg": "yaw_rate",
+               "waypoints": "waypoint"}
+
+_SECTIONS = {
+    "scene": SceneConfig,
+    "camera": CameraModel,
+    "trajectory": TrajectorySpec,
+    "obstacle": SphereObstacle,
+    "flow": FlowSolverConfig,
+}
+
+# `[obstacle]` defaults for the fields SphereObstacle requires.
+_OBSTACLE_DEFAULTS = {"radius": 0.2, "start": (0.0, 0.0, 0.0), "velocity": (0.0, 0.0, 0.0)}
 
 
-def _build(cls, kv: dict[str, tuple[str, int]], **fields):
-    """cls(**fields), with its ValueError re-raised as a ConfigError on the
-    config key of the first field the message names."""
+def _section_keys(cls) -> dict[str, tuple[str, object, bool]]:
+    """Config key -> (field name, parser, repeats) for the fields of cls that
+    are keys, in field order."""
+    keys = {}
+    for f in fields(cls):
+        repeats = f.type.startswith("tuple[") and f.type.endswith(", ...]")
+        parse = _PARSERS.get(f.type[len("tuple["):-len(", ...]")] if repeats else f.type)
+        if parse is not None:
+            keys[_FIELD_KEYS.get(f.name, f.name)] = (f.name, parse, repeats)
+    return keys
+
+
+_KEYS = {section: _section_keys(cls) for section, cls in _SECTIONS.items()}
+
+
+def _build(cls, kv: dict[str, tuple[object, int]], **defaults):
+    """cls from one section's parsed fields (name -> (value, line)) over the
+    defaults, with its ValueError re-raised as a ConfigError on the config key
+    and line of the first field of cls its message names."""
     try:
-        return cls(**fields)
+        return cls(**{**defaults, **{name: value for name, (value, _) in kv.items()}})
     except ValueError as err:
         message = str(err)
+        names = {f.name for f in fields(cls)}
         for word in message.split():
-            if word in fields:
-                key = _FIELD_KEYS.get(word, word)
-                line = kv[key][1] if key in kv else None
-                raise ConfigError(f"key '{key}': {message}", line) from None
+            if word in names:
+                line = kv[word][1] if word in kv else None
+                raise ConfigError(f"key '{_FIELD_KEYS.get(word, word)}': {message}", line) from None
         raise ConfigError(message) from None
 
 
@@ -345,22 +361,15 @@ def read_config(path: Union[str, os.PathLike]) -> RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse config text into a RunConfig.
+    """Parse config text into a RunConfig (format in the module docstring).
 
-    Missing keys take the documented defaults; unknown keys or sections are
-    errors.  The result echoes back through dump_config for reproducibility.
+    Missing keys take the dataclass defaults; unknown keys or sections, a key
+    given twice in one section and values a dataclass refuses are
+    ConfigErrors.  The result echoes back through dump_config.
     """
-    from .flow import FlowSolverConfig
-    from .sim import SceneConfig, SphereObstacle, TrajectorySpec, default_camera
-
-    scene_kv: dict[str, tuple[str, int]] = {}
-    camera_kv: dict[str, tuple[str, int]] = {}
-    flow_kv: dict[str, tuple[str, int]] = {}
-    traj_kv: dict[str, tuple[str, int]] = {}
-    waypoints: list[tuple[tuple[float, float, float], int]] = []
-    obstacles: list[dict[str, tuple[str, int]]] = []
-    section = "scene"
-
+    parsed = {section: {} for section in _SECTIONS}
+    obstacles = []
+    section, kv = "scene", parsed["scene"]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -369,157 +378,66 @@ def parse_config(text: str) -> RunConfig:
             section = stripped[1:-1].strip().lower()
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown section '[{section}]'", lineno)
+            kv = parsed[section]
             if section == "obstacle":
-                obstacles.append({})
+                kv = {}
+                obstacles.append(kv)
             continue
         if "=" not in stripped:
             raise ConfigError(f"expected 'key = value', got '{stripped}'", lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SECTIONS[section]:
+        if key not in _KEYS[section]:
             raise ConfigError(f"unknown key '{key}' in section '[{section}]'", lineno)
-        if section == "trajectory" and key == "waypoint":
-            waypoints.append((_parse_floats(value, key, lineno, 3), lineno))
-        elif section == "obstacle":
-            if not obstacles:
-                raise ConfigError("obstacle keys outside an [obstacle] section", lineno)
-            obstacles[-1][key] = (value, lineno)
+        name, parse, repeats = _KEYS[section][key]
+        if name in kv and not repeats:
+            raise ConfigError(f"key '{key}' already given on line {kv[name][1]}", lineno)
+        value = parse(value, key, lineno)
+        if repeats:
+            values, first = kv.get(name, ((), lineno))
+            kv[name] = (values + (value,), first)
         else:
-            target = {"scene": scene_kv, "camera": camera_kv, "flow": flow_kv,
-                      "trajectory": traj_kv}[section]
-            target[key] = (value, lineno)
+            kv[name] = (value, lineno)
 
-    def take(kv, key, parse, default):
-        if key not in kv:
-            return default
-        value, lineno = kv[key]
-        return parse(value, key, lineno)
-
-    def triple(value, key, lineno):
-        return _parse_floats(value, key, lineno, 3)
-
-    cam_defaults = default_camera()
-    width = take(camera_kv, "width", _parse_int, cam_defaults.width)
-    height = take(camera_kv, "height", _parse_int, cam_defaults.height)
-    camera = _build(
-        type(cam_defaults), camera_kv,
-        fx=take(camera_kv, "fx", _parse_float, cam_defaults.fx),
-        fy=take(camera_kv, "fy", _parse_float, cam_defaults.fy),
-        cx=take(camera_kv, "cx", _parse_float, (width - 1) / 2.0),
-        cy=take(camera_kv, "cy", _parse_float, (height - 1) / 2.0),
-        width=width,
-        height=height,
-    )
-
-    traj_default = TrajectorySpec()
-    trajectory = _build(
-        TrajectorySpec, traj_kv,
-        waypoints=tuple(wp for wp, _ in waypoints) or traj_default.waypoints,
-        speed=take(traj_kv, "speed", _parse_float, traj_default.speed),
-        yaw_rate_deg=take(traj_kv, "yaw_rate", _parse_float, traj_default.yaw_rate_deg),
-    )
-
-    spheres = tuple(
-        _build(
-            SphereObstacle, kv,
-            radius=take(kv, "radius", _parse_float, 0.2),
-            start=take(kv, "start", triple, (0.0, 0.0, 0.0)),
-            velocity=take(kv, "velocity", triple, (0.0, 0.0, 0.0)),
-            class_id=take(kv, "class_id", _parse_int, 2),
-            albedo=take(kv, "albedo", _parse_float, 0.9),
-        )
-        for kv in obstacles
-    )
-
-    defaults = SceneConfig(camera=camera)
+    cam = default_camera()
+    cam_kv = parsed["camera"]
+    width = cam_kv.get("width", (cam.width,))[0]
+    height = cam_kv.get("height", (cam.height,))[0]
+    camera = _build(CameraModel, cam_kv, **{**asdict(cam), "cx": (width - 1) / 2.0,
+                                            "cy": (height - 1) / 2.0})
     scene = _build(
-        SceneConfig, scene_kv,
-        half_extents=take(scene_kv, "room_half_extents", triple, defaults.half_extents),
-        frame_rate=take(scene_kv, "frame_rate", _parse_float, defaults.frame_rate),
-        duration=take(scene_kv, "duration", _parse_float, defaults.duration),
-        contrast_threshold=take(scene_kv, "contrast_threshold", _parse_float,
-                                defaults.contrast_threshold),
-        rng_seed=take(scene_kv, "rng_seed", _parse_int, defaults.rng_seed),
-        camera_height=take(scene_kv, "camera_height", _parse_float, defaults.camera_height),
-        light_dir=take(scene_kv, "light_dir", triple, defaults.light_dir),
-        wall_texture=take(scene_kv, "wall_texture", _parse_texture, defaults.wall_texture),
-        floor_texture=take(scene_kv, "floor_texture", _parse_texture, defaults.floor_texture),
-        ceiling_texture=take(scene_kv, "ceiling_texture", _parse_texture, defaults.ceiling_texture),
-        random_obstacles=take(scene_kv, "random_obstacles", _parse_int, defaults.random_obstacles),
-        obstacles=spheres,
-        trajectory=trajectory,
+        SceneConfig, parsed["scene"],
         camera=camera,
+        trajectory=_build(TrajectorySpec, parsed["trajectory"]),
+        obstacles=tuple(_build(SphereObstacle, kv, **_OBSTACLE_DEFAULTS) for kv in obstacles),
     )
-
-    flow_defaults = FlowSolverConfig()
-    flow_cfg = _build(
-        FlowSolverConfig, flow_kv,
-        alpha=take(flow_kv, "alpha", _parse_float, flow_defaults.alpha),
-        charbonnier_eps=take(flow_kv, "charbonnier_eps", _parse_float,
-                             flow_defaults.charbonnier_eps),
-        charbonnier_alpha=take(flow_kv, "charbonnier_alpha", _parse_float,
-                               flow_defaults.charbonnier_alpha),
-        pyramid_levels=take(flow_kv, "pyramid_levels", _parse_int, flow_defaults.pyramid_levels),
-        iters_per_level=take(flow_kv, "iters_per_level", _parse_int,
-                             flow_defaults.iters_per_level),
-        step_size=take(flow_kv, "step_size", _parse_float, flow_defaults.step_size),
-        event_weighting=take(flow_kv, "event_weighting", lambda v, k, l: v,
-                             flow_defaults.event_weighting),
-        convergence_tol=take(flow_kv, "convergence_tol", _parse_float,
-                             flow_defaults.convergence_tol),
-    )
-
-    return RunConfig(scene=scene, flow=flow_cfg)
+    return RunConfig(scene=scene, flow=_build(FlowSolverConfig, parsed["flow"]))
 
 
 def _fmt(value) -> str:
+    if isinstance(value, TextureSpec):
+        value = astuple(value)
+    if isinstance(value, (tuple, list)):
+        return " ".join(_fmt(v) for v in value)
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, tuple):
-        return " ".join(_fmt(v) for v in value)
     return str(value)
 
 
 def dump_config(cfg: RunConfig) -> str:
-    """Echo a RunConfig back to config text that read_config reparses identically."""
+    """Echo a RunConfig back to config text that parse_config reparses to an
+    equal RunConfig."""
     scene = cfg.scene
-    lines = ["[scene]"]
-    lines.append(f"room_half_extents = {_fmt(scene.half_extents)}")
-    lines.append(f"frame_rate = {_fmt(scene.frame_rate)}")
-    lines.append(f"duration = {_fmt(scene.duration)}")
-    lines.append(f"contrast_threshold = {_fmt(scene.contrast_threshold)}")
-    lines.append(f"rng_seed = {scene.rng_seed}")
-    lines.append(f"camera_height = {_fmt(scene.camera_height)}")
-    lines.append(f"light_dir = {_fmt(scene.light_dir)}")
-    for name in ("wall_texture", "floor_texture", "ceiling_texture"):
-        tex = getattr(scene, name)
-        lines.append(f"{name} = {tex.kind} {_fmt(tex.amplitude)} {_fmt(tex.period_m)} {_fmt(tex.base)}")
-    lines.append(f"random_obstacles = {scene.random_obstacles}")
-    lines.append("")
-    lines.append("[camera]")
-    cam = scene.camera
-    for key in ("fx", "fy", "cx", "cy", "width", "height"):
-        lines.append(f"{key} = {_fmt(getattr(cam, key))}")
-    lines.append("")
-    lines.append("[trajectory]")
-    lines.append(f"speed = {_fmt(scene.trajectory.speed)}")
-    lines.append(f"yaw_rate = {_fmt(scene.trajectory.yaw_rate_deg)}")
-    for wp in scene.trajectory.waypoints:
-        lines.append(f"waypoint = {_fmt(tuple(wp))}")
-    for sphere in scene.obstacles:
+    blocks = [("scene", scene), ("camera", scene.camera), ("trajectory", scene.trajectory)]
+    blocks += [("obstacle", sphere) for sphere in scene.obstacles]
+    blocks.append(("flow", cfg.flow))
+    lines = []
+    for section, obj in blocks:
+        lines.append(f"[{section}]")
+        for key, (name, _, repeats) in _KEYS[section].items():
+            value = getattr(obj, name)
+            lines += [f"{key} = {_fmt(v)}" for v in (value if repeats else (value,))]
         lines.append("")
-        lines.append("[obstacle]")
-        lines.append(f"radius = {_fmt(sphere.radius)}")
-        lines.append(f"start = {_fmt(tuple(sphere.start))}")
-        lines.append(f"velocity = {_fmt(tuple(sphere.velocity))}")
-        lines.append(f"class_id = {sphere.class_id}")
-        lines.append(f"albedo = {_fmt(sphere.albedo)}")
-    flow_cfg = cfg.flow
-    lines.append("")
-    lines.append("[flow]")
-    for key in ("alpha", "charbonnier_eps", "charbonnier_alpha", "pyramid_levels",
-                "iters_per_level", "step_size", "event_weighting", "convergence_tol"):
-        lines.append(f"{key} = {_fmt(getattr(flow_cfg, key))}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .types import (
     FlowField,
     MapSemantics,
     ShapeMismatchError,
+    _check_finite,
     float_map,
     flow_field,
     make_events,
@@ -85,9 +86,10 @@ class TextureSpec:
     def __post_init__(self):
         if self.kind not in ("flat", "checker"):
             raise ValueError(f"kind must be 'flat' or 'checker', got '{self.kind}'")
+        _check_finite(self, "period_m", "base")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError("amplitude must be in [0, 1]")
-        if self.period_m <= 0:
+        if not self.period_m > 0:
             raise ValueError("period_m must be positive")
 
     def sample(self, su: np.ndarray, sv: np.ndarray) -> np.ndarray:
@@ -108,7 +110,8 @@ class SphereObstacle:
     albedo: float = 0.9
 
     def __post_init__(self):
-        if self.radius <= 0:
+        _check_finite(self, "radius", "start", "velocity")
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
         if not 0.0 <= self.albedo <= 1.0:
             raise ValueError("albedo must be in [0, 1]")
@@ -133,9 +136,10 @@ class TrajectorySpec:
     yaw_rate_deg: float = 45.0
 
     def __post_init__(self):
-        if self.speed <= 0:
+        _check_finite(self, "speed", "yaw_rate_deg", "waypoints")
+        if not self.speed > 0:
             raise ValueError("speed must be positive")
-        if self.yaw_rate_deg <= 0:
+        if not self.yaw_rate_deg > 0:
             raise ValueError("yaw_rate_deg must be positive")
 
 
@@ -204,19 +208,20 @@ class SceneConfig:
     random_obstacles: int = 0
 
     def __post_init__(self):
-        if any(h <= 0 for h in self.half_extents):
+        _check_finite(self, "half_extents", "frame_rate", "duration", "contrast_threshold")
+        if not all(h > 0 for h in self.half_extents):
             raise ValueError("half_extents must be positive")
-        if self.frame_rate <= 0:
+        if not self.frame_rate > 0:
             raise ValueError("frame_rate must be positive")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("duration must be positive")
-        if self.duration * self.frame_rate < 1:
+        if not self.duration * self.frame_rate >= 1:
             raise ValueError("duration must span at least one frame interval (1 / frame_rate)")
-        if self.contrast_threshold <= 0:
+        if not self.contrast_threshold > 0:
             raise ValueError("contrast_threshold must be positive")
         if not 0 < self.camera_height < 2 * self.half_extents[2]:
             raise ValueError("camera_height must lie between floor and ceiling")
-        if self.random_obstacles < 0:
+        if not self.random_obstacles >= 0:
             raise ValueError("random_obstacles must be >= 0")
         norm = np.linalg.norm(np.asarray(self.light_dir, dtype=np.float64))
         if not (np.isfinite(norm) and norm > 0):

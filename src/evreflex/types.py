@@ -330,6 +330,15 @@ def float_map(values, semantics: MapSemantics) -> FloatMap:
     )
 
 
+def _check_finite(obj, *names: str) -> None:
+    """Raise a ValueError, field name first, on the first named field of obj
+    that holds a NaN or an infinity (a number or nested tuples of numbers)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CameraModel:
     """Pinhole intrinsics; pixel centers sit at integer coordinates."""
@@ -342,13 +351,14 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0:
+        _check_finite(self, "fx", "fy")
+        if not self.fx > 0:
             raise ValueError("fx (focal length) must be positive")
-        if self.fy <= 0:
+        if not self.fy > 0:
             raise ValueError("fy (focal length) must be positive")
-        if self.width <= 0:
+        if not self.width > 0:
             raise ValueError("width must be positive")
-        if self.height <= 0:
+        if not self.height > 0:
             raise ValueError("height must be positive")
         if not 0 <= self.cx < self.width:
             raise ValueError("cx (principal point) must lie in [0, width)")

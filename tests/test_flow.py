@@ -727,3 +727,9 @@ def test_solver_config_validation():
     with pytest.raises(ValueError, match="convergence_tol"):
         FlowSolverConfig(convergence_tol=-1e-9)
 
+
+def test_solver_config_refuses_nan_step_size():
+    # a NaN step once made estimate_flow loop without end
+    with pytest.raises(ValueError, match="step_size"):
+        FlowSolverConfig(step_size=float("nan"))
+

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evreflex import io_formats
+from evreflex.flow import FlowSolverConfig
 from evreflex.io_formats import (
     BadMagicError,
     BoundsError,
     ConfigError,
     FormatError,
+    RunConfig,
     TruncatedError,
     VersionError,
     atomic_write_bytes,
@@ -24,7 +28,15 @@ from evreflex.io_formats import (
     write_map,
     write_ppm,
 )
-from evreflex.types import EventOrderError, MapSemantics, flow_field, float_map, make_events
+from evreflex.sim import SceneConfig, SphereObstacle, TextureSpec, TrajectorySpec
+from evreflex.types import (
+    CameraModel,
+    EventOrderError,
+    MapSemantics,
+    flow_field,
+    float_map,
+    make_events,
+)
 
 
 def _random_events(rng, n, width=32, height=24):
@@ -318,11 +330,51 @@ def test_config_range_error_names_key():
     ("[camera]\ncy = -1\n", "cy", 2),
     ("[camera]\nwidth = 0\n", "width", 2),
     ("[camera]\nheight = -2\n", "height", 2),
+    ("frame_rate = nan\n", "frame_rate", 1),
+    ("duration = inf\n", "duration", 1),
+    ("contrast_threshold = nan\n", "contrast_threshold", 1),
+    ("contrast_threshold = inf\n", "contrast_threshold", 1),
+    ("room_half_extents = 3 nan 1.5\n", "room_half_extents", 1),
+    ("wall_texture = checker 0.5 nan\n", "wall_texture", 1),
+    ("floor_texture = flat 0 0.5 inf\n", "floor_texture", 1),
+    ("[flow]\nalpha = nan\n", "alpha", 2),
+    ("[flow]\nalpha = inf\n", "alpha", 2),
+    ("[flow]\nstep_size = nan\n", "step_size", 2),
+    ("[flow]\nconvergence_tol = nan\n", "convergence_tol", 2),
+    ("[flow]\ncharbonnier_eps = nan\n", "charbonnier_eps", 2),
+    ("[camera]\nfx = nan\n", "fx", 2),
+    ("[camera]\nfy = inf\n", "fy", 2),
+    ("[trajectory]\nspeed = nan\n", "speed", 2),
+    ("[trajectory]\nyaw_rate = inf\n", "yaw_rate", 2),
+    ("[trajectory]\nwaypoint = nan 0 0\nwaypoint = 1 0 0\n", "waypoint", 2),
+    ("[obstacle]\nradius = nan\n", "radius", 2),
+    ("[obstacle]\nstart = 0 nan 1\n", "start", 2),
+    ("[obstacle]\nvelocity = inf 0 0\n", "velocity", 2),
 ])
 def test_config_dataclass_range_errors_name_key_and_line(text, key, line):
     with pytest.raises(ConfigError, match=f"key '{key}'") as err:
         parse_config(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("contrast_threshold = 0.1\ncontrast_threshold = 0.2\n", "contrast_threshold", 2),
+    ("frame_rate = 10\n[scene]\nframe_rate = 20\n", "frame_rate", 3),
+    ("[flow]\nalpha = 1\n[flow]\n\nalpha = 2\n", "alpha", 5),
+    ("[camera]\nwidth = 10\nwidth = 10\n", "width", 3),
+    ("[obstacle]\nradius = 0.3\n[obstacle]\nradius = 0.3\nradius = 0.4\n", "radius", 5),
+])
+def test_config_key_given_twice_in_a_section_is_refused(text, key, line):
+    with pytest.raises(ConfigError, match=f"key '{key}' already given") as err:
+        parse_config(text)
+    assert err.value.line == line
+
+
+def test_config_waypoints_and_obstacles_repeat():
+    cfg = parse_config("[trajectory]\nwaypoint = 0 0 0\nwaypoint = 1 0 90\n"
+                       "[obstacle]\nradius = 0.3\n[obstacle]\nradius = 0.4\n")
+    assert cfg.scene.trajectory.waypoints == ((0.0, 0.0, 0.0), (1.0, 0.0, 90.0))
+    assert [s.radius for s in cfg.scene.obstacles] == [0.3, 0.4]
 
 
 def test_config_shortest_duration_is_one_frame_interval():
@@ -387,6 +439,68 @@ pyramid_levels = 3
     path = tmp_path / "cfg.txt"
     path.write_text(dumped)
     assert dump_config(read_config(path)) == dumped
+
+
+def _every_key_off_default() -> RunConfig:
+    """A RunConfig in which every config key holds a non-default value."""
+    spheres = (
+        SphereObstacle(radius=0.3, start=(0.5, 0.5, 1.0), velocity=(-0.5, 0.0, 0.1),
+                       class_id=3, albedo=0.7),
+        SphereObstacle(radius=0.15, start=(-1.0, 0.25, 0.5), velocity=(0.0, 1.5, 0.0),
+                       class_id=0, albedo=0.1),
+    )
+    scene = SceneConfig(
+        half_extents=(2.5, 3.5, 1.25),
+        wall_texture=TextureSpec("flat", 0.3, 0.7, 0.4),
+        floor_texture=TextureSpec("flat", 0.1, 0.2, 0.6),
+        ceiling_texture=TextureSpec("checker", 0.9, 0.3, 0.45),
+        obstacles=spheres,
+        trajectory=TrajectorySpec(waypoints=((-1.5, 0.5, 10.0), (1.0, -0.5, 20.0)),
+                                  speed=0.75, yaw_rate_deg=30.0),
+        camera=CameraModel(fx=80.0, fy=90.5, cx=10.25, cy=12.0, width=40, height=30),
+        camera_height=1.1,
+        frame_rate=25.0,
+        duration=0.8,
+        contrast_threshold=0.2,
+        light_dir=(0.1, -0.2, 0.9),
+        rng_seed=7,
+        random_obstacles=3,
+    )
+    flow = FlowSolverConfig(alpha=0.25, charbonnier_eps=0.01, charbonnier_alpha=0.4,
+                            pyramid_levels=3, iters_per_level=50, step_size=0.5,
+                            event_weighting="uniform", convergence_tol=1e-5)
+    return RunConfig(scene=scene, flow=flow)
+
+
+def _sections(cfg: RunConfig) -> list:
+    scene = cfg.scene
+    return ([("scene", scene), ("camera", scene.camera), ("trajectory", scene.trajectory)]
+            + [("obstacle", s) for s in scene.obstacles] + [("flow", cfg.flow)])
+
+
+def test_config_every_key_roundtrips_through_dump():
+    cfg = _every_key_off_default()
+    renamed = {"half_extents": "room_half_extents", "yaw_rate_deg": "yaw_rate",
+               "waypoints": "waypoint"}
+    nested = {"obstacles", "trajectory", "camera"}
+    defaults = parse_config("[obstacle]\n[obstacle]\n")
+    expected = {}
+    for (section, obj), (_, default) in zip(_sections(cfg), _sections(defaults)):
+        names = [f.name for f in dataclasses.fields(obj) if f.name not in nested]
+        for name in names:
+            assert getattr(obj, name) != getattr(default, name), (section, name)
+        expected[section] = {renamed.get(name, name) for name in names}
+
+    dumped = dump_config(cfg)
+    assert parse_config(dumped) == cfg
+    written = {}
+    for line in dumped.splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            written.setdefault(section, set()).add(line.split(" = ")[0])
+    accepted = {section: set(keys) for section, keys in io_formats._KEYS.items()}
+    assert written == accepted == expected
 
 
 def test_ppm_writer(tmp_path):
