@@ -44,6 +44,7 @@ differences of the loss wherever the loss is differentiable.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -230,10 +231,16 @@ def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     return _interpolate(corners, fx, fy)[0], valid
 
 
+@functools.lru_cache(maxsize=8)
 def _pixel_grid(shape: tuple[int, int]) -> np.ndarray:
-    """(2, H, W) float64 pixel coordinates: row indices, then column indices."""
+    """(2, H, W) float64 pixel coordinates: row indices, then column indices.
+
+    One read-only array per shape, shared by every caller.
+    """
     h, w = shape
-    return np.mgrid[0:h, 0:w].astype(np.float64)
+    grid = np.mgrid[0:h, 0:w].astype(np.float64)
+    grid.flags.writeable = False
+    return grid
 
 
 def _sample_grid(shape: tuple[int, int], u: np.ndarray, v: np.ndarray):

@@ -2,9 +2,11 @@
 closed textured room with flying sphere obstacles.
 
 Geometry is analytic (axis-aligned box + spheres, ray-cast per pixel), so
-depth, optical flow and semantic maps are exact.  Each sphere's ray quadratic
-has its discriminant evaluated on the whole raster, but its roots are solved
-only where the discriminant is non-negative; normals, shading, classes and
+depth, optical flow and semantic maps are exact.  The rays of a camera pose
+(pixel grid, world directions and their squared norms) are computed once and
+shared by every frame with that pose.  Each sphere's ray quadratic has its
+discriminant evaluated only on the band of rows whose rays can meet it, and its
+roots only where the discriminant is non-negative; normals, shading, classes and
 material motion touch only the pixels the sphere owns.  Events are emulated
 from the rendered intensity stream by log-intensity threshold crossings with
 linear interpolation of crossing times between frames; this is a frame-based
@@ -18,6 +20,7 @@ events, which is the motivating failure case for event-only perception.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -25,6 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .flow import _pixel_grid
 from .tti import TtiMap, ground_truth_inverse_tti
 from .types import (
     CameraModel,
@@ -136,6 +140,8 @@ class TrajectorySpec:
     yaw_rate_deg: float = 45.0
 
     def __post_init__(self):
+        if not self.waypoints:
+            raise ValueError("waypoints must hold at least one waypoint")
         _check_finite(self, "speed", "yaw_rate_deg", "waypoints")
         if not self.speed > 0:
             raise ValueError("speed must be positive")
@@ -147,8 +153,6 @@ class _Trajectory:
     """Compiled piecewise-linear pose timeline."""
 
     def __init__(self, spec: TrajectorySpec):
-        if not spec.waypoints:
-            raise ValueError("trajectory needs at least one waypoint")
         self.knot_times = [0.0]
         self.knots = [np.array(spec.waypoints[0], dtype=np.float64)]
         for wp in spec.waypoints[1:]:
@@ -223,6 +227,8 @@ class SceneConfig:
             raise ValueError("camera_height must lie between floor and ceiling")
         if not self.random_obstacles >= 0:
             raise ValueError("random_obstacles must be >= 0")
+        if not self.rng_seed >= 0:
+            raise ValueError("rng_seed must be >= 0")
         norm = np.linalg.norm(np.asarray(self.light_dir, dtype=np.float64))
         if not (np.isfinite(norm) and norm > 0):
             raise ValueError("light_dir must be a finite non-zero vector")
@@ -294,19 +300,63 @@ class _Raycast:
         self.owned = owned  # owned[i]: flat indices of the pixels obstacle i owns
 
 
+@functools.lru_cache(maxsize=4)
+def _rays(cam: CameraModel, basis: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The ray table of one camera pose, read-only: world directions dirs,
+    (H, W, 3), whose ray parameter equals camera-frame Z, and a = |dirs|^2,
+    (H, W), the rays' quadratic coefficient.
+
+    basis is the bytes of the camera basis.  Keyed by them, not by yaw: yaw
+    0.0 and -0.0 compare equal, but their bases differ in the sign of zeros.
+    """
+    rot = np.frombuffer(basis).reshape(3, 3)
+    ys, xs = _pixel_grid((cam.height, cam.width))
+    dirs_cam = np.stack(
+        [(xs - cam.cx) / cam.fx, (ys - cam.cy) / cam.fy, np.ones_like(xs)], axis=-1
+    )
+    dirs = dirs_cam @ rot.T
+    a = np.sum(dirs * dirs, axis=-1)
+    dirs.flags.writeable = False
+    a.flags.writeable = False
+    return dirs, a
+
+
+def _row_band(cam: CameraModel, centre: np.ndarray, radius: float) -> tuple[int, int]:
+    """Rows [r0, r1) whose rays can meet a sphere, padded by one row.
+
+    centre is the sphere's centre in the camera frame.  The rays of row y span
+    the plane through the camera's x-axis at angle atan((y - cy) / fy) from the
+    optical axis; a ray meets the sphere only if that plane passes within
+    radius of the centre.
+    """
+    rho = math.hypot(centre[1], centre[2])  # centre's distance from the x-axis
+    if radius >= rho:  # every plane through the x-axis cuts the sphere
+        return 0, cam.height
+    phi = math.atan2(centre[1], centre[2])
+    # a plane is a line in the (y, z) cross-section: its angle is defined mod pi
+    if phi > math.pi / 2:
+        phi -= math.pi
+    elif phi <= -math.pi / 2:
+        phi += math.pi
+    alpha = math.asin(radius / rho)
+    if phi - alpha <= -math.pi / 2 or phi + alpha >= math.pi / 2:
+        return 0, cam.height  # the band wraps past the image plane: keep every row
+    y_lo = cam.cy + cam.fy * math.tan(phi - alpha)
+    y_hi = cam.cy + cam.fy * math.tan(phi + alpha)
+    r0 = max(0, math.ceil(min(y_lo, cam.height) - 1.0))
+    r1 = min(cam.height, math.floor(max(y_hi, 0.0) + 1.0) + 1)
+    return r0, r1
+
+
 def _cast(scene: SceneConfig, obstacles, origin: np.ndarray, yaw: float, t: float) -> _Raycast:
     cam = scene.camera
     hx, hy, hz = scene.half_extents
     rot = _camera_basis(yaw)
-    ys, xs = np.mgrid[0 : cam.height, 0 : cam.width].astype(np.float64)
-    dirs_cam = np.stack(
-        [(xs - cam.cx) / cam.fx, (ys - cam.cy) / cam.fy, np.ones_like(xs)], axis=-1
-    )
-    dirs = dirs_cam @ rot.T  # world directions; ray parameter equals camera-frame Z
+    dirs, norms2 = _rays(cam, rot.tobytes())
 
     tiny = 1e-12
-    best_t = np.full(xs.shape, np.inf)
-    best_obj = np.full(xs.shape, -1, dtype=np.int32)
+    best_t = np.full(dirs.shape[:2], np.inf)
+    best_obj = np.full(dirs.shape[:2], -1, dtype=np.int32)
     bounds = ((-hx, hx), (-hy, hy), (0.0, 2 * hz))
     for axis in range(3):
         d = dirs[..., axis]
@@ -319,25 +369,30 @@ def _cast(scene: SceneConfig, obstacles, origin: np.ndarray, yaw: float, t: floa
         best_t = np.where(closer, t_plane, best_t)
         best_obj = np.where(closer, face, best_obj)
 
-    # b and the discriminant cover the raster (the same matmul on the same
-    # array keeps its rounding); the roots are solved only on the rays that
-    # meet the sphere (disc >= 0).
-    a = np.sum(dirs * dirs, axis=-1).ravel()
+    # b and the discriminant cover the sphere's band of rows: a row-slice view
+    # runs each row's matmul exactly as the whole raster would, so it keeps
+    # its rounding.  The roots are solved only on the rays that meet the
+    # sphere (disc >= 0).
     flat_t = best_t.reshape(-1)
     flat_obj = best_obj.reshape(-1)
     for i, sphere in enumerate(obstacles):
         oc = origin - sphere.center(t)
-        b = 2.0 * (dirs @ oc).ravel()
+        r0, r1 = _row_band(cam, -oc @ rot, sphere.radius)
+        if r0 >= r1:
+            continue
+        b = 2.0 * (dirs[r0:r1] @ oc).ravel()
+        a = norms2[r0:r1].ravel()
         c = float(oc @ oc) - sphere.radius**2
         disc = b * b - 4.0 * a * c
-        idx = np.flatnonzero(disc >= 0)
-        if idx.size == 0:
+        hit = np.flatnonzero(disc >= 0)
+        if hit.size == 0:
             continue
-        bi, ai = b[idx], a[idx]
-        sq = np.sqrt(disc[idx])
+        bi, ai = b[hit], a[hit]
+        sq = np.sqrt(disc[hit])
         t1 = (-bi - sq) / (2.0 * ai)
         t2 = (-bi + sq) / (2.0 * ai)
         t_sph = np.where(t1 > tiny, t1, np.where(t2 > tiny, t2, np.inf))
+        idx = hit + r0 * cam.width
         closer = t_sph < flat_t[idx]
         flat_t[idx[closer]] = t_sph[closer]
         flat_obj[idx[closer]] = 6 + i
@@ -397,7 +452,7 @@ def _flow_to(scene: SceneConfig, obstacles, cast: _Raycast, t_from: float, t_to:
     for sphere, idx in zip(obstacles, cast.owned):
         flat[idx] += np.asarray(sphere.velocity, dtype=np.float64) * (t_to - t_from)
     u2, v2 = _project(cam, rot2, origin2, moved)
-    ys, xs = np.mgrid[0 : cam.height, 0 : cam.width].astype(np.float64)
+    ys, xs = _pixel_grid(cast.depth.shape)
     return flow_field(u2 - xs, v2 - ys)
 
 
@@ -470,8 +525,8 @@ def generate_events(
     logs = [np.log(img + LOG_EPS) for img in frames]
     l_ref = logs[0].copy()
     # Per crossing: its time and one key, 2 * pixel + (polarity > 0).  Ordering
-    # by the key is ordering by (y, x, polarity), so one two-key sort on
-    # (t, key) gives the (t, y, x, polarity) order.
+    # by the key is ordering by (y, x, polarity), so sorting by (t, key) gives
+    # the (t, y, x, polarity) order.
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     for k in range(1, len(frames)):
         l_prev, l_curr = logs[k - 1], logs[k]
@@ -498,10 +553,24 @@ def generate_events(
         return make_events([], [], [], [])
     t_all = np.concatenate([p[0] for p in parts])
     key = np.concatenate([p[1] for p in parts])
-    order = np.lexsort((key, t_all))
-    key = key[order]
+    # One sort on t that leaves equal stamps in any order (the default sort
+    # is several times faster than a stable one or a (t, key) lexsort), then
+    # the keys within each run of equal stamps sorted.  Crossings that tie in
+    # both t and key are the same record, so their order cannot show.
+    order = np.argsort(t_all)
+    t_all, key = t_all[order], key[order]
+    tie = t_all[1:] == t_all[:-1]
+    if tie.any():
+        after = np.concatenate(([False], tie))  # equal to the stamp before it
+        pos = np.flatnonzero(after | np.concatenate((tie, [False])))
+        # (run number, key) packed into one int64; keys lie in [0, 2 * H * W),
+        # so it fits while crossings * 2 * H * W stays below 2^63
+        span = 2 * shape[0] * shape[1]
+        packed = np.cumsum(~after[pos], dtype=np.int64) * span + key[pos]
+        packed.sort()
+        key[pos] = packed % span
     y, x = np.divmod(key >> 1, shape[1])
-    return make_events(t_all[order], x, y, 2 * (key & 1) - 1)
+    return make_events(t_all, x, y, 2 * (key & 1) - 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -350,6 +350,7 @@ def test_config_range_error_names_key():
     ("[obstacle]\nradius = nan\n", "radius", 2),
     ("[obstacle]\nstart = 0 nan 1\n", "start", 2),
     ("[obstacle]\nvelocity = inf 0 0\n", "velocity", 2),
+    ("rng_seed = -3\nrandom_obstacles = 2\n", "rng_seed", 1),
 ])
 def test_config_dataclass_range_errors_name_key_and_line(text, key, line):
     with pytest.raises(ConfigError, match=f"key '{key}'") as err:

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evreflex import sim
+from evreflex import flow, sim
 from evreflex.sim import (
     LOG_EPS,
     PoseError,
     SceneConfig,
     SphereObstacle,
     TrajectorySpec,
+    default_camera,
     generate_events,
     render_frame,
     simulate_sequence,
@@ -130,6 +131,16 @@ def test_scene_rejects_degenerate_light_dir(light_dir):
         SceneConfig(light_dir=light_dir)
 
 
+def test_trajectory_rejects_empty_waypoints():
+    with pytest.raises(ValueError, match="^waypoints "):
+        TrajectorySpec(waypoints=())
+
+
+def test_scene_rejects_negative_rng_seed():
+    with pytest.raises(ValueError, match="^rng_seed "):
+        SceneConfig(rng_seed=-3, random_obstacles=2)
+
+
 # -- render_frame against a full-raster reference -----------------------------------
 
 
@@ -196,6 +207,19 @@ def _reference_render(scene: SceneConfig, t: float):
     return np.clip(out, 0.0, 1.0), best_t, classes, flow_to(t + scene.dt), flow_to(t - scene.dt)
 
 
+def _assert_renders_like_reference(scene: SceneConfig, t: float):
+    got = render_frame(scene, t)
+    intensity, depth, classes, (fu, fv), (bu, bv) = _reference_render(scene, t)
+    assert np.array_equal(got.intensity.values, intensity.astype(np.float32))
+    assert np.array_equal(got.depth.values, depth.astype(np.float32))
+    assert np.array_equal(got.class_map.values, classes.astype(np.float32))
+    assert np.array_equal(got.flow_fwd.u, fu.astype(np.float32))
+    assert np.array_equal(got.flow_fwd.v, fv.astype(np.float32))
+    assert np.array_equal(got.flow_bwd.u, bu.astype(np.float32))
+    assert np.array_equal(got.flow_bwd.v, bv.astype(np.float32))
+    return got
+
+
 # sphere placements relative to the camera, which starts at (X0, 0, 1.5) looking
 # along +x: (forward, left-right, up-down) offsets of the centre, radius,
 # velocity; drawn on a 1 cm grid, because integers shrink fast
@@ -229,16 +253,62 @@ def test_render_frame_equals_full_raster_reference(spheres, enclosing, frame, ya
         obstacles=tuple(obstacles),
         duration=0.2,
     )
-    t = float(scene.frame_times()[frame])
-    got = render_frame(scene, t)
-    intensity, depth, classes, (fu, fv), (bu, bv) = _reference_render(scene, t)
-    assert np.array_equal(got.intensity.values, intensity.astype(np.float32))
-    assert np.array_equal(got.depth.values, depth.astype(np.float32))
-    assert np.array_equal(got.class_map.values, classes.astype(np.float32))
-    assert np.array_equal(got.flow_fwd.u, fu.astype(np.float32))
-    assert np.array_equal(got.flow_fwd.v, fv.astype(np.float32))
-    assert np.array_equal(got.flow_bwd.u, bu.astype(np.float32))
-    assert np.array_equal(got.flow_bwd.v, bv.astype(np.float32))
+    _assert_renders_like_reference(scene, float(scene.frame_times()[frame]))
+
+
+def _held_camera_scene(camera: CameraModel, yaw_deg: float, obstacles) -> SceneConfig:
+    return SceneConfig(camera=camera, trajectory=TrajectorySpec(waypoints=((X0, 0.0, yaw_deg),)),
+                       obstacles=tuple(obstacles), duration=0.2)
+
+
+def test_render_frame_alternating_cameras_and_yaw_signs_matches_reference():
+    # Ray tables are cached per camera and basis; yaw 0.0 and -0.0 compare
+    # equal, but their bases differ in the sign of zeros.  Integer principal
+    # points put rays exactly on the camera's axes.
+    wide = CameraModel(fx=12.0, fy=12.0, cx=8.0, cy=5.0, width=16, height=11)
+    tall = CameraModel(fx=20.0, fy=18.0, cx=6.0, cy=7.0, width=13, height=15)
+    sphere = _obstacle((1.1, 0.1, -0.1), 0.3, (-1.0, 0.0, 0.2), 3)
+    sequence = [(wide, 0.0), (wide, -0.0), (tall, -0.0), (wide, 0.0), (tall, 0.0),
+                (wide, -0.0), (tall, 25.0), (wide, 25.0), (wide, 0.0)]
+    for camera, yaw in sequence:
+        got = _assert_renders_like_reference(_held_camera_scene(camera, yaw, [sphere]), 0.05)
+        assert math.copysign(1.0, got.yaw) == math.copysign(1.0, yaw)
+
+
+def test_cached_ray_tables_are_read_only():
+    tables = sim._rays(default_camera(), sim._camera_basis(0.0).tobytes())
+    for table in (*tables, *flow._pixel_grid((5, 7))):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
+def _sphere_by_silhouette_edge(camera: CameraModel, edge_row: float, below: bool,
+                               distance: float, radius: float, side: float, class_id: int):
+    """A still sphere in front of the held camera whose silhouette's lower edge
+    (upper edge if below) lies on the horizontal line through edge_row."""
+    edge = math.atan((edge_row - camera.cy) / camera.fy)  # angle below the optical axis
+    alpha = math.asin(radius / distance)  # half the angle the sphere subtends
+    phi = edge + alpha if below else edge - alpha
+    centre = (X0 + distance * math.cos(phi), -side, 1.5 - distance * math.sin(phi))
+    return SphereObstacle(radius=radius, start=centre, velocity=(0.0, 0.0, 0.0),
+                          class_id=class_id)
+
+
+@pytest.mark.parametrize("distance, radius", [(1.0, 0.2), (2.3, 0.45)])
+@pytest.mark.parametrize("margin", [-0.9, -0.5, -0.05, 0.05, 0.5])
+def test_render_frame_spheres_at_the_top_and_bottom_of_the_view_match_reference(
+        margin, distance, radius):
+    # One sphere's silhouette ends `margin` rows below the top row's centre
+    # line, the other's the same above the bottom row's: a negative margin
+    # leaves the sphere less than one row outside the view.
+    camera = CameraModel(fx=40.0, fy=40.0, cx=31.5, cy=23.5, width=64, height=48)
+    top = _sphere_by_silhouette_edge(camera, margin, False, distance, radius, 0.2, 4)
+    bottom = _sphere_by_silhouette_edge(camera, camera.height - 1 - margin, True,
+                                        distance, radius, -0.3, 5)
+    got = _assert_renders_like_reference(_held_camera_scene(camera, 0.0, [top, bottom]), 0.05)
+    classes = got.class_map.values
+    assert np.any(classes[0] == 4) == (margin > 0)
+    assert np.any(classes[-1] == 5) == (margin > 0)
 
 
 @pytest.mark.parametrize("near_first", [True, False])
@@ -309,6 +379,26 @@ def test_generate_events_orders_ties_at_a_frame_boundary_by_y_x():
     assert _records(got[got["t"] == 0.1]) == [
         (0.1, 0, 0, 1), (0.1, 0, 1, -1), (0.1, 0, 2, 1), (0.1, 1, 0, -1), (0.1, 1, 2, 1)]
     assert _records(got) == _reference_events(times, [f0, f1, f1], c)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generate_events_sorts_stamps_past_a_frame_time(seed):
+    # Here t_{k-1} + (t_k - t_{k-1}) * 1.0 rounds one ulp above t_k at both
+    # frame boundaries, so a crossing that lands on frame k is stamped after
+    # t_k, where the next interval's crossings begin.  With c half the gap
+    # between the two log levels, a lo -> hi step lands its second crossing
+    # on the frame.
+    times = [0.03, 0.29, 0.82]
+    lo, hi = 0.3, 0.5
+    c = (np.log(hi + LOG_EPS) - np.log(lo + LOG_EPS)) / 2
+    rng = np.random.default_rng(seed)
+    frames = [rng.choice([lo, hi, 0.38, 0.44], size=(5, 6)) for _ in times]
+    frames[0][0], frames[1][0] = lo, hi  # row 0 lands on frame 1
+    frames[1][1], frames[2][1] = hi, lo  # row 1 lands on frame 2
+    got = generate_events(times, frames, c)
+    for t_k in times[1:]:
+        assert np.any(got["t"] == np.nextafter(t_k, 1.0))
+    assert _records(got) == _reference_events(times, frames, c)
 
 
 # -- simulate_sequence windows ------------------------------------------------------

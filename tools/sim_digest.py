@@ -1,0 +1,86 @@
+"""One SHA-256 over the simulator's outputs for three fixed sensor-size scenes.
+
+    python3 tools/sim_digest.py
+
+Run from a checkout; the program is imported from its ./src.  The digest
+covers, for each scene, the event stream, the window sizes, every frame's
+intensity, depth and class maps, both flows, and every ground-truth inverse
+TTI map with its validity mask, all as their stored bytes.  Two trees that
+print the same digest produce byte-identical simulate_sequence output on these
+scenes, so a byte-identity A/B between two commits is this command run in a
+checkout of each.
+
+The scenes, all at the 346x260 sensor raster with f = 200 px and 20 frames/s:
+busy      the camera moving forward through eight seeded random spheres and
+          one head-on sphere (20 frames);
+turn      the camera turning in place from yaw -0 through 0 to 30 degrees and
+          then moving, with six other seeded spheres (20 frames), so every
+          frame has its own camera basis;
+approach  the camera moving forward with one sphere flying head-on at 7 m/s
+          until it is under a metre away (12 frames).
+"""
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def scenes():
+    from evreflex.sim import SceneConfig, SphereObstacle, TrajectorySpec
+    from evreflex.types import CameraModel
+
+    camera = CameraModel(fx=200.0, fy=200.0, cx=172.5, cy=129.5, width=346, height=260)
+    forward = TrajectorySpec(waypoints=((-2.4, 0.0, 0.0), (2.5, 0.0, 0.0)), speed=0.5)
+
+    def head_on(speed):
+        return SphereObstacle(radius=0.3, start=(2.2, 0.05, 1.45), velocity=(-speed, 0.0, 0.0))
+
+    return (
+        # busy
+        SceneConfig(camera=camera, trajectory=forward, obstacles=(head_on(3.0),),
+                    random_obstacles=8, rng_seed=0, duration=1.0),
+        # turn
+        SceneConfig(
+            camera=camera,
+            trajectory=TrajectorySpec(
+                waypoints=((-1.0, 0.3, -0.0), (-1.0, 0.3, 30.0), (0.5, 0.0, 30.0)),
+                speed=1.0, yaw_rate_deg=90.0),
+            random_obstacles=6, rng_seed=7, duration=1.0),
+        # approach
+        SceneConfig(camera=camera, trajectory=forward, obstacles=(head_on(7.0),), duration=0.6),
+    )
+
+
+def digest(seq, h) -> None:
+    h.update(seq.events.tobytes())
+    h.update(repr([w.size for w in seq.event_windows]).encode())
+    for frame in seq.frames:
+        for fmap in (frame.intensity, frame.depth, frame.class_map):
+            h.update(fmap.values.tobytes())
+        for flow in (frame.flow_fwd, frame.flow_bwd):
+            if flow is None:
+                h.update(b"none")
+            else:
+                h.update(flow.u.tobytes())
+                h.update(flow.v.tobytes())
+    for tau in seq.tti_gt:
+        h.update(tau.values.tobytes())
+        h.update(tau.valid.tobytes())
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from evreflex.sim import simulate_sequence
+
+    h = hashlib.sha256()
+    for scene in scenes():
+        digest(simulate_sequence(scene), h)
+    print(h.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
