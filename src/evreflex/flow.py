@@ -139,8 +139,8 @@ def _uv(flow: Flow) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(flow.u, dtype=np.float64), np.asarray(flow.v, dtype=np.float64)
     arr = np.asarray(flow, dtype=np.float64)
     if arr.ndim == 3 and arr.shape[0] == 2:
-        if np.isnan(arr).any():
-            raise ValueError("flow contains NaN")
+        if not np.isfinite(arr).all():
+            raise ValueError("flow contains NaN or infinite values")
         return arr[0], arr[1]
     raise ShapeMismatchError(f"expected FlowField or (2, H, W) array, got shape {arr.shape}")
 
@@ -221,16 +221,6 @@ def _interpolate(corners, fx, fy, out=None):
     return values, ddy, dx_top, dx_bottom
 
 
-def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """Clamp-to-edge bilinear sample.
-
-    Returns (values, valid) where valid flags samples that stayed inside the
-    raster.
-    """
-    corners, fx, fy, valid = _footprint(img, xs, ys)
-    return _interpolate(corners, fx, fy)[0], valid
-
-
 @functools.lru_cache(maxsize=8)
 def _pixel_grid(shape: tuple[int, int]) -> np.ndarray:
     """(2, H, W) float64 pixel coordinates: row indices, then column indices.
@@ -248,58 +238,48 @@ def _sample_grid(shape: tuple[int, int], u: np.ndarray, v: np.ndarray):
     return xs + u, ys + v
 
 
-def warp(src: Union[Raster, Flow], flow: Flow):
-    """Sample src at i + F(i) with bilinear interpolation.
+def warp(src: Raster, flow: Flow):
+    """Sample the raster src at i + F(i) with bilinear interpolation.
 
     Returns (warped, valid) where warped has the type of src and valid marks
     pixels whose sample position stayed inside the raster (out-of-range samples
     clamp to the border).
     """
     u, v = _uv(flow)
-    if isinstance(src, FlowField):
-        if (src.height, src.width) != u.shape:
-            raise ShapeMismatchError("flow and source dimensions differ")
-        xs, ys = _sample_grid(u.shape, u, v)
-        wu, valid = _bilinear(np.asarray(src.u, dtype=np.float64), xs, ys)
-        wv, _ = _bilinear(np.asarray(src.v, dtype=np.float64), xs, ys)
-        return flow_field(wu, wv), valid
     img = _gray(src)
     if img.shape != u.shape:
         raise ShapeMismatchError("flow and source dimensions differ")
-    xs, ys = _sample_grid(img.shape, u, v)
-    values, valid = _bilinear(img, xs, ys)
+    corners, fx, fy, valid = _footprint(img, *_sample_grid(img.shape, u, v))
+    values = _interpolate(corners, fx, fy)[0]
     if isinstance(src, FloatMap):
         return float_map(values, src.semantics), valid
     return values, valid
 
 
-def charbonnier(x, eps: float = 0.001, alpha: float = 0.45):
-    """Robust penalty (x^2 + eps^2)^alpha, elementwise."""
-    if eps <= 0:
+def _charbonnier_input(x, eps: float, alpha: float) -> np.ndarray:
+    """x as float64, once eps > 0 and 0 < alpha < 1 are checked."""
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    x = np.asarray(x, dtype=np.float64)
-    out = _charbonnier_base(x, eps) ** alpha
+    return np.asarray(x, dtype=np.float64)
+
+
+def charbonnier(x, eps: float = 0.001, alpha: float = 0.45):
+    """Robust penalty (x^2 + eps^2)^alpha, elementwise."""
+    x = _charbonnier_input(x, eps, alpha)
+    out = (x * x + eps * eps) ** alpha
     return float(out) if out.ndim == 0 else out
 
 
 def charbonnier_deriv(x, eps: float = 0.001, alpha: float = 0.45):
-    """d/dx of the robust penalty: 2*alpha*x*(x^2 + eps^2)^(alpha - 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = _charbonnier_slope(x, _charbonnier_base(x, eps), alpha)
+    """d/dx of the robust penalty: 2*alpha*x*(x^2 + eps^2)^(alpha - 1).
+
+    The powers ^alpha and ^(alpha - 1) stay separate: deriving one from the
+    other changes bits."""
+    x = _charbonnier_input(x, eps, alpha)
+    out = 2.0 * alpha * x * (x * x + eps * eps) ** (alpha - 1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def _charbonnier_base(x: np.ndarray, eps: float) -> np.ndarray:
-    """x^2 + eps^2, shared by the penalty and its derivative."""
-    return x * x + eps * eps
-
-
-def _charbonnier_slope(x: np.ndarray, base: np.ndarray, alpha: float) -> np.ndarray:
-    """The penalty's derivative from its base.  The powers ^alpha and
-    ^(alpha - 1) stay separate: deriving one from the other changes bits."""
-    return 2.0 * alpha * x * base ** (alpha - 1.0)
 
 
 def _weights(shape, weight_mask) -> np.ndarray:
@@ -309,14 +289,6 @@ def _weights(shape, weight_mask) -> np.ndarray:
     if w.shape != shape:
         raise ShapeMismatchError(f"weight mask shape {w.shape} != raster shape {shape}")
     return w
-
-
-def _reported_loss(flow: Flow, img_t: Raster, img_t1: Raster, cfg: FlowSolverConfig,
-                   weight_mask) -> float:
-    """l_f with out-of-bounds samples dropped, from a fresh workspace."""
-    u, v = _uv(flow)
-    return _Workspace(u.shape, _gray(img_t), _gray(img_t1), weight_mask, cfg).loss(
-        u, v, oob_zero=True)
 
 
 def photometric_loss(
@@ -333,14 +305,15 @@ def photometric_loss(
     Out-of-bounds warped samples contribute zero.
     """
     cfg = FlowSolverConfig(alpha=0.0, charbonnier_eps=eps, charbonnier_alpha=alpha)
-    return _reported_loss(flow, img_t, img_t1, cfg, weight_mask)
+    return total_loss(flow, img_t, img_t1, cfg, weight_mask)
 
 
 def smoothness_loss(flow: Flow, *, eps: float = 0.001, alpha: float = 0.45) -> float:
     """Sum of rho over flow differences across 4-neighbour pairs (each pair once)."""
     u, v = _uv(flow)
     cfg = FlowSolverConfig(alpha=1.0, charbonnier_eps=eps, charbonnier_alpha=alpha)
-    return _Workspace(u.shape, None, None, None, cfg).smoothness(u, v, 0.0)
+    zero = np.zeros(u.shape)
+    return _Workspace(u.shape, zero, zero, None, cfg).smoothness(u, v, 0.0)
 
 
 def total_loss(
@@ -350,8 +323,10 @@ def total_loss(
     cfg: FlowSolverConfig,
     weight_mask=None,
 ) -> float:
-    """Combined objective l_f = l_p + alpha * l_s."""
-    return _reported_loss(flow, img_t, img_t1, cfg, weight_mask)
+    """Combined objective l_f = l_p + alpha * l_s, out-of-bounds samples dropped."""
+    u, v = _uv(flow)
+    return _Workspace(u.shape, _gray(img_t), _gray(img_t1), weight_mask, cfg).loss(
+        u, v, oob_zero=True)
 
 
 def loss_gradient(
@@ -362,8 +337,10 @@ def loss_gradient(
     weight_mask=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic d(total_loss)/dF as a pair of (H, W) float64 arrays (du, dv)."""
-    _, gu, gv = _loss_and_grad(*_uv(flow), _gray(img_t), _gray(img_t1), cfg, weight_mask)
-    return gu, gv
+    u, v = _uv(flow)
+    ws = _Workspace(u.shape, _gray(img_t), _gray(img_t1), weight_mask, cfg)
+    ws.loss(u, v, oob_zero=True)
+    return ws.gradient()
 
 
 def _gate_is_exact(it: np.ndarray, it1: np.ndarray, cfg: FlowSolverConfig) -> bool:
@@ -391,7 +368,6 @@ class _Workspace:
     needs; gradient() turns the terms of the last loss into (gu, gv) in place,
     consuming them, so it runs at most once per loss.  The (gu, gv) it returns
     are the workspace's own buffers, which the next gradient() overwrites.
-    it and it1 may be None for a workspace that only evaluates smoothness.
 
     The photometric term runs on the `pixels` pixels of nonzero weight, at
     the flat indices `active`, when _gate_is_exact allows it and some weight
@@ -399,22 +375,19 @@ class _Workspace:
     """
 
     def __init__(self, shape, it, it1, weights, cfg: FlowSolverConfig):
-        if it is not None and not (it.shape == it1.shape == shape):
+        if not (it.shape == it1.shape == shape):
             raise ShapeMismatchError(
                 f"shape mismatch: images {it.shape}/{it1.shape}, flow {shape}"
             )
         h, w = shape
         self.shape, self.it1, self.cfg = shape, it1, cfg
-        gated = it is not None and weights is not None
         weights = _weights(shape, weights)
-        self.active = None
-        if gated:
-            active = np.flatnonzero(weights)
-            if active.size < h * w and _gate_is_exact(it, it1, cfg):
-                self.active = active
+        active = np.flatnonzero(weights)
+        gate = active.size < h * w and _gate_is_exact(it, it1, cfg)
+        self.active = active if gate else None
         # the photometric term's inputs at its pixels, as 1-D arrays
         self.grid_y, self.grid_x = (self._gather(c) for c in _pixel_grid(shape))
-        self.it = None if it is None else self._gather(it)
+        self.it = self._gather(it)
         self.weights = self._gather(weights)
         n = self.pixels = self.weights.size
         # sample positions, clamped in place into the footprint's offsets
@@ -546,13 +519,6 @@ class _Workspace:
                     grad[ahead] += term
                     grad[behind] -= term
         return gu, gv
-
-
-def _loss_and_grad(u, v, it, it1, cfg: FlowSolverConfig, weights, oob_zero: bool = True):
-    """l_f at (u, v) and its gradient w.r.t. (u, v), from a fresh workspace."""
-    ws = _Workspace(u.shape, it, it1, weights, cfg)
-    loss = ws.loss(u, v, oob_zero)
-    return (loss, *ws.gradient())
 
 
 def _downsample2(a: np.ndarray) -> np.ndarray:

@@ -187,9 +187,9 @@ def read_events(path) -> tuple[np.ndarray, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _encode_map_block(fmap: FloatMap, semantics: MapSemantics | None = None) -> bytes:
-    sem = int(fmap.semantics if semantics is None else semantics)
-    header = _MAP_HEADER.pack(MAP_MAGIC, FORMAT_VERSION, sem, fmap.width, fmap.height)
+def _encode_map_block(fmap: FloatMap) -> bytes:
+    header = _MAP_HEADER.pack(MAP_MAGIC, FORMAT_VERSION, int(fmap.semantics), fmap.width,
+                              fmap.height)
     return header + np.ascontiguousarray(fmap.values, dtype="<f4").tobytes()
 
 
@@ -259,8 +259,8 @@ def read_flow(path) -> FlowField:
 class RunConfig:
     """Parsed config bundle: a scene and flow-solver settings."""
 
-    scene: SceneConfig | None = None
-    flow: FlowSolverConfig | None = None
+    scene: SceneConfig
+    flow: FlowSolverConfig
 
 
 def _parse_float(text: str, key: str, line: int) -> float:

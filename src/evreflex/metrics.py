@@ -96,9 +96,10 @@ def prf1(pred_mask: np.ndarray, gt_mask: np.ndarray, class_map: FloatMap) -> Cla
     """Precision/recall/F1 per semantic class and overall.
 
     Each class is scored on its own pixels (gt positives attributed by the
-    class of the pixel); the overall score runs over all pixels.  Classes with
-    no support report zeros rather than raising, so batch evaluation survives
-    scenes where a class is absent.
+    class of the pixel); the classes partition the raster, so the overall
+    counts are the sums of the per-class ones.  Classes with no support report
+    zeros rather than raising, so batch evaluation survives scenes where a
+    class is absent.
     """
     pred = np.asarray(pred_mask, dtype=bool)
     gt = np.asarray(gt_mask, dtype=bool)
@@ -113,11 +114,9 @@ def prf1(pred_mask: np.ndarray, gt_mask: np.ndarray, class_map: FloatMap) -> Cla
             fp=int(np.count_nonzero(pred & ~gt & sel)),
             fn=int(np.count_nonzero(~pred & gt & sel)),
         )
-    overall = _score(
-        tp=int(np.count_nonzero(pred & gt)),
-        fp=int(np.count_nonzero(pred & ~gt)),
-        fn=int(np.count_nonzero(~pred & gt)),
-    )
+    scores = per_class.values()
+    overall = _score(tp=sum(s.tp for s in scores), fp=sum(s.fp for s in scores),
+                     fn=sum(s.fn for s in scores))
     return ClassScores(per_class=per_class, overall=overall)
 
 

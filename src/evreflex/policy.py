@@ -7,7 +7,6 @@ exists to move away from the most imminent obstacle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -48,15 +47,14 @@ def obstacle_motion_vector(
     depth: FloatMap,
     t: TtiMap,
     danger_mask: np.ndarray,
-    camera: Optional[CameraModel] = None,
+    camera: CameraModel,
 ) -> tuple[np.ndarray, int]:
-    """Mean 3-D motion term over the danger mask: (F_u, F_v, d * tau) per pixel.
+    """Mean 3-D motion over the danger mask, in m/s.
 
-    With a camera model the transverse components are lifted to metric m/s
-    (u * d / (fx * dt)), matching the radial component's units; without one they
-    stay in px/frame.  The radial term d * tau (like the lifting) is formed in
-    float64 from the stored float32 values.  Returns (vector, contributing pixel
-    count); an empty mask yields the zero vector.
+    Per pixel the transverse components are the flow lifted to metric
+    (u * d / (fx * dt), v * d / (fy * dt)) and the radial one is d * tau.  Both
+    are formed in float64 from the stored float32 values.  Returns (vector,
+    contributing pixel count); an empty mask yields the zero vector.
     """
     shape = (flow.height, flow.width)
     if (depth.height, depth.width) != shape or t.values.shape != shape:
@@ -71,9 +69,8 @@ def obstacle_motion_vector(
     v = flow.v[mask].astype(np.float64)
     d = depth.values[mask].astype(np.float64)
     tau = t.values[mask].astype(np.float64)
-    if camera is not None:
-        u = u * d / (camera.fx * t.dt)
-        v = v * d / (camera.fy * t.dt)
+    u = u * d / (camera.fx * t.dt)
+    v = v * d / (camera.fy * t.dt)
     vec = np.array([u.mean(), v.mean(), (d * tau).mean()], dtype=np.float64)
     return vec, count
 

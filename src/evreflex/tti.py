@@ -94,7 +94,6 @@ def _range_closure(
     d_curr: FloatMap,
     d_other: FloatMap,
     dt: float,
-    occlusion_guard: bool,
     forward: bool,
 ) -> TtiMap:
     """Clamped fractional range closure between d_curr and d_other warped by flow.
@@ -108,11 +107,7 @@ def _range_closure(
     _check_dims(flow, d_curr, d_other)
     curr = _depth(d_curr)
     warped, in_bounds, footprint_ok = _warp_depth(_depth(d_other), flow)
-    valid = in_bounds & (curr > 0)
-    if occlusion_guard:
-        valid &= footprint_ok
-    else:
-        valid &= warped > 0
+    valid = in_bounds & (curr > 0) & footprint_ok
     closure = curr - warped if forward else warped - curr
     tau = np.zeros(curr.shape, dtype=np.float64)
     np.divide(closure, curr * dt, out=tau, where=valid)
@@ -125,7 +120,6 @@ def ground_truth_inverse_tti(
     d_curr: FloatMap,
     flow_to_prev: FlowField,
     dt: float,
-    occlusion_guard: bool = True,
 ) -> TtiMap:
     """Per-frame fractional range closure from warped previous depth.
 
@@ -133,7 +127,7 @@ def ground_truth_inverse_tti(
     flow_to_prev mapping current-frame pixels to their previous-frame locations.
     Approaching surfaces give positive tau; receding ones clamp to zero.
     """
-    return _range_closure(flow_to_prev, d_curr, d_prev, dt, occlusion_guard, forward=False)
+    return _range_closure(flow_to_prev, d_curr, d_prev, dt, forward=False)
 
 
 def estimate_tti_static(flow: FlowField, d_curr: FloatMap, dt: float) -> TtiMap:
@@ -160,14 +154,13 @@ def estimate_tti_dynamic(
     d_curr: FloatMap,
     d_next: FloatMap,
     dt: float,
-    occlusion_guard: bool = True,
 ) -> TtiMap:
     """Inverse TTI from the next depth frame warped by forward flow.
 
     tau(i) = max(0, (d_curr(i) - d_next(i + F(i))) / (d_curr(i) * dt)); flow
     maps current-frame pixels to their next-frame locations.
     """
-    return _range_closure(flow, d_curr, d_next, dt, occlusion_guard, forward=True)
+    return _range_closure(flow, d_curr, d_next, dt, forward=True)
 
 
 def tti_mse(pred: TtiMap, gt: TtiMap) -> float:

@@ -19,7 +19,6 @@ from evreflex.flow import (
     _Workspace,
     _descend,
     _downsample2,
-    _loss_and_grad,
 )
 from evreflex.types import (
     MapSemantics,
@@ -71,9 +70,9 @@ def test_warp_floatmap_and_flowfield_types():
     fm = float_map(np.ones((4, 4)), MapSemantics.DEPTH_M)
     out, valid = warp(fm, _const_flow((4, 4), 0.25, -0.25))
     assert out.semantics == MapSemantics.DEPTH_M
-    ff = flow_field(np.ones((4, 4)), np.zeros((4, 4)))
-    fout, _ = warp(ff, _const_flow((4, 4), 0.0, 0.0))
-    assert np.allclose(fout.u, 1.0)
+    # a flow field is not a raster to sample
+    with pytest.raises(TypeError):
+        warp(flow_field(np.ones((4, 4)), np.zeros((4, 4))), _const_flow((4, 4), 0.0, 0.0))
 
 
 def test_warp_shape_mismatch():
@@ -88,6 +87,19 @@ def test_warp_nan_flow_rejected(width):
     flow[:, 1, 2] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         warp(img, flow)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_flow_array_rejected(bad):
+    # the FlowField contract: every entry finite
+    img = np.random.default_rng(3).random((4, 5))
+    flow = _const_flow(img.shape, 0.0, 0.0)
+    flow[1, 2, 3] = bad
+    for call in (lambda: warp(img, flow), lambda: total_loss(flow, img, img, FlowSolverConfig()),
+                 lambda: loss_gradient(flow, img, img, FlowSolverConfig()),
+                 lambda: smoothness_loss(flow)):
+        with pytest.raises(ValueError, match="infinite"):
+            call()
 
 
 # -- charbonnier ---------------------------------------------------------------
@@ -109,10 +121,12 @@ def test_charbonnier_at_one():
 
 
 def test_charbonnier_validation():
-    with pytest.raises(ValueError):
-        charbonnier(1.0, eps=0.0)
-    with pytest.raises(ValueError):
-        charbonnier(1.0, alpha=1.5)
+    # the penalty and its derivative refuse the same settings
+    for fn in (charbonnier, charbonnier_deriv):
+        for name, bad in (("eps", 0.0), ("eps", -1e-3), ("eps", np.nan),
+                          ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5)):
+            with pytest.raises(ValueError, match=name):
+                fn(0.0, **{name: bad})
 
 
 def test_charbonnier_deriv_matches_fd():
@@ -219,9 +233,10 @@ def test_loss_views_equal_kernel_loss_exactly():
     cfg = FlowSolverConfig(alpha=0.3)
     photo_cfg = FlowSolverConfig(alpha=0.0)
     for mask in (None, w):
-        assert total_loss(F, it, it1, cfg, mask) == _loss_and_grad(F[0], F[1], it, it1, cfg, mask)[0]
-        assert photometric_loss(F, it, it1, mask) == _loss_and_grad(
-            F[0], F[1], it, it1, photo_cfg, mask)[0]
+        assert total_loss(F, it, it1, cfg, mask) == _reference_loss_and_grad(
+            F[0], F[1], it, it1, cfg, mask, oob_zero=True)[0]
+        assert photometric_loss(F, it, it1, mask) == _reference_loss_and_grad(
+            F[0], F[1], it, it1, photo_cfg, mask, oob_zero=True)[0]
 
 
 def test_total_loss_pure_smoothness_when_aligned():
@@ -402,10 +417,7 @@ def _fd_safe_instance(rng, shape=(8, 8)):
     fracs = np.linspace(0.15, 0.45, 11)
     u = rng.integers(-2, 3, shape).astype(np.float64) + rng.choice(fracs, shape)
     v = rng.integers(-2, 3, shape).astype(np.float64) + rng.choice(fracs, shape)
-    from evreflex.flow import _bilinear, _sample_grid
-
-    xs, ys = _sample_grid(it.shape, u, v)
-    sampled, _ = _bilinear(it1, xs, ys)
+    sampled, _ = warp(it1, np.stack([u, v]))
     residual = it - sampled
     it = it + np.where(np.abs(residual) < 8e-3, 0.05, 0.0)
     return it, it1, np.stack([u, v])

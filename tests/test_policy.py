@@ -6,6 +6,11 @@ from evreflex.tti import TtiMap
 from evreflex.types import CameraModel, MapSemantics, flow_field, float_map
 
 
+def _camera(shape, fx=100.0, fy=50.0):
+    h, w = shape
+    return CameraModel(fx=fx, fy=fy, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
+
+
 def _tti(values, dt=0.1):
     values = np.asarray(values, dtype=np.float64)
     return TtiMap(tti=float_map(values, MapSemantics.INV_TTI_S), dt=dt,
@@ -19,6 +24,7 @@ def test_motion_vector_empty_mask():
         float_map(np.ones(shape), MapSemantics.DEPTH_M),
         _tti(np.zeros(shape)),
         np.zeros(shape, dtype=bool),
+        _camera(shape),
     )
     assert count == 0 and np.array_equal(vec, np.zeros(3))
 
@@ -35,6 +41,7 @@ def test_motion_vector_single_pixel():
         float_map(depth, MapSemantics.DEPTH_M),
         _tti(tau),
         mask,
+        _camera(shape),
     )
     assert count == 1
     assert np.allclose(vec, [0.0, 0.0, 1.0])
@@ -48,8 +55,9 @@ def test_motion_vector_matches_loop_oracle():
     d = rng.uniform(0.5, 4.0, shape)
     tau = rng.uniform(0, 2, shape)
     mask = rng.random(shape) > 0.5
+    cam = _camera(shape, fx=80.0, fy=120.0)
     vec, count = obstacle_motion_vector(
-        flow_field(u, v), float_map(d, MapSemantics.DEPTH_M), _tti(tau), mask
+        flow_field(u, v), float_map(d, MapSemantics.DEPTH_M), _tti(tau, dt=0.05), mask, cam
     )
     sums = np.zeros(3)
     n = 0
@@ -61,7 +69,8 @@ def test_motion_vector_matches_loop_oracle():
                 df = np.float32(d[y, x])
                 tf = np.float32(tau[y, x])
                 # Stored as float32, multiplied in float64, as the policy does.
-                sums += [uf, vf, float(df) * float(tf)]
+                sums += [float(uf) * float(df) / (80.0 * 0.05),
+                         float(vf) * float(df) / (120.0 * 0.05), float(df) * float(tf)]
                 n += 1
     assert count == n
     assert np.allclose(vec, sums / n, rtol=1e-9, atol=1e-9)

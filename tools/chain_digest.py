@@ -1,0 +1,89 @@
+"""One SHA-256 over the per-pair chain's outputs on a fixed head-on scene.
+
+    python3 tools/chain_digest.py
+
+Run from a checkout; the program is imported from its ./src.  For every frame
+pair (k, k+1) of the scene with k >= 1 (frame 0 has no ground-truth TTI) it
+runs the chain the way a caller does: the event window of the pair
+accumulated into an event map, estimate_flow under the default solver
+settings, estimate_tti_dynamic on the solved flow, threshold_collision at a
+1 s horizon, obstacle_motion_vector over the danger mask and
+evasion_direction for a camera moving forward at 0.5 m/s.  It also
+evaluates total_loss and loss_gradient at the solved flow, and prf1 of the
+danger mask against the ground-truth danger mask of frame k.
+
+The digest covers the flow (u, v and the final loss), the loss and gradient at
+it, the TTI values and validity mask, the danger mask, the motion vector with
+its pixel count, the evasion direction with its degenerate flag and every
+prf1 count, all as their stored bytes or exact reprs.  Two trees that print
+the same digest compute the same chain on this scene to the bit, so a
+byte-identity A/B between two commits is this command run in a checkout of
+each.  tools/sim_digest.py does the same for the simulator's outputs.
+
+The scene: a 173x130 raster with f = 100 px at 20 frames/s, the camera moving
+forward at 0.5 m/s, and one sphere of radius 0.3 m flying head-on at 7 m/s
+from 2.2 m ahead until it is under a metre away (12 frames, 10 pairs scored).
+"""
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+HORIZON_S = 1.0
+CAMERA_SPEED = 0.5  # m/s along the optical axis
+
+
+def scene():
+    from evreflex.sim import SceneConfig, SphereObstacle, TrajectorySpec
+    from evreflex.types import CameraModel
+
+    camera = CameraModel(fx=100.0, fy=100.0, cx=86.0, cy=64.5, width=173, height=130)
+    forward = TrajectorySpec(waypoints=((-2.4, 0.0, 0.0), (2.5, 0.0, 0.0)), speed=CAMERA_SPEED)
+    sphere = SphereObstacle(radius=0.3, start=(2.2, 0.05, 1.45), velocity=(-7.0, 0.0, 0.0))
+    return SceneConfig(camera=camera, trajectory=forward, obstacles=(sphere,), duration=0.6)
+
+
+def digest_pair(seq, k: int, h) -> None:
+    from evreflex import flow, metrics, policy, tti, types
+
+    f0, f1 = seq.frames[k], seq.frames[k + 1]
+    cam = seq.scene.camera
+    em = types.accumulate_events(seq.event_windows[k], (f0.t, f1.t), cam.width, cam.height)
+    fl, loss = flow.estimate_flow(em, f0.intensity, f1.intensity)
+    est = tti.estimate_tti_dynamic(fl, f0.depth, f1.depth, seq.scene.dt)
+    danger = tti.threshold_collision(est, HORIZON_S)
+    vec, count = policy.obstacle_motion_vector(fl, f0.depth, est, danger, cam)
+    evasion = policy.evasion_direction(vec, policy.EgoMotion((0.0, 0.0, CAMERA_SPEED)), count)
+    flow_arr = np.stack([fl.u, fl.v])
+    cfg = flow.FlowSolverConfig()
+    weights = types.event_mask(em).astype(np.float64)
+    reported = flow.total_loss(flow_arr, f0.intensity, f1.intensity, cfg, weights)
+    gu, gv = flow.loss_gradient(flow_arr, f0.intensity, f1.intensity, cfg, weights)
+    gt_mask = tti.threshold_collision(seq.tti_gt[k - 1], HORIZON_S)
+    scores = metrics.prf1(danger, gt_mask, f0.class_map)
+
+    for arr in (fl.u, fl.v, gu, gv, est.values, est.valid, danger, vec):
+        h.update(arr.tobytes())
+    counts = [(s.tp, s.fp, s.fn) for s in (*scores.per_class.values(), scores.overall)]
+    h.update(repr((loss, reported, count, evasion.psi, evasion.degenerate,
+                   sorted(scores.per_class), counts)).encode())
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from evreflex.sim import simulate_sequence
+
+    seq = simulate_sequence(scene())
+    h = hashlib.sha256()
+    for k in range(1, len(seq.frames) - 1):
+        digest_pair(seq, k, h)
+    print(h.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
