@@ -8,8 +8,11 @@ shared by every frame with that pose.  Each sphere's ray quadratic has its
 discriminant evaluated only on the band of rows whose rays can meet it, and its
 roots only where the discriminant is non-negative; normals, shading, classes and
 material motion touch only the pixels the sphere owns.  Events are emulated
-from the rendered intensity stream by log-intensity threshold crossings with
-linear interpolation of crossing times between frames; this is a frame-based
+from the rendered intensity stream by log-intensity threshold crossings: each
+pixel's reference level stays on a fixed lattice of contrast thresholds above
+and below its first log intensity (an integer index per pixel, as in ESIM's
+fixed contrast levels), and every lattice level the log intensity passes is one
+event, its time linearly interpolated between frames.  This is a frame-based
 stand-in for a true adaptive-rate event renderer.
 
 World frame: Z up, floor at z = 0, room spanning [-hx, hx] x [-hy, hy] x
@@ -502,13 +505,19 @@ def generate_events(
 ) -> np.ndarray:
     """Emulate an event camera from an intensity sequence.
 
-    Per pixel, an event fires each time log(I + LOG_EPS) moves a full contrast
-    threshold away from the running reference level, which then advances to the
-    crossed level; crossing times are linearly interpolated between frames.
-    Returns a structured event array sorted by (t, y, x, polarity).
+    Per pixel, the reference level lies on the lattice base + n * c, where base
+    is the pixel's log(I + LOG_EPS) in the first frame, c the contrast threshold
+    and n an integer.  At each frame, n is clamped into [floor(q), ceil(q)] with
+    q = (log(I + LOG_EPS) - base) / c: it moves only when the log intensity lies
+    more than one threshold from the reference, and then to the nearest level
+    within one threshold of it.  Each lattice level passed on the way is one
+    event, polarity +1 upwards and -1 downwards, with its time linearly
+    interpolated between the two frames.  So a pixel's signed event count is
+    its final n.  Returns a structured event array sorted by
+    (t, y, x, polarity).
     """
-    if contrast_threshold <= 0:
-        raise ValueError("contrast threshold must be positive")
+    if not (math.isfinite(contrast_threshold) and contrast_threshold > 0):
+        raise ValueError("contrast threshold must be positive and finite")
     if len(timestamps) != len(intensities) or len(intensities) < 2:
         raise ValueError("need >= 2 frames with matching timestamps")
     frames = [np.asarray(img.values if isinstance(img, FloatMap) else img, dtype=np.float64)
@@ -517,37 +526,43 @@ def generate_events(
     for k, img in enumerate(frames):
         if img.shape != shape:
             raise ShapeMismatchError(f"frame {k} has shape {img.shape}, expected {shape}")
+        if not np.all((img >= 0) & (img < np.inf)):
+            raise ValueError(f"frame {k} must hold finite, non-negative intensities")
     times = np.asarray(timestamps, dtype=np.float64)
-    if np.any(np.diff(times) <= 0):
+    if not np.all(np.isfinite(times)):
+        raise ValueError("timestamps must be finite")
+    if not np.all(np.diff(times) > 0):
         raise ValueError("timestamps must be strictly increasing")
 
     c = float(contrast_threshold)
-    logs = [np.log(img + LOG_EPS) for img in frames]
-    l_ref = logs[0].copy()
+    logs = [np.log(img + LOG_EPS).ravel() for img in frames]
+    base = logs[0]
+    n = np.zeros(base.size, dtype=np.int64)  # the reference level is base + n * c
     # Per crossing: its time and one key, 2 * pixel + (polarity > 0).  Ordering
     # by the key is ordering by (y, x, polarity), so sorting by (t, key) gives
     # the (t, y, x, polarity) order.
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     for k in range(1, len(frames)):
         l_prev, l_curr = logs[k - 1], logs[k]
-        delta = l_curr - l_ref
-        count = np.floor(np.abs(delta) / c).astype(np.int64)
-        idx = np.flatnonzero(count)
+        # A pixel whose log intensity is unchanged keeps q, so its n stays put
+        # and every crossing below divides by a nonzero l_curr - l_prev.
+        q = (l_curr - base) / c
+        step = np.clip(n, np.floor(q), np.ceil(q)).astype(np.int64) - n
+        idx = np.flatnonzero(step)
         if idx.size == 0:
             continue
-        reps = count.flat[idx]
-        sign = np.sign(delta.flat[idx]).astype(np.int64)
+        reps = np.abs(step[idx])
         total = int(reps.sum())
         stops = np.cumsum(reps)
         ordinal = np.arange(1, total + 1) - np.repeat(stops - reps, reps)
         pix = np.repeat(idx, reps)
-        sgn = np.repeat(sign, reps)
-        level = l_ref.flat[pix] + sgn * c * ordinal
-        frac = (level - l_prev.flat[pix]) / (l_curr.flat[pix] - l_prev.flat[pix])
+        sgn = np.sign(np.repeat(step[idx], reps))
+        level = base[pix] + (n[pix] + sgn * ordinal) * c
+        frac = (level - l_prev[pix]) / (l_curr[pix] - l_prev[pix])
         np.clip(frac, 0.0, 1.0, out=frac)
         t_cross = times[k - 1] + (times[k] - times[k - 1]) * frac
         parts.append((t_cross, 2 * pix + (sgn > 0)))
-        l_ref.flat[idx] += sign * c * reps
+        n += step
 
     if not parts:
         return make_events([], [], [], [])

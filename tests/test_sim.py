@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evreflex import flow, sim
@@ -19,7 +19,7 @@ from evreflex.sim import (
     simulate_sequence,
 )
 from evreflex.tti import estimate_tti_dynamic
-from evreflex.types import CameraModel
+from evreflex.types import CameraModel, accumulate_events
 
 # -- head-on approach: inverse TTI = v / d on the optical axis ------------------
 
@@ -325,27 +325,23 @@ def test_nearer_of_two_axis_spheres_owns_the_centre_pixel(near_first):
 
 
 def _reference_events(times, frames, c):
-    """Sorted (t, y, x, polarity) records from a per-pixel walk over the frames."""
+    """Sorted (t, y, x, polarity) records from a per-pixel walk over the frames,
+    with each pixel's reference level on the lattice base + n * c."""
     logs = [np.log(np.asarray(f, dtype=np.float64) + LOG_EPS) for f in frames]
     records = []
     height, width = logs[0].shape
     for y in range(height):
         for x in range(width):
-            l_ref = float(logs[0][y, x])
+            base, n = float(logs[0][y, x]), 0
             for k in range(1, len(frames)):
                 l_prev, l_curr = float(logs[k - 1][y, x]), float(logs[k][y, x])
-                delta = l_curr - l_ref
-                n = math.floor(abs(delta) / c)
-                s = 1 if delta > 0 else -1
-                for j in range(1, n + 1):
-                    # numpy scalars: a crossing left over from rounding in the
-                    # reference level can fire while l_curr == l_prev, and the
-                    # emulator clips its x / 0 = +-inf to a frame end
-                    with np.errstate(divide="ignore"):
-                        frac = np.float64(l_ref + s * c * j - l_prev) / np.float64(l_curr - l_prev)
-                    frac = float(np.clip(frac, 0.0, 1.0))
+                q = (l_curr - base) / c
+                n_new = min(max(n, math.floor(q)), math.ceil(q))
+                s = 1 if n_new > n else -1
+                for j in range(n + s, n_new + s, s):
+                    frac = min(max((base + j * c - l_prev) / (l_curr - l_prev), 0.0), 1.0)
                     records.append((times[k - 1] + (times[k] - times[k - 1]) * frac, y, x, s))
-                l_ref += s * c * n
+                n = n_new
     return sorted(records)
 
 
@@ -353,17 +349,89 @@ def _records(events):
     return [(float(e["t"]), int(e["y"]), int(e["x"]), int(e["polarity"])) for e in events]
 
 
-@settings(max_examples=60, deadline=None)
-@given(h=st.integers(1, 6), w=st.integers(1, 6), n_frames=st.integers(2, 5),
-       seed=st.integers(0, 2**32 - 1), c=st.sampled_from([0.05, 0.15, 0.4]))
-def test_generate_events_matches_per_pixel_loop(h, w, n_frames, seed, c):
+# Small sequences on a few intensity levels, so pixels repeat each other's
+# crossings exactly and land on their first frame's level again.
+_SMALL = dict(h=st.integers(1, 6), w=st.integers(1, 6), n_frames=st.integers(2, 5),
+              seed=st.integers(0, 2**32 - 1), c=st.sampled_from([0.05, 0.15, 0.4]))
+
+
+def _small_sequence(h, w, n_frames, seed):
     rng = np.random.default_rng(seed)
-    # a few intensity levels, so pixels repeat each other's crossings exactly
     frames = [rng.choice([0.0, 0.1, 0.35, 0.8, 1.0], size=(h, w)) for _ in range(n_frames)]
     times = list(np.cumsum(rng.uniform(0.01, 0.1, n_frames)))
-    with np.errstate(divide="ignore"):
-        got = generate_events(times, frames, c)
+    return times, frames
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_SMALL)
+def test_generate_events_matches_per_pixel_loop(h, w, n_frames, seed, c):
+    times, frames = _small_sequence(h, w, n_frames, seed)
+    got = generate_events(times, frames, c)
     assert _records(got) == _reference_events(times, frames, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_SMALL)
+@example(h=1, w=3, n_frames=3, seed=144, c=0.05)
+def test_generate_events_adds_no_event_for_a_repeated_last_frame(h, w, n_frames, seed, c):
+    times, frames = _small_sequence(h, w, n_frames, seed)
+    got = generate_events(times, frames, c)
+    again = generate_events(times + [times[-1] + 0.05], frames + [frames[-1]], c)
+    assert _records(again) == _records(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_SMALL)
+@example(h=1, w=5, n_frames=5, seed=11, c=0.4)
+def test_generate_events_signed_count_follows_the_log_change(h, w, n_frames, seed, c):
+    times, frames = _small_sequence(h, w, n_frames, seed)
+    got = generate_events(times, frames, c)
+    signed = np.zeros((h, w), dtype=np.int64)
+    np.add.at(signed, (got["y"], got["x"]), got["polarity"])
+    change = (np.log(frames[-1] + LOG_EPS) - np.log(frames[0] + LOG_EPS)) / c
+    assert np.all(np.abs(change - signed) < 1)
+
+
+def _one_pixel(values):
+    return [0.05 * k for k in range(len(values))], [np.full((1, 1), v) for v in values]
+
+
+def test_generate_events_returns_as_many_up_as_down_crossings_on_a_round_trip():
+    # log(0.1 + LOG_EPS) - log(LOG_EPS) = log(101) lies 92.3 thresholds apart
+    times, frames = _one_pixel([0.1, 0.0, 0.1])
+    got = generate_events(times, frames, 0.05)
+    down, up = got[got["polarity"] < 0], got[got["polarity"] > 0]
+    assert (down.size, up.size) == (92, 92)
+    assert np.all(down["t"] <= 0.05) and np.all(up["t"] >= 0.05)
+
+
+def test_generate_events_stamps_nothing_where_the_intensity_holds():
+    times, frames = _one_pixel([0.1, 0.0, 0.1, 0.1])
+    got = generate_events(times, frames, 0.1)
+    assert got.size == 92 and np.all(np.isfinite(got["t"])) and got["t"][-1] <= 0.1
+    acc = accumulate_events(got, (0.0, 0.15), 1, 1)
+    assert (acc.pos_count[0, 0], acc.neg_count[0, 0]) == (46, 46)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_generate_events_refuses_a_threshold_that_is_not_finite(c):
+    times, frames = _one_pixel([0.1, 0.0])
+    with pytest.raises(ValueError, match="contrast threshold must be positive and finite"):
+        generate_events(times, frames, c)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_generate_events_refuses_a_timestamp_that_is_not_finite(bad):
+    _, frames = _one_pixel([0.1, 0.0, 0.1])
+    with pytest.raises(ValueError, match="timestamps must be finite"):
+        generate_events([0.0, 0.05, bad], frames, 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, -1e-4])
+def test_generate_events_refuses_a_frame_with_a_bad_intensity(bad):
+    frames = [np.full((1, 2), 0.1), np.array([[0.2, bad]]), np.full((1, 2), 0.1)]
+    with pytest.raises(ValueError, match="frame 1 must hold finite, non-negative intensities"):
+        generate_events([0.0, 0.05, 0.1], frames, 0.1)
 
 
 def test_generate_events_orders_ties_at_a_frame_boundary_by_y_x():
