@@ -4,16 +4,24 @@ closed textured room with flying sphere obstacles.
 Geometry is analytic (axis-aligned box + spheres, ray-cast per pixel), so
 depth, optical flow and semantic maps are exact.  The rays of a camera pose
 (pixel grid, world directions and their squared norms) are computed once and
-shared by every frame with that pose.  Each sphere's ray quadratic has its
-discriminant evaluated only on the band of rows whose rays can meet it, and its
-roots only where the discriminant is non-negative; normals, shading, classes and
-material motion touch only the pixels the sphere owns.  Events are emulated
-from the rendered intensity stream by log-intensity threshold crossings: each
-pixel's reference level stays on a fixed lattice of contrast thresholds above
-and below its first log intensity (an integer index per pixel, as in ESIM's
-fixed contrast levels), and every lattice level the log intensity passes is one
-event, its time linearly interpolated between frames.  This is a frame-based
-stand-in for a true adaptive-rate event renderer.
+shared by every frame with that pose, and so is the pose's room table: per
+world axis, the face bound each ray's sign selects, that face's id and the rays
+parallel to the axis' faces.  A frame then only divides each bound's distance
+from the camera by the ray direction and keeps the nearest face.  Arithmetic
+that combines an (H, W, 3) array with a 3-vector runs on the array's (H, 3W)
+row view against the vector tiled W times: the same float operations, without
+numpy's inner loop over an axis of length 3, which costs several times more.
+Products with the camera basis stay BLAS products on the (H, W, 3) array, since
+written out as sums they round differently.  Each sphere's ray quadratic has
+its discriminant evaluated only on the band of rows whose rays can meet it, and
+its roots only where the discriminant is non-negative; normals, shading,
+classes and material motion touch only the pixels the sphere owns.  Events are
+emulated from the rendered intensity stream by log-intensity threshold
+crossings: each pixel's reference level stays on a fixed lattice of contrast
+thresholds above and below its first log intensity (an integer index per pixel,
+as in ESIM's fixed contrast levels), and every lattice level the log intensity
+passes is one event, its time linearly interpolated between frames.  This is a
+frame-based stand-in for a true adaptive-rate event renderer.
 
 World frame: Z up, floor at z = 0, room spanning [-hx, hx] x [-hy, hy] x
 [0, 2*hz].  The camera looks along its yaw heading in the X-Y plane; camera
@@ -61,6 +69,7 @@ __all__ = [
 ]
 
 LOG_EPS = 1e-3  # guards log(0) in the event emulator
+_TINY = 1e-12  # ray parameters and direction components at or below it count as zero
 _AMBIENT = 0.25  # sphere shading floor so unlit sides stay visible
 
 CLASS_STATIC = 0
@@ -324,6 +333,32 @@ def _rays(cam: CameraModel, basis: bytes) -> tuple[np.ndarray, np.ndarray]:
     return dirs, a
 
 
+@functools.lru_cache(maxsize=4)
+def _room(cam: CameraModel, basis: bytes, half_extents: tuple[float, float, float]):
+    """The room-face table of one camera pose in one room, read-only: per
+    world axis, the bound of the face each ray heads for, (H, W); that face's
+    id, (H, W) int8, {-x:0, +x:1, -y:2, +y:3, floor:4, ceiling:5}; and the flat
+    indices of the rays with |d| <= _TINY, d the ray's component along the
+    axis, which meet neither face of the axis.
+
+    Keyed like _rays, plus the room: two rooms seen from one pose put their
+    walls at different distances.
+    """
+    dirs, _ = _rays(cam, basis)
+    hx, hy, hz = half_extents
+    table = []
+    for axis, (lo, hi) in enumerate(((-hx, hx), (-hy, hy), (0.0, 2 * hz))):
+        d = dirs[..., axis]
+        ahead = d > 0
+        bound = np.where(ahead, float(hi), float(lo))
+        face = axis * 2 + ahead.astype(np.int8)
+        parallel = np.flatnonzero(np.abs(d) <= _TINY)
+        for arr in (bound, face, parallel):
+            arr.flags.writeable = False
+        table.append((bound, face, parallel))
+    return tuple(table)
+
+
 def _row_band(cam: CameraModel, centre: np.ndarray, radius: float) -> tuple[int, int]:
     """Rows [r0, r1) whose rays can meet a sphere, padded by one row.
 
@@ -353,24 +388,23 @@ def _row_band(cam: CameraModel, centre: np.ndarray, radius: float) -> tuple[int,
 
 def _cast(scene: SceneConfig, obstacles, origin: np.ndarray, yaw: float, t: float) -> _Raycast:
     cam = scene.camera
-    hx, hy, hz = scene.half_extents
     rot = _camera_basis(yaw)
-    dirs, norms2 = _rays(cam, rot.tobytes())
+    basis = rot.tobytes()
+    dirs, norms2 = _rays(cam, basis)
 
-    tiny = 1e-12
+    # The pose's room table holds, per axis, each ray's face bound and face id
+    # and the rays parallel to the axis' faces: a frame only divides the
+    # bound's offset from the origin by the ray direction and keeps the
+    # nearest face.
     best_t = np.full(dirs.shape[:2], np.inf)
     best_obj = np.full(dirs.shape[:2], -1, dtype=np.int32)
-    bounds = ((-hx, hx), (-hy, hy), (0.0, 2 * hz))
-    for axis in range(3):
-        d = dirs[..., axis]
-        lo, hi = bounds[axis]
-        bound = np.where(d > 0, hi, lo)
+    for axis, (bound, face, parallel) in enumerate(_room(cam, basis, tuple(scene.half_extents))):
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_plane = np.where(np.abs(d) > tiny, (bound - origin[axis]) / d, np.inf)
-        face = axis * 2 + (d > 0).astype(np.int32)  # {-x:0, +x:1, -y:2, +y:3, floor:4, ceiling:5}
+            t_plane = (bound - origin[axis]) / dirs[..., axis]
+        t_plane.ravel()[parallel] = np.inf
         closer = t_plane < best_t
-        best_t = np.where(closer, t_plane, best_t)
-        best_obj = np.where(closer, face, best_obj)
+        np.copyto(best_t, t_plane, where=closer)
+        np.copyto(best_obj, face, where=closer)
 
     # b and the discriminant cover the sphere's band of rows: a row-slice view
     # runs each row's matmul exactly as the whole raster would, so it keeps
@@ -394,13 +428,20 @@ def _cast(scene: SceneConfig, obstacles, origin: np.ndarray, yaw: float, t: floa
         sq = np.sqrt(disc[hit])
         t1 = (-bi - sq) / (2.0 * ai)
         t2 = (-bi + sq) / (2.0 * ai)
-        t_sph = np.where(t1 > tiny, t1, np.where(t2 > tiny, t2, np.inf))
+        t_sph = np.where(t1 > _TINY, t1, np.where(t2 > _TINY, t2, np.inf))
         idx = hit + r0 * cam.width
         closer = t_sph < flat_t[idx]
         flat_t[idx[closer]] = t_sph[closer]
         flat_obj[idx[closer]] = 6 + i
 
-    points = origin + best_t[..., None] * dirs
+    # origin + best_t * dirs on (H, 3W) rows, in one buffer: the same products
+    # and sums as on (H, W, 3), without numpy's inner loop over an axis of
+    # length 3.
+    h, w = best_t.shape
+    points = np.repeat(best_t, 3, axis=1)
+    points *= dirs.reshape(h, 3 * w)
+    points += np.tile(origin, w)
+    points = points.reshape(h, w, 3)
     owned = [np.flatnonzero(flat_obj == 6 + i) for i in range(len(obstacles))]
     return _Raycast(depth=best_t, points=points, obj=best_obj, owned=owned)
 
@@ -423,25 +464,15 @@ def _shade(scene: SceneConfig, obstacles, cast: _Raycast, t: float) -> np.ndarra
         idx = np.flatnonzero(obj == face)
         if idx.size:
             au, av = face_planes[face]
-            q = p[idx]
-            out[idx] = tex.sample(q[:, au], q[:, av])
+            out[idx] = tex.sample(p[idx, au], p[idx, av])
     light = np.asarray(scene.light_dir, dtype=np.float64)
     light = light / np.linalg.norm(light)
     for sphere, idx in zip(obstacles, cast.owned):
         if idx.size:
-            normals = (p[idx] - sphere.center(t)) / sphere.radius
+            normals = (p.take(idx, axis=0) - sphere.center(t)) / sphere.radius
             lambert = np.maximum(normals @ light, 0.0)
             out[idx] = sphere.albedo * (_AMBIENT + (1.0 - _AMBIENT) * lambert)
     return np.clip(out.reshape(cast.depth.shape), 0.0, 1.0)
-
-
-def _project(cam: CameraModel, rot: np.ndarray, origin: np.ndarray, points: np.ndarray):
-    """World points -> pixel coordinates under a camera pose."""
-    rel = (points - origin) @ rot  # camera-frame coordinates
-    z = np.maximum(rel[..., 2], 1e-9)
-    u = cam.fx * rel[..., 0] / z + cam.cx
-    v = cam.fy * rel[..., 1] / z + cam.cy
-    return u, v
 
 
 def _flow_to(scene: SceneConfig, obstacles, cast: _Raycast, t_from: float, t_to: float,
@@ -449,14 +480,20 @@ def _flow_to(scene: SceneConfig, obstacles, cast: _Raycast, t_from: float, t_to:
     cam = scene.camera
     pos2, yaw2 = traj.pose(t_to)
     origin2 = np.array([pos2[0], pos2[1], scene.camera_height])
-    rot2 = _camera_basis(yaw2)
-    moved = cast.points.copy()
-    flat = moved.reshape(-1, 3)
+    # Each hit point at t_to less the camera centre at t_to: p - origin2 on
+    # (H, 3W) rows, (p + velocity * dt) - origin2 on the pixels a sphere owns.
+    h, w = cast.depth.shape
+    offsets = cast.points.reshape(h, 3 * w) - np.tile(origin2, w)
+    flat, points = offsets.reshape(-1, 3), cast.points.reshape(-1, 3)
     for sphere, idx in zip(obstacles, cast.owned):
-        flat[idx] += np.asarray(sphere.velocity, dtype=np.float64) * (t_to - t_from)
-    u2, v2 = _project(cam, rot2, origin2, moved)
-    ys, xs = _pixel_grid(cast.depth.shape)
-    return flow_field(u2 - xs, v2 - ys)
+        step = np.asarray(sphere.velocity, dtype=np.float64) * (t_to - t_from)
+        flat[idx] = points.take(idx, axis=0) + step - origin2
+    rel = offsets.reshape(h, w, 3) @ _camera_basis(yaw2)  # camera-frame coordinates
+    z = np.maximum(rel[..., 2], 1e-9)
+    ys, xs = _pixel_grid((h, w))
+    du = cam.fx * rel[..., 0] / z + cam.cx - xs
+    dv = cam.fy * rel[..., 1] / z + cam.cy - ys
+    return flow_field(du, dv)
 
 
 def render_frame(scene: SceneConfig, t: float) -> Frame:

@@ -13,7 +13,6 @@ from evreflex.sim import (
     SceneConfig,
     SphereObstacle,
     TrajectorySpec,
-    default_camera,
     generate_events,
     render_frame,
     simulate_sequence,
@@ -201,8 +200,9 @@ def _reference_render(scene: SceneConfig, t: float):
         pos2, yaw2 = traj.pose(t_to)
         origin2 = np.array([pos2[0], pos2[1], scene.camera_height])
         moved = points + velocity * (t_to - t)
-        u2, v2 = sim._project(cam, sim._camera_basis(yaw2), origin2, moved)
-        return u2 - xs, v2 - ys
+        rel = (moved - origin2) @ sim._camera_basis(yaw2)  # camera-frame coordinates
+        z = np.maximum(rel[..., 2], 1e-9)
+        return cam.fx * rel[..., 0] / z + cam.cx - xs, cam.fy * rel[..., 1] / z + cam.cy - ys
 
     return np.clip(out, 0.0, 1.0), best_t, classes, flow_to(t + scene.dt), flow_to(t - scene.dt)
 
@@ -275,11 +275,36 @@ def test_render_frame_alternating_cameras_and_yaw_signs_matches_reference():
         assert math.copysign(1.0, got.yaw) == math.copysign(1.0, yaw)
 
 
+def test_render_frame_alternating_rooms_matches_reference():
+    # The room table is cached per camera, basis and room.  These scenes
+    # share the camera and the pose and differ in the room, so a table keyed
+    # without the room would put one room's walls at the other's distance.
+    # One room comes as a list, which the cache key must not refuse.
+    camera = CameraModel(fx=12.0, fy=12.0, cx=8.0, cy=5.0, width=16, height=11)
+    sphere = _obstacle((1.1, 0.1, -0.1), 0.3, (-1.0, 0.0, 0.2), 3)
+    scenes = [replace(_held_camera_scene(camera, yaw, [sphere]), half_extents=room)
+              for yaw in (0.0, -0.0) for room in ((3.0, 3.0, 1.5), [2.0, 4.0, 1.0])]
+    for cold in (True, False):
+        depths = []
+        for scene in scenes + scenes:
+            if cold:
+                sim._rays.cache_clear()
+                sim._room.cache_clear()
+            depths.append(_assert_renders_like_reference(scene, 0.05).depth.values)
+        assert not np.array_equal(depths[0], depths[1])
+
+
 def test_cached_ray_tables_are_read_only():
-    tables = sim._rays(default_camera(), sim._camera_basis(0.0).tobytes())
-    for table in (*tables, *flow._pixel_grid((5, 7))):
+    # At yaw 45 degrees this camera has, for each world axis, rays parallel to
+    # that axis' faces, so no room-table index array is empty.
+    camera = CameraModel(fx=4.0, fy=4.0, cx=8.0, cy=5.0, width=16, height=11)
+    basis = sim._camera_basis(math.radians(45.0)).tobytes()
+    room = sim._room(camera, basis, (3.0, 3.0, 1.5))
+    assert all(parallel.size for _, _, parallel in room)
+    for table in (*sim._rays(camera, basis), *(a for axis in room for a in axis),
+                  *flow._pixel_grid((5, 7))):
         with pytest.raises(ValueError):
-            table[0, 0] = 1.0
+            table[...] = 0
 
 
 def _sphere_by_silhouette_edge(camera: CameraModel, edge_row: float, below: bool,
