@@ -7,17 +7,25 @@ backtracking, which keeps the per-level loss monotone non-increasing.
 
 One kernel evaluates the objective: a `_Workspace` owns the buffers of one
 raster shape; its `loss` method evaluates l_f at a flow and keeps in those
-buffers the terms its gradient needs (residual, Charbonnier bases, corner
-differences, flow differences), and its `gradient` method finishes the
-gradient from them in place.  Every array operation writes into a buffer
-with `out=`, so the descent allocates no raster-sized temporary, and the
-float operations and their order are those of the plain expressions (kept
-as the reference in tests/test_flow.py), so the buffers change no result
-bit.  The descent builds one workspace per pyramid level, scores every
-backtracking candidate by its loss alone and finishes the gradient only for
-a step it accepts and continues from, so a rejected candidate costs one loss
-evaluation.  The public losses and gradients build a fresh workspace per
-call, so no array they return is overwritten later.
+buffers the terms its gradient needs (residual, Charbonnier bases and their
+powers, corner differences, flow differences), and its `gradient` method
+finishes the gradient from them in place.  Every array operation writes
+into a buffer with `out=`, so the descent allocates no raster-sized
+temporary, and the float operations and their order are those of the plain
+expressions (kept as the reference in tests/test_flow.py), so the buffers
+change no result bit.  The descent builds one workspace per pyramid level,
+scores every backtracking candidate by its loss alone and finishes the
+gradient only for a step it accepts and continues from, so a rejected
+candidate costs one loss evaluation.  The public losses and gradients build
+a fresh workspace per call, so no array they return is overwritten later.
+
+Each Charbonnier base b = x^2 + eps^2 (the photometric residual's and, per
+flow channel, the horizontal and vertical differences') takes one log and
+one exp per loss: b^a = exp(a * log b), which costs about half of one
+generic power, into a power buffer of its own.  The gradient reads
+b^(a - 1) as b^a / b from that buffer and takes no log, exp or power of its
+own; b >= eps^2 > 0 keeps the quotient finite.  The public charbonnier and
+charbonnier_deriv take the power the same way.
 
 The photometric term runs only where the weights are nonzero (the pixels
 the event gate leaves open under event_gated weighting).  A workspace
@@ -265,20 +273,26 @@ def _charbonnier_input(x, eps: float, alpha: float) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _charbonnier_power(base, alpha: float, out=None):
+    """base^alpha as exp(alpha * log(base)), into out if given; base > 0."""
+    power = np.log(base, out=out)
+    power *= alpha
+    return np.exp(power, out=out)
+
+
 def charbonnier(x, eps: float = 0.001, alpha: float = 0.45):
     """Robust penalty (x^2 + eps^2)^alpha, elementwise."""
     x = _charbonnier_input(x, eps, alpha)
-    out = (x * x + eps * eps) ** alpha
+    out = np.asarray(_charbonnier_power(x * x + eps * eps, alpha))
     return float(out) if out.ndim == 0 else out
 
 
 def charbonnier_deriv(x, eps: float = 0.001, alpha: float = 0.45):
-    """d/dx of the robust penalty: 2*alpha*x*(x^2 + eps^2)^(alpha - 1).
-
-    The powers ^alpha and ^(alpha - 1) stay separate: deriving one from the
-    other changes bits."""
+    """d/dx of the robust penalty: 2*alpha*x*(x^2 + eps^2)^(alpha - 1), with
+    the power taken as (x^2 + eps^2)^alpha / (x^2 + eps^2)."""
     x = _charbonnier_input(x, eps, alpha)
-    out = 2.0 * alpha * x * (x * x + eps * eps) ** (alpha - 1.0)
+    base = x * x + eps * eps
+    out = np.asarray(2.0 * alpha * x * (_charbonnier_power(base, alpha) / base))
     return float(out) if out.ndim == 0 else out
 
 
@@ -351,13 +365,17 @@ def _gate_is_exact(it: np.ndarray, it1: np.ndarray, cfg: FlowSolverConfig) -> bo
     With R = max|I_t| + max|I_t1|: the corners, their differences, the
     interpolant and the residual are at most 4R in magnitude, the
     Charbonnier base at most 16R^2 + eps^2, and since the base is at least
-    eps^2, base^(a - 1) is at most eps^(2(a - 1)), so rho' before weighting
-    is at most 8R eps^(2(a - 1)).  A NaN pixel makes R NaN, which fails too.
+    eps^2, base^(a - 1), taken as base^a / base, is at most eps^(2(a - 1))
+    up to rounding, so rho' before weighting is at most 8R eps^(2(a - 1)),
+    which the bound computes the kernel's way.  A NaN pixel makes R NaN, and
+    an eps^2 that underflows to 0 makes the quotient NaN; both fail too.
     """
-    eps2 = np.float64(cfg.charbonnier_eps) ** 2
+    eps = np.float64(cfg.charbonnier_eps)
+    eps2 = eps * eps
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r = np.maximum(it.max(), -it.min()) + np.maximum(it1.max(), -it1.min())
-        bound = 16.0 * r * r + eps2 + 8.0 * r * eps2 ** (cfg.charbonnier_alpha - 1.0)
+        slope_power = _charbonnier_power(eps2, cfg.charbonnier_alpha) / eps2
+        bound = 16.0 * r * r + eps2 + 8.0 * r * slope_power
     return bool(np.isfinite(bound))
 
 
@@ -397,25 +415,19 @@ class _Workspace:
         # the interpolant, then the residual, then rho'; its y-partial; the
         # corner differences along x, then the x-partial in dx_top
         self.residual, self.ddy, self.dx_top, self.dx_bottom = (np.empty(n) for _ in range(4))
-        self.base = np.empty(n)
+        self.base, self.power = np.empty(n), np.empty(n)
         self.masked = np.empty(n)  # weights times the in-bounds mask (oob_zero)
         self.wv = self.weights  # the photometric weights of the last loss
         if self.active is not None:
             # every pixel's weighted term; a gated-out pixel's is its weight
             self.terms = weights.ravel().copy()
         self.gu, self.gv = np.empty(shape), np.empty(shape)
-        # per flow channel: horizontal differences and their Charbonnier
-        # bases, then the same for vertical differences
+        # per flow channel: horizontal differences, their Charbonnier bases
+        # and the bases' powers, then the same for vertical differences
         self.diffs = tuple(
-            (np.empty((h, w - 1)), np.empty((h, w - 1)), np.empty((h - 1, w)), np.empty((h - 1, w)))
+            tuple(np.empty(s) for s in ((h, w - 1),) * 3 + ((h - 1, w),) * 3)
             for _ in range(2)
         )
-        # One scratch for every power: each is consumed before the next one
-        # is taken, and contiguous views keep the sums' summation order.
-        power = np.empty(h * w)
-        self.power = power[:n]
-        self.power_h = power[: h * (w - 1)].reshape(h, w - 1)
-        self.power_v = power[: (h - 1) * w].reshape(h - 1, w)
 
     def _gather(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Raster a at the photometric term's pixels, gathered into out (a new
@@ -464,8 +476,9 @@ class _Workspace:
         residual = np.subtract(self.it, sampled, out=sampled)
         base = np.multiply(residual, residual, out=self.base)
         base += eps2
-        weighted = np.power(base, cfg.charbonnier_alpha, out=self.power)
-        weighted *= self.wv
+        power = _charbonnier_power(base, cfg.charbonnier_alpha, out=self.power)
+        # fx is scratch once the interpolant is built; power stays for gradient()
+        weighted = np.multiply(power, self.wv, out=self.fx)
         if self.active is not None:
             # the raster-sized sum keeps the summation order of every pixel
             self.terms[self.active] = weighted
@@ -475,28 +488,28 @@ class _Workspace:
 
     def smoothness(self, u: np.ndarray, v: np.ndarray, loss: float) -> float:
         """loss plus alpha times each flow channel's smoothness sum, added in
-        turn; the differences and their bases stay for gradient()."""
+        turn; the differences, their bases and powers stay for gradient()."""
         cfg = self.cfg
         eps2 = cfg.charbonnier_eps * cfg.charbonnier_eps
         ca = cfg.charbonnier_alpha
-        for channel, (dh, bh, dv, bv) in zip((u, v), self.diffs):
+        for channel, (dh, bh, ph, dv, bv, pv) in zip((u, v), self.diffs):
             np.subtract(channel[:, 1:], channel[:, :-1], out=dh)
             np.subtract(channel[1:, :], channel[:-1, :], out=dv)
             np.multiply(dh, dh, out=bh)
             bh += eps2
             np.multiply(dv, dv, out=bv)
             bv += eps2
-            loss += cfg.alpha * float(np.sum(np.power(bh, ca, out=self.power_h))
-                                      + np.sum(np.power(bv, ca, out=self.power_v)))
+            loss += cfg.alpha * float(np.sum(_charbonnier_power(bh, ca, out=ph))
+                                      + np.sum(_charbonnier_power(bv, ca, out=pv)))
         return loss
 
     def gradient(self) -> tuple[np.ndarray, np.ndarray]:
         """d l_f / d(u, v) at the flow of the last loss, from its terms."""
         cfg = self.cfg
         ca = cfg.charbonnier_alpha
-        slope = 2.0 * ca  # rho'(x) = slope * x * base^(a - 1)
+        slope = 2.0 * ca  # rho'(x) = slope * x * (base^a / base)
         rho = np.multiply(self.residual, slope, out=self.residual)
-        rho *= np.power(self.base, ca - 1.0, out=self.power)
+        rho *= np.divide(self.power, self.base, out=self.base)
         rho *= self.wv
         np.negative(rho, out=rho)
         # the x-partial (1 - fy) * dx_top + fy * dx_bottom, into dx_top
@@ -508,13 +521,13 @@ class _Workspace:
         gu = self._scatter_product(rho, x_partial, self.gu)
         gv = self._scatter_product(rho, self.ddy, self.gv)
         if cfg.alpha > 0:
-            for grad, (dh, bh, dv, bv) in zip((gu, gv), self.diffs):
+            for grad, (dh, bh, ph, dv, bv, pv) in zip((gu, gv), self.diffs):
                 for d, b, power, ahead, behind in (
-                    (dh, bh, self.power_h, np.s_[:, 1:], np.s_[:, :-1]),
-                    (dv, bv, self.power_v, np.s_[1:, :], np.s_[:-1, :]),
+                    (dh, bh, ph, np.s_[:, 1:], np.s_[:, :-1]),
+                    (dv, bv, pv, np.s_[1:, :], np.s_[:-1, :]),
                 ):
                     term = np.multiply(d, slope, out=d)
-                    term *= np.power(b, ca - 1.0, out=power)
+                    term *= np.divide(power, b, out=b)
                     term *= cfg.alpha
                     grad[ahead] += term
                     grad[behind] -= term

@@ -12,6 +12,7 @@ depth would blend foreground and background.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +51,23 @@ class TtiMap:
     valid: np.ndarray
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        _check_positive("dt", self.dt)
         if self.valid.shape != self.tti.values.shape:
             raise ShapeMismatchError("validity mask shape differs from the tti raster")
 
     @property
     def values(self) -> np.ndarray:
         return self.tti.values
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a dt or horizon that is not positive and finite, by name.
+
+    An infinite dt gives an all-zero map and a NaN one fails later without
+    naming dt; an infinite horizon flags every valid pixel, receding ones
+    too, and a NaN one none."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _depth(fmap: FloatMap) -> np.ndarray:
@@ -102,8 +112,7 @@ def _range_closure(
     frame is the next one (closure d_curr - warped) rather than the previous
     one (closure warped - d_curr).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_positive("dt", dt)
     _check_dims(flow, d_curr, d_other)
     curr = _depth(d_curr)
     warped, in_bounds, footprint_ok = _warp_depth(_depth(d_other), flow)
@@ -137,8 +146,7 @@ def estimate_tti_static(flow: FlowField, d_curr: FloatMap, dt: float) -> TtiMap:
     div F = 2/TTC per frame, so tau = div F / (2 dt).  Depth only gates
     validity here (and rides along for the policy's 3-D lifting).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_positive("dt", dt)
     _check_dims(flow, d_curr)
     du_dx = np.gradient(np.asarray(flow.u, dtype=np.float64), axis=1)
     dv_dy = np.gradient(np.asarray(flow.v, dtype=np.float64), axis=0)
@@ -181,6 +189,5 @@ def tti_mse(pred: TtiMap, gt: TtiMap) -> float:
 
 def threshold_collision(t: TtiMap, horizon: float) -> np.ndarray:
     """Binary danger mask: valid pixels projected to collide within `horizon` seconds."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_positive("horizon", horizon)
     return t.valid & (t.values >= 1.0 / horizon)

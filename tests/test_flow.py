@@ -17,6 +17,7 @@ from evreflex.flow import (
     warp,
     _STEP_GROWTH,
     _Workspace,
+    _charbonnier_power,
     _descend,
     _downsample2,
 )
@@ -136,6 +137,37 @@ def test_charbonnier_deriv_matches_fd():
     assert np.allclose(charbonnier_deriv(xs), fd, atol=1e-4)
 
 
+@pytest.mark.parametrize("ca", [0.1, 0.45, 0.9])
+@pytest.mark.parametrize("r", [2.0, 510.0])  # images in [0, 1] and in [0, 255]
+def test_charbonnier_power_accuracy(r, ca):
+    # The bases _gate_is_exact bounds for R = max|I_t| + max|I_t1| = r: from
+    # eps^2 up to 16 r^2 + eps^2.  exp(a * log b) against b ** a: log within
+    # 1 ulp, the product within half an ulp, so the exponent is off by at
+    # most 1.5 |a ln b| 2^-52 in absolute terms, which exp turns into a
+    # relative error, plus 1 ulp each for exp and for the reference; the
+    # quotient b^a / b adds half an ulp against b ** (a - 1).
+    eps = 1e-3
+    base = np.geomspace(eps * eps, 16.0 * r * r + eps * eps, 20001)
+    power = _charbonnier_power(base, ca)
+    spread = 1.5 * np.abs(ca * np.log(base))
+    assert np.all(np.abs(power - base ** ca) <= (2.0 + spread) * 2.0 ** -52 * base ** ca)
+    slope_power = base ** (ca - 1.0)
+    assert np.all(np.abs(power / base - slope_power)
+                  <= (2.5 + spread) * 2.0 ** -52 * slope_power)
+    # the helper writes into out and returns it
+    out = np.empty_like(base)
+    assert _charbonnier_power(base, ca, out=out) is out and np.array_equal(out, power)
+
+
+@pytest.mark.parametrize("pair", [(0.25, 0.75), (0.9, 0.1), (0.5, 0.5), (0.3, 0.300001)])
+def test_photometric_loss_of_one_pixel_is_charbonnier(pair):
+    # the public penalty and the kernel take the same power, so on a 1x1
+    # pair with weight 1 the loss is the penalty of the residual to the bit
+    it, it1 = (np.full((1, 1), value) for value in pair)
+    loss = photometric_loss(np.zeros((2, 1, 1)), it, it1, np.ones((1, 1)))
+    assert loss == charbonnier(pair[0] - pair[1])
+
+
 # -- losses ---------------------------------------------------------------------
 
 
@@ -251,11 +283,16 @@ def test_total_loss_pure_smoothness_when_aligned():
 # The objective and its gradient as plain array expressions, every result a
 # fresh array and the corners gathered by 2-D indexing.  The flow kernel runs
 # the same float operations in the same order in preallocated buffers, so the
-# two must agree to the bit.
+# two must agree to the bit.  Each Charbonnier power is exp(a * log(base)),
+# and the slope's base^(a - 1) is that power over the base.
+
+
+def _reference_power(base, ca):
+    return np.exp(ca * np.log(base))
 
 
 def _reference_slope(x, base, ca):
-    return 2.0 * ca * x * base ** (ca - 1.0)
+    return 2.0 * ca * x * (_reference_power(base, ca) / base)
 
 
 def _reference_loss_and_grad(u, v, it, it1, cfg, weights, oob_zero):
@@ -282,7 +319,7 @@ def _reference_loss_and_grad(u, v, it, it1, cfg, weights, oob_zero):
     wv = wt * valid if oob_zero else wt
     residual = it - sampled
     base = residual * residual + eps * eps
-    loss = float(np.sum(wv * base ** ca))
+    loss = float(np.sum(wv * _reference_power(base, ca)))
     diffs = []
     if cfg.alpha > 0:
         for channel in (u, v):
@@ -290,7 +327,8 @@ def _reference_loss_and_grad(u, v, it, it1, cfg, weights, oob_zero):
             dv = channel[1:, :] - channel[:-1, :]
             bh = dh * dh + eps * eps
             bv = dv * dv + eps * eps
-            loss += cfg.alpha * float(np.sum(bh ** ca) + np.sum(bv ** ca))
+            loss += cfg.alpha * float(np.sum(_reference_power(bh, ca))
+                                      + np.sum(_reference_power(bv, ca)))
             diffs.append((dh, bh, dv, bv))
     rho_prime = wv * _reference_slope(residual, base, ca)
     gu = -rho_prime * ((1.0 - fy) * (i01 - i00) + fy * (i11 - i10))

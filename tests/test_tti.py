@@ -81,6 +81,34 @@ def test_gt_tti_rejects_bad_dt():
         ground_truth_inverse_tti(_depth(2.0), _depth(2.0), _zero_flow(), 0.0)
 
 
+BAD_INTERVALS = [0.0, np.inf, np.nan]
+
+
+@pytest.mark.parametrize("dt", BAD_INTERVALS)
+def test_gt_tti_refuses_dt_not_positive_and_finite(dt):
+    with pytest.raises(ValueError, match="^dt must be positive and finite"):
+        ground_truth_inverse_tti(_depth(2.0), _depth(1.9), _zero_flow(), dt)
+
+
+@pytest.mark.parametrize("dt", BAD_INTERVALS)
+def test_dynamic_refuses_dt_not_positive_and_finite(dt):
+    with pytest.raises(ValueError, match="^dt must be positive and finite"):
+        estimate_tti_dynamic(_zero_flow(), _depth(2.0), _depth(1.9), dt)
+
+
+@pytest.mark.parametrize("dt", BAD_INTERVALS)
+def test_static_refuses_dt_not_positive_and_finite(dt):
+    with pytest.raises(ValueError, match="^dt must be positive and finite"):
+        estimate_tti_static(_zero_flow(), _depth(2.0), dt)
+
+
+@pytest.mark.parametrize("dt", BAD_INTERVALS)
+def test_tti_map_refuses_dt_not_positive_and_finite(dt):
+    with pytest.raises(ValueError, match="^dt must be positive and finite"):
+        TtiMap(tti=float_map(np.zeros((4, 5)), MapSemantics.INV_TTI_S), dt=dt,
+               valid=np.ones((4, 5), dtype=bool))
+
+
 def test_static_zero_flow_is_zero():
     out = estimate_tti_static(_zero_flow(), _depth(2.0), 0.1)
     assert (out.values == 0).all()
@@ -186,6 +214,17 @@ def test_threshold_collision_cases():
                valid=np.ones((8, 8), dtype=bool))
     mask = threshold_collision(t, 1.0)
     assert mask[2, 5] and mask.sum() == 1
+
+
+@pytest.mark.parametrize("horizon", BAD_INTERVALS)
+def test_threshold_collision_refuses_horizon_not_positive_and_finite(horizon):
+    # a receding map: tau is 0 on every valid pixel, so nothing is in danger,
+    # yet 1 / inf = 0 would flag all 20 pixels and a NaN horizon none
+    receding = ground_truth_inverse_tti(_depth(2.0, (4, 5)), _depth(2.2, (4, 5)),
+                                        _zero_flow((4, 5)), 0.1)
+    assert receding.valid.all() and not threshold_collision(receding, 1.0).any()
+    with pytest.raises(ValueError, match="^horizon must be positive and finite"):
+        threshold_collision(receding, horizon)
 
 
 def test_threshold_monotonicity_in_horizon():

@@ -1,8 +1,10 @@
 """One SHA-256 over the per-pair chain's outputs on a fixed head-on scene.
 
-    python3 tools/chain_digest.py
+    python3 tools/chain_digest.py [SRC]
 
-Run from a checkout; the program is imported from its ./src.  For every frame
+Run from a checkout; the program is imported from its ./src, or from the
+directory SRC when given (another checkout's src, to run this scene and
+these counts on that tree's program).  For every frame
 pair (k, k+1) of the scene with k >= 1 (frame 0 has no ground-truth TTI) it
 runs the chain the way a caller does: the event window of the pair
 accumulated into an event map, estimate_flow under the default solver
@@ -20,6 +22,12 @@ the same digest compute the same chain on this scene to the bit, so a
 byte-identity A/B between two commits is this command run in a checkout of
 each.  tools/sim_digest.py does the same for the simulator's outputs.
 
+The line before the digest gives, per pyramid level, the descent's accepted
+and rejected steps summed over the pairs, read from estimate_flow's DEBUG
+records on the "evreflex.flow" logger.  A digest that moves while these
+counts hold is a change in the last bits of the results; moved counts mean
+the descent itself took other steps.  The digest stays the last line.
+
 The scene: a 173x130 raster with f = 100 px at 20 frames/s, the camera moving
 forward at 0.5 m/s, and one sphere of radius 0.3 m flying head-on at 7 m/s
 from 2.2 m ahead until it is under a metre away (12 frames, 10 pairs scored).
@@ -27,7 +35,10 @@ from 2.2 m ahead until it is under a metre away (12 frames, 10 pairs scored).
 from __future__ import annotations
 
 import hashlib
+import logging
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -73,17 +84,47 @@ def digest_pair(seq, k: int, h) -> None:
                    sorted(scores.per_class), counts)).encode())
 
 
-def main() -> int:
-    sys.path.insert(0, str(ROOT / "src"))
+# the fields of _descend's per-level DEBUG record that the step counts use
+LEVEL_RECORD = re.compile(r"level (\d+),.* (\d+) accepted, (\d+) rejected")
+
+
+class StepCounts(logging.Handler):
+    """Sums accepted and rejected steps per pyramid level over the records."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.accepted, self.rejected = Counter(), Counter()
+
+    def emit(self, record):
+        match = LEVEL_RECORD.search(record.getMessage())
+        if match:
+            level, accepted, rejected = map(int, match.groups())
+            self.accepted[level] += accepted
+            self.rejected[level] += rejected
+
+    def line(self, pairs: int) -> str:
+        levels = "; ".join(f"level {level}: {self.accepted[level]} accepted, "
+                           f"{self.rejected[level]} rejected" for level in sorted(self.accepted))
+        return f"descent steps over {pairs} pairs: {levels}"
+
+
+def main(argv) -> int:
+    sys.path.insert(0, argv[1] if len(argv) > 1 else str(ROOT / "src"))
     from evreflex.sim import simulate_sequence
 
     seq = simulate_sequence(scene())
     h = hashlib.sha256()
-    for k in range(1, len(seq.frames) - 1):
+    logger = logging.getLogger("evreflex.flow")
+    counts = StepCounts()
+    logger.setLevel(logging.DEBUG)
+    logger.addHandler(counts)
+    pairs = range(1, len(seq.frames) - 1)
+    for k in pairs:
         digest_pair(seq, k, h)
+    print(counts.line(len(pairs)))
     print(h.hexdigest())
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
