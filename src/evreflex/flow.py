@@ -27,24 +27,23 @@ b^(a - 1) as b^a / b from that buffer and takes no log, exp or power of its
 own; b >= eps^2 > 0 keeps the quotient finite.  The public charbonnier and
 charbonnier_deriv take the power the same way.
 
-The photometric term runs only where the weights are nonzero (the pixels
-the event gate leaves open under event_gated weighting).  A workspace
-gathers the pixel grid, I_t and the weights at those pixels into 1-D
-buffers, and each evaluation gathers the flow there, runs the footprint,
-interpolant, residual and powers on them, and scatters the weighted terms
-into a raster-sized buffer that holds each gated-out pixel's weight, +0.0
-(or -0.0), which is exactly base^a * weight there.  Summing that buffer
-adds the same array in the same pairwise order as summing every pixel's
-term, so the loss keeps every bit; summing the compact terms would change
-the summation tree.  The gradient's photometric part is scattered into a
-zeroed raster the same way.  Skipping a pixel is exact only while its
-terms are finite (0 times a finite term is 0, while 0 times inf is NaN and
-must still reach the divergence check), so the gate is used only when a
-bound from max|I_t|, max|I_t1| and eps shows that no term can overflow for
-any flow; otherwise, and when every weight is nonzero, the buffers span
-the whole raster as raveled views.  The descent reports each level
-(active pixels, accepted and rejected steps, final step, why it stopped)
-at DEBUG level on the "evreflex.flow" logger.
+The photometric term runs only on the weights' support: the pixels the
+event gate leaves open under event_gated weighting, and every pixel under
+uniform weighting.  A workspace gathers the pixel grid, I_t and the
+weights at those pixels into 1-D buffers, and each evaluation gathers the
+flow there, runs the footprint, interpolant, residual and powers on them,
+and scatters the weighted terms into a raster-sized buffer that holds each
+other pixel's weight, +0.0 (or -0.0).  Summing that buffer adds the terms
+in the same pairwise order as summing every pixel's base^a * weight, so
+the loss is that sum to the bit wherever the terms are finite; summing the
+compact terms would change the summation tree.  The gradient's
+photometric part is scattered into a zeroed raster the same way.  So a
+pixel of weight 0 never reaches the objective: I_t is not read there (I_t1
+is, where an active pixel's sample lands), and an overflow there, which
+the plain sum would carry as 0 * inf = NaN, is no divergence; one at a
+pixel of nonzero weight still is.  The descent reports each level (active
+pixels, accepted and rejected steps, final step, why it stopped) at DEBUG
+level on the "evreflex.flow" logger.
 
 All internal arithmetic runs in float64; the analytic gradient uses the exact
 derivative of the bilinear interpolant, so it matches central finite
@@ -326,8 +325,8 @@ def smoothness_loss(flow: Flow, *, eps: float = 0.001, alpha: float = 0.45) -> f
     """Sum of rho over flow differences across 4-neighbour pairs (each pair once)."""
     u, v = _uv(flow)
     cfg = FlowSolverConfig(alpha=1.0, charbonnier_eps=eps, charbonnier_alpha=alpha)
-    zero = np.zeros(u.shape)
-    return _Workspace(u.shape, zero, zero, None, cfg).smoothness(u, v, 0.0)
+    zero = np.zeros(u.shape)  # as weights, it leaves the photometric term no pixel
+    return _Workspace(u.shape, zero, zero, zero, cfg).smoothness(u, v, 0.0)
 
 
 def total_loss(
@@ -357,28 +356,6 @@ def loss_gradient(
     return ws.gradient()
 
 
-def _gate_is_exact(it: np.ndarray, it1: np.ndarray, cfg: FlowSolverConfig) -> bool:
-    """Whether every pixel's photometric terms stay finite at any flow, so
-    that a pixel of weight 0 adds exactly (signed) zero to the loss and its
-    gradient and may be skipped.
-
-    With R = max|I_t| + max|I_t1|: the corners, their differences, the
-    interpolant and the residual are at most 4R in magnitude, the
-    Charbonnier base at most 16R^2 + eps^2, and since the base is at least
-    eps^2, base^(a - 1), taken as base^a / base, is at most eps^(2(a - 1))
-    up to rounding, so rho' before weighting is at most 8R eps^(2(a - 1)),
-    which the bound computes the kernel's way.  A NaN pixel makes R NaN, and
-    an eps^2 that underflows to 0 makes the quotient NaN; both fail too.
-    """
-    eps = np.float64(cfg.charbonnier_eps)
-    eps2 = eps * eps
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r = np.maximum(it.max(), -it.min()) + np.maximum(it1.max(), -it1.min())
-        slope_power = _charbonnier_power(eps2, cfg.charbonnier_alpha) / eps2
-        bound = 16.0 * r * r + eps2 + 8.0 * r * slope_power
-    return bool(np.isfinite(bound))
-
-
 class _Workspace:
     """The objective's kernel and the buffers it runs in, for one raster shape.
 
@@ -388,8 +365,9 @@ class _Workspace:
     are the workspace's own buffers, which the next gradient() overwrites.
 
     The photometric term runs on the `pixels` pixels of nonzero weight, at
-    the flat indices `active`, when _gate_is_exact allows it and some weight
-    is zero; otherwise active is None and it runs on every pixel.
+    the flat indices `active` (every pixel under uniform weighting).  A
+    pixel of weight 0 adds its weight, +0.0 or -0.0, to the loss and 0 to
+    the gradient, whatever I_t holds there.
     """
 
     def __init__(self, shape, it, it1, weights, cfg: FlowSolverConfig):
@@ -400,14 +378,12 @@ class _Workspace:
         h, w = shape
         self.shape, self.it1, self.cfg = shape, it1, cfg
         weights = _weights(shape, weights)
-        active = np.flatnonzero(weights)
-        gate = active.size < h * w and _gate_is_exact(it, it1, cfg)
-        self.active = active if gate else None
+        self.active = np.flatnonzero(weights)
         # the photometric term's inputs at its pixels, as 1-D arrays
         self.grid_y, self.grid_x = (self._gather(c) for c in _pixel_grid(shape))
         self.it = self._gather(it)
         self.weights = self._gather(weights)
-        n = self.pixels = self.weights.size
+        n = self.pixels = self.active.size
         # sample positions, clamped in place into the footprint's offsets
         self.fx, self.fy = np.empty(n), np.empty(n)
         self.x0, self.y0 = np.empty(n, np.intp), np.empty(n, np.intp)
@@ -418,9 +394,8 @@ class _Workspace:
         self.base, self.power = np.empty(n), np.empty(n)
         self.masked = np.empty(n)  # weights times the in-bounds mask (oob_zero)
         self.wv = self.weights  # the photometric weights of the last loss
-        if self.active is not None:
-            # every pixel's weighted term; a gated-out pixel's is its weight
-            self.terms = weights.ravel().copy()
+        # every pixel's weighted term; a pixel of weight 0 keeps its weight
+        self.terms = weights.flatten()
         self.gu, self.gv = np.empty(shape), np.empty(shape)
         # per flow channel: horizontal differences, their Charbonnier bases
         # and the bases' powers, then the same for vertical differences
@@ -431,25 +406,18 @@ class _Workspace:
 
     def _gather(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Raster a at the photometric term's pixels, gathered into out (a new
-        array if None), or a raveled view of a when the term runs on every
-        pixel."""
-        flat = a.reshape(-1)
-        if self.active is None:
-            return flat
+        array if None); a's values at the other pixels are never read."""
         # every index is in range, so take's "wrap" changes no value; its
         # default "raise" would buffer the output
-        return flat.take(self.active, out=out, mode="wrap")
+        return a.reshape(-1).take(self.active, out=out, mode="wrap")
 
     def _scatter_product(self, rho: np.ndarray, partial: np.ndarray, grad: np.ndarray):
         """grad = rho * partial at the photometric term's pixels, 0 elsewhere;
         partial serves as scratch."""
+        partial *= rho
         flat = grad.reshape(-1)
-        if self.active is None:
-            np.multiply(rho, partial, out=flat)
-        else:
-            partial *= rho
-            flat.fill(0.0)
-            flat[self.active] = partial
+        flat.fill(0.0)
+        flat[self.active] = partial
         return grad
 
     def loss(self, u: np.ndarray, v: np.ndarray, oob_zero: bool = False) -> float:
@@ -479,11 +447,9 @@ class _Workspace:
         power = _charbonnier_power(base, cfg.charbonnier_alpha, out=self.power)
         # fx is scratch once the interpolant is built; power stays for gradient()
         weighted = np.multiply(power, self.wv, out=self.fx)
-        if self.active is not None:
-            # the raster-sized sum keeps the summation order of every pixel
-            self.terms[self.active] = weighted
-            weighted = self.terms
-        loss = float(np.sum(weighted))
+        # the raster-sized sum keeps the summation order of every pixel
+        self.terms[self.active] = weighted
+        loss = float(np.sum(self.terms))
         return self.smoothness(u, v, loss) if cfg.alpha > 0 else loss
 
     def smoothness(self, u: np.ndarray, v: np.ndarray, loss: float) -> float:
@@ -635,7 +601,7 @@ def estimate_flow(
                              "active pixel")
         weights = mask.astype(np.float64)
     else:
-        weights = None
+        weights = np.ones(it.shape)  # block means of ones stay exactly ones
 
     max_levels = 1
     side = min(it.shape)
@@ -645,9 +611,7 @@ def estimate_flow(
     pyramid = [(it, it1, weights)]
     for _ in range(max_levels - 1):
         pit, pit1, pw = pyramid[-1]
-        pyramid.append(
-            (_downsample2(pit), _downsample2(pit1), None if pw is None else _downsample2(pw))
-        )
+        pyramid.append((_downsample2(pit), _downsample2(pit1), _downsample2(pw)))
 
     lit, lit1, lw = pyramid[-1]
     u = np.zeros(lit.shape, dtype=np.float64)

@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .tti import _check_positive
 from .types import FloatMap, FlowField, ShapeMismatchError, UndefinedMetricError
 
 __all__ = [
@@ -122,16 +123,23 @@ def prf1(pred_mask: np.ndarray, gt_mask: np.ndarray, class_map: FloatMap) -> Cla
 
 def depth_baseline(d: FloatMap, threshold_m: float) -> np.ndarray:
     """Naive danger mask: anything valid closer than threshold_m metres."""
-    if threshold_m <= 0:
-        raise ValueError("threshold_m must be positive")
+    _check_positive("threshold_m", threshold_m)
     values = np.asarray(d.values)
     return (values > 0) & (values < threshold_m)
 
 
 def angle_error(pred_vec, gt_vec) -> float:
-    """Angle in degrees between two nonzero 3-vectors."""
+    """Angle in degrees between two nonzero 3-vectors.
+
+    A vector with a NaN or infinite component is refused with a ValueError
+    that names it: its cosine is NaN, which the clamp to [-1, 1] would turn
+    into a perfect 0 degrees.
+    """
     a = np.asarray(pred_vec, dtype=np.float64)
     b = np.asarray(gt_vec, dtype=np.float64)
+    for name, vec in (("pred_vec", a), ("gt_vec", b)):
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"{name} holds non-finite components: {vec}")
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:

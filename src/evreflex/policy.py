@@ -82,10 +82,14 @@ def evasion_direction(motion_vec, ego: EgoMotion, pixel_count: int = 0) -> Evasi
     is camera-frame +X projected orthogonal to v, so a head-on obstacle still
     produces a decisive sideways direction; the zero vector is returned only if
     that too degenerates.  pixel_count records how many pixels fed motion_vec.
+    A motion vector with a NaN or infinite component is refused with
+    ValueError: its cross product is NaN, which would read as degenerate.
     """
     m = np.asarray(motion_vec, dtype=np.float64)
     if m.shape != (3,):
         raise ValueError(f"motion vector must be a 3-vector, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"motion vector must be finite, got {m}")
     v = ego.as_array()
     cross = np.cross(m, v)
     norm = float(np.linalg.norm(cross))

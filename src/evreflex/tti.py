@@ -61,11 +61,12 @@ class TtiMap:
 
 
 def _check_positive(name: str, value: float) -> None:
-    """Refuse a dt or horizon that is not positive and finite, by name.
+    """Refuse a dt, horizon or depth threshold that is not positive and
+    finite, by name.
 
     An infinite dt gives an all-zero map and a NaN one fails later without
     naming dt; an infinite horizon flags every valid pixel, receding ones
-    too, and a NaN one none."""
+    too, and a NaN one none; so does an infinite or NaN depth threshold."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 

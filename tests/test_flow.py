@@ -140,8 +140,10 @@ def test_charbonnier_deriv_matches_fd():
 @pytest.mark.parametrize("ca", [0.1, 0.45, 0.9])
 @pytest.mark.parametrize("r", [2.0, 510.0])  # images in [0, 1] and in [0, 255]
 def test_charbonnier_power_accuracy(r, ca):
-    # The bases _gate_is_exact bounds for R = max|I_t| + max|I_t1| = r: from
-    # eps^2 up to 16 r^2 + eps^2.  exp(a * log b) against b ** a: log within
+    # Bases from eps^2 up to 16 r^2 + eps^2, with r = max|I_t| + max|I_t1|:
+    # the photometric residual is at most r in magnitude (the interpolant
+    # lies between I_t1's corners), so this covers its bases with a residual
+    # four times that to spare.  exp(a * log b) against b ** a: log within
     # 1 ulp, the product within half an ulp, so the exponent is off by at
     # most 1.5 |a ln b| 2^-52 in absolute terms, which exp turns into a
     # relative error, plus 1 ulp each for exp and for the reference; the
@@ -391,10 +393,9 @@ def test_kernel_bit_identical_to_reference(shape, weighting, alpha):
     # one workspace for every flow in turn, with a loss-only evaluation (a
     # rejected candidate) before each one, guards against stale buffers
     ws = _Workspace(shape, it, it1, weights, cfg)
-    # the photometric term skips the pixels of weight 0, if there are any
-    fully_active = weights is None or np.all(weights != 0)
-    assert (ws.active is None) == fully_active
-    assert ws.pixels == (it.size if fully_active else np.count_nonzero(weights))
+    # the photometric term runs on the pixels of nonzero weight, every pixel
+    # under uniform weighting
+    assert ws.pixels == (it.size if weights is None else np.count_nonzero(weights))
     flows = list(_kernel_flows(shape, rng))
     for (u, v), (ru, rv) in zip(flows, flows[::-1]):
         for oob_zero in (False, True):
@@ -673,18 +674,38 @@ def test_estimate_flow_divergence_error_reports_location():
 
 
 def test_estimate_flow_divergence_at_gated_out_pixels():
-    # the residual overflows only where the event gate is shut: weight 0
-    # times an inf term is NaN, and the solver must still report it
+    # The images are huge only where the event gate is shut.  Those pixels
+    # never reach the objective, so the first loss is finite.  But the four
+    # active pixels' footprints reach their huge neighbours in I_t1, so the
+    # first gradient is huge, and the first candidate step samples far
+    # outside the gate: an active pixel's residual overflows there, and the
+    # candidate's loss is inf.
     em = accumulate_events(make_events([0.5] * 4, [3, 4, 3, 4], [5, 5, 6, 6], [1] * 4),
                            (0.0, 1.0), 16, 16)
     gate = event_mask(em)
     img0 = np.where(gate, 0.5, 1e200)
     img1 = np.where(gate, 0.4, -1e200)
-    with pytest.raises(SolverDivergenceError) as err, \
-            np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(SolverDivergenceError) as err, np.errstate(over="ignore"):
         estimate_flow(em, img0, img1, FlowSolverConfig(pyramid_levels=1))
-    # the first loss is already NaN: it counts the gated-out pixels' 0 * inf
-    assert (err.value.level, err.value.iteration) == (0, 0) and np.isnan(err.value.loss)
+    assert (err.value.level, err.value.iteration, err.value.loss) == (0, 1, np.inf)
+
+
+@pytest.mark.parametrize("fill", [1e200, -1e200, np.inf, np.nan, 0.0, 0.5])
+@pytest.mark.parametrize("alpha", [0.5, 0.0])
+def test_zero_weight_pixels_do_not_reach_the_objective(fill, alpha):
+    # whatever I_t holds at a pixel of weight 0, the loss and the gradient
+    # are those of any other value there, to the bit
+    rng = np.random.default_rng(109)
+    shape = (16, 16)
+    it, it1 = rng.random(shape), rng.random(shape)
+    weights = (rng.random(shape) > 0.6).astype(np.float64)
+    flow = rng.normal(0, 1.5, (2, *shape))
+    cfg = FlowSolverConfig(alpha=alpha)
+    filled = np.where(weights == 0, fill, it)
+    assert total_loss(flow, filled, it1, cfg, weights) == total_loss(flow, it, it1, cfg, weights)
+    for a, b in zip(loss_gradient(flow, filled, it1, cfg, weights),
+                    loss_gradient(flow, it, it1, cfg, weights)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_estimate_flow_logs_each_level(monkeypatch, caplog):

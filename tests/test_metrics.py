@@ -136,12 +136,35 @@ def test_depth_baseline_ignores_invalid_depth():
     assert mask[0, 0] and mask.sum() == 1  # sentinel-0 pixels stay out
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.5, np.inf, np.nan])
+def test_depth_baseline_refuses_threshold_not_positive_and_finite(threshold):
+    # a NaN threshold once gave an empty mask and an infinite one flagged
+    # every valid pixel
+    fm = float_map(np.full((4, 4), 2.0), MapSemantics.DEPTH_M)
+    with pytest.raises(ValueError, match="^threshold_m must be positive and finite"):
+        depth_baseline(fm, threshold)
+
+
 def test_angle_error_cases():
     assert angle_error((1, 2, 3), (1, 2, 3)) == pytest.approx(0.0, abs=1e-9)
     assert angle_error((1, 0, 0), (0, 1, 0)) == pytest.approx(90.0)
     assert angle_error((1, 0, 0), (-1, 0, 0)) == pytest.approx(180.0)
     with pytest.raises(UndefinedMetricError):
         angle_error((0, 0, 0), (1, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["pred_vec", "gt_vec"])
+def test_angle_error_refuses_non_finite_vectors(which, bad):
+    # a NaN cosine once clamped to 1, a perfect 0 degrees that aae_report
+    # averaged in
+    vecs = {"pred_vec": [1.0, 0.0, 0.0], "gt_vec": [1.0, 0.0, 0.0]}
+    vecs[which] = [bad, 0.0, 0.0]
+    with pytest.raises(ValueError, match=f"^{which} "):
+        angle_error(**vecs)
+    with pytest.raises(ValueError, match=f"^{which} "):
+        aae_report([(np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0])),
+                    (np.array(vecs["pred_vec"]), np.array(vecs["gt_vec"]))])
 
 
 def test_aae_report_identical_pairs():

@@ -110,6 +110,16 @@ def test_evasion_zero_everything_gives_zero():
     assert np.allclose(res.psi, (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_evasion_refuses_non_finite_motion_vector(axis, bad):
+    # a NaN vector once came back as the +X fallback, flagged degenerate
+    m = [0.0, 0.0, 1.0]
+    m[axis] = bad
+    with pytest.raises(ValueError, match="motion vector must be finite"):
+        evasion_direction(m, EgoMotion((0.0, 0.0, 1.0)))
+
+
 def test_evasion_unit_norm_for_random_pairs():
     rng = np.random.default_rng(1)
     for _ in range(1000):

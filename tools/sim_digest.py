@@ -1,14 +1,16 @@
 """One SHA-256 over the simulator's outputs for three fixed sensor-size scenes.
 
-    python3 tools/sim_digest.py
+    python3 tools/sim_digest.py [SRC]
 
-Run from a checkout; the program is imported from its ./src.  The digest
-covers, for each scene, the event stream, the window sizes, every frame's
-intensity, depth and class maps, both flows, and every ground-truth inverse
-TTI map with its validity mask, all as their stored bytes.  Two trees that
-print the same digest produce byte-identical simulate_sequence output on these
-scenes, so a byte-identity A/B between two commits is this command run in a
-checkout of each.
+Run from a checkout; the program is imported from its ./src, or from the
+directory SRC when given (another checkout's src, to digest that tree's
+program with these scenes).  The digest covers, for each scene, the event
+stream, the window sizes, every frame's intensity, depth and class maps,
+both flows, and every ground-truth inverse TTI map with its validity mask,
+all as their stored bytes.  Two trees that print the same digest produce
+byte-identical simulate_sequence output on these scenes, so a
+byte-identity A/B between two commits is this command run on the src of
+each.
 
 The scenes, all at the 346x260 sensor raster with f = 200 px and 20 frames/s:
 busy      the camera moving forward through eight seeded random spheres and
@@ -71,8 +73,8 @@ def digest(seq, h) -> None:
         h.update(tau.valid.tobytes())
 
 
-def main() -> int:
-    sys.path.insert(0, str(ROOT / "src"))
+def main(argv) -> int:
+    sys.path.insert(0, argv[1] if len(argv) > 1 else str(ROOT / "src"))
     from evreflex.sim import simulate_sequence
 
     h = hashlib.sha256()
@@ -83,4 +85,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
