@@ -128,18 +128,28 @@ def depth_baseline(d: FloatMap, threshold_m: float) -> np.ndarray:
     return (values > 0) & (values < threshold_m)
 
 
+def _unit_max(vec: np.ndarray) -> np.ndarray:
+    """vec divided by its largest |component|; a zero vector stays zero."""
+    scale = float(np.max(np.abs(vec), initial=0.0))
+    return vec / scale if scale > 0.0 else vec
+
+
 def angle_error(pred_vec, gt_vec) -> float:
     """Angle in degrees between two nonzero 3-vectors.
 
     A vector with a NaN or infinite component is refused with a ValueError
     that names it: its cosine is NaN, which the clamp to [-1, 1] would turn
-    into a perfect 0 degrees.
+    into a perfect 0 degrees.  Each vector is divided by its largest
+    |component| first, so the norms and the dot product neither overflow nor
+    underflow at any finite scale: [1e200, 0, 0] and [1e-200, 0, 0] both lie
+    0 degrees from [1, 0, 0].
     """
     a = np.asarray(pred_vec, dtype=np.float64)
     b = np.asarray(gt_vec, dtype=np.float64)
     for name, vec in (("pred_vec", a), ("gt_vec", b)):
         if not np.all(np.isfinite(vec)):
             raise ValueError(f"{name} holds non-finite components: {vec}")
+    a, b = _unit_max(a), _unit_max(b)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:

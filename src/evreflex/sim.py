@@ -15,13 +15,23 @@ Products with the camera basis stay BLAS products on the (H, W, 3) array, since
 written out as sums they round differently.  Each sphere's ray quadratic has
 its discriminant evaluated only on the band of rows whose rays can meet it, and
 its roots only where the discriminant is non-negative; normals, shading,
-classes and material motion touch only the pixels the sphere owns.  Events are
-emulated from the rendered intensity stream by log-intensity threshold
-crossings: each pixel's reference level stays on a fixed lattice of contrast
-thresholds above and below its first log intensity (an integer index per pixel,
-as in ESIM's fixed contrast levels), and every lattice level the log intensity
-passes is one event, its time linearly interpolated between frames.  This is a
-frame-based stand-in for a true adaptive-rate event renderer.
+classes and material motion touch only the pixels the sphere owns.
+
+Events are emulated from the rendered intensity stream by log-intensity
+threshold crossings: each pixel's reference level stays on a fixed lattice of
+contrast thresholds above and below its first log intensity (an integer index
+per pixel, as in ESIM's fixed contrast levels), and every lattice level the log
+intensity passes is one event, its time linearly interpolated between frames.
+This is a frame-based stand-in for a true adaptive-rate event renderer.  The
+emulator checks every frame first, then emits one frame interval at a time: it
+takes the log of one frame when it needs it, sorts that interval's crossings
+by (t, y, x, polarity) and packs them as event records.  Only crossings
+stamped at or after the interval's end frame time (on the frame, or one ulp
+past it by rounding) wait to be sorted again with the next interval's, the one
+merge across a boundary.  So it holds a few rasters and one interval's
+crossings besides the packed stream, which it copies into the returned array
+once; simulate_sequence then keeps that one read-only array and cuts the
+frame windows as views of it.
 
 World frame: Z up, floor at z = 0, room spanning [-hx, hx] x [-hy, hy] x
 [0, 2*hz].  The camera looks along its yaw heading in the X-Y plane; camera
@@ -42,6 +52,7 @@ import numpy as np
 from .flow import _pixel_grid
 from .tti import TtiMap, ground_truth_inverse_tti
 from .types import (
+    EVENT_DTYPE,
     CameraModel,
     FloatMap,
     FlowField,
@@ -50,7 +61,6 @@ from .types import (
     _check_finite,
     float_map,
     flow_field,
-    make_events,
 )
 
 __all__ = [
@@ -535,6 +545,92 @@ def render_frame(scene: SceneConfig, t: float) -> Frame:
     )
 
 
+def _float64(img) -> np.ndarray:
+    return np.asarray(img.values if isinstance(img, FloatMap) else img, dtype=np.float64)
+
+
+def _log_frame(img) -> np.ndarray:
+    """log(I + LOG_EPS) of one frame, raveled, in a fresh float64 buffer."""
+    out = _float64(img) + LOG_EPS
+    return np.log(out, out=out).ravel()
+
+
+def _crossings(base, n, l_prev, l_curr, c: float, t0, t1) -> tuple[np.ndarray, np.ndarray]:
+    """The threshold crossings of one frame interval [t0, t1], unsorted: their
+    stamps and keys, 2 * pixel + (polarity > 0).  Moves n to the levels at t1."""
+    # A pixel whose log intensity is unchanged keeps q, so its n stays put
+    # and every crossing below divides by a nonzero l_curr - l_prev.
+    q = (l_curr - base) / c
+    step = np.clip(n, np.floor(q), np.ceil(q)).astype(np.int64) - n
+    idx = np.flatnonzero(step)
+    d = step[idx]
+    reps = np.abs(d)
+    stops = np.cumsum(reps)
+    ordinal = np.arange(1, int(reps.sum()) + 1) - np.repeat(stops - reps, reps)
+    sgn = np.repeat(np.sign(d), reps)
+    level = np.repeat(base[idx], reps) + (np.repeat(n[idx], reps) + sgn * ordinal) * c
+    frac = (level - np.repeat(l_prev[idx], reps)) / np.repeat(l_curr[idx] - l_prev[idx], reps)
+    np.clip(frac, 0.0, 1.0, out=frac)
+    n += step
+    return t0 + (t1 - t0) * frac, np.repeat(2 * idx + (d > 0), reps)
+
+
+def _sort_crossings(t: np.ndarray, key: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """t and key ordered by (t, key); keys lie in [0, span)."""
+    # One sort on t that leaves equal stamps in any order (the default sort
+    # is several times faster than a stable one or a (t, key) lexsort), then
+    # the keys within each run of equal stamps sorted.  Crossings that tie in
+    # both t and key are the same record, so their order cannot show.
+    order = np.argsort(t)
+    t = t[order]
+    key = key[order]
+    tie = t[1:] == t[:-1]
+    if tie.any():
+        after = np.concatenate(([False], tie))  # equal to the stamp before it
+        pos = np.flatnonzero(after | np.concatenate((tie, [False])))
+        # (run number, key) packed into one int64; it fits while the
+        # crossings * span stay below 2^63
+        packed = np.cumsum(~after[pos], dtype=np.int64) * span + key[pos]
+        packed.sort()
+        key[pos] = packed % span
+    return t, key
+
+
+def _pack(t: np.ndarray, key: np.ndarray, width: int) -> np.ndarray:
+    """EVENT_DTYPE records of crossings; key // 2 is the pixel's flat index."""
+    out = np.zeros(t.size, dtype=EVENT_DTYPE)
+    out["t"] = t
+    pix = key >> 1
+    out["x"] = pix % width
+    out["y"] = pix // width
+    out["polarity"] = 2 * (key & 1) - 1
+    return out
+
+
+def _intervals(times: np.ndarray, intensities, c: float, shape: tuple[int, int]):
+    """Yield each frame interval's final events as EVENT_DTYPE records, in
+    (t, y, x, polarity) order; together they are generate_events' stream."""
+    # Per crossing: its time and one key, 2 * pixel + (polarity > 0).  Ordering
+    # by the key is ordering by (y, x, polarity), so sorting by (t, key) gives
+    # the (t, y, x, polarity) order.
+    span = 2 * shape[0] * shape[1]
+    base = l_prev = _log_frame(intensities[0])
+    n = np.zeros(base.size, dtype=np.int64)  # the reference level is base + n * c
+    # the crossings stamped at or after the previous frame time
+    held_t, held_key = np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
+    last = len(times) - 1
+    for k in range(1, last + 1):
+        l_curr = _log_frame(intensities[k])
+        t, key = _crossings(base, n, l_prev, l_curr, c, times[k - 1], times[k])
+        l_prev = l_curr
+        t, key = _sort_crossings(np.concatenate((held_t, t)), np.concatenate((held_key, key)), span)
+        # No later interval stamps a crossing before t_k, so the crossings
+        # before it are final; the rest is sorted again with interval k+1's.
+        cut = t.size if k == last else int(np.searchsorted(t, times[k], side="left"))
+        yield _pack(t[:cut], key[:cut], shape[1])
+        held_t, held_key = t[cut:], key[cut:]
+
+
 def generate_events(
     timestamps: Sequence[float],
     intensities: Sequence[np.ndarray],
@@ -552,15 +648,30 @@ def generate_events(
     interpolated between the two frames.  So a pixel's signed event count is
     its final n.  Returns a structured event array sorted by
     (t, y, x, polarity).
+
+    Every frame is checked before any event is made; frames must be 2-D, with
+    sides of at most 65536 pixels so that x and y fit EVENT_DTYPE.  Emission
+    then runs one frame interval at a time.  It holds base and n, the log
+    rasters of the interval's two frames (each a float64 copy of one frame)
+    and the interval's crossings, which it sorts by (t, y, x, polarity) and
+    packs into EVENT_DTYPE records.  Interval k+1 stamps nothing before t_k,
+    so interval k's crossings stamped before t_k are final.  Those stamped at
+    or after it (on the frame, or rounded one ulp past it) are sorted again
+    with interval k+1's crossings: this merge of one interval's tail with the
+    next one's head is the only step across a boundary, and it is empty when
+    no crossing reaches t_k.  The packed intervals are copied into the
+    returned array at the end, so the call holds at most twice its output,
+    beside one interval's working set.
     """
     if not (math.isfinite(contrast_threshold) and contrast_threshold > 0):
         raise ValueError("contrast threshold must be positive and finite")
     if len(timestamps) != len(intensities) or len(intensities) < 2:
         raise ValueError("need >= 2 frames with matching timestamps")
-    frames = [np.asarray(img.values if isinstance(img, FloatMap) else img, dtype=np.float64)
-              for img in intensities]
-    shape = frames[0].shape
-    for k, img in enumerate(frames):
+    shape = _float64(intensities[0]).shape
+    if len(shape) != 2 or max(shape) > 65536:
+        raise ShapeMismatchError(f"frames must be 2-D with sides of at most 65536, got {shape}")
+    for k, img in enumerate(intensities):
+        img = _float64(img)
         if img.shape != shape:
             raise ShapeMismatchError(f"frame {k} has shape {img.shape}, expected {shape}")
         if not np.all((img >= 0) & (img < np.inf)):
@@ -571,58 +682,11 @@ def generate_events(
     if not np.all(np.diff(times) > 0):
         raise ValueError("timestamps must be strictly increasing")
 
-    c = float(contrast_threshold)
-    logs = [np.log(img + LOG_EPS).ravel() for img in frames]
-    base = logs[0]
-    n = np.zeros(base.size, dtype=np.int64)  # the reference level is base + n * c
-    # Per crossing: its time and one key, 2 * pixel + (polarity > 0).  Ordering
-    # by the key is ordering by (y, x, polarity), so sorting by (t, key) gives
-    # the (t, y, x, polarity) order.
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    for k in range(1, len(frames)):
-        l_prev, l_curr = logs[k - 1], logs[k]
-        # A pixel whose log intensity is unchanged keeps q, so its n stays put
-        # and every crossing below divides by a nonzero l_curr - l_prev.
-        q = (l_curr - base) / c
-        step = np.clip(n, np.floor(q), np.ceil(q)).astype(np.int64) - n
-        idx = np.flatnonzero(step)
-        if idx.size == 0:
-            continue
-        reps = np.abs(step[idx])
-        total = int(reps.sum())
-        stops = np.cumsum(reps)
-        ordinal = np.arange(1, total + 1) - np.repeat(stops - reps, reps)
-        pix = np.repeat(idx, reps)
-        sgn = np.sign(np.repeat(step[idx], reps))
-        level = base[pix] + (n[pix] + sgn * ordinal) * c
-        frac = (level - l_prev[pix]) / (l_curr[pix] - l_prev[pix])
-        np.clip(frac, 0.0, 1.0, out=frac)
-        t_cross = times[k - 1] + (times[k] - times[k - 1]) * frac
-        parts.append((t_cross, 2 * pix + (sgn > 0)))
-        n += step
-
-    if not parts:
-        return make_events([], [], [], [])
-    t_all = np.concatenate([p[0] for p in parts])
-    key = np.concatenate([p[1] for p in parts])
-    # One sort on t that leaves equal stamps in any order (the default sort
-    # is several times faster than a stable one or a (t, key) lexsort), then
-    # the keys within each run of equal stamps sorted.  Crossings that tie in
-    # both t and key are the same record, so their order cannot show.
-    order = np.argsort(t_all)
-    t_all, key = t_all[order], key[order]
-    tie = t_all[1:] == t_all[:-1]
-    if tie.any():
-        after = np.concatenate(([False], tie))  # equal to the stamp before it
-        pos = np.flatnonzero(after | np.concatenate((tie, [False])))
-        # (run number, key) packed into one int64; keys lie in [0, 2 * H * W),
-        # so it fits while crossings * 2 * H * W stays below 2^63
-        span = 2 * shape[0] * shape[1]
-        packed = np.cumsum(~after[pos], dtype=np.int64) * span + key[pos]
-        packed.sort()
-        key[pos] = packed % span
-    y, x = np.divmod(key >> 1, shape[1])
-    return make_events(t_all, x, y, 2 * (key & 1) - 1)
+    # Joined as bytes: a plain copy, pad bytes included.  np.concatenate of
+    # the records themselves copies field by field and, on numpy 2.x, returns
+    # a packed dtype of itemsize 13 rather than EVENT_DTYPE.
+    chunks = _intervals(times, intensities, float(contrast_threshold), shape)
+    return np.concatenate([chunk.view(np.uint8) for chunk in chunks]).view(EVENT_DTYPE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -636,6 +700,9 @@ class SequenceResult:
     as half-open, so a caller accumulating the last window passes
     np.nextafter(t_{n-1}, np.inf) as the window end.  tti_gt[k] is the map for
     frame k+1, computed from (depth_k, depth_{k+1}, flow_bwd_{k+1}).
+
+    The stream exists once: events is read-only, and each window is a
+    read-only view of a slice of it, not a copy.
     """
 
     scene: SceneConfig
@@ -659,10 +726,12 @@ def simulate_sequence(scene: SceneConfig, workers: int = 1) -> SequenceResult:
     events = generate_events(
         times, [f.intensity for f in frames], scene.contrast_threshold
     )
-    # Half-open windows [t_k, t_{k+1}), the last one closed at t_{n-1}.
+    events.flags.writeable = False
+    # Half-open windows [t_k, t_{k+1}), the last one closed at t_{n-1}: views
+    # of the one read-only stream.
     bounds = np.searchsorted(events["t"], times, side="left")
     bounds[-1] = np.searchsorted(events["t"], times[-1], side="right")
-    windows = [events[bounds[k]:bounds[k + 1]].copy() for k in range(len(times) - 1)]
+    windows = [events[bounds[k]:bounds[k + 1]] for k in range(len(times) - 1)]
 
     dt = scene.dt
     tti_maps = []

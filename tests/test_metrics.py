@@ -153,6 +153,16 @@ def test_angle_error_cases():
         angle_error((0, 0, 0), (1, 0, 0))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324, 1.7e308])
+def test_angle_error_holds_at_any_finite_scale(scale):
+    # |v|^2 once overflowed to inf (a cosine of 0, so 90 degrees for parallel
+    # vectors) or underflowed to 0 (refused as a zero vector)
+    assert angle_error([scale, 0.0, 0.0], [1.0, 0.0, 0.0]) == 0.0
+    assert angle_error([1.0, 0.0, 0.0], [0.0, -scale, 0.0]) == pytest.approx(90.0)
+    assert angle_error([-scale, 0.0, 0.0], [scale, 0.0, 0.0]) == pytest.approx(180.0)
+    assert angle_error([scale, scale, 0.0], [1.0, 0.0, 0.0]) == pytest.approx(45.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("which", ["pred_vec", "gt_vec"])
 def test_angle_error_refuses_non_finite_vectors(which, bad):

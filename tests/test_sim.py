@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from evreflex import flow, sim
+from evreflex import flow, io_formats, sim
 from evreflex.sim import (
     LOG_EPS,
     PoseError,
@@ -18,7 +19,15 @@ from evreflex.sim import (
     simulate_sequence,
 )
 from evreflex.tti import estimate_tti_dynamic
-from evreflex.types import CameraModel, accumulate_events
+from evreflex.types import (
+    EVENT_DTYPE,
+    CameraModel,
+    Event,
+    ShapeMismatchError,
+    accumulate_events,
+    as_event_array,
+    make_events,
+)
 
 # -- head-on approach: inverse TTI = v / d on the optical axis ------------------
 
@@ -512,6 +521,14 @@ def test_generate_events_refuses_a_frame_with_a_bad_intensity(bad):
         generate_events([0.0, 0.05, 0.1], frames, 0.1)
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2), (1, 65537)])
+def test_generate_events_refuses_a_frame_whose_pixels_do_not_fit_event_coordinates(shape):
+    # x and y are uint16: a frame must be 2-D with sides of at most 65536
+    frames = [np.zeros(shape), np.ones(shape)]
+    with pytest.raises(ShapeMismatchError, match="frames must be 2-D"):
+        generate_events([0.0, 0.05], frames, 0.1)
+
+
 def test_generate_events_orders_ties_at_a_frame_boundary_by_y_x():
     # The two log levels lie within a factor of 2 of each other, so their
     # difference is exact; with c half of it, the second crossing of every
@@ -527,24 +544,151 @@ def test_generate_events_orders_ties_at_a_frame_boundary_by_y_x():
     assert _records(got) == _reference_events(times, [f0, f1, f1], c)
 
 
+def test_generate_events_orders_ties_across_a_frame_boundary_by_y_x():
+    # Pixel (0, 1) lands its second crossing on frame 1, stamped t = 0.1 by
+    # interval 1.  Pixel (0, 0) stops one ulp short of hi at frame 1 and jumps
+    # far above it at frame 2, so interval 2 crosses hi a tiny fraction into
+    # the interval, also stamped 0.1: the later interval holds the smaller key.
+    lo, hi = 0.3, 0.5
+    c = (np.log(hi + LOG_EPS) - np.log(lo + LOG_EPS)) / 2
+    frames = [np.array([[lo, lo]]), np.array([[np.nextafter(hi, 0.0), hi]]),
+              np.array([[1e3, hi]])]
+    times = [0.0, 0.1, 0.2]
+    got = generate_events(times, frames, c)
+    assert _records(got[got["t"] == 0.1]) == [(0.1, 0, 0, 1), (0.1, 0, 1, 1)]
+    assert _records(got) == _reference_events(times, frames, c)
+
+
+@st.composite
+def _straddling_times(draw):
+    """3 to 10 frame times, each in the binade above the one before, at which
+    t_{k-1} + (t_k - t_{k-1}) * 1.0 rounds past t_k at every boundary.
+
+    t_k - t_{k-1} lies in t_k's binade and is exact to half its ulp, when
+    t_{k-1}'s last set bit is half of t_k's ulp: the subtraction and then the
+    sum are ties, which round up when t_k's mantissa is odd and t_{k-1}'s is
+    3 mod 4.  Walking t_k up by ulps meets such a value within 4 steps.  The
+    difference lies in t_k's binade when t_k >= 2^E + t_{k-1}, 2^E the
+    binade's start; t_k is drawn from the lower half of that range, so each
+    binade leaves the next one room.
+    """
+    n = draw(st.integers(3, 10))
+    exp = draw(st.integers(-14, -8))
+    times = [math.ldexp(1.0 + (4 * draw(st.integers(0, 2**49 - 1)) + 3) * 2.0**-52, exp)]
+    for k in range(1, n):
+        low, top = math.ldexp(1.0, exp + k) + times[-1], math.ldexp(1.0, exp + k + 1)
+        t = low + draw(st.floats(0.0, 0.5)) * (top - low)
+        for _ in range(4):
+            if times[-1] + (t - times[-1]) * 1.0 > t and int(t / math.ulp(t)) % 4 == 3:
+                break
+            t = math.nextafter(t, math.inf)
+        assert times[-1] + (t - times[-1]) * 1.0 > t
+        times.append(t)
+    return times
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_generate_events_sorts_stamps_past_a_frame_time(seed):
-    # Here t_{k-1} + (t_k - t_{k-1}) * 1.0 rounds one ulp above t_k at both
-    # frame boundaries, so a crossing that lands on frame k is stamped after
-    # t_k, where the next interval's crossings begin.  With c half the gap
-    # between the two log levels, a lo -> hi step lands its second crossing
-    # on the frame.
-    times = [0.03, 0.29, 0.82]
+@settings(max_examples=15, deadline=None)
+@given(times=_straddling_times())
+@example(times=[0.03, 0.29, 0.82])
+def test_generate_events_sorts_stamps_past_a_frame_time(seed, times):
+    # At every frame boundary, t_{k-1} + (t_k - t_{k-1}) * 1.0 rounds above
+    # t_k, so a crossing that lands on frame k is stamped after t_k, where the
+    # next interval's crossings begin.  With c half the gap between the two
+    # log levels, a lo -> hi step lands its second crossing on the frame: row
+    # 2k-2 takes that step at frame k.  Row 2k-1 stops one ulp short of hi at
+    # frame k and jumps far above it at frame k+1, so interval k+1 crosses
+    # hi a tiny fraction into the interval, stamped t_k itself: before the
+    # crossing interval k stamped past t_k.  The emulator must merge the two
+    # intervals at every boundary.
     lo, hi = 0.3, 0.5
     c = (np.log(hi + LOG_EPS) - np.log(lo + LOG_EPS)) / 2
     rng = np.random.default_rng(seed)
-    frames = [rng.choice([lo, hi, 0.38, 0.44], size=(5, 6)) for _ in times]
-    frames[0][0], frames[1][0] = lo, hi  # row 0 lands on frame 1
-    frames[1][1], frames[2][1] = hi, lo  # row 1 lands on frame 2
+    frames = [rng.choice([lo, hi, 0.38, 0.44], size=(2 * len(times), 6)) for _ in times]
+    for k in range(1, len(times)):
+        for j, frame in enumerate(frames):
+            frame[2 * k - 2] = lo if j < k else hi
+            frame[2 * k - 1] = lo if j < k else np.nextafter(hi, 0.0) if j == k else 1e3
     got = generate_events(times, frames, c)
-    for t_k in times[1:]:
-        assert np.any(got["t"] == np.nextafter(t_k, 1.0))
+    for k in range(1, len(times)):
+        past = times[k - 1] + (times[k] - times[k - 1]) * 1.0
+        assert past > times[k] and np.any(got["t"] == past)
+        assert k == len(times) - 1 or np.any(got["t"] == times[k])
     assert _records(got) == _reference_events(times, frames, c)
+
+
+def test_generate_events_holds_at_most_twice_its_output_beside_a_few_rasters():
+    # The emulator packs each frame interval's events as it goes and copies
+    # the packed intervals into the returned array at the end: twice the
+    # output.  Beside them it holds one interval's working set: base, n, the
+    # two log frames and the step's temporaries, a few float64 rasters, and
+    # that interval's crossings, which on this 20-frame scene stay well below
+    # the whole stream.  Sorting the whole stream at once held about 8x it.
+    camera = CameraModel(fx=200.0, fy=200.0, cx=172.5, cy=129.5, width=346, height=260)
+    scene = SceneConfig(
+        camera=camera,
+        trajectory=TrajectorySpec(waypoints=((-2.4, 0.0, 0.0), (2.5, 0.0, 0.0))),
+        obstacles=(SphereObstacle(radius=0.3, start=(2.2, 0.05, 1.45), velocity=(-3.0, 0.0, 0.0)),),
+        random_obstacles=8,
+        rng_seed=0,
+        duration=1.0,
+    )
+    times = scene.frame_times()
+    frames = [render_frame(scene, t).intensity for t in times]
+    raster = camera.width * camera.height * np.dtype(np.float64).itemsize
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        events = generate_events(times, frames, scene.contrast_threshold)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert events.size > 500_000
+    assert peak <= 2 * events.nbytes + 8 * raster
+
+
+# -- event producers ---------------------------------------------------------------
+
+
+def _assert_event_dtype(events):
+    assert events.dtype == EVENT_DTYPE and events.dtype.itemsize == 16
+    assert [events.dtype.fields[name][1] for name in ("t", "x", "y", "polarity")] == [0, 8, 10, 12]
+
+
+def test_every_event_producer_returns_exactly_event_dtype(tmp_path):
+    # np.concatenate of two EVENT_DTYPE arrays returns a packed dtype of
+    # itemsize 13 on numpy 2.x, which no longer matches the on-disk record
+    made = make_events([0.1, 0.2], [1, 2], [0, 1], [1, -1])
+    packed = np.concatenate([made, made])
+    scene = SceneConfig(
+        camera=CameraModel(fx=45.0, fy=45.0, cx=23.5, cy=17.5, width=48, height=36),
+        duration=0.25, random_obstacles=6, rng_seed=29)
+    seq = simulate_sequence(scene)
+    times, frames = [0.0, 0.05, 0.1], [np.full((2, 3), v) for v in (0.1, 0.5, 0.2)]
+    path = tmp_path / "events.evrx"
+    io_formats.write_events(path, made, 3, 2)
+    producers = [
+        made,
+        make_events([], [], [], []),
+        generate_events(times, frames, 0.1),
+        generate_events(times, [frames[0]] * 3, 0.1),
+        io_formats.read_events(path)[0],
+        as_event_array(packed),
+        as_event_array([Event(0.1, 1, 0, 1)]),
+        seq.events,
+        *seq.event_windows,
+    ]
+    assert producers[2].size > 0 and producers[3].size == 0
+    for events in producers:
+        _assert_event_dtype(events)
+    assert seq.events.size > 0 and not seq.events.flags.writeable
+    for window in seq.event_windows:
+        assert not window.flags.writeable
+        assert window.size == 0 or np.shares_memory(window, seq.events)
 
 
 # -- simulate_sequence windows ------------------------------------------------------
