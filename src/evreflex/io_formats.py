@@ -81,7 +81,6 @@ FORMAT_VERSION = 1
 
 _EVENTS_HEADER = struct.Struct("<4sIIIQ")  # magic, version, width, height, count
 _MAP_HEADER = struct.Struct("<4sIIII")  # magic, version, semantics, width, height
-_EVENT_RECORD_SIZE = 16
 
 
 class FormatError(Exception):
@@ -171,13 +170,13 @@ def read_events(path) -> tuple[np.ndarray, int, int]:
         if version != FORMAT_VERSION:
             raise VersionError(f"unsupported version {version}")
         size = os.fstat(fh.fileno()).st_size
-        expected = _EVENTS_HEADER.size + count * _EVENT_RECORD_SIZE
+        expected = _EVENTS_HEADER.size + count * EVENT_DTYPE.itemsize
         if size != expected:
             raise TruncatedError(f"declared {count} records need {expected} bytes, file has {size}")
         arr = np.empty(count, dtype=EVENT_DTYPE)
         got = fh.readinto(arr.view(np.uint8))
-    if got != count * _EVENT_RECORD_SIZE:
-        raise TruncatedError(f"read {got} of {count * _EVENT_RECORD_SIZE} record bytes")
+    if got != count * EVENT_DTYPE.itemsize:
+        raise TruncatedError(f"read {got} of {count * EVENT_DTYPE.itemsize} record bytes")
     _check_stream(arr, width, height, bounds_error=BoundsError)
     return arr, width, height
 

@@ -4,6 +4,18 @@ Everything downstream (simulator, flow solver, TTI estimators, metrics) trades i
 these types.  All containers are immutable after construction; the numpy payloads
 are marked read-only so instances can be shared freely across threads.
 
+Event contract.  An event stream is a 1-D array of the one dtype
+``EVENT_DTYPE`` (t float64 seconds, x and y uint16 pixel column and row,
+polarity int8 of +1 / -1, in a 16-byte record that matches the on-disk one).
+``make_events``, ``io_formats.read_events`` and ``sim.generate_events``
+produce it.  Any finite timestamps sorted in non-decreasing order are valid,
+negative ones included.  ``accumulate_events`` and ``io_formats.write_events``
+take such arrays.  They also take another structured array with fields t,
+x, y and polarity (on numpy 2.x, ``np.concatenate`` of two event arrays
+returns one of itemsize 13), which ``as_event_array`` rebuilds through
+``make_events``: a value out of its field's range is an OverflowError, not a
+wrapped one.  Lists, tuples, generators and plain arrays are a TypeError.
+
 Precision contract.  Rasters are *stored* in one fixed dtype per container,
 whatever the dtype of the input they were built from:
 
@@ -21,13 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "EVENT_DTYPE",
-    "Event",
     "EventMap",
     "FlowField",
     "FloatMap",
@@ -90,28 +100,13 @@ def _frozen(values, dtype) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Event:
-    """A single polarity change: timestamp (s), pixel column/row, sign in {+1, -1}."""
-
-    t: float
-    x: int
-    y: int
-    polarity: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.t) or self.t < 0:
-            raise ValueError(f"event timestamp must be finite and >= 0, got {self.t}")
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"event coordinates must be >= 0, got ({self.x}, {self.y})")
-        if self.polarity not in (1, -1):
-            raise ValueError(f"event polarity must be +1 or -1, got {self.polarity}")
-
-
-def _int_component(name: str, values, dtype) -> np.ndarray:
-    """values as an integer array that fits dtype exactly, or a typed error
-    naming the field: ValueError for non-integers, OverflowError out of range."""
+def _int_component(name: str, values, dtype, n: int) -> np.ndarray:
+    """values as a 1-D integer array of n entries that fit dtype exactly, or a
+    typed error naming the field: ValueError for another shape or non-integers,
+    OverflowError out of range."""
     arr = np.asarray(values)
+    if arr.shape != (n,):
+        raise ValueError(f"{name} must be 1-D with one entry per event ({n}), got {arr.shape}")
     if arr.size == 0:
         return arr.astype(dtype)
     if arr.dtype.kind not in "biu":
@@ -125,34 +120,36 @@ def _int_component(name: str, values, dtype) -> np.ndarray:
 
 
 def make_events(t, x, y, polarity) -> np.ndarray:
-    """Pack parallel component sequences into a structured event array.
+    """Pack four parallel 1-D components into an EVENT_DTYPE array.
 
-    x, y and polarity must hold integers that fit uint16, uint16 and int8;
-    nothing is rounded or wrapped."""
+    t sets the event count; x, y and polarity must be as long and hold
+    integers that fit uint16, uint16 and int8; nothing is broadcast, rounded
+    or wrapped."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.zeros(t.shape[0], dtype=EVENT_DTYPE)
+    if t.ndim != 1:
+        raise ValueError(f"t must be 1-D, got shape {t.shape}")
+    n = t.shape[0]
+    out = np.zeros(n, dtype=EVENT_DTYPE)
     out["t"] = t
-    out["x"] = _int_component("x", x, np.uint16)
-    out["y"] = _int_component("y", y, np.uint16)
-    out["polarity"] = _int_component("polarity", polarity, np.int8)
+    out["x"] = _int_component("x", x, np.uint16, n)
+    out["y"] = _int_component("y", y, np.uint16, n)
+    out["polarity"] = _int_component("polarity", polarity, np.int8, n)
     return out
 
 
-def as_event_array(events: Union[np.ndarray, Iterable[Event]]) -> np.ndarray:
-    """Coerce an iterable of Event (or a structured array) to EVENT_DTYPE."""
+def as_event_array(events: np.ndarray) -> np.ndarray:
+    """events itself if it is an EVENT_DTYPE array.  Any other structured array
+    with fields t, x, y and polarity (numpy 2.x's np.concatenate of event
+    arrays returns a packed one) is rebuilt through make_events, so its values
+    pass the same checks; anything else is a TypeError."""
     if isinstance(events, np.ndarray):
-        if events.dtype != EVENT_DTYPE:
-            missing = {"t", "x", "y", "polarity"} - set(events.dtype.names or ())
-            if missing:
-                raise TypeError(f"event array lacks fields {sorted(missing)}")
-            out = np.zeros(events.shape[0], dtype=EVENT_DTYPE)
-            for name in ("t", "x", "y", "polarity"):
-                out[name] = events[name]
-            return out
-        return events
-    seq = list(events)
-    return make_events([ev.t for ev in seq], [ev.x for ev in seq], [ev.y for ev in seq],
-                       [ev.polarity for ev in seq])
+        if events.dtype == EVENT_DTYPE:
+            return events
+        if {"t", "x", "y", "polarity"} <= set(events.dtype.names or ()):
+            return make_events(events["t"], events["x"], events["y"], events["polarity"])
+    got = events.dtype if isinstance(events, np.ndarray) else type(events).__name__
+    raise TypeError("events must be an EVENT_DTYPE array (see make_events) or a structured "
+                    f"array with fields t, x, y and polarity, got {got}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +206,7 @@ def _check_stream(arr: np.ndarray, width: int, height: int, bounds_error=ValueEr
 
 
 def accumulate_events(
-    events: Union[np.ndarray, Iterable[Event]],
+    events: np.ndarray,
     window: tuple[float, float],
     width: int,
     height: int,

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evreflex.types import (
-    Event,
     EventOrderError,
     EventWindowError,
     ShapeMismatchError,
@@ -20,9 +19,7 @@ from evreflex.types import (
 
 
 def test_accumulate_two_positive_events_counts_and_time():
-    em = accumulate_events(
-        [Event(0.1, 3, 4, 1), Event(0.3, 3, 4, 1)], (0.0, 0.4), 8, 8
-    )
+    em = accumulate_events(make_events([0.1, 0.3], [3, 3], [4, 4], [1, 1]), (0.0, 0.4), 8, 8)
     assert em.pos_count[4, 3] == 2
     assert em.neg_count[4, 3] == 0
     assert em.pos_time[4, 3] == pytest.approx(0.75)
@@ -30,7 +27,7 @@ def test_accumulate_two_positive_events_counts_and_time():
 
 
 def test_accumulate_empty_stream_is_all_zero():
-    em = accumulate_events([], (0.0, 1.0), 4, 4)
+    em = accumulate_events(make_events([], [], [], []), (0.0, 1.0), 4, 4)
     for channel in (em.pos_count, em.neg_count, em.pos_time, em.neg_time):
         assert not channel.any()
 
@@ -50,28 +47,28 @@ def test_accumulate_conserves_event_count():
 
 
 def test_accumulate_rejects_unsorted():
-    ev = [Event(0.5, 0, 0, 1), Event(0.2, 0, 0, 1)]
+    ev = make_events([0.5, 0.2], [0, 0], [0, 0], [1, 1])
     with pytest.raises(EventOrderError):
         accumulate_events(ev, (0.0, 1.0), 4, 4)
 
 
 def test_accumulate_rejects_event_outside_window():
     with pytest.raises(EventWindowError):
-        accumulate_events([Event(1.5, 0, 0, 1)], (0.0, 1.0), 4, 4)
+        accumulate_events(make_events([1.5], [0], [0], [1]), (0.0, 1.0), 4, 4)
     with pytest.raises(EventWindowError):
-        accumulate_events([Event(1.0, 0, 0, 1)], (0.0, 1.0), 4, 4)  # t1 exclusive
+        accumulate_events(make_events([1.0], [0], [0], [1]), (0.0, 1.0), 4, 4)  # t1 exclusive
 
 
 def test_accumulate_rejects_empty_window():
     with pytest.raises(EventWindowError):
-        accumulate_events([], (0.5, 0.5), 4, 4)
+        accumulate_events(make_events([], [], [], []), (0.5, 0.5), 4, 4)
 
 
 def test_accumulate_order_independent_for_distinct_pixels():
-    a = [Event(0.1, 0, 0, 1), Event(0.2, 1, 1, -1), Event(0.3, 2, 2, 1)]
+    a = make_events([0.1, 0.2, 0.3], [0, 1, 2], [0, 1, 2], [1, -1, 1])
     em1 = accumulate_events(a, (0.0, 1.0), 4, 4)
     # same multiset accumulates identically regardless of which pixel fired when
-    b = [Event(0.1, 2, 2, 1), Event(0.2, 1, 1, -1), Event(0.3, 0, 0, 1)]
+    b = make_events([0.1, 0.2, 0.3], [2, 1, 0], [2, 1, 0], [1, -1, 1])
     em2 = accumulate_events(b, (0.0, 1.0), 4, 4)
     assert em1.total_events == em2.total_events
     assert (event_mask(em1) == event_mask(em2)).all()
@@ -105,26 +102,9 @@ def test_event_mask_popcount_matches_recount():
 
 
 def test_event_mask_single_event():
-    em = accumulate_events([Event(0.0, 0, 0, 1)], (0.0, 1.0), 4, 4)
+    em = accumulate_events(make_events([0.0], [0], [0], [1]), (0.0, 1.0), 4, 4)
     mask = event_mask(em)
     assert mask[0, 0] and mask.sum() == 1
-
-
-def test_event_validation():
-    with pytest.raises(ValueError):
-        Event(0.0, 0, 0, 2)
-    with pytest.raises(ValueError):
-        Event(-1.0, 0, 0, 1)
-    with pytest.raises(ValueError):
-        Event(float("nan"), 0, 0, 1)
-
-
-def test_as_event_array_roundtrip():
-    ev = [Event(0.1, 1, 2, 1), Event(0.2, 3, 4, -1)]
-    arr = as_event_array(ev)
-    assert arr["t"].tolist() == [0.1, 0.2]
-    assert arr["polarity"].tolist() == [1, -1]
-    assert as_event_array(arr) is arr
 
 
 def test_float_map_semantics_validation():
@@ -172,7 +152,7 @@ def test_camera_model_message_starts_with_field(field, kwargs):
                 max_size=64))
 def test_accumulation_depends_only_on_multiset(raw):
     raw = sorted(raw, key=lambda r: r[0])
-    ev = [Event(t, x, y, p) for t, x, y, p in raw]
+    ev = make_events(*np.array(raw, dtype=np.float64).reshape(-1, 4).T)
     em = accumulate_events(ev, (0.0, 1.0), 8, 8)
     assert em.total_events == len(ev)
     assert (em.pos_time <= 1.0).all()
@@ -243,7 +223,7 @@ def test_accumulate_rejects_non_finite_timestamps(t):
                                     (-np.inf, 1.0)])
 def test_accumulate_rejects_non_finite_window(window):
     with pytest.raises(EventWindowError):
-        accumulate_events([], window, 4, 4)
+        accumulate_events(make_events([], [], [], []), window, 4, 4)
 
 
 @pytest.mark.parametrize("polarity", [0, 2, -2, 127, -128])
@@ -253,17 +233,80 @@ def test_accumulate_rejects_polarity_other_than_unit(polarity):
         accumulate_events(ev, (0.0, 1.0), 4, 4)
 
 
-def test_as_event_array_of_events_equals_make_events():
+# -- as_event_array: an event array, or another layout rebuilt by make_events ----------
+
+# The four fields in another order, width and byte order than EVENT_DTYPE.
+_FOREIGN = np.dtype([("polarity", "<i2"), ("y", ">u4"), ("t", "<f4"), ("x", "<i4")])
+# EVENT_DTYPE's fields without its pad bytes: what np.concatenate of two
+# event arrays returns on numpy 2.x.
+_PACKED = np.dtype({"names": ["t", "x", "y", "polarity"], "formats": ["<f8", "<u2", "<u2", "i1"],
+                    "offsets": [0, 8, 10, 12], "itemsize": 13})
+
+
+def _records(dtype, t, x, y, polarity):
+    out = np.zeros(len(t), dtype=dtype)
+    for name, values in (("t", t), ("x", x), ("y", y), ("polarity", polarity)):
+        out[name] = values
+    return out
+
+
+def test_as_event_array_returns_an_event_array_itself():
+    ev = make_events([0.1, 0.2], [1, 3], [2, 4], [1, -1])
+    assert as_event_array(ev) is ev
+
+
+@pytest.mark.parametrize("dtype", [_FOREIGN, _PACKED], ids=["foreign", "packed"])
+def test_as_event_array_rebuilds_another_layout_like_make_events(dtype):
     rng = np.random.default_rng(7)
     n = 50
-    t = np.sort(rng.uniform(0, 1, n))
+    t = np.sort(rng.uniform(-1, 1, n)).astype(np.float32)
     xs, ys = rng.integers(0, 400, n), rng.integers(0, 300, n)
     ps = rng.choice([-1, 1], n)
-    arr = as_event_array(Event(float(a), int(b), int(c), int(d))
-                         for a, b, c, d in zip(t, xs, ys, ps))
+    got = as_event_array(_records(dtype, t, xs, ys, ps))
     want = make_events(t, xs, ys, ps)
-    assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes()
-    assert as_event_array([]).shape == (0,)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert as_event_array(_records(dtype, [], [], [], [])).dtype == want.dtype
+
+
+@pytest.mark.parametrize("x, y, polarity, field", [
+    (70000, 0, 1, "x"),
+    (-1, 0, 1, "x"),
+    (0, 65536, 1, "y"),
+    (0, 0, 300, "polarity"),
+])
+def test_as_event_array_refuses_another_layout_out_of_range(x, y, polarity, field):
+    # int32 x = 70000 used to wrap to 4464 in the uint16 field
+    records = _records(_FOREIGN, [0.1, 0.2], [0, x], [0, y], [1, polarity])
+    with pytest.raises(OverflowError, match=f"^{field} "):
+        as_event_array(records)
+    with pytest.raises(OverflowError, match=f"^{field} "):
+        accumulate_events(records, (0.0, 1.0), 4, 4)
+
+
+def test_as_event_array_refuses_a_fractional_coordinate_in_another_layout():
+    records = _records([("t", "<f8"), ("x", "<f4"), ("y", "<u2"), ("polarity", "i1")],
+                       [0.1], [1.5], [0], [1])
+    with pytest.raises(ValueError, match="^x "):
+        as_event_array(records)
+
+
+@pytest.mark.parametrize("events", [
+    [(0.1, 1, 2, 1), (0.2, 3, 4, -1)],
+    ((0.1, 1, 2, 1),),
+    [],
+    (e for e in [(0.1, 1, 2, 1)]),
+    np.array([[0.1, 1, 2, 1]]),
+    np.zeros(2, dtype=[("t", "<f8"), ("x", "<u2"), ("y", "<u2")]),
+    None,
+], ids=["list", "tuple", "empty list", "generator", "plain array", "missing field", "None"])
+def test_as_event_array_refuses_every_other_form(events):
+    with pytest.raises(TypeError, match="EVENT_DTYPE"):
+        as_event_array(events)
+
+
+def test_accumulate_events_refuses_a_list():
+    with pytest.raises(TypeError, match="EVENT_DTYPE"):
+        accumulate_events([], (0.0, 1.0), 4, 4)
 
 
 # -- make_events refuses values it cannot store ----------------------------------------
@@ -298,3 +341,18 @@ def test_make_events_keeps_integral_floats_and_range_ends():
     assert ev["x"].tolist() == [0, 65535]
     assert ev["y"].tolist() == [65535, 0]
     assert ev["polarity"].tolist() == [-128, 127]
+
+
+@pytest.mark.parametrize("t, x, y, polarity, field", [
+    ([0.1, 0.2], [3], [0, 1], [1, 1], "x"),
+    ([0.1, 0.2], 3, [0, 1], [1, 1], "x"),
+    ([0.1, 0.2], [0, 1], [0, 1, 2], [1, 1], "y"),
+    ([0.1, 0.2], [0, 1], [0, 1], [[1], [1]], "polarity"),
+    ([0.1, 0.2], [0, 1], [0, 1], [], "polarity"),
+    (0.1, [0], [0], [1], "t"),
+    ([[0.1], [0.2]], [0, 1], [0, 1], [1, 1], "t"),
+], ids=["x of one", "x scalar", "y longer", "polarity 2-D", "polarity empty", "t scalar",
+        "t 2-D"])
+def test_make_events_refuses_components_not_1d_or_not_as_long_as_t(t, x, y, polarity, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        make_events(t, x, y, polarity)
