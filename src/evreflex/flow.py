@@ -65,8 +65,6 @@ from .types import (
     ShapeMismatchError,
     _check_finite,
     event_mask,
-    flow_field,
-    float_map,
 )
 
 __all__ = [
@@ -259,7 +257,7 @@ def warp(src: Raster, flow: Flow):
     corners, fx, fy, valid = _footprint(img, *_sample_grid(img.shape, u, v))
     values = _interpolate(corners, fx, fy)[0]
     if isinstance(src, FloatMap):
-        return float_map(values, src.semantics), valid
+        return FloatMap(values, src.semantics), valid
     return values, valid
 
 
@@ -593,7 +591,7 @@ def estimate_flow(
     if cfg.event_weighting == "event_gated":
         if em is None:
             raise ValueError("event_gated weighting requires an event map")
-        if (em.height, em.width) != it.shape:
+        if em.pos_count.shape != it.shape:
             raise ShapeMismatchError("event map dimensions differ from images")
         mask = event_mask(em)
         if not mask.any():
@@ -625,4 +623,4 @@ def estimate_flow(
         u, v, _ = _descend(u, v, ws, level)
     # ws is level 0's: the raster, images and weights of the reported loss
     final_loss = ws.loss(u, v, oob_zero=True)
-    return flow_field(u, v), final_loss
+    return FlowField(u, v), final_loss

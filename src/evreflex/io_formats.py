@@ -46,8 +46,6 @@ from .types import (
     MapSemantics,
     _check_stream,
     as_event_array,
-    float_map,
-    flow_field,
 )
 
 __all__ = [
@@ -186,13 +184,13 @@ def read_events(path) -> tuple[np.ndarray, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _encode_map_block(fmap: FloatMap) -> bytes:
-    header = _MAP_HEADER.pack(MAP_MAGIC, FORMAT_VERSION, int(fmap.semantics), fmap.width,
-                              fmap.height)
-    return header + np.ascontiguousarray(fmap.values, dtype="<f4").tobytes()
+def _encode_map_block(values: np.ndarray, semantics: MapSemantics) -> bytes:
+    height, width = values.shape
+    header = _MAP_HEADER.pack(MAP_MAGIC, FORMAT_VERSION, int(semantics), width, height)
+    return header + np.ascontiguousarray(values, dtype="<f4").tobytes()
 
 
-def _decode_map_block(data: bytes, offset: int) -> tuple[np.ndarray, MapSemantics, int, int, int]:
+def _decode_map_block(data: bytes, offset: int) -> tuple[np.ndarray, MapSemantics, int]:
     if len(data) - offset < _MAP_HEADER.size:
         raise TruncatedError("file too short for map header")
     magic, version, sem, width, height = _MAP_HEADER.unpack_from(data, offset)
@@ -209,44 +207,43 @@ def _decode_map_block(data: bytes, offset: int) -> tuple[np.ndarray, MapSemantic
     if len(data) - start < payload:
         raise TruncatedError(f"payload needs {payload} bytes, {len(data) - start} present")
     values = np.frombuffer(data, dtype="<f4", count=width * height, offset=start)
-    return values.reshape(height, width), semantics, width, height, start + payload
+    return values.reshape(height, width), semantics, start + payload
 
 
 def write_map(path, fmap: FloatMap) -> None:
-    atomic_write_bytes(path, _encode_map_block(fmap))
+    atomic_write_bytes(path, _encode_map_block(fmap.values, fmap.semantics))
 
 
 def read_map(path) -> FloatMap:
     with open(path, "rb") as fh:
         data = fh.read()
-    values, semantics, width, height, end = _decode_map_block(data, 0)
+    values, semantics, end = _decode_map_block(data, 0)
     if end != len(data):
         raise TruncatedError(f"{len(data) - end} trailing bytes after payload")
     try:
-        return float_map(values, semantics)
+        return FloatMap(values, semantics)
     except ValueError as err:
         raise FormatError(f"{semantics.name} payload: {err}") from None
 
 
 def write_flow(path, flow: FlowField) -> None:
     """Dual-channel container: a FLOW_U map block followed by a FLOW_V block."""
-    u = float_map(flow.u, MapSemantics.FLOW_U)
-    v = float_map(flow.v, MapSemantics.FLOW_V)
-    atomic_write_bytes(path, _encode_map_block(u) + _encode_map_block(v))
+    atomic_write_bytes(path, _encode_map_block(flow.u, MapSemantics.FLOW_U)
+                       + _encode_map_block(flow.v, MapSemantics.FLOW_V))
 
 
 def read_flow(path) -> FlowField:
     with open(path, "rb") as fh:
         data = fh.read()
-    u, sem_u, w_u, h_u, off = _decode_map_block(data, 0)
-    v, sem_v, w_v, h_v, end = _decode_map_block(data, off)
+    u, sem_u, off = _decode_map_block(data, 0)
+    v, sem_v, end = _decode_map_block(data, off)
     if end != len(data):
         raise TruncatedError(f"{len(data) - end} trailing bytes after payload")
     if sem_u != MapSemantics.FLOW_U or sem_v != MapSemantics.FLOW_V:
         raise FormatError(f"expected FLOW_U then FLOW_V blocks, found {sem_u.name}, {sem_v.name}")
-    if (w_u, h_u) != (w_v, h_v):
+    if u.shape != v.shape:
         raise FormatError("flow channel dimensions disagree")
-    return flow_field(u, v)
+    return FlowField(u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def flow_aee(
     pred: FlowField, gt: FlowField, mask: Optional[np.ndarray] = None
 ) -> FlowErrorStats:
     """Average endpoint error and >3 px outlier rate over the masked pixels."""
-    if (pred.height, pred.width) != (gt.height, gt.width):
+    if pred.u.shape != gt.u.shape:
         raise ShapeMismatchError("flow field dimensions differ")
     ee = np.hypot(
         pred.u.astype(np.float64) - gt.u.astype(np.float64),

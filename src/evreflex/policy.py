@@ -56,8 +56,8 @@ def obstacle_motion_vector(
     are formed in float64 from the stored float32 values.  Returns (vector,
     contributing pixel count); an empty mask yields the zero vector.
     """
-    shape = (flow.height, flow.width)
-    if (depth.height, depth.width) != shape or t.values.shape != shape:
+    shape = flow.u.shape
+    if depth.values.shape != shape or t.values.shape != shape:
         raise ShapeMismatchError("flow, depth and tti dimensions must match")
     mask = np.asarray(danger_mask, dtype=bool)
     if mask.shape != shape:

@@ -59,8 +59,6 @@ from .types import (
     MapSemantics,
     ShapeMismatchError,
     _check_finite,
-    float_map,
-    flow_field,
 )
 
 __all__ = [
@@ -503,7 +501,7 @@ def _flow_to(scene: SceneConfig, obstacles, cast: _Raycast, t_from: float, t_to:
     ys, xs = _pixel_grid((h, w))
     du = cam.fx * rel[..., 0] / z + cam.cx - xs
     dv = cam.fy * rel[..., 1] / z + cam.cy - ys
-    return flow_field(du, dv)
+    return FlowField(du, dv)
 
 
 def render_frame(scene: SceneConfig, t: float) -> Frame:
@@ -535,9 +533,9 @@ def render_frame(scene: SceneConfig, t: float) -> Frame:
 
     return Frame(
         t=float(t),
-        intensity=float_map(intensity, MapSemantics.INTENSITY),
-        depth=float_map(cast.depth, MapSemantics.DEPTH_M),
-        class_map=float_map(class_values, MapSemantics.CLASS_ID),
+        intensity=FloatMap(intensity, MapSemantics.INTENSITY),
+        depth=FloatMap(cast.depth, MapSemantics.DEPTH_M),
+        class_map=FloatMap(class_values, MapSemantics.CLASS_ID),
         flow_fwd=flow_fwd,
         flow_bwd=flow_bwd,
         position=(float(origin[0]), float(origin[1]), float(origin[2])),

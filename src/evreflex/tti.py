@@ -24,7 +24,7 @@ from .types import (
     MapSemantics,
     ShapeMismatchError,
     UndefinedMetricError,
-    float_map,
+    _frozen,
 )
 
 __all__ = [
@@ -44,7 +44,8 @@ OCCLUSION_JUMP_RATIO = 0.25
 
 @dataclass(frozen=True, eq=False)
 class TtiMap:
-    """Inverse TTI raster (1/s) with its frame interval and validity mask."""
+    """Inverse TTI raster (1/s) with its frame interval and validity mask; the
+    mask is stored as a read-only bool copy."""
 
     tti: FloatMap
     dt: float
@@ -52,8 +53,14 @@ class TtiMap:
 
     def __post_init__(self):
         _check_positive("dt", self.dt)
-        if self.valid.shape != self.tti.values.shape:
+        if self.tti.semantics != MapSemantics.INV_TTI_S:
+            raise ValueError(f"tti must be an INV_TTI_S map, got {self.tti.semantics.name}")
+        valid = np.asarray(self.valid)
+        if valid.dtype != bool:
+            raise TypeError(f"valid must be a bool array, got {valid.dtype}")
+        if valid.shape != self.tti.values.shape:
             raise ShapeMismatchError("validity mask shape differs from the tti raster")
+        object.__setattr__(self, "valid", _frozen(valid, bool))
 
     @property
     def values(self) -> np.ndarray:
@@ -92,11 +99,10 @@ def _warp_depth(depth: np.ndarray, flow: FlowField):
 
 
 def _check_dims(flow: FlowField, *maps: FloatMap):
-    shape = (flow.height, flow.width)
     for fmap in maps:
-        if (fmap.height, fmap.width) != shape:
+        if fmap.values.shape != flow.u.shape:
             raise ShapeMismatchError(
-                f"map shape {(fmap.height, fmap.width)} differs from flow shape {shape}"
+                f"map shape {fmap.values.shape} differs from flow shape {flow.u.shape}"
             )
 
 
@@ -122,7 +128,7 @@ def _range_closure(
     tau = np.zeros(curr.shape, dtype=np.float64)
     np.divide(closure, curr * dt, out=tau, where=valid)
     np.maximum(tau, 0.0, out=tau)
-    return TtiMap(tti=float_map(tau, MapSemantics.INV_TTI_S), dt=float(dt), valid=valid)
+    return TtiMap(tti=FloatMap(tau, MapSemantics.INV_TTI_S), dt=float(dt), valid=valid)
 
 
 def ground_truth_inverse_tti(
@@ -155,7 +161,7 @@ def estimate_tti_static(flow: FlowField, d_curr: FloatMap, dt: float) -> TtiMap:
     valid = curr > 0
     tau = np.maximum((du_dx + dv_dy) / (2.0 * dt), 0.0)
     tau[~valid] = 0.0
-    return TtiMap(tti=float_map(tau, MapSemantics.INV_TTI_S), dt=float(dt), valid=valid)
+    return TtiMap(tti=FloatMap(tau, MapSemantics.INV_TTI_S), dt=float(dt), valid=valid)
 
 
 def estimate_tti_dynamic(

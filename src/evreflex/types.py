@@ -1,8 +1,7 @@
 """Shared value types: events, accumulated event maps, dense rasters, camera intrinsics.
 
 Everything downstream (simulator, flow solver, TTI estimators, metrics) trades in
-these types.  All containers are immutable after construction; the numpy payloads
-are marked read-only so instances can be shared freely across threads.
+these types.
 
 Event contract.  An event stream is a 1-D array of the one dtype
 ``EVENT_DTYPE`` (t float64 seconds, x and y uint16 pixel column and row,
@@ -16,14 +15,22 @@ returns one of itemsize 13), which ``as_event_array`` rebuilds through
 ``make_events``: a value out of its field's range is an OverflowError, not a
 wrapped one.  Lists, tuples, generators and plain arrays are a TypeError.
 
-Precision contract.  Rasters are *stored* in one fixed dtype per container,
-whatever the dtype of the input they were built from:
+Container contract.  Each raster container's class is its only builder.
+``FlowField(u, v)`` and ``FloatMap(values, semantics)`` store read-only copies
+of their arrays, as ``TtiMap`` (in ``tti``) does of its mask; ``EventMap`` takes
+the read-only channels that ``accumulate_events`` builds, without a copy.  So
+instances are immutable and can be shared freely across threads.  Whatever the
+dtype of the input, each container stores its payload in one fixed dtype:
 
 - ``EventMap.pos_count`` / ``neg_count``: uint32.
 - ``EventMap.pos_time`` / ``neg_time``: float32.
 - ``FlowField.u`` / ``v`` and ``FloatMap.values``: float32, the same as the
   EVRF on-disk payload (``<f4``), so a flow field or map survives a write/read
   round-trip bit for bit.
+- ``TtiMap.valid``: bool.
+
+A raster's size is its array's shape, (height, width); no container stores a
+width or a height beside it.
 
 *Arithmetic* on stored values runs in float64: consumers (flow solver, TTI
 estimators, metrics, policy) cast to float64 before they compute, and results
@@ -51,8 +58,6 @@ __all__ = [
     "make_events",
     "accumulate_events",
     "event_mask",
-    "float_map",
-    "flow_field",
 ]
 
 # Binary-compatible with the on-disk event record: t f64, x u16, y u16,
@@ -158,11 +163,11 @@ class EventMap:
 
     pos_count / neg_count hold per-pixel event counts; pos_time / neg_time hold
     the most recent event time per pixel, normalized to [0, 1] within the window
-    (0 doubles as the "no event" sentinel).
+    (0 doubles as the "no event" sentinel).  The channels are stored as given,
+    so they must already be read-only 2-D arrays of one shape in the contract's
+    dtypes; ``accumulate_events`` builds them.
     """
 
-    width: int
-    height: int
     t_start: float
     t_end: float
     pos_count: np.ndarray
@@ -173,12 +178,18 @@ class EventMap:
     def __post_init__(self):
         if self.t_end <= self.t_start:
             raise EventWindowError(f"window [{self.t_start}, {self.t_end}) is empty")
-        for name in ("pos_count", "neg_count", "pos_time", "neg_time"):
+        shape = getattr(self.pos_count, "shape", None)
+        for name, dtype in (("pos_count", np.uint32), ("neg_count", np.uint32),
+                            ("pos_time", np.float32), ("neg_time", np.float32)):
             arr = getattr(self, name)
-            if arr.shape != (self.height, self.width):
-                raise ShapeMismatchError(
-                    f"{name} has shape {arr.shape}, expected {(self.height, self.width)}"
-                )
+            if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
+                got = arr.dtype if isinstance(arr, np.ndarray) else type(arr).__name__
+                raise TypeError(f"{name} must be a {np.dtype(dtype)} array, got {got}")
+            if arr.ndim != 2 or arr.shape != shape:
+                raise ShapeMismatchError(f"{name} has shape {arr.shape}; the channels must "
+                                         f"share one 2-D shape, pos_count's is {shape}")
+            if arr.flags.writeable:
+                raise ValueError(f"{name} must be read-only")
 
     @property
     def total_events(self) -> int:
@@ -224,6 +235,9 @@ def accumulate_events(
     maximum is the most recent event, so the result depends on no assignment
     order.
     """
+    for name, side in (("width", width), ("height", height)):
+        if side < 1:
+            raise ValueError(f"{name} must be at least 1, got {side}")
     t0, t1 = float(window[0]), float(window[1])
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
         raise EventWindowError(f"window [{t0}, {t1}) is empty or not finite")
@@ -246,8 +260,6 @@ def accumulate_events(
     pos_count, neg_count = counts.reshape(2, height, width)
     pos_time, neg_time = latest.reshape(2, height, width)
     return EventMap(
-        width=width,
-        height=height,
         t_start=t0,
         t_end=t1,
         pos_count=pos_count,
@@ -264,67 +276,44 @@ def event_mask(em: EventMap) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FlowField:
-    """Dense 2-channel displacement field in pixels per frame interval."""
+    """Dense 2-channel displacement field in pixels per frame interval, from
+    two (H, W) arrays rounded to float32 for storage."""
 
-    width: int
-    height: int
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        for name in ("u", "v"):
-            arr = getattr(self, name)
-            if arr.shape != (self.height, self.width):
-                raise ShapeMismatchError(
-                    f"{name} has shape {arr.shape}, expected {(self.height, self.width)}"
-                )
+        u, v = _frozen(self.u, np.float32), _frozen(self.v, np.float32)
+        if u.shape != v.shape or u.ndim != 2:
+            raise ShapeMismatchError(f"u/v shapes {u.shape} vs {v.shape} must match and be 2-D")
+        for name, arr in (("u", u), ("v", v)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"flow channel {name} contains non-finite values")
-
-
-def flow_field(u, v) -> FlowField:
-    """Build a FlowField from two (H, W) arrays, rounded to float32 for storage."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape or u.ndim != 2:
-        raise ShapeMismatchError(f"u/v shapes {u.shape} vs {v.shape} must match and be 2-D")
-    h, w = u.shape
-    return FlowField(width=w, height=h, u=_frozen(u, np.float32), v=_frozen(v, np.float32))
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
 class FloatMap:
-    """Dense scalar raster tagged with its channel meaning."""
+    """Dense scalar raster tagged with its channel meaning, from an (H, W)
+    array rounded to float32 for storage."""
 
-    width: int
-    height: int
-    semantics: MapSemantics
     values: np.ndarray
+    semantics: MapSemantics
 
     def __post_init__(self):
-        if self.values.shape != (self.height, self.width):
-            raise ShapeMismatchError(
-                f"values shape {self.values.shape} != {(self.height, self.width)}"
-            )
-        if not np.all(np.isfinite(self.values)):
+        values = _frozen(self.values, np.float32)
+        semantics = MapSemantics(self.semantics)
+        if values.ndim != 2:
+            raise ShapeMismatchError(f"expected a 2-D raster, got shape {values.shape}")
+        if not np.all(np.isfinite(values)):
             raise ValueError("map contains non-finite values")
-        if self.semantics in (MapSemantics.DEPTH_M, MapSemantics.INV_TTI_S):
-            if np.any(self.values < 0):
-                raise ValueError(f"{self.semantics.name} map must be non-negative")
-
-
-def float_map(values, semantics: MapSemantics) -> FloatMap:
-    """Build a FloatMap from an (H, W) array, rounded to float32 for storage."""
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D raster, got shape {values.shape}")
-    h, w = values.shape
-    return FloatMap(
-        width=w,
-        height=h,
-        semantics=MapSemantics(semantics),
-        values=_frozen(values, np.float32),
-    )
+        if semantics in (MapSemantics.DEPTH_M, MapSemantics.INV_TTI_S):
+            if np.any(values < 0):
+                raise ValueError(f"{semantics.name} map must be non-negative")
+        elif semantics == MapSemantics.CLASS_ID and np.any(np.floor(values) != values):
+            raise ValueError("CLASS_ID map must hold integers")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "semantics", semantics)
 
 
 def _check_finite(obj, *names: str) -> None:

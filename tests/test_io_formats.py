@@ -32,9 +32,9 @@ from evreflex.sim import SceneConfig, SphereObstacle, TextureSpec, TrajectorySpe
 from evreflex.types import (
     CameraModel,
     EventOrderError,
+    FloatMap,
+    FlowField,
     MapSemantics,
-    flow_field,
-    float_map,
     make_events,
 )
 
@@ -74,14 +74,14 @@ def test_events_roundtrip_byte_identical(tmp_path):
 
 def test_map_1x1_file_size(tmp_path):
     path = tmp_path / "one.evrf"
-    write_map(path, float_map(np.zeros((1, 1)), MapSemantics.INTENSITY))
+    write_map(path, FloatMap(np.zeros((1, 1)), MapSemantics.INTENSITY))
     assert path.stat().st_size == 20 + 4
 
 
 def test_map_negative_zero_roundtrip(tmp_path):
     path = tmp_path / "nz.evrf"
     values = np.array([[-0.0, 0.0]], dtype=np.float32)
-    write_map(path, float_map(values, MapSemantics.INTENSITY))
+    write_map(path, FloatMap(values, MapSemantics.INTENSITY))
     back = read_map(path)
     assert np.signbit(back.values[0, 0])
     assert not np.signbit(back.values[0, 1])
@@ -90,7 +90,7 @@ def test_map_negative_zero_roundtrip(tmp_path):
 def test_map_roundtrip_byte_identical(tmp_path):
     rng = np.random.default_rng(1)
     p1, p2 = tmp_path / "m1.evrf", tmp_path / "m2.evrf"
-    fm = float_map(rng.normal(size=(64, 64)).astype(np.float32), MapSemantics.INTENSITY)
+    fm = FloatMap(rng.normal(size=(64, 64)).astype(np.float32), MapSemantics.INTENSITY)
     write_map(p1, fm)
     write_map(p2, read_map(p1))
     assert p1.read_bytes() == p2.read_bytes()
@@ -99,7 +99,7 @@ def test_map_roundtrip_byte_identical(tmp_path):
 def test_flow_container_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     path = tmp_path / "f.evrf"
-    ff = flow_field(rng.normal(size=(16, 16)), rng.normal(size=(16, 16)))
+    ff = FlowField(rng.normal(size=(16, 16)), rng.normal(size=(16, 16)))
     write_flow(path, ff)
     back = read_flow(path)
     assert np.array_equal(back.u, ff.u)
@@ -109,7 +109,7 @@ def test_flow_container_roundtrip(tmp_path):
 def test_float64_built_map_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "d.evrf"
-    fm = float_map(rng.uniform(0.5, 4.0, size=(16, 16)), MapSemantics.DEPTH_M)
+    fm = FloatMap(rng.uniform(0.5, 4.0, size=(16, 16)), MapSemantics.DEPTH_M)
     assert fm.values.dtype == np.float32
     write_map(path, fm)
     back = read_map(path)
@@ -119,10 +119,19 @@ def test_float64_built_map_roundtrip(tmp_path):
 @pytest.mark.parametrize("bad", [-1.0, float("nan")])
 def test_map_invalid_depth_payload_rejected(tmp_path, bad):
     path = tmp_path / "d.evrf"
-    write_map(path, float_map(np.full((2, 2), 2.0), MapSemantics.DEPTH_M))
+    write_map(path, FloatMap(np.full((2, 2), 2.0), MapSemantics.DEPTH_M))
     data = path.read_bytes()
     path.write_bytes(data[:-4] + struct.pack("<f", bad))
     with pytest.raises(FormatError, match="DEPTH_M"):
+        read_map(path)
+
+
+def test_map_non_integer_class_payload_rejected(tmp_path):
+    path = tmp_path / "c.evrf"
+    write_map(path, FloatMap(np.full((2, 2), 2.0), MapSemantics.CLASS_ID))
+    data = path.read_bytes()
+    path.write_bytes(data[:-4] + struct.pack("<f", 2.5))
+    with pytest.raises(FormatError, match="CLASS_ID"):
         read_map(path)
 
 
@@ -162,7 +171,7 @@ def test_truncation_rejected(tmp_path):
 
 def test_map_truncation_and_trailing_rejected(tmp_path):
     path = tmp_path / "m.evrf"
-    write_map(path, float_map(np.ones((2, 3)), MapSemantics.DEPTH_M))
+    write_map(path, FloatMap(np.ones((2, 3)), MapSemantics.DEPTH_M))
     data = path.read_bytes()
     path.write_bytes(data[:-2])
     with pytest.raises(TruncatedError):
@@ -280,8 +289,10 @@ def test_map_roundtrip_property(w, h, seed, semantics, tmp_path_factory):
     raw = rng.normal(size=(h, w)).astype(np.float32)
     if semantics in (MapSemantics.DEPTH_M, MapSemantics.INV_TTI_S):
         raw = np.abs(raw)
+    elif semantics == MapSemantics.CLASS_ID:
+        raw = np.round(raw * 4)
     path = tmp_path_factory.mktemp("map") / "m.evrf"
-    write_map(path, float_map(raw, semantics))
+    write_map(path, FloatMap(raw, semantics))
     back = read_map(path)
     assert back.semantics == semantics
     assert back.values.tobytes() == raw.tobytes()

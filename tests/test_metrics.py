@@ -8,20 +8,20 @@ from evreflex.metrics import (
     flow_aee,
     prf1,
 )
-from evreflex.types import MapSemantics, UndefinedMetricError, flow_field, float_map
+from evreflex.types import FloatMap, FlowField, MapSemantics, UndefinedMetricError
 
 
 def test_aee_identical_fields():
     rng = np.random.default_rng(0)
-    f = flow_field(rng.normal(size=(8, 8)), rng.normal(size=(8, 8)))
+    f = FlowField(rng.normal(size=(8, 8)), rng.normal(size=(8, 8)))
     stats = flow_aee(f, f)
     assert stats.aee == 0.0 and stats.outlier_pct == 0.0
 
 
 def test_aee_345_offset():
     shape = (8, 8)
-    gt = flow_field(np.zeros(shape), np.zeros(shape))
-    pred = flow_field(np.full(shape, 3.0), np.full(shape, 4.0))
+    gt = FlowField(np.zeros(shape), np.zeros(shape))
+    pred = FlowField(np.full(shape, 3.0), np.full(shape, 4.0))
     stats = flow_aee(pred, gt)
     assert stats.aee == pytest.approx(5.0)
     assert stats.outlier_pct == pytest.approx(100.0)
@@ -32,7 +32,7 @@ def test_aee_matches_loop_oracle():
     pu, pv = rng.normal(size=(2, 8, 8))
     gu, gv = rng.normal(size=(2, 8, 8))
     mask = rng.random((8, 8)) > 0.4
-    stats = flow_aee(flow_field(pu, pv), flow_field(gu, gv), mask)
+    stats = flow_aee(FlowField(pu, pv), FlowField(gu, gv), mask)
     errors = []
     for y in range(8):
         for x in range(8):
@@ -47,7 +47,7 @@ def test_aee_matches_loop_oracle():
 
 
 def test_aee_empty_mask_is_undefined():
-    f = flow_field(np.zeros((4, 4)), np.zeros((4, 4)))
+    f = FlowField(np.zeros((4, 4)), np.zeros((4, 4)))
     with pytest.raises(UndefinedMetricError):
         flow_aee(f, f, np.zeros((4, 4), dtype=bool))
 
@@ -56,7 +56,7 @@ def _classes(shape):
     cls = np.zeros(shape)
     cls[:, : shape[1] // 2] = 1  # floor on the left half
     cls[0:2, 0:2] = 2  # a flying patch
-    return float_map(cls, MapSemantics.CLASS_ID)
+    return FloatMap(cls, MapSemantics.CLASS_ID)
 
 
 def test_prf1_perfect_prediction():
@@ -80,7 +80,7 @@ def test_prf1_matches_confusion_oracle():
     pred = rng.random((16, 16)) > 0.5
     gt = rng.random((16, 16)) > 0.5
     cls_vals = rng.integers(0, 3, (16, 16)).astype(np.float64)
-    scores = prf1(pred, gt, float_map(cls_vals, MapSemantics.CLASS_ID))
+    scores = prf1(pred, gt, FloatMap(cls_vals, MapSemantics.CLASS_ID))
     for cid in (0, 1, 2):
         tp = fp = fn = 0
         for y in range(16):
@@ -113,17 +113,17 @@ def test_prf1_zero_support_class_reports_zeros():
 
 def test_depth_baseline_cases():
     d = np.full((6, 6), 2.0)
-    fm = float_map(d, MapSemantics.DEPTH_M)
+    fm = FloatMap(d, MapSemantics.DEPTH_M)
     assert not depth_baseline(fm, 0.5).any()
     d2 = d.copy()
     d2[3, 3] = 0.3
-    mask = depth_baseline(float_map(d2, MapSemantics.DEPTH_M), 0.5)
+    mask = depth_baseline(FloatMap(d2, MapSemantics.DEPTH_M), 0.5)
     assert mask[3, 3] and mask.sum() == 1
 
 
 def test_depth_baseline_threshold_monotone():
     rng = np.random.default_rng(4)
-    fm = float_map(rng.uniform(0.1, 3.0, (16, 16)), MapSemantics.DEPTH_M)
+    fm = FloatMap(rng.uniform(0.1, 3.0, (16, 16)), MapSemantics.DEPTH_M)
     near = depth_baseline(fm, 0.5)
     far = depth_baseline(fm, 1.5)
     assert not (near & ~far).any()
@@ -132,7 +132,7 @@ def test_depth_baseline_threshold_monotone():
 def test_depth_baseline_ignores_invalid_depth():
     d = np.zeros((4, 4))
     d[0, 0] = 0.2
-    mask = depth_baseline(float_map(d, MapSemantics.DEPTH_M), 0.5)
+    mask = depth_baseline(FloatMap(d, MapSemantics.DEPTH_M), 0.5)
     assert mask[0, 0] and mask.sum() == 1  # sentinel-0 pixels stay out
 
 
@@ -140,7 +140,7 @@ def test_depth_baseline_ignores_invalid_depth():
 def test_depth_baseline_refuses_threshold_not_positive_and_finite(threshold):
     # a NaN threshold once gave an empty mask and an infinite one flagged
     # every valid pixel
-    fm = float_map(np.full((4, 4), 2.0), MapSemantics.DEPTH_M)
+    fm = FloatMap(np.full((4, 4), 2.0), MapSemantics.DEPTH_M)
     with pytest.raises(ValueError, match="^threshold_m must be positive and finite"):
         depth_baseline(fm, threshold)
 

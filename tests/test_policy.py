@@ -3,7 +3,7 @@ import pytest
 
 from evreflex.policy import EgoMotion, evasion_direction, obstacle_motion_vector
 from evreflex.tti import TtiMap
-from evreflex.types import CameraModel, MapSemantics, flow_field, float_map
+from evreflex.types import CameraModel, FloatMap, FlowField, MapSemantics
 
 
 def _camera(shape, fx=100.0, fy=50.0):
@@ -13,15 +13,15 @@ def _camera(shape, fx=100.0, fy=50.0):
 
 def _tti(values, dt=0.1):
     values = np.asarray(values, dtype=np.float64)
-    return TtiMap(tti=float_map(values, MapSemantics.INV_TTI_S), dt=dt,
+    return TtiMap(tti=FloatMap(values, MapSemantics.INV_TTI_S), dt=dt,
                   valid=np.ones(values.shape, dtype=bool))
 
 
 def test_motion_vector_empty_mask():
     shape = (4, 4)
     vec, count = obstacle_motion_vector(
-        flow_field(np.zeros(shape), np.zeros(shape)),
-        float_map(np.ones(shape), MapSemantics.DEPTH_M),
+        FlowField(np.zeros(shape), np.zeros(shape)),
+        FloatMap(np.ones(shape), MapSemantics.DEPTH_M),
         _tti(np.zeros(shape)),
         np.zeros(shape, dtype=bool),
         _camera(shape),
@@ -37,8 +37,8 @@ def test_motion_vector_single_pixel():
     mask = np.zeros(shape, dtype=bool)
     mask[1, 2] = True
     vec, count = obstacle_motion_vector(
-        flow_field(np.zeros(shape), np.zeros(shape)),
-        float_map(depth, MapSemantics.DEPTH_M),
+        FlowField(np.zeros(shape), np.zeros(shape)),
+        FloatMap(depth, MapSemantics.DEPTH_M),
         _tti(tau),
         mask,
         _camera(shape),
@@ -57,7 +57,7 @@ def test_motion_vector_matches_loop_oracle():
     mask = rng.random(shape) > 0.5
     cam = _camera(shape, fx=80.0, fy=120.0)
     vec, count = obstacle_motion_vector(
-        flow_field(u, v), float_map(d, MapSemantics.DEPTH_M), _tti(tau, dt=0.05), mask, cam
+        FlowField(u, v), FloatMap(d, MapSemantics.DEPTH_M), _tti(tau, dt=0.05), mask, cam
     )
     sums = np.zeros(3)
     n = 0
@@ -85,7 +85,7 @@ def test_motion_vector_metric_lifting():
     tau = np.full(shape, 0.5)
     mask = np.ones(shape, dtype=bool)
     vec, _ = obstacle_motion_vector(
-        flow_field(u, v), float_map(d, MapSemantics.DEPTH_M), _tti(tau, dt=0.1), mask,
+        FlowField(u, v), FloatMap(d, MapSemantics.DEPTH_M), _tti(tau, dt=0.1), mask,
         camera=cam,
     )
     # u*d/(fx*dt), v*d/(fy*dt), d*tau

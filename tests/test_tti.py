@@ -12,15 +12,15 @@ from evreflex.tti import (
     threshold_collision,
     tti_mse,
 )
-from evreflex.types import MapSemantics, UndefinedMetricError, flow_field, float_map
+from evreflex.types import FloatMap, FlowField, MapSemantics, UndefinedMetricError
 
 
 def _depth(value, shape=(8, 8)):
-    return float_map(np.full(shape, value, dtype=np.float64), MapSemantics.DEPTH_M)
+    return FloatMap(np.full(shape, value, dtype=np.float64), MapSemantics.DEPTH_M)
 
 
 def _zero_flow(shape=(8, 8)):
-    return flow_field(np.zeros(shape), np.zeros(shape))
+    return FlowField(np.zeros(shape), np.zeros(shape))
 
 
 def test_gt_tti_no_range_change_is_zero():
@@ -29,7 +29,7 @@ def test_gt_tti_no_range_change_is_zero():
     u = rng.uniform(-1.5, 1.5, shape)
     v = rng.uniform(-1.5, 1.5, shape)
     d = _depth(2.0)
-    out = ground_truth_inverse_tti(d, d, flow_field(u, v), 0.1)
+    out = ground_truth_inverse_tti(d, d, FlowField(u, v), 0.1)
     assert np.allclose(out.values[out.valid], 0.0, atol=1e-7)
 
 
@@ -52,9 +52,9 @@ def test_gt_tti_validity_rules():
     u = np.zeros((8, 8))
     u[0, 7] = 5.0  # warps out of the raster
     out = ground_truth_inverse_tti(
-        float_map(d_prev, MapSemantics.DEPTH_M),
-        float_map(d_curr, MapSemantics.DEPTH_M),
-        flow_field(u, np.zeros((8, 8))),
+        FloatMap(d_prev, MapSemantics.DEPTH_M),
+        FloatMap(d_curr, MapSemantics.DEPTH_M),
+        FlowField(u, np.zeros((8, 8))),
         0.1,
     )
     assert not out.valid[3, 3]
@@ -69,8 +69,8 @@ def test_gt_tti_occlusion_guard_masks_discontinuity():
     d_prev[:, :4] = 2.0
     u = np.full((8, 8), 0.5)
     out = ground_truth_inverse_tti(
-        float_map(d_prev, MapSemantics.DEPTH_M), _depth(2.0),
-        flow_field(u, np.zeros((8, 8))), 0.1,
+        FloatMap(d_prev, MapSemantics.DEPTH_M), _depth(2.0),
+        FlowField(u, np.zeros((8, 8))), 0.1,
     )
     assert not out.valid[4, 3]  # footprint spans columns 3..4 of d_prev
     assert out.valid[4, 1] and out.valid[4, 5]  # footprints on one side of the jump
@@ -105,8 +105,29 @@ def test_static_refuses_dt_not_positive_and_finite(dt):
 @pytest.mark.parametrize("dt", BAD_INTERVALS)
 def test_tti_map_refuses_dt_not_positive_and_finite(dt):
     with pytest.raises(ValueError, match="^dt must be positive and finite"):
-        TtiMap(tti=float_map(np.zeros((4, 5)), MapSemantics.INV_TTI_S), dt=dt,
+        TtiMap(tti=FloatMap(np.zeros((4, 5)), MapSemantics.INV_TTI_S), dt=dt,
                valid=np.ones((4, 5), dtype=bool))
+
+
+def test_tti_map_freezes_its_mask():
+    gt = ground_truth_inverse_tti(_depth(2.5), _depth(2.0), _zero_flow(), 0.5)
+    with pytest.raises(ValueError):
+        gt.valid[0, 0] = False
+    mask = np.ones((4, 5), dtype=bool)
+    t = TtiMap(tti=FloatMap(np.zeros((4, 5)), MapSemantics.INV_TTI_S), dt=0.1, valid=mask)
+    mask[:] = False
+    assert t.valid.all() and not t.valid.flags.writeable
+
+
+def test_tti_map_refuses_a_mask_that_is_not_bool():
+    with pytest.raises(TypeError, match="^valid must be a bool array"):
+        TtiMap(tti=FloatMap(np.zeros((4, 5)), MapSemantics.INV_TTI_S), dt=0.1,
+               valid=np.ones((4, 5)))
+
+
+def test_tti_map_refuses_a_map_that_is_not_inverse_tti():
+    with pytest.raises(ValueError, match="^tti must be an INV_TTI_S map, got DEPTH_M"):
+        TtiMap(tti=_depth(2.0, (4, 5)), dt=0.1, valid=np.ones((4, 5), dtype=bool))
 
 
 def test_static_zero_flow_is_zero():
@@ -119,7 +140,7 @@ def test_static_radial_expansion():
     ys, xs = np.mgrid[0:16, 0:16].astype(np.float64)
     cx = cy = 7.5
     out = estimate_tti_static(
-        flow_field(0.05 * (xs - cx), 0.05 * (ys - cy)), _depth(2.0, shape), 0.1
+        FlowField(0.05 * (xs - cx), 0.05 * (ys - cy)), _depth(2.0, shape), 0.1
     )
     assert np.allclose(out.values[2:-2, 2:-2], 0.5, atol=1e-6)
 
@@ -128,7 +149,7 @@ def test_static_solenoidal_field_is_zero():
     shape = (16, 16)
     ys, xs = np.mgrid[0:16, 0:16].astype(np.float64)
     out = estimate_tti_static(
-        flow_field(-0.1 * (ys - 7.5), 0.1 * (xs - 7.5)), _depth(2.0, shape), 0.1
+        FlowField(-0.1 * (ys - 7.5), 0.1 * (xs - 7.5)), _depth(2.0, shape), 0.1
     )
     assert np.abs(out.values).max() < 1e-6
 
@@ -145,16 +166,16 @@ def test_dynamic_scalar_case():
 
 def test_unit_coherence_halving_dt_doubles_tau():
     rng = np.random.default_rng(1)
-    d_prev = float_map(rng.uniform(2.0, 2.2, (8, 8)), MapSemantics.DEPTH_M)
-    d_curr = float_map(np.full((8, 8), 2.0), MapSemantics.DEPTH_M)
+    d_prev = FloatMap(rng.uniform(2.0, 2.2, (8, 8)), MapSemantics.DEPTH_M)
+    d_curr = FloatMap(np.full((8, 8), 2.0), MapSemantics.DEPTH_M)
     a = ground_truth_inverse_tti(d_prev, d_curr, _zero_flow(), 0.1)
     b = ground_truth_inverse_tti(d_prev, d_curr, _zero_flow(), 0.05)
     assert np.allclose(b.values, 2 * a.values, rtol=1e-6)
     sa = estimate_tti_static(
-        flow_field(0.05 * np.ones((8, 8)) * np.arange(8), np.zeros((8, 8))), d_curr, 0.1
+        FlowField(0.05 * np.ones((8, 8)) * np.arange(8), np.zeros((8, 8))), d_curr, 0.1
     )
     sb = estimate_tti_static(
-        flow_field(0.05 * np.ones((8, 8)) * np.arange(8), np.zeros((8, 8))), d_curr, 0.05
+        FlowField(0.05 * np.ones((8, 8)) * np.arange(8), np.zeros((8, 8))), d_curr, 0.05
     )
     assert np.allclose(sb.values, 2 * sa.values, rtol=1e-6)
 
@@ -165,7 +186,7 @@ def test_tti_mse_cases():
     gt = ground_truth_inverse_tti(_depth(2.5), _depth(2.0), _zero_flow(), 0.5)
     assert tti_mse(gt, gt) == 0.0
     shifted = TtiMap(
-        tti=float_map(gt.values + 0.25, MapSemantics.INV_TTI_S), dt=gt.dt, valid=gt.valid
+        tti=FloatMap(gt.values + 0.25, MapSemantics.INV_TTI_S), dt=gt.dt, valid=gt.valid
     )
     assert tti_mse(shifted, gt) == pytest.approx(0.25**2, rel=1e-9)
 
@@ -176,8 +197,8 @@ def test_tti_mse_matches_loop_oracle():
     b_vals = rng.uniform(0, 2, (8, 8))
     valid_a = rng.random((8, 8)) > 0.3
     valid_b = rng.random((8, 8)) > 0.3
-    a = TtiMap(tti=float_map(a_vals, MapSemantics.INV_TTI_S), dt=0.1, valid=valid_a)
-    b = TtiMap(tti=float_map(b_vals, MapSemantics.INV_TTI_S), dt=0.1, valid=valid_b)
+    a = TtiMap(tti=FloatMap(a_vals, MapSemantics.INV_TTI_S), dt=0.1, valid=valid_a)
+    b = TtiMap(tti=FloatMap(b_vals, MapSemantics.INV_TTI_S), dt=0.1, valid=valid_b)
     total = 0.0
     count = 0
     for y in range(8):
@@ -189,16 +210,16 @@ def test_tti_mse_matches_loop_oracle():
 
 
 def test_tti_mse_empty_support_raises():
-    a = TtiMap(tti=float_map(np.zeros((4, 4)), MapSemantics.INV_TTI_S), dt=0.1,
+    a = TtiMap(tti=FloatMap(np.zeros((4, 4)), MapSemantics.INV_TTI_S), dt=0.1,
                valid=np.zeros((4, 4), dtype=bool))
     with pytest.raises(UndefinedMetricError):
         tti_mse(a, a)
 
 
 def test_tti_mse_dt_mismatch_raises():
-    a = TtiMap(tti=float_map(np.zeros((4, 4)), MapSemantics.INV_TTI_S), dt=0.1,
+    a = TtiMap(tti=FloatMap(np.zeros((4, 4)), MapSemantics.INV_TTI_S), dt=0.1,
                valid=np.ones((4, 4), dtype=bool))
-    b = TtiMap(tti=float_map(np.zeros((4, 4)), MapSemantics.INV_TTI_S), dt=0.2,
+    b = TtiMap(tti=FloatMap(np.zeros((4, 4)), MapSemantics.INV_TTI_S), dt=0.2,
                valid=np.ones((4, 4), dtype=bool))
     with pytest.raises(ValueError):
         tti_mse(a, b)
@@ -206,11 +227,11 @@ def test_tti_mse_dt_mismatch_raises():
 
 def test_threshold_collision_cases():
     values = np.zeros((8, 8))
-    t = TtiMap(tti=float_map(values, MapSemantics.INV_TTI_S), dt=0.1,
+    t = TtiMap(tti=FloatMap(values, MapSemantics.INV_TTI_S), dt=0.1,
                valid=np.ones((8, 8), dtype=bool))
     assert not threshold_collision(t, 1.0).any()
     values[2, 5] = 1.2
-    t = TtiMap(tti=float_map(values, MapSemantics.INV_TTI_S), dt=0.1,
+    t = TtiMap(tti=FloatMap(values, MapSemantics.INV_TTI_S), dt=0.1,
                valid=np.ones((8, 8), dtype=bool))
     mask = threshold_collision(t, 1.0)
     assert mask[2, 5] and mask.sum() == 1
@@ -229,7 +250,7 @@ def test_threshold_collision_refuses_horizon_not_positive_and_finite(horizon):
 
 def test_threshold_monotonicity_in_horizon():
     rng = np.random.default_rng(3)
-    t = TtiMap(tti=float_map(rng.uniform(0, 3, (16, 16)), MapSemantics.INV_TTI_S),
+    t = TtiMap(tti=FloatMap(rng.uniform(0, 3, (16, 16)), MapSemantics.INV_TTI_S),
                dt=0.1, valid=rng.random((16, 16)) > 0.2)
     short = threshold_collision(t, 0.5)
     long = threshold_collision(t, 1.0)
@@ -238,9 +259,9 @@ def test_threshold_monotonicity_in_horizon():
 
 def test_tau_values_always_nonnegative():
     rng = np.random.default_rng(4)
-    d_prev = float_map(rng.uniform(1, 3, (8, 8)), MapSemantics.DEPTH_M)
-    d_curr = float_map(rng.uniform(1, 3, (8, 8)), MapSemantics.DEPTH_M)
-    flow = flow_field(rng.normal(0, 1, (8, 8)), rng.normal(0, 1, (8, 8)))
+    d_prev = FloatMap(rng.uniform(1, 3, (8, 8)), MapSemantics.DEPTH_M)
+    d_curr = FloatMap(rng.uniform(1, 3, (8, 8)), MapSemantics.DEPTH_M)
+    flow = FlowField(rng.normal(0, 1, (8, 8)), rng.normal(0, 1, (8, 8)))
     for out in (
         ground_truth_inverse_tti(d_prev, d_curr, flow, 0.1),
         estimate_tti_dynamic(flow, d_curr, d_prev, 0.1),
@@ -256,9 +277,9 @@ def test_gt_and_dynamic_are_one_closure_with_opposite_signs(h, w, seed, dt):
     # Depth fields a few percent from flat keep most footprints inside the
     # occlusion guard; flows up to 3 px push some samples out of the raster.
     rng = np.random.default_rng(seed)
-    a = float_map(rng.uniform(1.0, 4.0) * (1.0 + 0.1 * rng.random((h, w))), MapSemantics.DEPTH_M)
-    b = float_map(rng.uniform(1.0, 4.0) * (1.0 + 0.1 * rng.random((h, w))), MapSemantics.DEPTH_M)
-    f = flow_field(rng.uniform(-3.0, 3.0, (h, w)), rng.uniform(-3.0, 3.0, (h, w)))
+    a = FloatMap(rng.uniform(1.0, 4.0) * (1.0 + 0.1 * rng.random((h, w))), MapSemantics.DEPTH_M)
+    b = FloatMap(rng.uniform(1.0, 4.0) * (1.0 + 0.1 * rng.random((h, w))), MapSemantics.DEPTH_M)
+    f = FlowField(rng.uniform(-3.0, 3.0, (h, w)), rng.uniform(-3.0, 3.0, (h, w)))
 
     gt = ground_truth_inverse_tti(a, b, f, dt)
     dyn = estimate_tti_dynamic(f, b, a, dt)

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from evreflex.types import (
     EventOrderError,
+    EventMap,
     EventWindowError,
+    FloatMap,
+    FlowField,
     ShapeMismatchError,
     accumulate_events,
     as_event_array,
     event_mask,
-    flow_field,
-    float_map,
     make_events,
     CameraModel,
     MapSemantics,
@@ -64,6 +65,13 @@ def test_accumulate_rejects_empty_window():
         accumulate_events(make_events([], [], [], []), (0.5, 0.5), 4, 4)
 
 
+@pytest.mark.parametrize("width, height, name", [(0, 4, "width"), (4, 0, "height"),
+                                                 (-1, 4, "width"), (4, -2, "height")])
+def test_accumulate_refuses_a_side_below_one(width, height, name):
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        accumulate_events(make_events([], [], [], []), (0.0, 1.0), width, height)
+
+
 def test_accumulate_order_independent_for_distinct_pixels():
     a = make_events([0.1, 0.2, 0.3], [0, 1, 2], [0, 1, 2], [1, -1, 1])
     em1 = accumulate_events(a, (0.0, 1.0), 4, 4)
@@ -109,19 +117,57 @@ def test_event_mask_single_event():
 
 def test_float_map_semantics_validation():
     with pytest.raises(ValueError):
-        float_map(np.full((2, 2), -1.0), MapSemantics.DEPTH_M)
+        FloatMap(np.full((2, 2), -1.0), MapSemantics.DEPTH_M)
     with pytest.raises(ValueError):
-        float_map(np.full((2, 2), np.nan), MapSemantics.INTENSITY)
-    fm = float_map(np.zeros((3, 2)), MapSemantics.INV_TTI_S)
-    assert (fm.width, fm.height) == (2, 3)
+        FloatMap(np.full((2, 2), np.nan), MapSemantics.INTENSITY)
+    with pytest.raises(ValueError, match="^CLASS_ID map must hold integers"):
+        FloatMap([[0, 0], [2.5, 2.5]], MapSemantics.CLASS_ID)
+    fm = FloatMap(np.zeros((3, 2)), MapSemantics.INV_TTI_S)
+    assert fm.values.shape == (3, 2)
     assert not fm.values.flags.writeable
+
+
+_CHANNELS = ("pos_count", "neg_count", "pos_time", "neg_time")
+
+
+def _event_map(**channels):
+    """An EventMap over (0, 1) from accumulate_events' 2x3 channels, the named ones replaced."""
+    em = accumulate_events(make_events([0.25], [1], [0], [1]), (0.0, 1.0), 3, 2)
+    return EventMap(0.0, 1.0, **{name: channels.get(name, getattr(em, name)) for name in _CHANNELS})
+
+
+@pytest.mark.parametrize("build, dtype, refusal", [
+    (lambda a: FlowField(a, np.zeros((2, 3))).u, np.float64, None),
+    (lambda a: FlowField(np.zeros((2, 3)), a).v, np.int64, None),
+    (lambda a: FloatMap(a, MapSemantics.DEPTH_M).values, np.float64, None),
+    (lambda a: FloatMap(a, MapSemantics.CLASS_ID).values, np.int64, None),
+    (lambda a: _event_map(pos_count=a), np.uint32, (ValueError, "^pos_count must be read-only")),
+    (lambda a: _event_map(neg_time=a), np.float64, (TypeError, "^neg_time must be a float32")),
+], ids=["FlowField.u-float64", "FlowField.v-int64", "FloatMap-float64", "FloatMap-int64",
+        "EventMap-writable", "EventMap-float64"])
+def test_container_stores_its_payload_read_only_in_the_contract_dtype(build, dtype, refusal):
+    raw = np.arange(6, dtype=dtype).reshape(2, 3)  # writable
+    if refusal:
+        with pytest.raises(refusal[0], match=refusal[1]):
+            build(raw)
+        return
+    stored = build(raw)
+    assert stored.dtype == np.float32 and not stored.flags.writeable
+    raw[0, 0] = 7
+    assert np.array_equal(stored, np.arange(6).reshape(2, 3))
+
+
+def test_event_map_refuses_channels_of_different_shapes():
+    tall = accumulate_events(make_events([], [], [], []), (0.0, 1.0), 2, 3)
+    with pytest.raises(ShapeMismatchError, match="^neg_count has shape"):
+        _event_map(neg_count=tall.neg_count)
 
 
 def test_flow_field_validation():
     with pytest.raises(ShapeMismatchError):
-        flow_field(np.zeros((2, 2)), np.zeros((3, 2)))
+        FlowField(np.zeros((2, 2)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        flow_field(np.full((2, 2), np.inf), np.zeros((2, 2)))
+        FlowField(np.full((2, 2), np.inf), np.zeros((2, 2)))
 
 
 def test_camera_model_validation():
