@@ -27,21 +27,17 @@ b^(a - 1) as b^a / b from that buffer and takes no log, exp or power of its
 own; b >= eps^2 > 0 keeps the quotient finite.  The public charbonnier and
 charbonnier_deriv take the power the same way.
 
-The photometric term runs only on the weights' support: the pixels the
-event gate leaves open under event_gated weighting, and every pixel under
-uniform weighting.  A workspace gathers the pixel grid, I_t and the
-weights at those pixels into 1-D buffers, and each evaluation gathers the
-flow there, runs the footprint, interpolant, residual and powers on them,
-and scatters the weighted terms into a raster-sized buffer that holds each
-other pixel's weight, +0.0 (or -0.0).  Summing that buffer adds the terms
-in the same pairwise order as summing every pixel's base^a * weight, so
-the loss is that sum to the bit wherever the terms are finite; summing the
-compact terms would change the summation tree.  The gradient's
-photometric part is scattered into a zeroed raster the same way.  So a
-pixel of weight 0 never reaches the objective: I_t is not read there (I_t1
-is, where an active pixel's sample lands), and an overflow there, which
-the plain sum would carry as 0 * inf = NaN, is no divergence; one at a
-pixel of nonzero weight still is.  The descent reports each level (active
+The photometric term is the weighted sum over the pixels of nonzero weight:
+the pixels the event gate leaves open under event_gated weighting, and
+every pixel under uniform weighting.  A workspace gathers the pixel grid,
+I_t and the weights at those pixels into 1-D buffers; each evaluation
+gathers the flow there, runs the footprint, interpolant, residual and
+powers on them and sums the weighted terms in raster order, and the
+gradient's photometric part is scattered into a zeroed raster.  So a pixel
+of weight 0 never reaches the objective: I_t is not read there (I_t1 is,
+where an active pixel's sample lands), and an overflow there is no
+divergence; one at a pixel of nonzero weight still is.  A weight mask must
+be finite and non-negative.  The descent reports each level (active
 pixels, accepted and rejected steps, final step, why it stopped) at DEBUG
 level on the "evreflex.flow" logger.
 
@@ -299,6 +295,8 @@ def _weights(shape, weight_mask) -> np.ndarray:
     w = np.asarray(weight_mask, dtype=np.float64)
     if w.shape != shape:
         raise ShapeMismatchError(f"weight mask shape {w.shape} != raster shape {shape}")
+    if not (np.isfinite(w) & (w >= 0)).all():
+        raise ValueError("weight_mask holds a NaN, infinite or negative weight")
     return w
 
 
@@ -363,9 +361,7 @@ class _Workspace:
     are the workspace's own buffers, which the next gradient() overwrites.
 
     The photometric term runs on the `pixels` pixels of nonzero weight, at
-    the flat indices `active` (every pixel under uniform weighting).  A
-    pixel of weight 0 adds its weight, +0.0 or -0.0, to the loss and 0 to
-    the gradient, whatever I_t holds there.
+    the flat indices `active` (every pixel under uniform weighting).
     """
 
     def __init__(self, shape, it, it1, weights, cfg: FlowSolverConfig):
@@ -392,8 +388,6 @@ class _Workspace:
         self.base, self.power = np.empty(n), np.empty(n)
         self.masked = np.empty(n)  # weights times the in-bounds mask (oob_zero)
         self.wv = self.weights  # the photometric weights of the last loss
-        # every pixel's weighted term; a pixel of weight 0 keeps its weight
-        self.terms = weights.flatten()
         self.gu, self.gv = np.empty(shape), np.empty(shape)
         # per flow channel: horizontal differences, their Charbonnier bases
         # and the bases' powers, then the same for vertical differences
@@ -444,10 +438,7 @@ class _Workspace:
         base += eps2
         power = _charbonnier_power(base, cfg.charbonnier_alpha, out=self.power)
         # fx is scratch once the interpolant is built; power stays for gradient()
-        weighted = np.multiply(power, self.wv, out=self.fx)
-        # the raster-sized sum keeps the summation order of every pixel
-        self.terms[self.active] = weighted
-        loss = float(np.sum(self.terms))
+        loss = float(np.sum(np.multiply(power, self.wv, out=self.fx)))
         return self.smoothness(u, v, loss) if cfg.alpha > 0 else loss
 
     def smoothness(self, u: np.ndarray, v: np.ndarray, loss: float) -> float:

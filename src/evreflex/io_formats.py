@@ -243,7 +243,10 @@ def read_flow(path) -> FlowField:
         raise FormatError(f"expected FLOW_U then FLOW_V blocks, found {sem_u.name}, {sem_v.name}")
     if u.shape != v.shape:
         raise FormatError("flow channel dimensions disagree")
-    return FlowField(u, v)
+    try:
+        return FlowField(u, v)
+    except ValueError as err:
+        raise FormatError(f"flow payload: {err}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,8 @@ def test_total_loss_pure_smoothness_when_aligned():
 # The objective and its gradient as plain array expressions, every result a
 # fresh array and the corners gathered by 2-D indexing.  The flow kernel runs
 # the same float operations in the same order in preallocated buffers, so the
-# two must agree to the bit.  Each Charbonnier power is exp(a * log(base)),
+# two must agree to the bit.  The photometric sum runs over the pixels of
+# nonzero weight in raster order.  Each Charbonnier power is exp(a * log(base)),
 # and the slope's base^(a - 1) is that power over the base.
 
 
@@ -321,7 +322,7 @@ def _reference_loss_and_grad(u, v, it, it1, cfg, weights, oob_zero):
     wv = wt * valid if oob_zero else wt
     residual = it - sampled
     base = residual * residual + eps * eps
-    loss = float(np.sum(wv * _reference_power(base, ca)))
+    loss = float(np.sum((wv * _reference_power(base, ca))[wt != 0]))
     diffs = []
     if cfg.alpha > 0:
         for channel in (u, v):
@@ -706,6 +707,24 @@ def test_zero_weight_pixels_do_not_reach_the_objective(fill, alpha):
     for a, b in zip(loss_gradient(flow, filled, it1, cfg, weights),
                     loss_gradient(flow, it, it1, cfg, weights)):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5.0])
+@pytest.mark.parametrize("entry", ["total_loss", "loss_gradient", "photometric_loss"])
+def test_bad_weight_mask_refused(entry, bad):
+    # a NaN or infinite weight made the loss NaN or inf, and a negative one
+    # rewarded a larger residual at its pixel
+    rng = np.random.default_rng(110)
+    it, it1 = rng.random((6, 7)), rng.random((6, 7))
+    flow = rng.normal(0, 0.5, (2, 6, 7))
+    weights = np.ones((6, 7))
+    weights[2, 3] = bad
+    cfg = FlowSolverConfig()
+    calls = {"total_loss": lambda: total_loss(flow, it, it1, cfg, weights),
+             "loss_gradient": lambda: loss_gradient(flow, it, it1, cfg, weights),
+             "photometric_loss": lambda: photometric_loss(flow, it, it1, weights)}
+    with pytest.raises(ValueError, match="weight_mask"):
+        calls[entry]()
 
 
 def test_estimate_flow_logs_each_level(monkeypatch, caplog):

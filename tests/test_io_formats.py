@@ -17,6 +17,7 @@ from evreflex.io_formats import (
     TruncatedError,
     VersionError,
     atomic_write_bytes,
+    atomic_write_text,
     dump_config,
     parse_config,
     read_config,
@@ -104,6 +105,15 @@ def test_flow_container_roundtrip(tmp_path):
     back = read_flow(path)
     assert np.array_equal(back.u, ff.u)
     assert np.array_equal(back.v, ff.v)
+
+
+def test_flow_invalid_payload_rejected(tmp_path):
+    path = tmp_path / "f.evrf"
+    write_flow(path, FlowField(np.zeros((2, 2)), np.zeros((2, 2))))
+    data = path.read_bytes()
+    path.write_bytes(data[:-4] + struct.pack("<f", float("nan")))
+    with pytest.raises(FormatError, match="flow payload: flow channel v"):
+        read_flow(path)
 
 
 def test_float64_built_map_roundtrip(tmp_path):
@@ -267,6 +277,24 @@ def test_atomic_write_bytes_chunks_in_order(tmp_path):
     assert path.read_bytes() == b"ab\x00\x00\x01\x00\x02\x00"
     atomic_write_bytes(path, b"one")
     assert path.read_bytes() == b"one"
+
+
+def test_atomic_write_text_utf8_roundtrip_and_overwrite(tmp_path):
+    path = tmp_path / "note.txt"
+    atomic_write_text(path, "café → 1\n")
+    assert path.read_bytes() == "café → 1\n".encode("utf-8")
+    atomic_write_text(path, "two")
+    assert path.read_text(encoding="utf-8") == "two"
+    assert [p.name for p in tmp_path.iterdir()] == ["note.txt"]
+
+
+def test_atomic_write_text_failed_replace_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        atomic_write_text(target, "text")
+    assert target.is_dir() and not any(target.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 @settings(max_examples=50, deadline=None)
