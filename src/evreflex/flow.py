@@ -28,8 +28,8 @@ own; b >= eps^2 > 0 keeps the quotient finite.  The public charbonnier and
 charbonnier_deriv take the power the same way.
 
 The photometric term is the weighted sum over the pixels of nonzero weight:
-the pixels the event gate leaves open under event_gated weighting, and
-every pixel under uniform weighting.  A workspace gathers the pixel grid,
+estimate_flow given an event map gates it on the pixels that map saw events
+at, and given None weighs every pixel.  A workspace gathers the pixel grid,
 I_t and the weights at those pixels into 1-D buffers; each evaluation
 gathers the flow there, runs the footprint, interpolant, residual and
 powers on them and sums the weighted terms in raster order, and the
@@ -60,6 +60,7 @@ from .types import (
     FlowField,
     ShapeMismatchError,
     _check_finite,
+    _check_int,
     event_mask,
 )
 
@@ -92,10 +93,10 @@ class FlowSolverConfig:
     pyramid_levels: int = 4
     iters_per_level: int = 200
     step_size: float = 1.0  # halved on loss increase
-    event_weighting: str = "event_gated"  # or "uniform"
     convergence_tol: float = 1e-6
 
     def __post_init__(self):
+        _check_int(self, "pyramid_levels", "iters_per_level")
         _check_finite(self, "alpha", "charbonnier_eps", "step_size", "convergence_tol")
         if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
@@ -103,10 +104,6 @@ class FlowSolverConfig:
             raise ValueError("pyramid_levels must be >= 1")
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
-        if self.event_weighting not in ("uniform", "event_gated"):
-            raise ValueError(
-                f"event_weighting must be 'uniform' or 'event_gated', got '{self.event_weighting}'"
-            )
         if not self.charbonnier_eps > 0:
             raise ValueError("charbonnier_eps must be positive")
         if not 0 < self.charbonnier_alpha < 1:
@@ -361,7 +358,7 @@ class _Workspace:
     are the workspace's own buffers, which the next gradient() overwrites.
 
     The photometric term runs on the `pixels` pixels of nonzero weight, at
-    the flat indices `active` (every pixel under uniform weighting).
+    the flat indices `active` (every pixel when no weights are given).
     """
 
     def __init__(self, shape, it, it1, weights, cfg: FlowSolverConfig):
@@ -563,14 +560,15 @@ def estimate_flow(
 ) -> tuple[FlowField, float]:
     """Coarse-to-fine minimization of the combined objective over the flow field.
 
-    With event_gated weighting the photometric term is trusted only where the
-    event map saw activity; elsewhere the smoothness term fills in.  Returns the
-    finest-level flow and the final objective value.
+    Given an event map, the photometric term is trusted only where the map
+    saw events; elsewhere the smoothness term fills in.  Given None, it weighs
+    every pixel.  Returns the finest-level flow and the final objective value.
 
-    Refused before any descent, with ValueError: an image holding a non-finite
-    pixel (the message names img_t or img_t1), and under event_gated weighting
-    an event map with no active pixel, which leaves the photometric term
-    nothing to weigh and would return zero flow.
+    Refused before any descent: an event map whose shape differs from the
+    images' (ShapeMismatchError), and with ValueError an image holding a
+    non-finite pixel (the message names img_t or img_t1) and an event map with
+    no active pixel, which leaves the photometric term nothing to weigh and
+    would return zero flow.
     """
     it = _gray(img_t)
     it1 = _gray(img_t1)
@@ -579,18 +577,14 @@ def estimate_flow(
     for name, img in (("img_t", it), ("img_t1", it1)):
         if not np.all(np.isfinite(img)):
             raise ValueError(f"{name} holds non-finite pixels")
-    if cfg.event_weighting == "event_gated":
-        if em is None:
-            raise ValueError("event_gated weighting requires an event map")
+    if em is None:
+        weights = np.ones(it.shape)  # block means of ones stay exactly ones
+    else:
         if em.pos_count.shape != it.shape:
             raise ShapeMismatchError("event map dimensions differ from images")
-        mask = event_mask(em)
-        if not mask.any():
-            raise ValueError("event_gated weighting needs an event map with at least one "
-                             "active pixel")
-        weights = mask.astype(np.float64)
-    else:
-        weights = np.ones(it.shape)  # block means of ones stay exactly ones
+        weights = event_mask(em).astype(np.float64)
+        if not weights.any():
+            raise ValueError("the event map needs at least one active pixel")
 
     max_levels = 1
     side = min(it.shape)

@@ -17,14 +17,15 @@ Keys before the first header belong to `[scene]`.  The sections are `[scene]`
 `[flow]` (FlowSolverConfig); a section's keys are its dataclass's fields, with
 the spellings in `_FIELD_KEYS` (`room_half_extents`, `yaw_rate`, `waypoint`).
 Numbers are Python floats or ints, a triple is three numbers, and a texture
-is `flat|checker [amplitude] [period_m] [base]`.  `waypoint` is the one key
-that repeats; it adds one waypoint per line.  A missing key takes its
-dataclass default, except that `cx`/`cy` default to the raster centre and an
-`[obstacle]` to radius 0.2 at rest at the origin.  Unknown sections and keys,
-a key given twice in one section (repeated headers of a section merge) and
-values the dataclass refuses, non-finite numbers included, are ConfigErrors
-carrying the key and its line (a repeated key's first line).  dump_config
-writes every key of every section, in field order.
+is `amplitude [period_m] [base]` (amplitude 0 is a flat surface).
+`waypoint` is the one key that repeats; it adds one waypoint per line.  A
+missing key takes its dataclass default, except that `cx`/`cy` default to
+the raster centre and an `[obstacle]` to radius 0.2 at rest at the origin.
+Unknown sections and keys, a key given twice in one section (repeated
+headers of a section merge) and values the dataclass refuses, non-finite
+numbers included, are ConfigErrors carrying the key and its line (a repeated
+key's first line).  dump_config writes every key of every section, in field
+order.
 """
 from __future__ import annotations
 
@@ -285,13 +286,11 @@ def _parse_triple(text: str, key: str, line: int) -> tuple[float, float, float]:
 
 def _parse_texture(text: str, key: str, line: int) -> TextureSpec:
     parts = text.split()
-    if not parts:
-        raise ConfigError(f"key '{key}' expects 'flat|checker [amplitude] [period_m] [base]'", line)
-    nums = [_parse_float(p, key, line) for p in parts[1:]]
-    if len(nums) > 3:
-        raise ConfigError(f"key '{key}' takes at most 3 numbers after the kind", line)
+    if not 1 <= len(parts) <= 3:
+        raise ConfigError(f"key '{key}' expects 'amplitude [period_m] [base]', got '{text}'", line)
+    nums = [_parse_float(p, key, line) for p in parts]
     try:
-        return TextureSpec(parts[0], *nums)
+        return TextureSpec(*nums)
     except ValueError as err:
         raise ConfigError(f"key '{key}': {err}", line) from None
 
@@ -301,7 +300,6 @@ def _parse_texture(text: str, key: str, line: int) -> TextureSpec:
 _PARSERS = {
     "float": _parse_float,
     "int": _parse_int,
-    "str": lambda text, key, line: text,
     "tuple[float, float, float]": _parse_triple,
     "TextureSpec": _parse_texture,
 }

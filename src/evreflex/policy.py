@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import CameraModel, FloatMap, FlowField, ShapeMismatchError
+from .types import (CameraModel, FloatMap, FlowField, ShapeMismatchError, _check_finite,
+                    _check_shape)
 from .tti import TtiMap
 
 __all__ = ["EgoMotion", "EvasionResult", "obstacle_motion_vector", "evasion_direction"]
@@ -25,8 +26,8 @@ class EgoMotion:
     v: tuple[float, float, float]
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.v)):
-            raise ValueError("egomotion must be finite")
+        _check_shape(self, (3,), "v")
+        _check_finite(self, "v")
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.v, dtype=np.float64)
@@ -54,7 +55,8 @@ def obstacle_motion_vector(
     Per pixel the transverse components are the flow lifted to metric
     (u * d / (fx * dt), v * d / (fy * dt)) and the radial one is d * tau.  Both
     are formed in float64 from the stored float32 values.  Returns (vector,
-    contributing pixel count); an empty mask yields the zero vector.
+    contributing pixel count); an empty mask yields the zero vector.  Rasters,
+    mask and camera must share one (height, width), else ShapeMismatchError.
     """
     shape = flow.u.shape
     if depth.values.shape != shape or t.values.shape != shape:
@@ -62,6 +64,9 @@ def obstacle_motion_vector(
     mask = np.asarray(danger_mask, dtype=bool)
     if mask.shape != shape:
         raise ShapeMismatchError("danger mask dimensions must match the rasters")
+    if (camera.height, camera.width) != shape:
+        raise ShapeMismatchError(f"camera is {camera.height}x{camera.width}, rasters are "
+                                 f"{shape[0]}x{shape[1]}")
     count = int(mask.sum())
     if count == 0:
         return np.zeros(3, dtype=np.float64), 0

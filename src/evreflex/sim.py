@@ -36,8 +36,9 @@ frame windows as views of it.
 World frame: Z up, floor at z = 0, room spanning [-hx, hx] x [-hy, hy] x
 [0, 2*hz].  The camera looks along its yaw heading in the X-Y plane; camera
 axes are x right, y down, z forward (optical axis).  Flat-coloured (textureless)
-surfaces are first-class: they render constant intensity and generate no
-events, which is the motivating failure case for event-only perception.
+surfaces, a TextureSpec of amplitude 0, are first-class: they render constant
+intensity and generate no events, which is the motivating failure case for
+event-only perception.
 """
 from __future__ import annotations
 
@@ -59,6 +60,8 @@ from .types import (
     MapSemantics,
     ShapeMismatchError,
     _check_finite,
+    _check_int,
+    _check_shape,
 )
 
 __all__ = [
@@ -95,21 +98,17 @@ def default_camera() -> CameraModel:
 
 @dataclass(frozen=True)
 class TextureSpec:
-    """Procedural surface colour.
-
-    'flat' is a constant base value; 'checker' is a band-limited checkerboard
-    (product of sines with the given period in metres), which keeps point
-    sampling alias-free and gives the flow solver smooth gradients.
+    """Procedural surface colour: a band-limited checkerboard, base plus
+    amplitude / 2 times a product of sines with the given period in metres,
+    which keeps point sampling alias-free and gives the flow solver smooth
+    gradients.  At amplitude 0 the surface is flat: constant base, no events.
     """
 
-    kind: str = "checker"
     amplitude: float = 0.6
     period_m: float = 0.5
     base: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("flat", "checker"):
-            raise ValueError(f"kind must be 'flat' or 'checker', got '{self.kind}'")
         _check_finite(self, "period_m", "base")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError("amplitude must be in [0, 1]")
@@ -117,7 +116,7 @@ class TextureSpec:
             raise ValueError("period_m must be positive")
 
     def sample(self, su: np.ndarray, sv: np.ndarray) -> np.ndarray:
-        if self.kind == "flat" or self.amplitude == 0.0:
+        if self.amplitude == 0.0:
             return np.full(su.shape, self.base, dtype=np.float64)
         w = 2.0 * math.pi / self.period_m
         return self.base + 0.5 * self.amplitude * np.sin(w * su) * np.sin(w * sv)
@@ -134,6 +133,8 @@ class SphereObstacle:
     albedo: float = 0.9
 
     def __post_init__(self):
+        _check_int(self, "class_id")
+        _check_shape(self, (3,), "start", "velocity")
         _check_finite(self, "radius", "start", "velocity")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
@@ -162,6 +163,7 @@ class TrajectorySpec:
     def __post_init__(self):
         if not self.waypoints:
             raise ValueError("waypoints must hold at least one waypoint")
+        _check_shape(self, (len(self.waypoints), 3), "waypoints")
         _check_finite(self, "speed", "yaw_rate_deg", "waypoints")
         if not self.speed > 0:
             raise ValueError("speed must be positive")
@@ -219,7 +221,7 @@ class SceneConfig:
     half_extents: tuple[float, float, float] = (3.0, 3.0, 1.5)
     wall_texture: TextureSpec = field(default_factory=TextureSpec)
     floor_texture: TextureSpec = field(default_factory=lambda: TextureSpec(amplitude=0.5))
-    ceiling_texture: TextureSpec = field(default_factory=lambda: TextureSpec(kind="flat", amplitude=0.0))
+    ceiling_texture: TextureSpec = field(default_factory=lambda: TextureSpec(amplitude=0.0))
     obstacles: tuple[SphereObstacle, ...] = ()
     trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
     camera: CameraModel = field(default_factory=default_camera)
@@ -232,6 +234,8 @@ class SceneConfig:
     random_obstacles: int = 0
 
     def __post_init__(self):
+        _check_int(self, "rng_seed", "random_obstacles")
+        _check_shape(self, (3,), "half_extents", "light_dir")
         _check_finite(self, "half_extents", "frame_rate", "duration", "contrast_threshold")
         if not all(h > 0 for h in self.half_extents):
             raise ValueError("half_extents must be positive")

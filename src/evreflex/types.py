@@ -325,6 +325,28 @@ def _check_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_int(obj, *names: str) -> None:
+    """Raise a ValueError, field name first, on the first named field of obj
+    that is not an integer; a bool or an integral float is not one."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_shape(obj, shape: tuple[int, ...], *names: str) -> None:
+    """Raise a ValueError, field name first, on the first named field of obj
+    whose nesting of numbers does not have the given array shape."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            ok = np.shape(value) == shape
+        except ValueError:  # a ragged nesting has no shape
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must have shape {shape}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CameraModel:
     """Pinhole intrinsics; pixel centers sit at integer coordinates."""
@@ -337,6 +359,7 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
+        _check_int(self, "width", "height")
         _check_finite(self, "fx", "fy")
         if not self.fx > 0:
             raise ValueError("fx (focal length) must be positive")

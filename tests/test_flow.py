@@ -424,11 +424,10 @@ def test_all_ones_mask_matches_no_mask():
     assert total_loss(F, it, it1, cfg, None) == total_loss(F, it, it1, cfg, ones)
     for a, b in zip(loss_gradient(F, it, it1, cfg, None), loss_gradient(F, it, it1, cfg, ones)):
         assert a.tobytes() == b.tobytes()
-    # a gate open at every pixel solves exactly as uniform weighting does
+    # a gate open at every pixel solves exactly as no event map does
     em = _events_everywhere(it.shape)
     gated, gated_loss = estimate_flow(em, it, it1, FlowSolverConfig(pyramid_levels=2))
-    uniform, uniform_loss = estimate_flow(
-        None, it, it1, FlowSolverConfig(pyramid_levels=2, event_weighting="uniform"))
+    uniform, uniform_loss = estimate_flow(None, it, it1, FlowSolverConfig(pyramid_levels=2))
     assert gated.u.tobytes() == uniform.u.tobytes() and gated.v.tobytes() == uniform.v.tobytes()
     assert gated_loss == uniform_loss
 
@@ -769,9 +768,7 @@ def test_estimate_flow_logs_each_level(monkeypatch, caplog):
 
 def test_estimate_flow_event_gated_requires_map():
     img = np.zeros((16, 16))
-    with pytest.raises(ValueError):
-        estimate_flow(None, img, img, FlowSolverConfig(event_weighting="event_gated"))
-    flow, _ = estimate_flow(None, img, img, FlowSolverConfig(event_weighting="uniform"))
+    flow, _ = estimate_flow(None, img, img)
     assert flow.u.shape == (16, 16)
 
 
@@ -792,8 +789,8 @@ def test_estimate_flow_event_gated_refuses_map_without_events():
     empty = accumulate_events(make_events([], [], [], []), (0.0, 1.0), 16, 16)
     with pytest.raises(ValueError, match="active pixel"):
         estimate_flow(empty, img0, img1)
-    # uniform weighting does not read the map
-    flow, loss = estimate_flow(empty, img0, img1, FlowSolverConfig(event_weighting="uniform"))
+    # without a map every pixel is weighed
+    flow, loss = estimate_flow(None, img0, img1)
     assert np.isfinite(loss)
 
 
@@ -804,8 +801,6 @@ def test_solver_config_validation():
         FlowSolverConfig(pyramid_levels=0)
     with pytest.raises(ValueError):
         FlowSolverConfig(step_size=0)
-    with pytest.raises(ValueError):
-        FlowSolverConfig(event_weighting="sometimes")
     with pytest.raises(ValueError, match="iters_per_level"):
         FlowSolverConfig(iters_per_level=0)
     with pytest.raises(ValueError, match="charbonnier_eps"):
@@ -816,6 +811,14 @@ def test_solver_config_validation():
         FlowSolverConfig(charbonnier_alpha=1.0)
     with pytest.raises(ValueError, match="convergence_tol"):
         FlowSolverConfig(convergence_tol=-1e-9)
+
+
+@pytest.mark.parametrize("field", ["pyramid_levels", "iters_per_level"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_solver_config_refuses_a_count_that_is_not_an_integer(field, value):
+    # pyramid_levels=2.5 once ran 3 levels; iters_per_level=2.5 failed in range()
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        FlowSolverConfig(**{field: value})
 
 
 def test_solver_config_refuses_nan_step_size():

@@ -349,11 +349,10 @@ def test_config_range_error_names_key():
 
 
 @pytest.mark.parametrize("text, key, line", [
-    ("wall_texture = checker 2.0\n", "wall_texture", 1),
+    ("wall_texture = 2.0\n", "wall_texture", 1),
     ("[flow]\ncharbonnier_eps = -1\n", "charbonnier_eps", 2),
     ("[flow]\n\ncharbonnier_alpha = 1.5\n", "charbonnier_alpha", 3),
     ("[flow]\niters_per_level = 0\n", "iters_per_level", 2),
-    ("[flow]\nevent_weighting = sometimes\n", "event_weighting", 2),
     ("[trajectory]\nyaw_rate = 0\n", "yaw_rate", 2),
     ("[trajectory]\nspeed = 0\n", "speed", 2),
     ("[obstacle]\nalbedo = 1.5\n", "albedo", 2),
@@ -374,8 +373,8 @@ def test_config_range_error_names_key():
     ("contrast_threshold = nan\n", "contrast_threshold", 1),
     ("contrast_threshold = inf\n", "contrast_threshold", 1),
     ("room_half_extents = 3 nan 1.5\n", "room_half_extents", 1),
-    ("wall_texture = checker 0.5 nan\n", "wall_texture", 1),
-    ("floor_texture = flat 0 0.5 inf\n", "floor_texture", 1),
+    ("wall_texture = 0.5 nan\n", "wall_texture", 1),
+    ("floor_texture = 0 0.5 inf\n", "floor_texture", 1),
     ("[flow]\nalpha = nan\n", "alpha", 2),
     ("[flow]\nalpha = inf\n", "alpha", 2),
     ("[flow]\nstep_size = nan\n", "step_size", 2),
@@ -491,9 +490,9 @@ def _every_key_off_default() -> RunConfig:
     )
     scene = SceneConfig(
         half_extents=(2.5, 3.5, 1.25),
-        wall_texture=TextureSpec("flat", 0.3, 0.7, 0.4),
-        floor_texture=TextureSpec("flat", 0.1, 0.2, 0.6),
-        ceiling_texture=TextureSpec("checker", 0.9, 0.3, 0.45),
+        wall_texture=TextureSpec(0.3, 0.7, 0.4),
+        floor_texture=TextureSpec(0.1, 0.2, 0.6),
+        ceiling_texture=TextureSpec(0.9, 0.3, 0.45),
         obstacles=spheres,
         trajectory=TrajectorySpec(waypoints=((-1.5, 0.5, 10.0), (1.0, -0.5, 20.0)),
                                   speed=0.75, yaw_rate_deg=30.0),
@@ -508,7 +507,7 @@ def _every_key_off_default() -> RunConfig:
     )
     flow = FlowSolverConfig(alpha=0.25, charbonnier_eps=0.01, charbonnier_alpha=0.4,
                             pyramid_levels=3, iters_per_level=50, step_size=0.5,
-                            event_weighting="uniform", convergence_tol=1e-5)
+                            convergence_tol=1e-5)
     return RunConfig(scene=scene, flow=flow)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from evreflex.policy import EgoMotion, evasion_direction, obstacle_motion_vector
 from evreflex.tti import TtiMap
-from evreflex.types import CameraModel, FloatMap, FlowField, MapSemantics
+from evreflex.types import CameraModel, FloatMap, FlowField, MapSemantics, ShapeMismatchError
 
 
 def _camera(shape, fx=100.0, fy=50.0):
@@ -90,6 +90,27 @@ def test_motion_vector_metric_lifting():
     )
     # u*d/(fx*dt), v*d/(fy*dt), d*tau
     assert np.allclose(vec, [2.0 * 3.0 / (100.0 * 0.1), 1.0 * 3.0 / (50.0 * 0.1), 1.5])
+
+
+@pytest.mark.parametrize("camera_shape", [(4, 5), (5, 4), (3, 4)], ids=str)
+def test_motion_vector_refuses_a_camera_of_another_size(camera_shape):
+    # the wrong intrinsics once lifted the flow silently
+    shape = (4, 4)
+    with pytest.raises(ShapeMismatchError, match="camera"):
+        obstacle_motion_vector(
+            FlowField(np.zeros(shape), np.zeros(shape)),
+            FloatMap(np.ones(shape), MapSemantics.DEPTH_M),
+            _tti(np.zeros(shape)),
+            np.ones(shape, dtype=bool),
+            _camera(camera_shape),
+        )
+
+
+@pytest.mark.parametrize("v", [(0.0, 0.0), (0.0, 0.0, 1.0, 0.0), 1.0], ids=["two", "four", "scalar"])
+def test_egomotion_refuses_a_vector_that_is_not_3d(v):
+    # (0, 0) was once taken as z = 0
+    with pytest.raises(ValueError, match="^v must have shape"):
+        EgoMotion(v)
 
 
 def test_evasion_canonical_cross_product():

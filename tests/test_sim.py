@@ -148,6 +148,56 @@ def test_scene_rejects_negative_rng_seed():
         SceneConfig(rng_seed=-3, random_obstacles=2)
 
 
+_SPHERE = dict(radius=0.2, start=(0.0, 0.0, 1.0), velocity=(0.0, 0.0, 0.0))
+
+_INTEGER_SETTINGS = {
+    "random_obstacles": lambda v: SceneConfig(random_obstacles=v),
+    "rng_seed": lambda v: SceneConfig(rng_seed=v),
+    "class_id": lambda v: SphereObstacle(**_SPHERE, class_id=v),
+}
+
+
+@pytest.mark.parametrize("field", list(_INTEGER_SETTINGS))
+@pytest.mark.parametrize("value", [1.5, 2.0, True])
+def test_integer_settings_refuse_non_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        _INTEGER_SETTINGS[field](value)
+
+
+_VECTOR_SETTINGS = {
+    "start": lambda v: SphereObstacle(**{**_SPHERE, "start": v}),
+    "velocity": lambda v: SphereObstacle(**{**_SPHERE, "velocity": v}),
+    "light_dir": lambda v: SceneConfig(light_dir=v, obstacles=(SphereObstacle(**_SPHERE),)),
+    "half_extents": lambda v: SceneConfig(half_extents=v),
+    "waypoints": lambda v: TrajectorySpec(waypoints=((0.0, 0.0, 0.0), v)),
+}
+
+
+@pytest.mark.parametrize("field", list(_VECTOR_SETTINGS))
+@pytest.mark.parametrize("value", [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0), 1.0, ((1.0, 1.0), 1.0, 1.0)],
+                         ids=["two", "four", "scalar", "ragged"])
+def test_vector_settings_refuse_the_wrong_length(field, value):
+    # 2-vectors once failed late in broadcasting, at render (waypoints) or not at
+    # all (a 4-number waypoint dropped its 4th)
+    with pytest.raises(ValueError, match=f"^{field} must have shape"):
+        _VECTOR_SETTINGS[field](value)
+
+
+def test_a_room_of_flat_faces_renders_constant_intensity_and_no_events():
+    flat = sim.TextureSpec(amplitude=0.0, base=0.35)
+    scene = SceneConfig(
+        camera=CameraModel(fx=20.0, fy=20.0, cx=11.5, cy=8.5, width=24, height=18),
+        trajectory=TrajectorySpec(waypoints=((-1.0, 0.5, 0.0), (1.0, -0.5, 60.0)), speed=4.0),
+        wall_texture=flat, floor_texture=flat, ceiling_texture=flat,
+        rng_seed=5, duration=0.3)
+    seq = simulate_sequence(scene)
+    for frame in seq.frames:
+        assert np.all(frame.intensity.values == np.float32(0.35))
+    assert seq.events.size == 0
+    # the same room with textured walls fires events
+    assert simulate_sequence(replace(scene, wall_texture=sim.TextureSpec())).events.size > 0
+
+
 # -- render_frame against a full-raster reference -----------------------------------
 
 

@@ -184,6 +184,11 @@ def test_camera_model_validation():
     ("cy", dict(cy=-0.5)),
     ("width", dict(width=0, cx=0)),
     ("height", dict(height=0, cy=0)),
+    # a width of 64.5 once rendered a 65-column raster
+    ("width", dict(width=64.5)),
+    ("width", dict(width=4.0)),
+    ("width", dict(width=True, cx=0)),
+    ("height", dict(height="4")),
 ])
 def test_camera_model_message_starts_with_field(field, kwargs):
     args = dict(fx=1, fy=1, cx=0, cy=0, width=4, height=4)
