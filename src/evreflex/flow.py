@@ -3,7 +3,10 @@
 The objective is a robust photometric term (intensity constancy under a
 bilinear warp) plus a weighted smoothness term on flow differences between
 4-neighbours.  It is minimized coarse-to-fine with plain gradient descent and
-backtracking, which keeps the per-level loss monotone non-increasing.
+backtracking, which keeps the per-level loss monotone non-increasing.  Each
+level starts at the smoothness term's stable step 2 / L (L its largest
+curvature, 8 * alpha * 2a * eps^(2a - 2)) rounded up to a power of two and
+capped at 1 (see FlowSolverConfig).
 
 One kernel evaluates the objective: a `_Workspace` owns the buffers of one
 raster shape; its `loss` method evaluates l_f at a flow and keeps in those
@@ -38,8 +41,8 @@ of weight 0 never reaches the objective: I_t is not read there (I_t1 is,
 where an active pixel's sample lands), and an overflow there is no
 divergence; one at a pixel of nonzero weight still is.  A weight mask must
 be finite and non-negative.  The descent reports each level (active
-pixels, accepted and rejected steps, final step, why it stopped) at DEBUG
-level on the "evreflex.flow" logger.
+pixels, accepted and rejected steps, first and final step, why it stopped)
+at DEBUG level on the "evreflex.flow" logger.
 
 All internal arithmetic runs in float64; the analytic gradient uses the exact
 derivative of the bilinear interpolant, so it matches central finite
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -85,25 +89,35 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class FlowSolverConfig:
-    """Solver settings; the defaults reproduce the documented behaviour."""
+    """Solver settings; the defaults reproduce the documented behaviour.
+
+    The descent has no step setting: each pyramid level starts at the step
+    the smoothness term allows, min(1, 2^ceil(log2(2 / L))) with
+    L = 8 * alpha * 2a * eps^(2a - 2) (a = charbonnier_alpha), and halves it
+    on a loss increase.  For a < 1 the Charbonnier curvature is largest at a
+    zero difference, where it is 2a * eps^(2a - 2), and 8 bounds the spectrum
+    of the 4-neighbour Laplacian, so steps much above 2 / L cannot pass (at
+    the defaults 2 / L is about 2.8e-4 and the start 2^-11).  Rounding up to a
+    power of two keeps every candidate on the lattice 1, 1/2, 1/4, ... that a
+    start at 1 halves through, so a level whose first accepted step lies at
+    or below the start takes the same steps, less the leading rejections.
+    At alpha = 0 the start is 1.
+    """
 
     alpha: float = 0.5  # smoothness weight in l_f = l_p + alpha * l_s
     charbonnier_eps: float = 0.001
     charbonnier_alpha: float = 0.45
     pyramid_levels: int = 4
     iters_per_level: int = 200
-    step_size: float = 1.0  # halved on loss increase
     convergence_tol: float = 1e-6
 
     def __post_init__(self):
         _check_int(self, "pyramid_levels", "iters_per_level")
-        _check_finite(self, "alpha", "charbonnier_eps", "step_size", "convergence_tol")
+        _check_finite(self, "alpha", "charbonnier_eps", "convergence_tol")
         if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
         if not self.pyramid_levels >= 1:
             raise ValueError("pyramid_levels must be >= 1")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
         if not self.charbonnier_eps > 0:
             raise ValueError("charbonnier_eps must be positive")
         if not 0 < self.charbonnier_alpha < 1:
@@ -501,6 +515,22 @@ def _upsample2(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 _STEP_GROWTH = 1.3  # re-grow the step after an accepted iteration
+_STEP_FLOOR = 1e-14  # a level stops when its step halves below this
+
+
+def _first_step(cfg: FlowSolverConfig) -> float:
+    """min(1, 2^ceil(log2(2 / L))), L = 8 * alpha * 2a * eps^(2a - 2), floored
+    at the power of two just above _STEP_FLOOR (see FlowSolverConfig).
+
+    log2(2 / L) is summed in log space: eps^(2a - 2) overflows for a tiny eps
+    (1e-300 ** -1.1 raises OverflowError) and 8 * alpha for a huge alpha.
+    """
+    if cfg.alpha == 0:
+        return 1.0
+    a = cfg.charbonnier_alpha
+    exponent = math.ceil(1.0 - math.log2(cfg.alpha) - math.log2(16.0 * a)
+                         + (2.0 - 2.0 * a) * math.log2(cfg.charbonnier_eps))
+    return math.ldexp(1.0, min(0, max(exponent, math.ceil(math.log2(_STEP_FLOOR)))))
 
 
 def _descend(u, v, ws: _Workspace, level: int):
@@ -519,7 +549,7 @@ def _descend(u, v, ws: _Workspace, level: int):
     if not np.isfinite(loss):
         raise SolverDivergenceError(level, 0, loss)
     gu, gv = ws.gradient()
-    step = cfg.step_size
+    step = first = _first_step(cfg)
     accepted = rejected = 0
     stop = "iteration cap"
     for iteration in range(1, cfg.iters_per_level + 1):
@@ -531,7 +561,7 @@ def _descend(u, v, ws: _Workspace, level: int):
         if cand > loss:
             rejected += 1
             step *= 0.5
-            if step < 1e-14:
+            if step < _STEP_FLOOR:
                 stop = "step underflow"
                 break
             continue
@@ -546,9 +576,9 @@ def _descend(u, v, ws: _Workspace, level: int):
     if _log.isEnabledFor(logging.DEBUG):
         h, w = ws.shape
         _log.debug("level %d, %dx%d: photometric term on %d of %d pixels; %d iterations, "
-                   "%d accepted, %d rejected; final step %.6g; stopped: %s",
+                   "%d accepted, %d rejected; first step %.6g, final step %.6g; stopped: %s",
                    level, w, h, ws.pixels, h * w, accepted + rejected, accepted, rejected,
-                   step, stop)
+                   first, step, stop)
     return u, v, loss
 
 

@@ -102,6 +102,8 @@ class TextureSpec:
     amplitude / 2 times a product of sines with the given period in metres,
     which keeps point sampling alias-free and gives the flow solver smooth
     gradients.  At amplitude 0 the surface is flat: constant base, no events.
+    The texture spans base +/- amplitude / 2, which must lie in [0, 1], so no
+    value of it is clipped when shaded.
     """
 
     amplitude: float = 0.6
@@ -112,6 +114,9 @@ class TextureSpec:
         _check_finite(self, "period_m", "base")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError("amplitude must be in [0, 1]")
+        half = 0.5 * self.amplitude
+        if not half <= self.base <= 1.0 - half:
+            raise ValueError("base +/- amplitude / 2 must be in [0, 1]")
         if not self.period_m > 0:
             raise ValueError("period_m must be positive")
 

@@ -1,5 +1,7 @@
 import logging
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from evreflex.flow import (
     _charbonnier_power,
     _descend,
     _downsample2,
+    _first_step,
 )
 from evreflex.types import (
     FloatMap,
@@ -571,33 +574,52 @@ def test_estimate_flow_monotone_loss_per_level(monkeypatch):
             records.append((u.shape, loss))
         return loss
 
+    returned = {}
+    original_descend = fl._descend
+
+    def descend(u, v, ws, level):
+        result = original_descend(u, v, ws, level)
+        returned[ws.shape] = result[2]
+        return result
+
     monkeypatch.setattr(fl._Workspace, "loss", recording)
+    monkeypatch.setattr(fl, "_descend", descend)
     rng = np.random.default_rng(104)
     img0 = rng.random((32, 32))
     img1 = np.roll(img0, 1, axis=1)
     em = _events_everywhere(img0.shape)
     fl.estimate_flow(em, img0, img1, FlowSolverConfig(iters_per_level=50))
-    # accepted losses per level never increase: group by level shape and check
-    # that the minimum so far is the last value seen for each level
+    # group the evaluated losses by level shape; the first of each level is
+    # its starting loss, and the cap may fall on a rejected candidate, so the
+    # last one need not be the least
     by_level = {}
     for shape, loss in records:
         by_level.setdefault(shape, []).append(loss)
     # every level records its starting loss and at least one candidate
-    assert sorted(by_level) == [(4, 4), (8, 8), (16, 16), (32, 32)]
+    assert sorted(by_level) == sorted(returned) == [(4, 4), (8, 8), (16, 16), (32, 32)]
     assert all(len(losses) >= 2 for losses in by_level.values())
     for shape, losses in by_level.items():
-        running = np.minimum.accumulate(losses)
-        assert losses[-1] == running[-1]
+        assert returned[shape] == min(losses) <= losses[0]
 
 
-def _reference_descend(u, v, it, it1, weights, cfg):
-    """The backtracking loop that finishes a gradient for every candidate.
+def _reference_first_step(cfg):
+    """2 / L rounded up to a power of two and capped at 1, with
+    L = 8 * alpha * 2a * eps^(2a - 2), for settings where the power is finite."""
+    a = cfg.charbonnier_alpha
+    curvature = 8.0 * cfg.alpha * 2.0 * a * cfg.charbonnier_eps ** (2.0 * a - 2.0)
+    if curvature == 0:
+        return 1.0
+    return min(1.0, 2.0 ** math.ceil(math.log2(2.0 / curvature)))
 
-    Returns (u, v, loss, rejected steps)."""
+
+def _reference_descend(u, v, it, it1, weights, cfg, step):
+    """The backtracking loop that finishes a gradient for every candidate,
+    started at the given step.
+
+    Returns (u, v, loss, rejected steps, iterations)."""
     loss, gu, gv = _reference_loss_and_grad(u, v, it, it1, cfg, weights, oob_zero=False)
-    step = cfg.step_size
-    rejected = 0
-    for _ in range(cfg.iters_per_level):
+    rejected = iterations = 0
+    for iterations in range(1, cfg.iters_per_level + 1):
         cu = u - step * gu
         cv = v - step * gv
         cand, cgu, cgv = _reference_loss_and_grad(cu, cv, it, it1, cfg, weights, oob_zero=False)
@@ -612,11 +634,11 @@ def _reference_descend(u, v, it, it1, weights, cfg):
         if drop <= cfg.convergence_tol * max(abs(loss), 1e-12):
             break
         step *= _STEP_GROWTH
-    return u, v, loss, rejected
+    return u, v, loss, rejected, iterations
 
 
-@pytest.mark.parametrize("weighting", ["uniform", "event_gated", "single_pixel"])
-def test_descend_bit_identical_to_full_gradient_loop(weighting):
+def _descent_images():
+    """A smooth 24x32 texture with a little seeded noise, and its shift by (1.3, -0.7)."""
     rng = np.random.default_rng(105)
     ys, xs = np.mgrid[0:24, 0:32].astype(np.float64)
 
@@ -625,23 +647,71 @@ def test_descend_bit_identical_to_full_gradient_loop(weighting):
         return (0.5 + 0.2 * np.sin(2 * np.pi * x / 9) * np.cos(2 * np.pi * y / 7)
                 + 0.1 * np.sin(2 * np.pi * (x + y) / 5))
 
-    img0 = texture(0.0, 0.0) + 0.02 * rng.random(xs.shape)
-    img1 = texture(1.3, -0.7)
+    return texture(0.0, 0.0) + 0.02 * rng.random(xs.shape), texture(1.3, -0.7)
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "event_gated", "single_pixel"])
+def test_descend_bit_identical_to_full_gradient_loop(weighting):
+    img0, img1 = _descent_images()
     weights = None
     if weighting == "event_gated":
         weights = (np.abs(img1 - img0) > 0.05).astype(np.float64)
     elif weighting == "single_pixel":
-        weights = np.zeros(xs.shape)
+        weights = np.zeros(img0.shape)
         weights[11, 17] = 1.0
     cfg = FlowSolverConfig(iters_per_level=60)
-    u0 = np.zeros(xs.shape)
-    v0 = np.zeros(xs.shape)
-    ref_u, ref_v, ref_loss, rejected = _reference_descend(u0, v0, img0, img1, weights, cfg)
+    u0 = np.zeros(img0.shape)
+    v0 = np.zeros(img0.shape)
+    ref_u, ref_v, ref_loss, rejected, _ = _reference_descend(
+        u0, v0, img0, img1, weights, cfg, _reference_first_step(cfg))
     u, v, loss = _descend(u0, v0, _Workspace(img0.shape, img0, img1, weights, cfg), level=0)
     assert rejected >= 1
     assert not u0.any() and not v0.any()  # the caller's flow is not written
     assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
     assert loss == ref_loss
+
+
+@pytest.mark.parametrize("settings, expected", [
+    ({}, 2.0 ** -11),
+    ({"charbonnier_eps": 0.1}, 2.0 ** -4),
+    ({"alpha": 0.0}, 1.0),
+])
+def test_first_step_is_the_smoothness_terms_stable_step(settings, expected):
+    cfg = FlowSolverConfig(**settings)
+    assert _first_step(cfg) == _reference_first_step(cfg) == expected
+
+
+@pytest.mark.parametrize("settings, expected", [
+    # eps^(2a - 2) overflows: 1e-300 ** -1.1 raises OverflowError
+    ({"charbonnier_eps": 1e-300}, 2.0 ** -46),
+    ({"charbonnier_eps": 1e300}, 1.0),
+    ({"alpha": 1e300}, 2.0 ** -46),
+])
+def test_first_step_at_extreme_settings(settings, expected):
+    # finite, positive and at most 1, floored at the power of two just above
+    # the descent's 1e-14 step floor, with no exception or warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = _first_step(FlowSolverConfig(**settings))
+    assert step == expected
+    assert np.isfinite(step) and 1e-14 <= step <= 1.0
+
+
+def test_descend_first_step_keeps_the_halving_lattice():
+    # started at 1, the loop halves through 1, 1/2, ... and first accepts at or
+    # below the rounded start, so started there it takes the same steps and
+    # skips only the leading rejections; the level converges before the cap
+    img0, img1 = _descent_images()
+    cfg = FlowSolverConfig(iters_per_level=400)
+    first = _reference_first_step(cfg)
+    u0 = np.zeros(img0.shape)
+    ref_u, ref_v, ref_loss, rejected, iterations = _reference_descend(
+        u0, u0, img0, img1, None, cfg, 1.0)
+    assert iterations < cfg.iters_per_level
+    u, v, loss = _descend(u0, u0, _Workspace(img0.shape, img0, img1, None, cfg), level=0)
+    assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v) and loss == ref_loss
+    _, _, _, rejected_from_first, _ = _reference_descend(u0, u0, img0, img1, None, cfg, first)
+    assert rejected - rejected_from_first == math.log2(1.0 / first) == 11
 
 
 def test_estimate_flow_shift_equivariance():
@@ -747,7 +817,8 @@ def test_estimate_flow_logs_each_level(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="evreflex.flow"):
         fl.estimate_flow(em, img0, img1, FlowSolverConfig(iters_per_level=40, pyramid_levels=3))
     pattern = re.compile(r"level (\d+), (\d+)x(\d+): photometric term on (\d+) of (\d+) pixels; "
-                         r"(\d+) iterations, (\d+) accepted, (\d+) rejected; final step (\S+); "
+                         r"(\d+) iterations, (\d+) accepted, (\d+) rejected; "
+                         r"first step (\S+), final step (\S+); "
                          r"stopped: (converged|step underflow|iteration cap)$")
     reports = [pattern.match(r.getMessage()) for r in caplog.records if r.name == "evreflex.flow"]
     assert len(reports) == 3 and all(reports)
@@ -756,7 +827,7 @@ def test_estimate_flow_logs_each_level(monkeypatch, caplog):
     for m in reports:
         level, w, h, pixels, total, iterations, accepted, rejected = (int(g) for g in m.groups()[:8])
         assert total == w * h and candidates[(h, w)] == accepted + rejected == iterations
-        assert float(m[9]) > 0
+        assert float(m[9]) == pytest.approx(2.0 ** -11, rel=1e-6) and float(m[10]) > 0
         if level == 0:
             assert (w, h) == (40, 32) and pixels == active
     # no record when DEBUG is off
@@ -799,8 +870,6 @@ def test_solver_config_validation():
         FlowSolverConfig(alpha=-1)
     with pytest.raises(ValueError):
         FlowSolverConfig(pyramid_levels=0)
-    with pytest.raises(ValueError):
-        FlowSolverConfig(step_size=0)
     with pytest.raises(ValueError, match="iters_per_level"):
         FlowSolverConfig(iters_per_level=0)
     with pytest.raises(ValueError, match="charbonnier_eps"):
@@ -819,10 +888,3 @@ def test_solver_config_refuses_a_count_that_is_not_an_integer(field, value):
     # pyramid_levels=2.5 once ran 3 levels; iters_per_level=2.5 failed in range()
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         FlowSolverConfig(**{field: value})
-
-
-def test_solver_config_refuses_nan_step_size():
-    # a NaN step once made estimate_flow loop without end
-    with pytest.raises(ValueError, match="step_size"):
-        FlowSolverConfig(step_size=float("nan"))
-

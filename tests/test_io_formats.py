@@ -374,10 +374,10 @@ def test_config_range_error_names_key():
     ("contrast_threshold = inf\n", "contrast_threshold", 1),
     ("room_half_extents = 3 nan 1.5\n", "room_half_extents", 1),
     ("wall_texture = 0.5 nan\n", "wall_texture", 1),
+    ("wall_texture = 0.6 0.5 0.9\n", "wall_texture", 1),
     ("floor_texture = 0 0.5 inf\n", "floor_texture", 1),
     ("[flow]\nalpha = nan\n", "alpha", 2),
     ("[flow]\nalpha = inf\n", "alpha", 2),
-    ("[flow]\nstep_size = nan\n", "step_size", 2),
     ("[flow]\nconvergence_tol = nan\n", "convergence_tol", 2),
     ("[flow]\ncharbonnier_eps = nan\n", "charbonnier_eps", 2),
     ("[camera]\nfx = nan\n", "fx", 2),
@@ -424,6 +424,13 @@ def test_config_shortest_duration_is_one_frame_interval():
 def test_config_unknown_key_rejected():
     with pytest.raises(ConfigError, match="frame_rat"):
         parse_config("frame_rat = 10\n")
+
+
+def test_config_refuses_the_retired_step_size_key():
+    # the descent computes its first step from the smoothness settings
+    with pytest.raises(ConfigError, match="unknown key 'step_size' in section '\\[flow\\]'") as err:
+        parse_config("frame_rate = 10\n[flow]\nalpha = 0.5\nstep_size = 0.5\n")
+    assert err.value.line == 4
 
 
 def test_config_unknown_section_rejected():
@@ -506,8 +513,7 @@ def _every_key_off_default() -> RunConfig:
         random_obstacles=3,
     )
     flow = FlowSolverConfig(alpha=0.25, charbonnier_eps=0.01, charbonnier_alpha=0.4,
-                            pyramid_levels=3, iters_per_level=50, step_size=0.5,
-                            convergence_tol=1e-5)
+                            pyramid_levels=3, iters_per_level=50, convergence_tol=1e-5)
     return RunConfig(scene=scene, flow=flow)
 
 

@@ -198,6 +198,21 @@ def test_a_room_of_flat_faces_renders_constant_intensity_and_no_events():
     assert simulate_sequence(replace(scene, wall_texture=sim.TextureSpec())).events.size > 0
 
 
+@pytest.mark.parametrize("spec, field", [
+    (dict(amplitude=0.0, base=-1.0), "base"),
+    (dict(amplitude=0.0, base=1.5), "base"),
+    (dict(amplitude=1.0, base=0.2), "base"),
+    (dict(amplitude=0.6, base=0.9), "base"),
+])
+def test_texture_refuses_values_outside_the_unit_range(spec, field):
+    # shading clipped them without a word: base=-1.0 rendered like base=0.0,
+    # and amplitude=1.0 at base=0.2 flattened its troughs
+    with pytest.raises(ValueError, match=f"^{field} "):
+        sim.TextureSpec(**spec)
+    # the extremes of the range are a texture
+    assert sim.TextureSpec(amplitude=1.0, base=0.5) and sim.TextureSpec(amplitude=0.0, base=1.0)
+
+
 # -- render_frame against a full-raster reference -----------------------------------
 
 
