@@ -62,6 +62,7 @@ from .types import (
     EventMap,
     FloatMap,
     FlowField,
+    MapSemantics,
     ShapeMismatchError,
     _check_finite,
     _check_int,
@@ -255,8 +256,12 @@ def warp(src: Raster, flow: Flow):
 
     Returns (warped, valid) where warped has the type of src and valid marks
     pixels whose sample position stayed inside the raster (out-of-range samples
-    clamp to the border).
+    clamp to the border).  A CLASS_ID map is refused: its labels do not
+    interpolate.
     """
+    if isinstance(src, FloatMap) and src.semantics == MapSemantics.CLASS_ID:
+        raise ValueError("cannot warp a CLASS_ID map: bilinear sampling does not apply "
+                         "to class labels")
     u, v = _uv(flow)
     img = _gray(src)
     if img.shape != u.shape:

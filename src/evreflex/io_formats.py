@@ -1,14 +1,9 @@
-"""Bit-exact binary formats for events, scalar maps and flow fields, plus the
-text config format and PPM output.
+"""Bit-exact binary format for event streams, and the text config format.
 
 Event files ("EVRX"): 24-byte header (magic, version u32, width u32, height u32,
 count u64, all little-endian) followed by 16-byte records (t f64, x u16, y u16,
-polarity i8, 3 zero pad bytes).
-
-Map files ("EVRF"): 20-byte header (magic, version u32, semantics u32, width u32,
-height u32) followed by row-major little-endian f32, top row first.  A flow field
-is stored as one container holding two complete map blocks (semantics FLOW_U then
-FLOW_V).
+polarity i8, 3 zero pad bytes).  Width and height are in [1, 65536], the
+raster that EVENT_DTYPE's uint16 coordinates can address.
 
 Config text: lines of `key = value`, `#` comments and `[section]` headers.
 Keys before the first header belong to `[scene]`.  The sections are `[scene]`
@@ -42,9 +37,7 @@ from .sim import SceneConfig, SphereObstacle, TextureSpec, TrajectorySpec, defau
 from .types import (
     EVENT_DTYPE,
     CameraModel,
-    FloatMap,
-    FlowField,
-    MapSemantics,
+    _check_raster_size,
     _check_stream,
     as_event_array,
 )
@@ -57,29 +50,21 @@ __all__ = [
     "BoundsError",
     "ConfigError",
     "EVENTS_MAGIC",
-    "MAP_MAGIC",
     "FORMAT_VERSION",
     "write_events",
     "read_events",
-    "write_map",
-    "read_map",
-    "write_flow",
-    "read_flow",
     "read_config",
     "parse_config",
     "dump_config",
     "RunConfig",
-    "write_ppm",
     "atomic_write_bytes",
     "atomic_write_text",
 ]
 
 EVENTS_MAGIC = b"EVRX"
-MAP_MAGIC = b"EVRF"
 FORMAT_VERSION = 1
 
 _EVENTS_HEADER = struct.Struct("<4sIIIQ")  # magic, version, width, height, count
-_MAP_HEADER = struct.Struct("<4sIIII")  # magic, version, semantics, width, height
 
 
 class FormatError(Exception):
@@ -138,7 +123,9 @@ def atomic_write_text(path, text: str) -> None:
 
 def write_events(path, events, width: int, height: int) -> None:
     """Serialize a stream sorted by finite timestamps; coordinates must fit the
-    raster and polarities be +1 / -1."""
+    raster and polarities be +1 / -1.  width and height are integers in
+    [1, 65536] (else ValueError)."""
+    _check_raster_size(width, height)
     arr = as_event_array(events)
     _check_stream(arr, width, height, bounds_error=BoundsError)
     # repack into a zeroed buffer so the record pad bytes are deterministic
@@ -154,10 +141,11 @@ def read_events(path) -> tuple[np.ndarray, int, int]:
 
     The records are read straight into a fresh, writable array once the file
     size has been checked against the header's count, so a corrupt count
-    cannot trigger a huge allocation.  The records must pass the check
-    write_events makes: finite sorted timestamps (else EventOrderError),
-    coordinates inside the header's raster (else BoundsError) and
-    polarities of +1 / -1 (else ValueError).
+    cannot trigger a huge allocation.  A header raster write_events refuses
+    is a FormatError.  The records must pass the check write_events makes:
+    finite sorted timestamps (else EventOrderError), coordinates inside the
+    header's raster (else BoundsError) and polarities of +1 / -1 (else
+    ValueError).
     """
     with open(path, "rb") as fh:
         header = fh.read(_EVENTS_HEADER.size)
@@ -168,6 +156,10 @@ def read_events(path) -> tuple[np.ndarray, int, int]:
             raise BadMagicError(f"expected {EVENTS_MAGIC!r}, found {magic!r}")
         if version != FORMAT_VERSION:
             raise VersionError(f"unsupported version {version}")
+        try:
+            _check_raster_size(width, height)
+        except ValueError as err:
+            raise FormatError(f"header: {err}") from None
         size = os.fstat(fh.fileno()).st_size
         expected = _EVENTS_HEADER.size + count * EVENT_DTYPE.itemsize
         if size != expected:
@@ -178,76 +170,6 @@ def read_events(path) -> tuple[np.ndarray, int, int]:
         raise TruncatedError(f"read {got} of {count * EVENT_DTYPE.itemsize} record bytes")
     _check_stream(arr, width, height, bounds_error=BoundsError)
     return arr, width, height
-
-
-# ---------------------------------------------------------------------------
-# scalar maps and flow
-# ---------------------------------------------------------------------------
-
-
-def _encode_map_block(values: np.ndarray, semantics: MapSemantics) -> bytes:
-    height, width = values.shape
-    header = _MAP_HEADER.pack(MAP_MAGIC, FORMAT_VERSION, int(semantics), width, height)
-    return header + np.ascontiguousarray(values, dtype="<f4").tobytes()
-
-
-def _decode_map_block(data: bytes, offset: int) -> tuple[np.ndarray, MapSemantics, int]:
-    if len(data) - offset < _MAP_HEADER.size:
-        raise TruncatedError("file too short for map header")
-    magic, version, sem, width, height = _MAP_HEADER.unpack_from(data, offset)
-    if magic != MAP_MAGIC:
-        raise BadMagicError(f"expected {MAP_MAGIC!r}, found {magic!r}")
-    if version != FORMAT_VERSION:
-        raise VersionError(f"unsupported version {version}")
-    try:
-        semantics = MapSemantics(sem)
-    except ValueError:
-        raise FormatError(f"unknown semantics code {sem}") from None
-    payload = 4 * width * height
-    start = offset + _MAP_HEADER.size
-    if len(data) - start < payload:
-        raise TruncatedError(f"payload needs {payload} bytes, {len(data) - start} present")
-    values = np.frombuffer(data, dtype="<f4", count=width * height, offset=start)
-    return values.reshape(height, width), semantics, start + payload
-
-
-def write_map(path, fmap: FloatMap) -> None:
-    atomic_write_bytes(path, _encode_map_block(fmap.values, fmap.semantics))
-
-
-def read_map(path) -> FloatMap:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    values, semantics, end = _decode_map_block(data, 0)
-    if end != len(data):
-        raise TruncatedError(f"{len(data) - end} trailing bytes after payload")
-    try:
-        return FloatMap(values, semantics)
-    except ValueError as err:
-        raise FormatError(f"{semantics.name} payload: {err}") from None
-
-
-def write_flow(path, flow: FlowField) -> None:
-    """Dual-channel container: a FLOW_U map block followed by a FLOW_V block."""
-    atomic_write_bytes(path, _encode_map_block(flow.u, MapSemantics.FLOW_U)
-                       + _encode_map_block(flow.v, MapSemantics.FLOW_V))
-
-
-def read_flow(path) -> FlowField:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    u, sem_u, off = _decode_map_block(data, 0)
-    v, sem_v, end = _decode_map_block(data, off)
-    if end != len(data):
-        raise TruncatedError(f"{len(data) - end} trailing bytes after payload")
-    if sem_u != MapSemantics.FLOW_U or sem_v != MapSemantics.FLOW_V:
-        raise FormatError(f"expected FLOW_U then FLOW_V blocks, found {sem_u.name}, {sem_v.name}")
-    if u.shape != v.shape:
-        raise FormatError("flow channel dimensions disagree")
-    try:
-        return FlowField(u, v)
-    except ValueError as err:
-        raise FormatError(f"flow payload: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +357,3 @@ def dump_config(cfg: RunConfig) -> str:
             lines += [f"{key} = {_fmt(v)}" for v in (value if repeats else (value,))]
         lines.append("")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# PPM output
-# ---------------------------------------------------------------------------
-
-
-def write_ppm(path, rgb: np.ndarray) -> None:
-    """Write an (H, W, 3) uint8 array as binary PPM (P6)."""
-    rgb = np.asarray(rgb)
-    if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
-        raise ValueError(f"expected (H, W, 3) uint8, got {rgb.shape} {rgb.dtype}")
-    h, w = rgb.shape[:2]
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + rgb.tobytes())

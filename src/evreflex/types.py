@@ -24,9 +24,9 @@ dtype of the input, each container stores its payload in one fixed dtype:
 
 - ``EventMap.pos_count`` / ``neg_count``: uint32.
 - ``EventMap.pos_time`` / ``neg_time``: float32.
-- ``FlowField.u`` / ``v`` and ``FloatMap.values``: float32, the same as the
-  EVRF on-disk payload (``<f4``), so a flow field or map survives a write/read
-  round-trip bit for bit.
+- ``FlowField.u`` / ``v`` and ``FloatMap.values``: float32, half the bytes
+  of a float64 raster, rounded once when the container is built, so every
+  consumer reads the same stored values.
 - ``TtiMap.valid``: bool.
 
 A raster's size is its array's shape, (height, width); no container stores a
@@ -89,14 +89,12 @@ class UndefinedMetricError(ValueError):
 
 
 class MapSemantics(IntEnum):
-    """Channel meaning of a FloatMap; values match the on-disk semantics codes."""
+    """Channel meaning of a FloatMap."""
 
     INTENSITY = 0
     DEPTH_M = 1
     INV_TTI_S = 2
     CLASS_ID = 3
-    FLOW_U = 4
-    FLOW_V = 5
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -196,6 +194,17 @@ class EventMap:
         return int(self.pos_count.sum()) + int(self.neg_count.sum())
 
 
+def _check_raster_size(width, height) -> None:
+    """Raise a ValueError naming the argument unless width and height are
+    integers (a bool is not one) in [1, 65536], the raster that
+    EVENT_DTYPE's uint16 coordinates can address."""
+    for name, side in (("width", width), ("height", height)):
+        if isinstance(side, bool) or not isinstance(side, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {side!r}")
+        if not 1 <= side <= 65536:
+            raise ValueError(f"{name} must be at least 1 and at most 65536, got {side}")
+
+
 def _check_stream(arr: np.ndarray, width: int, height: int, bounds_error=ValueError) -> None:
     """Refuse a stream that is not sorted by finite timestamps, has a pixel
     outside width x height, or a polarity other than +1 / -1.
@@ -235,9 +244,7 @@ def accumulate_events(
     maximum is the most recent event, so the result depends on no assignment
     order.
     """
-    for name, side in (("width", width), ("height", height)):
-        if side < 1:
-            raise ValueError(f"{name} must be at least 1, got {side}")
+    _check_raster_size(width, height)
     t0, t1 = float(window[0]), float(window[1])
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
         raise EventWindowError(f"window [{t0}, {t1}) is empty or not finite")

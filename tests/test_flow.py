@@ -77,6 +77,11 @@ def test_warp_floatmap_and_flowfield_types():
     # a flow field is not a raster to sample
     with pytest.raises(TypeError):
         warp(FlowField(np.ones((4, 4)), np.zeros((4, 4))), _const_flow((4, 4), 0.0, 0.0))
+    # class labels do not interpolate, whether or not the flow is whole pixels
+    labels = FloatMap(np.arange(16.0).reshape(4, 4), MapSemantics.CLASS_ID)
+    for du in (0.5, 1.0):
+        with pytest.raises(ValueError, match="CLASS_ID"):
+            warp(labels, _const_flow((4, 4), du, 0.0))
 
 
 def test_warp_shape_mismatch():

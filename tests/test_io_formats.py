@@ -22,20 +22,13 @@ from evreflex.io_formats import (
     parse_config,
     read_config,
     read_events,
-    read_flow,
-    read_map,
     write_events,
-    write_flow,
-    write_map,
-    write_ppm,
 )
 from evreflex.sim import SceneConfig, SphereObstacle, TextureSpec, TrajectorySpec
 from evreflex.types import (
     CameraModel,
     EventOrderError,
-    FloatMap,
-    FlowField,
-    MapSemantics,
+    accumulate_events,
     make_events,
 )
 
@@ -73,86 +66,11 @@ def test_events_roundtrip_byte_identical(tmp_path):
     assert (back == ev).all()
 
 
-def test_map_1x1_file_size(tmp_path):
-    path = tmp_path / "one.evrf"
-    write_map(path, FloatMap(np.zeros((1, 1)), MapSemantics.INTENSITY))
-    assert path.stat().st_size == 20 + 4
-
-
-def test_map_negative_zero_roundtrip(tmp_path):
-    path = tmp_path / "nz.evrf"
-    values = np.array([[-0.0, 0.0]], dtype=np.float32)
-    write_map(path, FloatMap(values, MapSemantics.INTENSITY))
-    back = read_map(path)
-    assert np.signbit(back.values[0, 0])
-    assert not np.signbit(back.values[0, 1])
-
-
-def test_map_roundtrip_byte_identical(tmp_path):
-    rng = np.random.default_rng(1)
-    p1, p2 = tmp_path / "m1.evrf", tmp_path / "m2.evrf"
-    fm = FloatMap(rng.normal(size=(64, 64)).astype(np.float32), MapSemantics.INTENSITY)
-    write_map(p1, fm)
-    write_map(p2, read_map(p1))
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_flow_container_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    path = tmp_path / "f.evrf"
-    ff = FlowField(rng.normal(size=(16, 16)), rng.normal(size=(16, 16)))
-    write_flow(path, ff)
-    back = read_flow(path)
-    assert np.array_equal(back.u, ff.u)
-    assert np.array_equal(back.v, ff.v)
-
-
-def test_flow_invalid_payload_rejected(tmp_path):
-    path = tmp_path / "f.evrf"
-    write_flow(path, FlowField(np.zeros((2, 2)), np.zeros((2, 2))))
-    data = path.read_bytes()
-    path.write_bytes(data[:-4] + struct.pack("<f", float("nan")))
-    with pytest.raises(FormatError, match="flow payload: flow channel v"):
-        read_flow(path)
-
-
-def test_float64_built_map_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    path = tmp_path / "d.evrf"
-    fm = FloatMap(rng.uniform(0.5, 4.0, size=(16, 16)), MapSemantics.DEPTH_M)
-    assert fm.values.dtype == np.float32
-    write_map(path, fm)
-    back = read_map(path)
-    assert np.array_equal(back.values, fm.values)
-
-
-@pytest.mark.parametrize("bad", [-1.0, float("nan")])
-def test_map_invalid_depth_payload_rejected(tmp_path, bad):
-    path = tmp_path / "d.evrf"
-    write_map(path, FloatMap(np.full((2, 2), 2.0), MapSemantics.DEPTH_M))
-    data = path.read_bytes()
-    path.write_bytes(data[:-4] + struct.pack("<f", bad))
-    with pytest.raises(FormatError, match="DEPTH_M"):
-        read_map(path)
-
-
-def test_map_non_integer_class_payload_rejected(tmp_path):
-    path = tmp_path / "c.evrf"
-    write_map(path, FloatMap(np.full((2, 2), 2.0), MapSemantics.CLASS_ID))
-    data = path.read_bytes()
-    path.write_bytes(data[:-4] + struct.pack("<f", 2.5))
-    with pytest.raises(FormatError, match="CLASS_ID"):
-        read_map(path)
-
-
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.evrx"
     path.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(BadMagicError):
         read_events(path)
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(BadMagicError):
-        read_map(path)
 
 
 def test_version_mismatch_rejected(tmp_path):
@@ -160,9 +78,6 @@ def test_version_mismatch_rejected(tmp_path):
     path.write_bytes(struct.pack("<4sIIIQ", b"EVRX", 2, 4, 4, 0))
     with pytest.raises(VersionError):
         read_events(path)
-    path.write_bytes(struct.pack("<4sIIII", b"EVRF", 9, 0, 1, 1) + b"\x00" * 4)
-    with pytest.raises(VersionError):
-        read_map(path)
 
 
 def test_truncation_rejected(tmp_path):
@@ -179,18 +94,6 @@ def test_truncation_rejected(tmp_path):
         read_events(path)
 
 
-def test_map_truncation_and_trailing_rejected(tmp_path):
-    path = tmp_path / "m.evrf"
-    write_map(path, FloatMap(np.ones((2, 3)), MapSemantics.DEPTH_M))
-    data = path.read_bytes()
-    path.write_bytes(data[:-2])
-    with pytest.raises(TruncatedError):
-        read_map(path)
-    path.write_bytes(data + b"xx")
-    with pytest.raises(TruncatedError):
-        read_map(path)
-
-
 def test_out_of_bounds_coordinates_rejected(tmp_path):
     path = tmp_path / "oob.evrx"
     header = struct.pack("<4sIIIQ", b"EVRX", 1, 2, 2, 1)
@@ -202,6 +105,25 @@ def test_out_of_bounds_coordinates_rejected(tmp_path):
         read_events(path)
     with pytest.raises(BoundsError):
         write_events(path, record, 2, 2)
+    # a raster write_events refuses, even with no record to fall outside it
+    for width, height, name in ((0, 2, "width"), (2, 0, "height")):
+        path.write_bytes(struct.pack("<4sIIIQ", b"EVRX", 1, width, height, 0))
+        with pytest.raises(FormatError, match=f"header: {name} must be at least 1"):
+            read_events(path)
+
+
+@pytest.mark.parametrize("name", ["width", "height"])
+@pytest.mark.parametrize("size", [0, -1, 4.0, True, 65537, 2**32])
+@pytest.mark.parametrize("call", [
+    lambda ev, width, height, path: write_events(path, ev, width, height),
+    lambda ev, width, height, path: accumulate_events(ev, (0.0, 1.0), width, height),
+], ids=["write_events", "accumulate_events"])
+def test_raster_size_outside_uint16_coordinates_refused(tmp_path, call, size, name):
+    sides = {"width": 4, "height": 4, name: size}
+    for ev in (make_events([], [], [], []), make_events([0.5], [1], [1], [1])):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(ev, sides["width"], sides["height"], tmp_path / "e.evrx")
+    assert not any(tmp_path.iterdir())
 
 
 
@@ -307,23 +229,6 @@ def test_events_roundtrip_property(n, width, height, seed, tmp_path_factory):
     write_events(path, ev, width, height)
     back, w, h = read_events(path)
     assert (back == ev).all() and (w, h) == (width, height)
-
-
-@settings(max_examples=50, deadline=None)
-@given(w=st.integers(1, 30), h=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
-       semantics=st.sampled_from(list(MapSemantics)))
-def test_map_roundtrip_property(w, h, seed, semantics, tmp_path_factory):
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(h, w)).astype(np.float32)
-    if semantics in (MapSemantics.DEPTH_M, MapSemantics.INV_TTI_S):
-        raw = np.abs(raw)
-    elif semantics == MapSemantics.CLASS_ID:
-        raw = np.round(raw * 4)
-    path = tmp_path_factory.mktemp("map") / "m.evrf"
-    write_map(path, FloatMap(raw, semantics))
-    back = read_map(path)
-    assert back.semantics == semantics
-    assert back.values.tobytes() == raw.tobytes()
 
 
 # -- config ------------------------------------------------------------------
@@ -547,12 +452,3 @@ def test_config_every_key_roundtrips_through_dump():
     accepted = {section: set(keys) for section, keys in io_formats._KEYS.items()}
     assert written == accepted == expected
 
-
-def test_ppm_writer(tmp_path):
-    path = tmp_path / "img.ppm"
-    rgb = np.zeros((2, 3, 3), dtype=np.uint8)
-    rgb[0, 0] = (255, 0, 0)
-    write_ppm(path, rgb)
-    data = path.read_bytes()
-    assert data.startswith(b"P6\n3 2\n255\n")
-    assert len(data) == len(b"P6\n3 2\n255\n") + 18
