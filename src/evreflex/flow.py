@@ -66,6 +66,8 @@ from .types import (
     ShapeMismatchError,
     _check_finite,
     _check_int,
+    _check_positive,
+    _float64,
     event_mask,
 )
 
@@ -114,13 +116,12 @@ class FlowSolverConfig:
 
     def __post_init__(self):
         _check_int(self, "pyramid_levels", "iters_per_level")
-        _check_finite(self, "alpha", "charbonnier_eps", "convergence_tol")
+        _check_finite(self, "alpha", "convergence_tol")
         if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
         if not self.pyramid_levels >= 1:
             raise ValueError("pyramid_levels must be >= 1")
-        if not self.charbonnier_eps > 0:
-            raise ValueError("charbonnier_eps must be positive")
+        _check_positive("charbonnier_eps", self.charbonnier_eps)
         if not 0 < self.charbonnier_alpha < 1:
             raise ValueError("charbonnier_alpha must be in (0, 1)")
         if not self.iters_per_level >= 1:
@@ -140,8 +141,7 @@ class SolverDivergenceError(RuntimeError):
 
 
 def _gray(img: Raster) -> np.ndarray:
-    arr = img.values if isinstance(img, FloatMap) else img
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = _float64(img)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D raster, got shape {arr.shape}")
     return arr
@@ -275,8 +275,7 @@ def warp(src: Raster, flow: Flow):
 
 def _charbonnier_input(x, eps: float, alpha: float) -> np.ndarray:
     """x as float64, once eps > 0 and 0 < alpha < 1 are checked."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_positive("eps", eps)
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     return np.asarray(x, dtype=np.float64)

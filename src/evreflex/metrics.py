@@ -10,8 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tti import _check_positive
-from .types import FloatMap, FlowField, ShapeMismatchError, UndefinedMetricError
+from .types import FloatMap, FlowField, ShapeMismatchError, UndefinedMetricError, _check_positive
 
 __all__ = [
     "FlowErrorStats",

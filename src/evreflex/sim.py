@@ -61,7 +61,9 @@ from .types import (
     ShapeMismatchError,
     _check_finite,
     _check_int,
+    _check_positive,
     _check_shape,
+    _float64,
 )
 
 __all__ = [
@@ -111,14 +113,13 @@ class TextureSpec:
     base: float = 0.5
 
     def __post_init__(self):
-        _check_finite(self, "period_m", "base")
+        _check_finite(self, "base")
+        _check_positive("period_m", self.period_m)
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError("amplitude must be in [0, 1]")
         half = 0.5 * self.amplitude
         if not half <= self.base <= 1.0 - half:
             raise ValueError("base +/- amplitude / 2 must be in [0, 1]")
-        if not self.period_m > 0:
-            raise ValueError("period_m must be positive")
 
     def sample(self, su: np.ndarray, sv: np.ndarray) -> np.ndarray:
         if self.amplitude == 0.0:
@@ -140,9 +141,8 @@ class SphereObstacle:
     def __post_init__(self):
         _check_int(self, "class_id")
         _check_shape(self, (3,), "start", "velocity")
-        _check_finite(self, "radius", "start", "velocity")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        _check_finite(self, "start", "velocity")
+        _check_positive("radius", self.radius)
         if not 0.0 <= self.albedo <= 1.0:
             raise ValueError("albedo must be in [0, 1]")
 
@@ -169,11 +169,9 @@ class TrajectorySpec:
         if not self.waypoints:
             raise ValueError("waypoints must hold at least one waypoint")
         _check_shape(self, (len(self.waypoints), 3), "waypoints")
-        _check_finite(self, "speed", "yaw_rate_deg", "waypoints")
-        if not self.speed > 0:
-            raise ValueError("speed must be positive")
-        if not self.yaw_rate_deg > 0:
-            raise ValueError("yaw_rate_deg must be positive")
+        _check_finite(self, "waypoints")
+        _check_positive("speed", self.speed)
+        _check_positive("yaw_rate_deg", self.yaw_rate_deg)
 
 
 class _Trajectory:
@@ -241,17 +239,10 @@ class SceneConfig:
     def __post_init__(self):
         _check_int(self, "rng_seed", "random_obstacles")
         _check_shape(self, (3,), "half_extents", "light_dir")
-        _check_finite(self, "half_extents", "frame_rate", "duration", "contrast_threshold")
-        if not all(h > 0 for h in self.half_extents):
-            raise ValueError("half_extents must be positive")
-        if not self.frame_rate > 0:
-            raise ValueError("frame_rate must be positive")
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+        for name in ("half_extents", "frame_rate", "duration", "contrast_threshold"):
+            _check_positive(name, getattr(self, name))
         if not self.duration * self.frame_rate >= 1:
             raise ValueError("duration must span at least one frame interval (1 / frame_rate)")
-        if not self.contrast_threshold > 0:
-            raise ValueError("contrast_threshold must be positive")
         if not 0 < self.camera_height < 2 * self.half_extents[2]:
             raise ValueError("camera_height must lie between floor and ceiling")
         if not self.random_obstacles >= 0:
@@ -521,8 +512,8 @@ def render_frame(scene: SceneConfig, t: float) -> Frame:
     traj = _Trajectory(scene.trajectory)
     obstacles = scene.realized_obstacles()
     pos, yaw = traj.pose(t)
-    hx, hy, hz = scene.half_extents
-    if not (-hx < pos[0] < hx and -hy < pos[1] < hy and 0 < scene.camera_height < 2 * hz):
+    hx, hy, _ = scene.half_extents
+    if not (-hx < pos[0] < hx and -hy < pos[1] < hy):
         raise PoseError(f"camera at ({pos[0]:.3f}, {pos[1]:.3f}) outside room interior")
     origin = np.array([pos[0], pos[1], scene.camera_height])
 
@@ -550,10 +541,6 @@ def render_frame(scene: SceneConfig, t: float) -> Frame:
         position=(float(origin[0]), float(origin[1]), float(origin[2])),
         yaw=float(yaw),
     )
-
-
-def _float64(img) -> np.ndarray:
-    return np.asarray(img.values if isinstance(img, FloatMap) else img, dtype=np.float64)
 
 
 def _log_frame(img) -> np.ndarray:
@@ -670,8 +657,7 @@ def generate_events(
     returned array at the end, so the call holds at most twice its output,
     beside one interval's working set.
     """
-    if not (math.isfinite(contrast_threshold) and contrast_threshold > 0):
-        raise ValueError("contrast threshold must be positive and finite")
+    _check_positive("contrast threshold", contrast_threshold)
     if len(timestamps) != len(intensities) or len(intensities) < 2:
         raise ValueError("need >= 2 frames with matching timestamps")
     shape = _float64(intensities[0]).shape

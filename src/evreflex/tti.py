@@ -5,6 +5,10 @@ range closure by the frame interval dt gives inverse TTI in 1/s, so "collides
 within H seconds" is the threshold tau >= 1/H.  All producers clamp at zero:
 receding surfaces carry no danger.
 
+A TtiMap stores its inverse TTI raster itself, with the checks and the
+read-only float32 copy of an INV_TTI_S FloatMap, beside its frame interval
+and validity mask.
+
 Validity masks combine depth validity (sentinel 0 marks holes), warp validity
 (sample stayed inside the raster) and an occlusion guard that rejects samples
 whose bilinear footprint straddles a depth discontinuity, where interpolated
@@ -12,7 +16,6 @@ depth would blend foreground and background.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,8 @@ from .types import (
     MapSemantics,
     ShapeMismatchError,
     UndefinedMetricError,
+    _check_positive,
+    _float64,
     _frozen,
 )
 
@@ -44,42 +49,23 @@ OCCLUSION_JUMP_RATIO = 0.25
 
 @dataclass(frozen=True, eq=False)
 class TtiMap:
-    """Inverse TTI raster (1/s) with its frame interval and validity mask; the
-    mask is stored as a read-only bool copy."""
+    """Inverse TTI raster (1/s), finite and non-negative, with its positive
+    frame interval and a bool validity mask; both arrays stored read-only."""
 
-    tti: FloatMap
+    values: np.ndarray
     dt: float
     valid: np.ndarray
 
     def __post_init__(self):
         _check_positive("dt", self.dt)
-        if self.tti.semantics != MapSemantics.INV_TTI_S:
-            raise ValueError(f"tti must be an INV_TTI_S map, got {self.tti.semantics.name}")
+        values = FloatMap(self.values, MapSemantics.INV_TTI_S).values
         valid = np.asarray(self.valid)
         if valid.dtype != bool:
             raise TypeError(f"valid must be a bool array, got {valid.dtype}")
-        if valid.shape != self.tti.values.shape:
+        if valid.shape != values.shape:
             raise ShapeMismatchError("validity mask shape differs from the tti raster")
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "valid", _frozen(valid, bool))
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.tti.values
-
-
-def _check_positive(name: str, value: float) -> None:
-    """Refuse a dt, horizon or depth threshold that is not positive and
-    finite, by name.
-
-    An infinite dt gives an all-zero map and a NaN one fails later without
-    naming dt; an infinite horizon flags every valid pixel, receding ones
-    too, and a NaN one none; so does an infinite or NaN depth threshold."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-def _depth(fmap: FloatMap) -> np.ndarray:
-    return np.asarray(fmap.values, dtype=np.float64)
 
 
 def _warp_depth(depth: np.ndarray, flow: FlowField):
@@ -121,14 +107,14 @@ def _range_closure(
     """
     _check_positive("dt", dt)
     _check_dims(flow, d_curr, d_other)
-    curr = _depth(d_curr)
-    warped, in_bounds, footprint_ok = _warp_depth(_depth(d_other), flow)
+    curr = _float64(d_curr)
+    warped, in_bounds, footprint_ok = _warp_depth(_float64(d_other), flow)
     valid = in_bounds & (curr > 0) & footprint_ok
     closure = curr - warped if forward else warped - curr
     tau = np.zeros(curr.shape, dtype=np.float64)
     np.divide(closure, curr * dt, out=tau, where=valid)
     np.maximum(tau, 0.0, out=tau)
-    return TtiMap(tti=FloatMap(tau, MapSemantics.INV_TTI_S), dt=float(dt), valid=valid)
+    return TtiMap(tau, float(dt), valid)
 
 
 def ground_truth_inverse_tti(
@@ -157,11 +143,11 @@ def estimate_tti_static(flow: FlowField, d_curr: FloatMap, dt: float) -> TtiMap:
     _check_dims(flow, d_curr)
     du_dx = np.gradient(np.asarray(flow.u, dtype=np.float64), axis=1)
     dv_dy = np.gradient(np.asarray(flow.v, dtype=np.float64), axis=0)
-    curr = _depth(d_curr)
+    curr = _float64(d_curr)
     valid = curr > 0
     tau = np.maximum((du_dx + dv_dy) / (2.0 * dt), 0.0)
     tau[~valid] = 0.0
-    return TtiMap(tti=FloatMap(tau, MapSemantics.INV_TTI_S), dt=float(dt), valid=valid)
+    return TtiMap(tau, float(dt), valid)
 
 
 def estimate_tti_dynamic(

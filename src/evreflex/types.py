@@ -16,25 +16,32 @@ returns one of itemsize 13), which ``as_event_array`` rebuilds through
 wrapped one.  Lists, tuples, generators and plain arrays are a TypeError.
 
 Container contract.  Each raster container's class is its only builder.
-``FlowField(u, v)`` and ``FloatMap(values, semantics)`` store read-only copies
-of their arrays, as ``TtiMap`` (in ``tti``) does of its mask; ``EventMap`` takes
+``FlowField(u, v)``, ``FloatMap(values, semantics)`` and ``TtiMap(values, dt,
+valid)`` (in ``tti``) store read-only copies of their arrays; ``EventMap`` takes
 the read-only channels that ``accumulate_events`` builds, without a copy.  So
 instances are immutable and can be shared freely across threads.  Whatever the
 dtype of the input, each container stores its payload in one fixed dtype:
 
 - ``EventMap.pos_count`` / ``neg_count``: uint32.
 - ``EventMap.pos_time`` / ``neg_time``: float32.
-- ``FlowField.u`` / ``v`` and ``FloatMap.values``: float32, half the bytes
-  of a float64 raster, rounded once when the container is built, so every
-  consumer reads the same stored values.
+- ``FlowField.u`` / ``v``, ``FloatMap.values`` and ``TtiMap.values``:
+  float32, half the bytes of a float64 raster, rounded once when the
+  container is built, so every consumer reads the same stored values.
 - ``TtiMap.valid``: bool.
 
 A raster's size is its array's shape, (height, width); no container stores a
 width or a height beside it.
 
 *Arithmetic* on stored values runs in float64: consumers (flow solver, TTI
-estimators, metrics, policy) cast to float64 before they compute, and results
-that are stored again are rounded back to float32.
+estimators, metrics, policy) read a raster through ``_float64`` before they
+compute, and results that are stored again are rounded back to float32.
+
+Boundary checks.  Each input rule is written once here, and every boundary
+calls it: ``_check_positive`` (numbers that are positive and finite),
+``_check_raster_size`` (integer sides in [1, 65536]), ``_check_window``
+(finite ends, t0 < t1) and ``_check_finite`` / ``_check_int`` /
+``_check_shape``.  Messages start with the field name, which ``parse_config``
+reads to name the config key.
 """
 from __future__ import annotations
 
@@ -174,8 +181,7 @@ class EventMap:
     neg_time: np.ndarray
 
     def __post_init__(self):
-        if self.t_end <= self.t_start:
-            raise EventWindowError(f"window [{self.t_start}, {self.t_end}) is empty")
+        _check_window(self.t_start, self.t_end)
         shape = getattr(self.pos_count, "shape", None)
         for name, dtype in (("pos_count", np.uint32), ("neg_count", np.uint32),
                             ("pos_time", np.float32), ("neg_time", np.float32)):
@@ -192,6 +198,12 @@ class EventMap:
     @property
     def total_events(self) -> int:
         return int(self.pos_count.sum()) + int(self.neg_count.sum())
+
+
+def _check_window(t0, t1) -> None:
+    """Raise an EventWindowError unless t0 and t1 are finite and t0 < t1."""
+    if not -np.inf < t0 < t1 < np.inf:
+        raise EventWindowError(f"window [{t0}, {t1}) is empty or not finite")
 
 
 def _check_raster_size(width, height) -> None:
@@ -246,8 +258,7 @@ def accumulate_events(
     """
     _check_raster_size(width, height)
     t0, t1 = float(window[0]), float(window[1])
-    if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
-        raise EventWindowError(f"window [{t0}, {t1}) is empty or not finite")
+    _check_window(t0, t1)
     arr = as_event_array(events)
     t = arr["t"]
     _check_stream(arr, width, height)
@@ -323,6 +334,19 @@ class FloatMap:
         object.__setattr__(self, "semantics", semantics)
 
 
+def _float64(raster) -> np.ndarray:
+    """A FloatMap's values, or an array-like, as a float64 array for arithmetic."""
+    return np.asarray(raster.values if isinstance(raster, FloatMap) else raster, dtype=np.float64)
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise a ValueError, name first, unless value (a number or a tuple of
+    numbers; a bool or a string is not one) is positive and finite throughout."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or not np.all((arr > 0) & (arr < np.inf)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _check_finite(obj, *names: str) -> None:
     """Raise a ValueError, field name first, on the first named field of obj
     that holds a NaN or an infinity (a number or nested tuples of numbers)."""
@@ -366,16 +390,9 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
-        _check_int(self, "width", "height")
-        _check_finite(self, "fx", "fy")
-        if not self.fx > 0:
-            raise ValueError("fx (focal length) must be positive")
-        if not self.fy > 0:
-            raise ValueError("fy (focal length) must be positive")
-        if not self.width > 0:
-            raise ValueError("width must be positive")
-        if not self.height > 0:
-            raise ValueError("height must be positive")
+        _check_raster_size(self.width, self.height)
+        _check_positive("fx", self.fx)
+        _check_positive("fy", self.fy)
         if not 0 <= self.cx < self.width:
             raise ValueError("cx (principal point) must lie in [0, width)")
         if not 0 <= self.cy < self.height:

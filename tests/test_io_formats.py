@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evreflex import io_formats
-from evreflex.flow import FlowSolverConfig
+from evreflex.flow import FlowSolverConfig, charbonnier
 from evreflex.io_formats import (
     BadMagicError,
     BoundsError,
@@ -24,7 +24,7 @@ from evreflex.io_formats import (
     read_events,
     write_events,
 )
-from evreflex.sim import SceneConfig, SphereObstacle, TextureSpec, TrajectorySpec
+from evreflex.sim import SceneConfig, SphereObstacle, TextureSpec, TrajectorySpec, generate_events
 from evreflex.types import (
     CameraModel,
     EventOrderError,
@@ -294,11 +294,57 @@ def test_config_range_error_names_key():
     ("[obstacle]\nstart = 0 nan 1\n", "start", 2),
     ("[obstacle]\nvelocity = inf 0 0\n", "velocity", 2),
     ("rng_seed = -3\nrandom_obstacles = 2\n", "rng_seed", 1),
+    ("[camera]\nwidth = 70000\n", "width", 2),
 ])
 def test_config_dataclass_range_errors_name_key_and_line(text, key, line):
     with pytest.raises(ConfigError, match=f"key '{key}'") as err:
         parse_config(text)
     assert err.value.line == line
+
+
+_SPHERE = dict(radius=0.2, start=(0.0, 0.0, 1.0), velocity=(0.0, 0.0, 0.0))
+_CAMERA = dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=4, height=4)
+_FRAMES = ([0.0, 0.1], [np.ones((2, 2)), np.ones((2, 2))])
+
+# Every setting that must be positive and finite: how to build it with a value,
+# and (config text with {} for the value, config key) where a config sets it.
+_POSITIVE_SETTINGS = {
+    "fx": (lambda v: CameraModel(**{**_CAMERA, "fx": v}), ("[camera]\nfx = {}\n", "fx")),
+    "fy": (lambda v: CameraModel(**{**_CAMERA, "fy": v}), ("[camera]\nfy = {}\n", "fy")),
+    "period_m": (lambda v: TextureSpec(period_m=v), ("wall_texture = 0.5 {}\n", "wall_texture")),
+    "radius": (lambda v: SphereObstacle(**{**_SPHERE, "radius": v}),
+               ("[obstacle]\nradius = {}\n", "radius")),
+    "speed": (lambda v: TrajectorySpec(speed=v), ("[trajectory]\nspeed = {}\n", "speed")),
+    "yaw_rate_deg": (lambda v: TrajectorySpec(yaw_rate_deg=v),
+                     ("[trajectory]\nyaw_rate = {}\n", "yaw_rate")),
+    "half_extents": (lambda v: SceneConfig(half_extents=(3.0, 3.0, v)),
+                     ("room_half_extents = 3 3 {}\n", "room_half_extents")),
+    "frame_rate": (lambda v: SceneConfig(frame_rate=v), ("frame_rate = {}\n", "frame_rate")),
+    "duration": (lambda v: SceneConfig(duration=v), ("duration = {}\n", "duration")),
+    "contrast_threshold": (lambda v: SceneConfig(contrast_threshold=v),
+                           ("contrast_threshold = {}\n", "contrast_threshold")),
+    "charbonnier_eps": (lambda v: FlowSolverConfig(charbonnier_eps=v),
+                        ("[flow]\ncharbonnier_eps = {}\n", "charbonnier_eps")),
+    "eps": (lambda v: charbonnier(0.0, eps=v), None),
+    "contrast threshold": (lambda v: generate_events(*_FRAMES, v), None),
+}
+
+
+# "1" once passed the finite check as 1.0 and then failed on "1" > 0 with a
+# TypeError that named no field; a config value is always a number
+@pytest.mark.parametrize("field", list(_POSITIVE_SETTINGS))
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, "1", None],
+                         ids=["0", "-1", "nan", "inf", "str", "None"])
+def test_positive_settings_refuse_values_not_positive_and_finite(field, value):
+    build, config = _POSITIVE_SETTINGS[field]
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        build(value)
+    if config is not None and isinstance(value, float):
+        text, key = config
+        text = text.format(value)
+        with pytest.raises(ConfigError, match=f"key '{key}'") as err:
+            parse_config(text)
+        assert err.value.line == text.count("\n")
 
 
 @pytest.mark.parametrize("text, key, line", [

@@ -13,8 +13,7 @@ def _camera(shape, fx=100.0, fy=50.0):
 
 def _tti(values, dt=0.1):
     values = np.asarray(values, dtype=np.float64)
-    return TtiMap(tti=FloatMap(values, MapSemantics.INV_TTI_S), dt=dt,
-                  valid=np.ones(values.shape, dtype=bool))
+    return TtiMap(values, dt=dt, valid=np.ones(values.shape, dtype=bool))
 
 
 def test_motion_vector_empty_mask():

@@ -12,7 +12,8 @@ from evreflex.tti import (
     threshold_collision,
     tti_mse,
 )
-from evreflex.types import FloatMap, FlowField, MapSemantics, UndefinedMetricError
+from evreflex.types import (FloatMap, FlowField, MapSemantics, ShapeMismatchError,
+                            UndefinedMetricError)
 
 
 def _depth(value, shape=(8, 8)):
@@ -105,8 +106,7 @@ def test_static_refuses_dt_not_positive_and_finite(dt):
 @pytest.mark.parametrize("dt", BAD_INTERVALS)
 def test_tti_map_refuses_dt_not_positive_and_finite(dt):
     with pytest.raises(ValueError, match="^dt must be positive and finite"):
-        TtiMap(tti=FloatMap(np.zeros((4, 5)), MapSemantics.INV_TTI_S), dt=dt,
-               valid=np.ones((4, 5), dtype=bool))
+        TtiMap(np.zeros((4, 5)), dt=dt, valid=np.ones((4, 5), dtype=bool))
 
 
 def test_tti_map_freezes_its_mask():
@@ -114,20 +114,29 @@ def test_tti_map_freezes_its_mask():
     with pytest.raises(ValueError):
         gt.valid[0, 0] = False
     mask = np.ones((4, 5), dtype=bool)
-    t = TtiMap(tti=FloatMap(np.zeros((4, 5)), MapSemantics.INV_TTI_S), dt=0.1, valid=mask)
+    t = TtiMap(np.zeros((4, 5)), dt=0.1, valid=mask)
     mask[:] = False
     assert t.valid.all() and not t.valid.flags.writeable
 
 
+def test_tti_map_stores_its_raster_as_a_finite_non_negative_float32_copy():
+    # TtiMap makes the copy and the checks of an INV_TTI_S FloatMap
+    raw = np.full((4, 5), 0.5)
+    t = TtiMap(raw, dt=0.1, valid=np.ones((4, 5), dtype=bool))
+    raw[0, 0] = 9.0
+    assert t.values.dtype == np.float32 and not t.values.flags.writeable
+    assert np.all(t.values == np.float32(0.5))
+    for bad in (-1.0, np.nan, np.inf):
+        raw[0, 0] = bad
+        with pytest.raises(ValueError):
+            TtiMap(raw, dt=0.1, valid=np.ones((4, 5), dtype=bool))
+    with pytest.raises(ShapeMismatchError):
+        TtiMap(np.zeros((4, 5)), dt=0.1, valid=np.ones((5, 4), dtype=bool))
+
+
 def test_tti_map_refuses_a_mask_that_is_not_bool():
     with pytest.raises(TypeError, match="^valid must be a bool array"):
-        TtiMap(tti=FloatMap(np.zeros((4, 5)), MapSemantics.INV_TTI_S), dt=0.1,
-               valid=np.ones((4, 5)))
-
-
-def test_tti_map_refuses_a_map_that_is_not_inverse_tti():
-    with pytest.raises(ValueError, match="^tti must be an INV_TTI_S map, got DEPTH_M"):
-        TtiMap(tti=_depth(2.0, (4, 5)), dt=0.1, valid=np.ones((4, 5), dtype=bool))
+        TtiMap(np.zeros((4, 5)), dt=0.1, valid=np.ones((4, 5)))
 
 
 def test_static_zero_flow_is_zero():
@@ -185,9 +194,7 @@ def test_tti_mse_cases():
     # = 0.5, and a uniform +0.25 shift over the jointly valid pixels gives 0.25**2.
     gt = ground_truth_inverse_tti(_depth(2.5), _depth(2.0), _zero_flow(), 0.5)
     assert tti_mse(gt, gt) == 0.0
-    shifted = TtiMap(
-        tti=FloatMap(gt.values + 0.25, MapSemantics.INV_TTI_S), dt=gt.dt, valid=gt.valid
-    )
+    shifted = TtiMap(gt.values + 0.25, dt=gt.dt, valid=gt.valid)
     assert tti_mse(shifted, gt) == pytest.approx(0.25**2, rel=1e-9)
 
 
@@ -197,8 +204,8 @@ def test_tti_mse_matches_loop_oracle():
     b_vals = rng.uniform(0, 2, (8, 8))
     valid_a = rng.random((8, 8)) > 0.3
     valid_b = rng.random((8, 8)) > 0.3
-    a = TtiMap(tti=FloatMap(a_vals, MapSemantics.INV_TTI_S), dt=0.1, valid=valid_a)
-    b = TtiMap(tti=FloatMap(b_vals, MapSemantics.INV_TTI_S), dt=0.1, valid=valid_b)
+    a = TtiMap(a_vals, dt=0.1, valid=valid_a)
+    b = TtiMap(b_vals, dt=0.1, valid=valid_b)
     total = 0.0
     count = 0
     for y in range(8):
@@ -210,29 +217,24 @@ def test_tti_mse_matches_loop_oracle():
 
 
 def test_tti_mse_empty_support_raises():
-    a = TtiMap(tti=FloatMap(np.zeros((4, 4)), MapSemantics.INV_TTI_S), dt=0.1,
-               valid=np.zeros((4, 4), dtype=bool))
+    a = TtiMap(np.zeros((4, 4)), dt=0.1, valid=np.zeros((4, 4), dtype=bool))
     with pytest.raises(UndefinedMetricError):
         tti_mse(a, a)
 
 
 def test_tti_mse_dt_mismatch_raises():
-    a = TtiMap(tti=FloatMap(np.zeros((4, 4)), MapSemantics.INV_TTI_S), dt=0.1,
-               valid=np.ones((4, 4), dtype=bool))
-    b = TtiMap(tti=FloatMap(np.zeros((4, 4)), MapSemantics.INV_TTI_S), dt=0.2,
-               valid=np.ones((4, 4), dtype=bool))
+    a = TtiMap(np.zeros((4, 4)), dt=0.1, valid=np.ones((4, 4), dtype=bool))
+    b = TtiMap(np.zeros((4, 4)), dt=0.2, valid=np.ones((4, 4), dtype=bool))
     with pytest.raises(ValueError):
         tti_mse(a, b)
 
 
 def test_threshold_collision_cases():
     values = np.zeros((8, 8))
-    t = TtiMap(tti=FloatMap(values, MapSemantics.INV_TTI_S), dt=0.1,
-               valid=np.ones((8, 8), dtype=bool))
+    t = TtiMap(values, dt=0.1, valid=np.ones((8, 8), dtype=bool))
     assert not threshold_collision(t, 1.0).any()
     values[2, 5] = 1.2
-    t = TtiMap(tti=FloatMap(values, MapSemantics.INV_TTI_S), dt=0.1,
-               valid=np.ones((8, 8), dtype=bool))
+    t = TtiMap(values, dt=0.1, valid=np.ones((8, 8), dtype=bool))
     mask = threshold_collision(t, 1.0)
     assert mask[2, 5] and mask.sum() == 1
 
@@ -250,8 +252,7 @@ def test_threshold_collision_refuses_horizon_not_positive_and_finite(horizon):
 
 def test_threshold_monotonicity_in_horizon():
     rng = np.random.default_rng(3)
-    t = TtiMap(tti=FloatMap(rng.uniform(0, 3, (16, 16)), MapSemantics.INV_TTI_S),
-               dt=0.1, valid=rng.random((16, 16)) > 0.2)
+    t = TtiMap(rng.uniform(0, 3, (16, 16)), dt=0.1, valid=rng.random((16, 16)) > 0.2)
     short = threshold_collision(t, 0.5)
     long = threshold_collision(t, 1.0)
     assert not (short & ~long).any()  # mask(0.5 s) is a subset of mask(1.0 s)

@@ -157,6 +157,14 @@ def test_container_stores_its_payload_read_only_in_the_contract_dtype(build, dty
     assert np.array_equal(stored, np.arange(6).reshape(2, 3))
 
 
+@pytest.mark.parametrize("t_start, t_end", [(np.nan, 1.0), (0.0, np.inf), (1.0, 1.0)])
+def test_event_map_refuses_a_window_that_is_empty_or_not_finite(t_start, t_end):
+    # accumulate_events' rule; EventMap once took a NaN start and an infinite end
+    em = accumulate_events(make_events([0.25], [1], [0], [1]), (0.0, 1.0), 3, 2)
+    with pytest.raises(EventWindowError):
+        EventMap(t_start, t_end, **{name: getattr(em, name) for name in _CHANNELS})
+
+
 def test_event_map_refuses_channels_of_different_shapes():
     tall = accumulate_events(make_events([], [], [], []), (0.0, 1.0), 2, 3)
     with pytest.raises(ShapeMismatchError, match="^neg_count has shape"):
@@ -189,6 +197,10 @@ def test_camera_model_validation():
     ("width", dict(width=4.0)),
     ("width", dict(width=True, cx=0)),
     ("height", dict(height="4")),
+    # EVENT_DTYPE's uint16 coordinates address at most 65536 columns and rows;
+    # a wider camera once parsed and rendered every frame before events refused it
+    ("width", dict(width=70000)),
+    ("height", dict(height=65537)),
 ])
 def test_camera_model_message_starts_with_field(field, kwargs):
     args = dict(fx=1, fy=1, cx=0, cy=0, width=4, height=4)
