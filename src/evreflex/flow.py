@@ -1,8 +1,11 @@
 """Dense optical flow by direct minimization of a self-supervised objective.
 
-The objective is a robust photometric term (intensity constancy under a
-bilinear warp) plus a weighted smoothness term on flow differences between
-4-neighbours.  It is minimized coarse-to-fine with plain gradient descent and
+The objective (Charbonnier data plus smoothness terms, after Sun, Roth and
+Black, CVPR 2010) is a robust photometric term (intensity constancy under a
+bilinear warp whose samples clamp to the raster's edge) plus a weighted
+smoothness term on flow differences between 4-neighbours.  It is the one
+objective here: the descent minimizes it, and estimate_flow and total_loss
+report it.  It is minimized coarse-to-fine with plain gradient descent and
 backtracking, which keeps the per-level loss monotone non-increasing.  Each
 level starts at the smoothness term's stable step 2 / L (L its largest
 curvature, 8 * alpha * 2a * eps^(2a - 2)) rounded up to a power of two and
@@ -19,16 +22,16 @@ expressions (kept as the reference in tests/test_flow.py), so the buffers
 change no result bit.  The descent builds one workspace per pyramid level,
 scores every backtracking candidate by its loss alone and finishes the
 gradient only for a step it accepts and continues from, so a rejected
-candidate costs one loss evaluation.  The public losses and gradients build
-a fresh workspace per call, so no array they return is overwritten later.
+candidate costs one loss evaluation.  total_loss builds a workspace per
+call.
 
 Each Charbonnier base b = x^2 + eps^2 (the photometric residual's and, per
 flow channel, the horizontal and vertical differences') takes one log and
 one exp per loss: b^a = exp(a * log b), which costs about half of one
 generic power, into a power buffer of its own.  The gradient reads
 b^(a - 1) as b^a / b from that buffer and takes no log, exp or power of its
-own; b >= eps^2 > 0 keeps the quotient finite.  The public charbonnier and
-charbonnier_deriv take the power the same way.
+own; b >= eps^2 > 0 keeps the quotient finite.  The public charbonnier takes
+the power the same way.
 
 The photometric term is the weighted sum over the pixels of nonzero weight:
 estimate_flow given an event map gates it on the pixels that map saw events
@@ -44,9 +47,13 @@ be finite and non-negative.  The descent reports each level (active
 pixels, accepted and rejected steps, first and final step, why it stopped)
 at DEBUG level on the "evreflex.flow" logger.
 
-All internal arithmetic runs in float64; the analytic gradient uses the exact
-derivative of the bilinear interpolant, so it matches central finite
-differences of the loss wherever the loss is differentiable.
+All internal arithmetic runs in float64.  The descent direction uses the
+exact derivative of the bilinear interpolant at each sample's clamped
+position.  So it matches central finite differences of the loss wherever the
+loss is differentiable and every sample stays inside the raster.  A sample
+clamped outside the raster does not move with the flow component that pushes
+it out, so the loss is flat along it; the descent direction there is still
+the interpolant's partial at the clamped position, not that zero.
 """
 from __future__ import annotations
 
@@ -76,11 +83,7 @@ __all__ = [
     "SolverDivergenceError",
     "warp",
     "charbonnier",
-    "charbonnier_deriv",
-    "photometric_loss",
-    "smoothness_loss",
     "total_loss",
-    "loss_gradient",
     "estimate_flow",
 ]
 
@@ -104,19 +107,19 @@ class FlowSolverConfig:
     power of two keeps every candidate on the lattice 1, 1/2, 1/4, ... that a
     start at 1 halves through, so a level whose first accepted step lies at
     or below the start takes the same steps, less the leading rejections.
-    At alpha = 0 the start is 1.
+    At alpha = 0 the start is 1.  Nor is the stop a setting: a level stops
+    after 200 iterations (_ITERS_PER_LEVEL), or once an accepted step lowers
+    the loss by at most 1e-6 of its value (_CONVERGENCE_TOL).
     """
 
     alpha: float = 0.5  # smoothness weight in l_f = l_p + alpha * l_s
     charbonnier_eps: float = 0.001
     charbonnier_alpha: float = 0.45
     pyramid_levels: int = 4
-    iters_per_level: int = 200
-    convergence_tol: float = 1e-6
 
     def __post_init__(self):
-        _check_int(self, "pyramid_levels", "iters_per_level")
-        _check_finite(self, "alpha", "convergence_tol")
+        _check_int(self, "pyramid_levels")
+        _check_finite(self, "alpha", "charbonnier_alpha")
         if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
         if not self.pyramid_levels >= 1:
@@ -124,10 +127,6 @@ class FlowSolverConfig:
         _check_positive("charbonnier_eps", self.charbonnier_eps)
         if not 0 < self.charbonnier_alpha < 1:
             raise ValueError("charbonnier_alpha must be in (0, 1)")
-        if not self.iters_per_level >= 1:
-            raise ValueError("iters_per_level must be >= 1")
-        if not self.convergence_tol >= 0:
-            raise ValueError("convergence_tol must be >= 0")
 
 
 class SolverDivergenceError(RuntimeError):
@@ -273,14 +272,6 @@ def warp(src: Raster, flow: Flow):
     return values, valid
 
 
-def _charbonnier_input(x, eps: float, alpha: float) -> np.ndarray:
-    """x as float64, once eps > 0 and 0 < alpha < 1 are checked."""
-    _check_positive("eps", eps)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    return np.asarray(x, dtype=np.float64)
-
-
 def _charbonnier_power(base, alpha: float, out=None):
     """base^alpha as exp(alpha * log(base)), into out if given; base > 0."""
     power = np.log(base, out=out)
@@ -289,18 +280,12 @@ def _charbonnier_power(base, alpha: float, out=None):
 
 
 def charbonnier(x, eps: float = 0.001, alpha: float = 0.45):
-    """Robust penalty (x^2 + eps^2)^alpha, elementwise."""
-    x = _charbonnier_input(x, eps, alpha)
+    """Robust penalty (x^2 + eps^2)^alpha, elementwise; eps > 0, 0 < alpha < 1."""
+    _check_positive("eps", eps)
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    x = np.asarray(x, dtype=np.float64)
     out = np.asarray(_charbonnier_power(x * x + eps * eps, alpha))
-    return float(out) if out.ndim == 0 else out
-
-
-def charbonnier_deriv(x, eps: float = 0.001, alpha: float = 0.45):
-    """d/dx of the robust penalty: 2*alpha*x*(x^2 + eps^2)^(alpha - 1), with
-    the power taken as (x^2 + eps^2)^alpha / (x^2 + eps^2)."""
-    x = _charbonnier_input(x, eps, alpha)
-    base = x * x + eps * eps
-    out = np.asarray(2.0 * alpha * x * (_charbonnier_power(base, alpha) / base))
     return float(out) if out.ndim == 0 else out
 
 
@@ -315,31 +300,6 @@ def _weights(shape, weight_mask) -> np.ndarray:
     return w
 
 
-def photometric_loss(
-    flow: Flow,
-    img_t: Raster,
-    img_t1: Raster,
-    weight_mask=None,
-    *,
-    eps: float = 0.001,
-    alpha: float = 0.45,
-) -> float:
-    """Sum over pixels of weight * rho(I_t(i) - I_t1(i + F(i))).
-
-    Out-of-bounds warped samples contribute zero.
-    """
-    cfg = FlowSolverConfig(alpha=0.0, charbonnier_eps=eps, charbonnier_alpha=alpha)
-    return total_loss(flow, img_t, img_t1, cfg, weight_mask)
-
-
-def smoothness_loss(flow: Flow, *, eps: float = 0.001, alpha: float = 0.45) -> float:
-    """Sum of rho over flow differences across 4-neighbour pairs (each pair once)."""
-    u, v = _uv(flow)
-    cfg = FlowSolverConfig(alpha=1.0, charbonnier_eps=eps, charbonnier_alpha=alpha)
-    zero = np.zeros(u.shape)  # as weights, it leaves the photometric term no pixel
-    return _Workspace(u.shape, zero, zero, zero, cfg).smoothness(u, v, 0.0)
-
-
 def total_loss(
     flow: Flow,
     img_t: Raster,
@@ -347,24 +307,14 @@ def total_loss(
     cfg: FlowSolverConfig,
     weight_mask=None,
 ) -> float:
-    """Combined objective l_f = l_p + alpha * l_s, out-of-bounds samples dropped."""
-    u, v = _uv(flow)
-    return _Workspace(u.shape, _gray(img_t), _gray(img_t1), weight_mask, cfg).loss(
-        u, v, oob_zero=True)
+    """The objective l_f = l_p + alpha * l_s at flow, the one the descent minimizes.
 
-
-def loss_gradient(
-    flow: Flow,
-    img_t: Raster,
-    img_t1: Raster,
-    cfg: FlowSolverConfig,
-    weight_mask=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic d(total_loss)/dF as a pair of (H, W) float64 arrays (du, dv)."""
+    l_p sums weight * rho(I_t(i) - I_t1(i + F(i))) over the pixels, a sample
+    outside the raster reading I_t1 at the clamped position; l_s sums rho over
+    the flow differences of each channel across 4-neighbour pairs.
+    """
     u, v = _uv(flow)
-    ws = _Workspace(u.shape, _gray(img_t), _gray(img_t1), weight_mask, cfg)
-    ws.loss(u, v, oob_zero=True)
-    return ws.gradient()
+    return _Workspace(u.shape, _gray(img_t), _gray(img_t1), weight_mask, cfg).loss(u, v)
 
 
 class _Workspace:
@@ -401,8 +351,6 @@ class _Workspace:
         # corner differences along x, then the x-partial in dx_top
         self.residual, self.ddy, self.dx_top, self.dx_bottom = (np.empty(n) for _ in range(4))
         self.base, self.power = np.empty(n), np.empty(n)
-        self.masked = np.empty(n)  # weights times the in-bounds mask (oob_zero)
-        self.wv = self.weights  # the photometric weights of the last loss
         self.gu, self.gv = np.empty(shape), np.empty(shape)
         # per flow channel: horizontal differences, their Charbonnier bases
         # and the bases' powers, then the same for vertical differences
@@ -427,33 +375,25 @@ class _Workspace:
         flat[self.active] = partial
         return grad
 
-    def loss(self, u: np.ndarray, v: np.ndarray, oob_zero: bool = False) -> float:
-        """l_f at (u, v).
-
-        With oob_zero the photometric term drops out-of-bounds samples (the
-        reported objective); without it they contribute through the border
-        clamp, which keeps the objective continuous in F and is what the
-        solver descends.
-        """
+    def loss(self, u: np.ndarray, v: np.ndarray) -> float:
+        """l_f at (u, v); a sample outside the raster reads I_t1 at its
+        clamped position."""
         cfg = self.cfg
         eps2 = cfg.charbonnier_eps * cfg.charbonnier_eps
         np.add(self.grid_x, self._gather(u, self.fx), out=self.fx)
         np.add(self.grid_y, self._gather(v, self.fy), out=self.fy)
-        corners, fx, fy, in_bounds = _footprint(
-            self.it1, self.fx, self.fy, with_mask=oob_zero,
+        corners, fx, fy, _ = _footprint(
+            self.it1, self.fx, self.fy, with_mask=False,
             out=(self.fx, self.fy, self.x0, self.y0, self.corners),
         )
         sampled = _interpolate(corners, fx, fy,
                                out=(self.residual, self.ddy, self.dx_top, self.dx_bottom))[0]
-        self.wv = self.weights
-        if oob_zero:
-            self.wv = np.multiply(self.weights, in_bounds, out=self.masked)
         residual = np.subtract(self.it, sampled, out=sampled)
         base = np.multiply(residual, residual, out=self.base)
         base += eps2
         power = _charbonnier_power(base, cfg.charbonnier_alpha, out=self.power)
         # fx is scratch once the interpolant is built; power stays for gradient()
-        loss = float(np.sum(np.multiply(power, self.wv, out=self.fx)))
+        loss = float(np.sum(np.multiply(power, self.weights, out=self.fx)))
         return self.smoothness(u, v, loss) if cfg.alpha > 0 else loss
 
     def smoothness(self, u: np.ndarray, v: np.ndarray, loss: float) -> float:
@@ -480,7 +420,7 @@ class _Workspace:
         slope = 2.0 * ca  # rho'(x) = slope * x * (base^a / base)
         rho = np.multiply(self.residual, slope, out=self.residual)
         rho *= np.divide(self.power, self.base, out=self.base)
-        rho *= self.wv
+        rho *= self.weights
         np.negative(rho, out=rho)
         # the x-partial (1 - fy) * dx_top + fy * dx_bottom, into dx_top
         fy, x_partial = self.fy, self.dx_top
@@ -520,6 +460,8 @@ def _upsample2(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 _STEP_GROWTH = 1.3  # re-grow the step after an accepted iteration
 _STEP_FLOOR = 1e-14  # a level stops when its step halves below this
+_ITERS_PER_LEVEL = 200  # a level stops after this many iterations
+_CONVERGENCE_TOL = 1e-6  # or once an accepted step lowers the loss by at most this share
 
 
 def _first_step(cfg: FlowSolverConfig) -> float:
@@ -538,10 +480,9 @@ def _first_step(cfg: FlowSolverConfig) -> float:
 
 
 def _descend(u, v, ws: _Workspace, level: int):
-    # The descent objective counts out-of-bounds samples through the border
-    # clamp: zeroing them (as the reported loss does) makes the objective
-    # discontinuous wherever a sample crosses the raster edge, and plain
-    # gradient descent jams on those ridges.
+    # The objective counts out-of-bounds samples through the border clamp:
+    # zeroing them would make it discontinuous wherever a sample crosses the
+    # raster edge, and plain gradient descent jams on those ridges.
     # A candidate is scored by its loss alone; the gradient is finished only
     # for an accepted step that the descent goes on from.  The flow and the
     # candidate live in two buffer pairs that swap roles on an accepted step,
@@ -556,7 +497,7 @@ def _descend(u, v, ws: _Workspace, level: int):
     step = first = _first_step(cfg)
     accepted = rejected = 0
     stop = "iteration cap"
-    for iteration in range(1, cfg.iters_per_level + 1):
+    for iteration in range(1, _ITERS_PER_LEVEL + 1):
         np.subtract(u, np.multiply(gu, step, out=cu), out=cu)
         np.subtract(v, np.multiply(gv, step, out=cv), out=cv)
         cand = ws.loss(cu, cv)
@@ -572,7 +513,7 @@ def _descend(u, v, ws: _Workspace, level: int):
         accepted += 1
         drop = loss - cand
         u, v, cu, cv, loss = cu, cv, u, v, cand
-        if drop <= cfg.convergence_tol * max(abs(loss), 1e-12):
+        if drop <= _CONVERGENCE_TOL * max(abs(loss), 1e-12):
             stop = "converged"
             break
         gu, gv = ws.gradient()
@@ -596,10 +537,12 @@ def estimate_flow(
 
     Given an event map, the photometric term is trusted only where the map
     saw events; elsewhere the smoothness term fills in.  Given None, it weighs
-    every pixel.  Returns the finest-level flow and the final objective value.
+    every pixel.  Returns the finest-level flow and the objective the descent
+    reached there: total_loss at that flow before it is stored as float32.
 
-    Refused before any descent: an event map whose shape differs from the
-    images' (ShapeMismatchError), and with ValueError an image holding a
+    Refused before any descent: an em that is neither an EventMap nor None
+    (TypeError), an event map whose shape differs from the images'
+    (ShapeMismatchError), and with ValueError an image holding a
     non-finite pixel (the message names img_t or img_t1) and an event map with
     no active pixel, which leaves the photometric term nothing to weigh and
     would return zero flow.
@@ -613,6 +556,8 @@ def estimate_flow(
             raise ValueError(f"{name} holds non-finite pixels")
     if em is None:
         weights = np.ones(it.shape)  # block means of ones stay exactly ones
+    elif not isinstance(em, EventMap):
+        raise TypeError(f"em must be an EventMap or None, got {type(em).__name__}")
     else:
         if em.pos_count.shape != it.shape:
             raise ShapeMismatchError("event map dimensions differ from images")
@@ -638,8 +583,5 @@ def estimate_flow(
         if u.shape != lit.shape:
             u = _upsample2(u, lit.shape) * 2.0
             v = _upsample2(v, lit.shape) * 2.0
-        ws = _Workspace(lit.shape, lit, lit1, lw, cfg)
-        u, v, _ = _descend(u, v, ws, level)
-    # ws is level 0's: the raster, images and weights of the reported loss
-    final_loss = ws.loss(u, v, oob_zero=True)
-    return FlowField(u, v), final_loss
+        u, v, loss = _descend(u, v, _Workspace(lit.shape, lit, lit1, lw, cfg), level)
+    return FlowField(u, v), loss

@@ -136,9 +136,9 @@ def _unit_max(vec: np.ndarray) -> np.ndarray:
 def angle_error(pred_vec, gt_vec) -> float:
     """Angle in degrees between two nonzero 3-vectors.
 
-    A vector with a NaN or infinite component is refused with a ValueError
-    that names it: its cosine is NaN, which the clamp to [-1, 1] would turn
-    into a perfect 0 degrees.  Each vector is divided by its largest
+    A vector of another shape, or with a NaN or infinite component, is refused
+    with a ValueError that names it (pred_vec or gt_vec): a NaN cosine would
+    clamp to a perfect 0 degrees.  Each vector is divided by its largest
     |component| first, so the norms and the dot product neither overflow nor
     underflow at any finite scale: [1e200, 0, 0] and [1e-200, 0, 0] both lie
     0 degrees from [1, 0, 0].
@@ -146,6 +146,8 @@ def angle_error(pred_vec, gt_vec) -> float:
     a = np.asarray(pred_vec, dtype=np.float64)
     b = np.asarray(gt_vec, dtype=np.float64)
     for name, vec in (("pred_vec", a), ("gt_vec", b)):
+        if vec.shape != (3,):
+            raise ValueError(f"{name} must be a 3-vector, got shape {vec.shape}")
         if not np.all(np.isfinite(vec)):
             raise ValueError(f"{name} holds non-finite components: {vec}")
     a, b = _unit_max(a), _unit_max(b)

@@ -113,7 +113,7 @@ class TextureSpec:
     base: float = 0.5
 
     def __post_init__(self):
-        _check_finite(self, "base")
+        _check_finite(self, "amplitude", "base")
         _check_positive("period_m", self.period_m)
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError("amplitude must be in [0, 1]")
@@ -141,7 +141,7 @@ class SphereObstacle:
     def __post_init__(self):
         _check_int(self, "class_id")
         _check_shape(self, (3,), "start", "velocity")
-        _check_finite(self, "start", "velocity")
+        _check_finite(self, "start", "velocity", "albedo")
         _check_positive("radius", self.radius)
         if not 0.0 <= self.albedo <= 1.0:
             raise ValueError("albedo must be in [0, 1]")
@@ -239,6 +239,7 @@ class SceneConfig:
     def __post_init__(self):
         _check_int(self, "rng_seed", "random_obstacles")
         _check_shape(self, (3,), "half_extents", "light_dir")
+        _check_finite(self, "camera_height", "light_dir")
         for name in ("half_extents", "frame_rate", "duration", "contrast_threshold"):
             _check_positive(name, getattr(self, name))
         if not self.duration * self.frame_rate >= 1:

@@ -38,10 +38,12 @@ compute, and results that are stored again are rounded back to float32.
 
 Boundary checks.  Each input rule is written once here, and every boundary
 calls it: ``_check_positive`` (numbers that are positive and finite),
-``_check_raster_size`` (integer sides in [1, 65536]), ``_check_window``
-(finite ends, t0 < t1) and ``_check_finite`` / ``_check_int`` /
-``_check_shape``.  Messages start with the field name, which ``parse_config``
-reads to name the config key.
+``_check_finite`` (numbers that are finite, checked before any range
+comparison), ``_check_raster_size`` (integer sides in [1, 65536]),
+``_check_window`` (finite ends, t0 < t1), ``_check_int`` and
+``_check_shape``.  A bool, a string or None is not a number.  Messages
+start with the field name, which ``parse_config`` reads to name the config
+key.
 """
 from __future__ import annotations
 
@@ -349,11 +351,13 @@ def _check_positive(name: str, value) -> None:
 
 def _check_finite(obj, *names: str) -> None:
     """Raise a ValueError, field name first, on the first named field of obj
-    that holds a NaN or an infinity (a number or nested tuples of numbers)."""
+    that is not a number or nested tuples of numbers (a bool, a string or None
+    is not one) or that holds a NaN or an infinity."""
     for name in names:
         value = getattr(obj, name)
-        if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
-            raise ValueError(f"{name} must be finite, got {value}")
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+            raise ValueError(f"{name} must hold finite numbers, got {value!r}")
 
 
 def _check_int(obj, *names: str) -> None:
@@ -393,6 +397,7 @@ class CameraModel:
         _check_raster_size(self.width, self.height)
         _check_positive("fx", self.fx)
         _check_positive("fy", self.fy)
+        _check_finite(self, "cx", "cy")
         if not 0 <= self.cx < self.width:
             raise ValueError("cx (principal point) must lie in [0, width)")
         if not 0 <= self.cy < self.height:

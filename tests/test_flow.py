@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import re
@@ -10,13 +11,10 @@ from evreflex.flow import (
     FlowSolverConfig,
     SolverDivergenceError,
     charbonnier,
-    charbonnier_deriv,
     estimate_flow,
-    loss_gradient,
-    photometric_loss,
-    smoothness_loss,
     total_loss,
     warp,
+    _CONVERGENCE_TOL,
     _STEP_GROWTH,
     _Workspace,
     _charbonnier_power,
@@ -43,6 +41,25 @@ def _const_flow(shape, du, dv):
 def _ramp(shape):
     ys, xs = np.mgrid[0:shape[0], 0:shape[1]].astype(np.float64)
     return xs
+
+
+def _photometric(flow, it, it1, weights=None):
+    """The photometric term alone: the objective at alpha = 0."""
+    return total_loss(flow, it, it1, FlowSolverConfig(alpha=0.0), weights)
+
+
+def _smoothness(flow):
+    """The smoothness sum alone: the objective at alpha = 1 with every weight 0."""
+    zero = np.zeros(np.shape(flow)[1:])
+    return total_loss(flow, zero, zero, FlowSolverConfig(alpha=1.0), zero)
+
+
+def _gradient(flow, it, it1, cfg, weights=None):
+    """The descent direction at flow: a fresh workspace's loss, then its gradient."""
+    u, v = np.asarray(flow, dtype=np.float64)
+    ws = _Workspace(u.shape, it, it1, weights, cfg)
+    ws.loss(u, v)
+    return ws.gradient()
 
 
 # -- warp ---------------------------------------------------------------------
@@ -104,9 +121,7 @@ def test_infinite_flow_array_rejected(bad):
     img = np.random.default_rng(3).random((4, 5))
     flow = _const_flow(img.shape, 0.0, 0.0)
     flow[1, 2, 3] = bad
-    for call in (lambda: warp(img, flow), lambda: total_loss(flow, img, img, FlowSolverConfig()),
-                 lambda: loss_gradient(flow, img, img, FlowSolverConfig()),
-                 lambda: smoothness_loss(flow)):
+    for call in (lambda: warp(img, flow), lambda: total_loss(flow, img, img, FlowSolverConfig())):
         with pytest.raises(ValueError, match="infinite"):
             call()
 
@@ -130,19 +145,26 @@ def test_charbonnier_at_one():
 
 
 def test_charbonnier_validation():
-    # the penalty and its derivative refuse the same settings
-    for fn in (charbonnier, charbonnier_deriv):
-        for name, bad in (("eps", 0.0), ("eps", -1e-3), ("eps", np.nan),
-                          ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5)):
-            with pytest.raises(ValueError, match=name):
-                fn(0.0, **{name: bad})
+    for name, bad in (("eps", 0.0), ("eps", -1e-3), ("eps", np.nan),
+                      ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5)):
+        with pytest.raises(ValueError, match=name):
+            charbonnier(0.0, **{name: bad})
 
 
 def test_charbonnier_deriv_matches_fd():
+    # The kernel's Charbonnier slope rho'(x), read from the gradient of the
+    # smoothness term on a 1x2 flow u = (0, x): with alpha = 1 and no
+    # photometric pixel, d l_f / d u[0, 1] is rho'(x).
     xs = np.linspace(-2, 2, 41)
     h = 1e-7
     fd = (charbonnier(xs + h) - charbonnier(xs - h)) / (2 * h)
-    assert np.allclose(charbonnier_deriv(xs), fd, atol=1e-4)
+    zero = np.zeros((1, 2))
+    ws = _Workspace((1, 2), zero, zero, zero, FlowSolverConfig(alpha=1.0))
+    slopes = []
+    for x in xs:
+        ws.loss(np.array([[0.0, x]]), zero)
+        slopes.append(ws.gradient()[0][0, 1])
+    assert np.allclose(slopes, fd, atol=1e-4)
 
 
 @pytest.mark.parametrize("ca", [0.1, 0.45, 0.9])
@@ -174,7 +196,7 @@ def test_photometric_loss_of_one_pixel_is_charbonnier(pair):
     # the public penalty and the kernel take the same power, so on a 1x1
     # pair with weight 1 the loss is the penalty of the residual to the bit
     it, it1 = (np.full((1, 1), value) for value in pair)
-    loss = photometric_loss(np.zeros((2, 1, 1)), it, it1, np.ones((1, 1)))
+    loss = _photometric(np.zeros((2, 1, 1)), it, it1, np.ones((1, 1)))
     assert loss == charbonnier(pair[0] - pair[1])
 
 
@@ -184,7 +206,7 @@ def test_photometric_loss_of_one_pixel_is_charbonnier(pair):
 def test_photometric_identical_aligned_images():
     rng = np.random.default_rng(2)
     img = rng.random((8, 8))
-    loss = photometric_loss(_const_flow(img.shape, 0.0, 0.0), img, img)
+    loss = _photometric(_const_flow(img.shape, 0.0, 0.0), img, img)
     assert loss == pytest.approx(64 * charbonnier(0.0), rel=1e-12)
 
 
@@ -193,9 +215,11 @@ def test_photometric_exact_alignment_after_shift():
     shifted = np.empty_like(img)
     shifted[:, 1:] = img[:, :-1]  # shifted(x) = img(x-1): img(x) = shifted(x+1)
     shifted[:, 0] = img[:, 0]
-    loss = photometric_loss(_const_flow(img.shape, 1.0, 0.0), img, shifted)
-    interior = 8 * 7  # last column warps out of bounds and contributes 0
-    assert loss == pytest.approx(interior * charbonnier(0.0), rel=1e-12)
+    loss = _photometric(_const_flow(img.shape, 1.0, 0.0), img, shifted)
+    interior = 8 * 7
+    # the last column samples at x = 8, which clamps to shifted[:, 7] = img[:, 6]
+    edge = np.sum(charbonnier(img[:, 7] - img[:, 6]))
+    assert loss == pytest.approx(interior * charbonnier(0.0) + edge, rel=1e-12)
 
 
 def test_photometric_matches_double_loop_oracle():
@@ -204,15 +228,15 @@ def test_photometric_matches_double_loop_oracle():
     it1 = rng.random((8, 8))
     u = rng.normal(0, 0.8, (8, 8))
     v = rng.normal(0, 0.8, (8, 8))
-    loss = photometric_loss(np.stack([u, v]), it, it1)
+    loss = _photometric(np.stack([u, v]), it, it1)
 
     total = 0.0
     h, w = it.shape
     for y in range(h):
         for x in range(w):
-            sx, sy = x + u[y, x], y + v[y, x]
-            if not (0 <= sx <= w - 1 and 0 <= sy <= h - 1):
-                continue
+            # a sample outside the raster reads it1 at the clamped position
+            sx = min(max(x + u[y, x], 0.0), w - 1.0)
+            sy = min(max(y + v[y, x], 0.0), h - 1.0)
             x0 = min(int(np.floor(sx)), w - 2)
             y0 = min(int(np.floor(sy)), h - 2)
             fx, fy = sx - x0, sy - y0
@@ -225,14 +249,14 @@ def test_photometric_matches_double_loop_oracle():
 def test_smoothness_constant_field():
     F = _const_flow((6, 5), 1.7, -0.3)
     pairs = 6 * 4 + 5 * 5  # horizontal + vertical unordered pairs
-    assert smoothness_loss(F) == pytest.approx(pairs * 2 * charbonnier(0.0), rel=1e-12)
+    assert _smoothness(F) == pytest.approx(pairs * 2 * charbonnier(0.0), rel=1e-12)
 
 
 def test_smoothness_translation_invariance():
     rng = np.random.default_rng(5)
     F = np.stack([rng.normal(size=(6, 6)), rng.normal(size=(6, 6))])
     shifted = F + 3.7
-    assert smoothness_loss(F) == pytest.approx(smoothness_loss(shifted), rel=1e-12)
+    assert _smoothness(F) == pytest.approx(_smoothness(shifted), rel=1e-12)
 
 
 def test_smoothness_matches_double_loop_oracle():
@@ -247,7 +271,7 @@ def test_smoothness_matches_double_loop_oracle():
                     total += float(charbonnier(chan[y, x] - chan[y, x + 1]))
                 if y + 1 < 6:
                     total += float(charbonnier(chan[y, x] - chan[y + 1, x]))
-    assert smoothness_loss(np.stack([u, v])) == pytest.approx(total, rel=1e-9)
+    assert _smoothness(np.stack([u, v])) == pytest.approx(total, rel=1e-9)
 
 
 def test_total_loss_composition():
@@ -255,15 +279,12 @@ def test_total_loss_composition():
     it = rng.random((8, 8))
     it1 = rng.random((8, 8))
     F = np.stack([rng.normal(0, 0.5, (8, 8)), rng.normal(0, 0.5, (8, 8))])
+    w = (rng.random((8, 8)) > 0.4).astype(np.float64)
     cfg = FlowSolverConfig(alpha=0.5)
-    lp = photometric_loss(F, it, it1, eps=cfg.charbonnier_eps, alpha=cfg.charbonnier_alpha)
-    ls = smoothness_loss(F, eps=cfg.charbonnier_eps, alpha=cfg.charbonnier_alpha)
-    assert total_loss(F, it, it1, cfg) == pytest.approx(lp + 0.5 * ls, rel=1e-12)
-    cfg0 = FlowSolverConfig(alpha=0.0)
-    assert total_loss(F, it, it1, cfg0) == pytest.approx(
-        photometric_loss(F, it, it1, eps=cfg0.charbonnier_eps, alpha=cfg0.charbonnier_alpha),
-        rel=1e-12,
-    )
+    ls = _smoothness(F)
+    for mask in (None, w):
+        lp = _photometric(F, it, it1, mask)
+        assert total_loss(F, it, it1, cfg, mask) == pytest.approx(lp + 0.5 * ls, rel=1e-12)
 
 
 def test_loss_views_equal_kernel_loss_exactly():
@@ -272,20 +293,17 @@ def test_loss_views_equal_kernel_loss_exactly():
     it1 = rng.random((8, 8))
     F = np.stack([rng.normal(0, 1.5, (8, 8)), rng.normal(0, 1.5, (8, 8))])
     w = (rng.random((8, 8)) > 0.4).astype(np.float64)
-    cfg = FlowSolverConfig(alpha=0.3)
-    photo_cfg = FlowSolverConfig(alpha=0.0)
-    for mask in (None, w):
-        assert total_loss(F, it, it1, cfg, mask) == _reference_loss_and_grad(
-            F[0], F[1], it, it1, cfg, mask, oob_zero=True)[0]
-        assert photometric_loss(F, it, it1, mask) == _reference_loss_and_grad(
-            F[0], F[1], it, it1, photo_cfg, mask, oob_zero=True)[0]
+    for cfg in (FlowSolverConfig(alpha=0.3), FlowSolverConfig(alpha=0.0)):
+        for mask in (None, w):
+            assert total_loss(F, it, it1, cfg, mask) == _reference_loss_and_grad(
+                F[0], F[1], it, it1, cfg, mask)[0]
 
 
 def test_total_loss_pure_smoothness_when_aligned():
     img = np.random.default_rng(8).random((8, 8))
     cfg = FlowSolverConfig(alpha=0.7)
     F = _const_flow(img.shape, 0.0, 0.0)
-    expected = 64 * charbonnier(0.0) + 0.7 * smoothness_loss(F)
+    expected = 64 * charbonnier(0.0) + 0.7 * _smoothness(F)
     assert total_loss(F, img, img, cfg) == pytest.approx(expected, rel=1e-12)
 
 
@@ -294,8 +312,9 @@ def test_total_loss_pure_smoothness_when_aligned():
 # fresh array and the corners gathered by 2-D indexing.  The flow kernel runs
 # the same float operations in the same order in preallocated buffers, so the
 # two must agree to the bit.  The photometric sum runs over the pixels of
-# nonzero weight in raster order.  Each Charbonnier power is exp(a * log(base)),
-# and the slope's base^(a - 1) is that power over the base.
+# nonzero weight in raster order, a sample outside the raster reading it1 at
+# its clamped position.  Each Charbonnier power is exp(a * log(base)), and the
+# slope's base^(a - 1) is that power over the base.
 
 
 def _reference_power(base, ca):
@@ -306,14 +325,13 @@ def _reference_slope(x, base, ca):
     return 2.0 * ca * x * (_reference_power(base, ca) / base)
 
 
-def _reference_loss_and_grad(u, v, it, it1, cfg, weights, oob_zero):
+def _reference_loss_and_grad(u, v, it, it1, cfg, weights):
     eps, ca = cfg.charbonnier_eps, cfg.charbonnier_alpha
     h, w = it.shape
     wt = np.ones(it.shape) if weights is None else np.asarray(weights, dtype=np.float64)
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     xs = xs + u
     ys = ys + v
-    valid = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
     xc = np.clip(xs, 0.0, w - 1.0)
     yc = np.clip(ys, 0.0, h - 1.0)
     x0 = np.minimum(xc.astype(np.intp), max(w - 2, 0))
@@ -327,10 +345,9 @@ def _reference_loss_and_grad(u, v, it, it1, cfg, weights, oob_zero):
     bottom = i10 + fx * (i11 - i10)
     ddy = bottom - top
     sampled = top + fy * ddy
-    wv = wt * valid if oob_zero else wt
     residual = it - sampled
     base = residual * residual + eps * eps
-    loss = float(np.sum((wv * _reference_power(base, ca))[wt != 0]))
+    loss = float(np.sum((wt * _reference_power(base, ca))[wt != 0]))
     diffs = []
     if cfg.alpha > 0:
         for channel in (u, v):
@@ -341,7 +358,7 @@ def _reference_loss_and_grad(u, v, it, it1, cfg, weights, oob_zero):
             loss += cfg.alpha * float(np.sum(_reference_power(bh, ca))
                                       + np.sum(_reference_power(bv, ca)))
             diffs.append((dh, bh, dv, bv))
-    rho_prime = wv * _reference_slope(residual, base, ca)
+    rho_prime = wt * _reference_slope(residual, base, ca)
     gu = -rho_prime * ((1.0 - fy) * (i01 - i00) + fy * (i11 - i10))
     gv = -rho_prime * ddy
     for grad, (dh, bh, dv, bv) in zip((gu, gv), diffs):
@@ -407,20 +424,16 @@ def test_kernel_bit_identical_to_reference(shape, weighting, alpha):
     assert ws.pixels == (it.size if weights is None else np.count_nonzero(weights))
     flows = list(_kernel_flows(shape, rng))
     for (u, v), (ru, rv) in zip(flows, flows[::-1]):
-        for oob_zero in (False, True):
-            ws.loss(ru, rv, not oob_zero)
-            loss = ws.loss(u, v, oob_zero)
-            gu, gv = ws.gradient()
-            ref_loss, ref_gu, ref_gv = _reference_loss_and_grad(u, v, it, it1, cfg, weights,
-                                                                 oob_zero)
-            assert loss == ref_loss
-            assert np.array_equal(gu, ref_gu) and np.array_equal(gv, ref_gv)
-    # the public entry points build their own workspace
+        ws.loss(ru, rv)
+        loss = ws.loss(u, v)
+        gu, gv = ws.gradient()
+        ref_loss, ref_gu, ref_gv = _reference_loss_and_grad(u, v, it, it1, cfg, weights)
+        assert loss == ref_loss
+        assert np.array_equal(gu, ref_gu) and np.array_equal(gv, ref_gv)
+    # total_loss builds its own workspace
     u, v = flows[1]
-    ref_loss, ref_gu, ref_gv = _reference_loss_and_grad(u, v, it, it1, cfg, weights, True)
+    ref_loss = _reference_loss_and_grad(u, v, it, it1, cfg, weights)[0]
     assert total_loss(np.stack([u, v]), it, it1, cfg, weights) == ref_loss
-    gu, gv = loss_gradient(np.stack([u, v]), it, it1, cfg, weights)
-    assert np.array_equal(gu, ref_gu) and np.array_equal(gv, ref_gv)
 
 
 def test_all_ones_mask_matches_no_mask():
@@ -430,7 +443,7 @@ def test_all_ones_mask_matches_no_mask():
     cfg = FlowSolverConfig()
     ones = np.ones(it.shape)
     assert total_loss(F, it, it1, cfg, None) == total_loss(F, it, it1, cfg, ones)
-    for a, b in zip(loss_gradient(F, it, it1, cfg, None), loss_gradient(F, it, it1, cfg, ones)):
+    for a, b in zip(_gradient(F, it, it1, cfg, None), _gradient(F, it, it1, cfg, ones)):
         assert a.tobytes() == b.tobytes()
     # a gate open at every pixel solves exactly as no event map does
     em = _events_everywhere(it.shape)
@@ -440,30 +453,19 @@ def test_all_ones_mask_matches_no_mask():
     assert gated_loss == uniform_loss
 
 
-def test_loss_gradient_results_do_not_alias():
-    rng = np.random.default_rng(10)
-    it, it1 = rng.random((6, 9)), rng.random((6, 9))
-    cfg = FlowSolverConfig()
-    first = loss_gradient(rng.normal(size=(2, 6, 9)), it, it1, cfg)
-    kept = [g.copy() for g in first]
-    second = loss_gradient(rng.normal(size=(2, 6, 9)), it, it1, cfg)
-    for a in first:
-        for b in second:
-            assert not np.shares_memory(a, b)
-    assert not np.shares_memory(*first) and not np.shares_memory(*second)
-    assert all(np.array_equal(g, k) for g, k in zip(first, kept))
-
-
 # -- gradient -------------------------------------------------------------------
 
 
 def _fd_safe_instance(rng, shape=(8, 8)):
-    """Random instance whose loss is smooth around the evaluation point."""
+    """Random instance whose loss is smooth around the evaluation point: every
+    sample lies inside the raster and off the pixel grid's lines."""
     it = rng.random(shape)
     it1 = rng.random(shape)
     fracs = np.linspace(0.15, 0.45, 11)
-    u = rng.integers(-2, 3, shape).astype(np.float64) + rng.choice(fracs, shape)
-    v = rng.integers(-2, 3, shape).astype(np.float64) + rng.choice(fracs, shape)
+    ys, xs = np.mgrid[0:shape[0], 0:shape[1]]
+    # whole-pixel offsets that keep x + u in [0, w - 2] + fracs, and so for v
+    u = np.clip(rng.integers(-2, 3, shape), -xs, shape[1] - 2 - xs) + rng.choice(fracs, shape)
+    v = np.clip(rng.integers(-2, 3, shape), -ys, shape[0] - 2 - ys) + rng.choice(fracs, shape)
     sampled, _ = warp(it1, np.stack([u, v]))
     residual = it - sampled
     it = it + np.where(np.abs(residual) < 8e-3, 0.05, 0.0)
@@ -474,8 +476,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(99)
     cfg = FlowSolverConfig()
     it, it1, F = _fd_safe_instance(rng)
-    gu, gv = loss_gradient(F, it, it1, cfg)
-    g = np.stack([gu, gv])
+    g = np.stack(_gradient(F, it, it1, cfg))
     h = 1e-4
     for c in range(2):
         for i in range(8):
@@ -493,7 +494,7 @@ def test_gradient_with_weight_mask_matches_fd():
     cfg = FlowSolverConfig(charbonnier_eps=0.05)
     it, it1, F = _fd_safe_instance(rng)
     w = (rng.random((8, 8)) > 0.4).astype(np.float64)
-    gu, gv = loss_gradient(F, it, it1, cfg, weight_mask=w)
+    gu, gv = _gradient(F, it, it1, cfg, w)
     h = 1e-5
     for c, i, j in [(0, 2, 3), (1, 5, 1), (0, 7, 7), (1, 0, 4)]:
         Fp = F.copy()
@@ -510,7 +511,7 @@ def test_gradient_zero_at_constructed_minimum():
     # identical images at zero flow: photometric and smoothness both stationary
     img = np.random.default_rng(101).random((8, 8))
     cfg = FlowSolverConfig()
-    gu, gv = loss_gradient(_const_flow(img.shape, 0.0, 0.0), img, img, cfg)
+    gu, gv = _gradient(_const_flow(img.shape, 0.0, 0.0), img, img, cfg)
     assert np.abs(gu).max() < 1e-6 and np.abs(gv).max() < 1e-6
 
 
@@ -519,20 +520,40 @@ def test_gradient_constant_images_reduces_to_smoothness():
     img = np.full((8, 8), 0.5)
     rng = np.random.default_rng(102)
     F = np.stack([rng.normal(size=(8, 8)), rng.normal(size=(8, 8))])
-    gu, gv = loss_gradient(F, img, img, cfg)
+    gu, gv = _gradient(F, img, img, cfg)
     cfg_photo_only = FlowSolverConfig(alpha=0.0)
-    gu0, gv0 = loss_gradient(F, img, img, cfg_photo_only)
+    gu0, gv0 = _gradient(F, img, img, cfg_photo_only)
     # photometric part vanishes (residual 0 -> rho'(0) = 0)
     assert np.abs(gu0).max() < 1e-12 and np.abs(gv0).max() < 1e-12
-    ls = lambda f: cfg.alpha * smoothness_loss(
-        f, eps=cfg.charbonnier_eps, alpha=cfg.charbonnier_alpha
-    )
+    ls = lambda f: cfg.alpha * _smoothness(f)
     h = 1e-6
     Fp = F.copy()
     Fp[0, 3, 3] += h
     Fm = F.copy()
     Fm[0, 3, 3] -= h
     assert gu[3, 3] == pytest.approx((ls(Fp) - ls(Fm)) / (2 * h), rel=1e-4)
+
+
+def test_descent_direction_outside_the_raster_is_the_clamped_interpolants_partial():
+    # A sample pushed past the right edge clamps there, so the loss is flat
+    # in that pixel's u and central differences see only the smoothness
+    # term.  The descent direction still carries the photometric slope times
+    # the interpolant's x-partial at the clamped position.
+    rng = np.random.default_rng(111)
+    it, it1 = rng.random((6, 7)), rng.random((6, 7))
+    F = rng.normal(0, 0.3, (2, 6, 7))
+    F[0, 2, 6] = 1.3  # samples at x = 7.3; the raster ends at x = 6
+    cfg = FlowSolverConfig()
+    gu, _ = _gradient(F, it, it1, cfg)
+    h = 1e-6
+    Fp, Fm = F.copy(), F.copy()
+    Fp[0, 2, 6] += h
+    Fm[0, 2, 6] -= h
+    fd = (total_loss(Fp, it, it1, cfg) - total_loss(Fm, it, it1, cfg)) / (2 * h)
+    photometric = _reference_loss_and_grad(F[0], F[1], it, it1, FlowSolverConfig(alpha=0.0),
+                                           None)[1][2, 6]
+    assert abs(photometric) > 0.01
+    assert gu[2, 6] == pytest.approx(fd + photometric, rel=1e-6)
 
 
 # -- estimate_flow ----------------------------------------------------------------
@@ -561,8 +582,7 @@ def test_estimate_flow_recovers_known_shift():
     img0 = 0.5 + 0.3 * np.sin(2 * np.pi * xs / period) * np.sin(2 * np.pi * ys / period)
     img1 = 0.5 + 0.3 * np.sin(2 * np.pi * (xs - 2.0) / period) * np.sin(2 * np.pi * ys / period)
     em = _events_everywhere(img0.shape)
-    cfg = FlowSolverConfig(charbonnier_eps=0.1, iters_per_level=600, convergence_tol=0.0)
-    flow, _ = estimate_flow(em, img0, img1, cfg)
+    flow, _ = estimate_flow(em, img0, img1, FlowSolverConfig(charbonnier_eps=0.1))
     ee = np.hypot(flow.u - 2.0, flow.v)
     assert ee.mean() < 0.5
 
@@ -573,10 +593,9 @@ def test_estimate_flow_monotone_loss_per_level(monkeypatch):
     records = []
     original = fl._Workspace.loss
 
-    def recording(self, u, v, oob_zero=False):
-        loss = original(self, u, v, oob_zero)
-        if not oob_zero:
-            records.append((u.shape, loss))
+    def recording(self, u, v):
+        loss = original(self, u, v)
+        records.append((u.shape, loss))
         return loss
 
     returned = {}
@@ -589,11 +608,12 @@ def test_estimate_flow_monotone_loss_per_level(monkeypatch):
 
     monkeypatch.setattr(fl._Workspace, "loss", recording)
     monkeypatch.setattr(fl, "_descend", descend)
+    monkeypatch.setattr(fl, "_ITERS_PER_LEVEL", 50)
     rng = np.random.default_rng(104)
     img0 = rng.random((32, 32))
     img1 = np.roll(img0, 1, axis=1)
     em = _events_everywhere(img0.shape)
-    fl.estimate_flow(em, img0, img1, FlowSolverConfig(iters_per_level=50))
+    fl.estimate_flow(em, img0, img1)
     # group the evaluated losses by level shape; the first of each level is
     # its starting loss, and the cap may fall on a rejected candidate, so the
     # last one need not be the least
@@ -607,6 +627,34 @@ def test_estimate_flow_monotone_loss_per_level(monkeypatch):
         assert returned[shape] == min(losses) <= losses[0]
 
 
+def test_estimate_flow_reports_the_objective_it_minimised(monkeypatch):
+    # the returned loss is level 0's descent result: total_loss at the
+    # float64 flow the descent ended on, under the event gate's weights
+    import evreflex.flow as fl
+
+    ended = []
+    original_descend = fl._descend
+
+    def descend(u, v, ws, level):
+        ended.append(original_descend(u, v, ws, level))
+        return ended[-1]
+
+    monkeypatch.setattr(fl, "_descend", descend)
+    rng = np.random.default_rng(112)
+    img0 = rng.random((24, 30))
+    img1 = np.roll(img0, 1, axis=1)
+    em = accumulate_events(make_events(np.zeros(150), rng.integers(0, 30, 150),
+                                       rng.integers(0, 24, 150), np.ones(150, int)),
+                           (0.0, 1.0), 30, 24)
+    cfg = FlowSolverConfig(pyramid_levels=2)
+    flow, loss = fl.estimate_flow(em, img0, img1, cfg)
+    u, v, level0_loss = ended[-1]
+    assert loss == level0_loss
+    assert loss == total_loss(np.stack([u, v]), img0, img1, cfg,
+                              event_mask(em).astype(np.float64))
+    assert np.array_equal(flow.u, u.astype(np.float32))
+
+
 def _reference_first_step(cfg):
     """2 / L rounded up to a power of two and capped at 1, with
     L = 8 * alpha * 2a * eps^(2a - 2), for settings where the power is finite."""
@@ -617,17 +665,17 @@ def _reference_first_step(cfg):
     return min(1.0, 2.0 ** math.ceil(math.log2(2.0 / curvature)))
 
 
-def _reference_descend(u, v, it, it1, weights, cfg, step):
+def _reference_descend(u, v, it, it1, weights, cfg, step, iters):
     """The backtracking loop that finishes a gradient for every candidate,
-    started at the given step.
+    started at the given step and capped at iters iterations.
 
     Returns (u, v, loss, rejected steps, iterations)."""
-    loss, gu, gv = _reference_loss_and_grad(u, v, it, it1, cfg, weights, oob_zero=False)
+    loss, gu, gv = _reference_loss_and_grad(u, v, it, it1, cfg, weights)
     rejected = iterations = 0
-    for iterations in range(1, cfg.iters_per_level + 1):
+    for iterations in range(1, iters + 1):
         cu = u - step * gu
         cv = v - step * gv
-        cand, cgu, cgv = _reference_loss_and_grad(cu, cv, it, it1, cfg, weights, oob_zero=False)
+        cand, cgu, cgv = _reference_loss_and_grad(cu, cv, it, it1, cfg, weights)
         if cand > loss:
             rejected += 1
             step *= 0.5
@@ -636,7 +684,7 @@ def _reference_descend(u, v, it, it1, weights, cfg, step):
             continue
         drop = loss - cand
         u, v, loss, gu, gv = cu, cv, cand, cgu, cgv
-        if drop <= cfg.convergence_tol * max(abs(loss), 1e-12):
+        if drop <= _CONVERGENCE_TOL * max(abs(loss), 1e-12):
             break
         step *= _STEP_GROWTH
     return u, v, loss, rejected, iterations
@@ -656,7 +704,7 @@ def _descent_images():
 
 
 @pytest.mark.parametrize("weighting", ["uniform", "event_gated", "single_pixel"])
-def test_descend_bit_identical_to_full_gradient_loop(weighting):
+def test_descend_bit_identical_to_full_gradient_loop(weighting, monkeypatch):
     img0, img1 = _descent_images()
     weights = None
     if weighting == "event_gated":
@@ -664,11 +712,12 @@ def test_descend_bit_identical_to_full_gradient_loop(weighting):
     elif weighting == "single_pixel":
         weights = np.zeros(img0.shape)
         weights[11, 17] = 1.0
-    cfg = FlowSolverConfig(iters_per_level=60)
+    monkeypatch.setattr("evreflex.flow._ITERS_PER_LEVEL", 60)
+    cfg = FlowSolverConfig()
     u0 = np.zeros(img0.shape)
     v0 = np.zeros(img0.shape)
     ref_u, ref_v, ref_loss, rejected, _ = _reference_descend(
-        u0, v0, img0, img1, weights, cfg, _reference_first_step(cfg))
+        u0, v0, img0, img1, weights, cfg, _reference_first_step(cfg), iters=60)
     u, v, loss = _descend(u0, v0, _Workspace(img0.shape, img0, img1, weights, cfg), level=0)
     assert rejected >= 1
     assert not u0.any() and not v0.any()  # the caller's flow is not written
@@ -702,20 +751,22 @@ def test_first_step_at_extreme_settings(settings, expected):
     assert np.isfinite(step) and 1e-14 <= step <= 1.0
 
 
-def test_descend_first_step_keeps_the_halving_lattice():
+def test_descend_first_step_keeps_the_halving_lattice(monkeypatch):
     # started at 1, the loop halves through 1, 1/2, ... and first accepts at or
     # below the rounded start, so started there it takes the same steps and
     # skips only the leading rejections; the level converges before the cap
     img0, img1 = _descent_images()
-    cfg = FlowSolverConfig(iters_per_level=400)
+    monkeypatch.setattr("evreflex.flow._ITERS_PER_LEVEL", 400)
+    cfg = FlowSolverConfig()
     first = _reference_first_step(cfg)
     u0 = np.zeros(img0.shape)
     ref_u, ref_v, ref_loss, rejected, iterations = _reference_descend(
-        u0, u0, img0, img1, None, cfg, 1.0)
-    assert iterations < cfg.iters_per_level
+        u0, u0, img0, img1, None, cfg, 1.0, iters=400)
+    assert iterations < 400
     u, v, loss = _descend(u0, u0, _Workspace(img0.shape, img0, img1, None, cfg), level=0)
     assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v) and loss == ref_loss
-    _, _, _, rejected_from_first, _ = _reference_descend(u0, u0, img0, img1, None, cfg, first)
+    _, _, _, rejected_from_first, _ = _reference_descend(u0, u0, img0, img1, None, cfg, first,
+                                                         iters=400)
     assert rejected - rejected_from_first == math.log2(1.0 / first) == 11
 
 
@@ -727,7 +778,7 @@ def test_estimate_flow_shift_equivariance():
     img0 = base
     img1 = np.roll(base, 2, axis=1)
     em = _events_everywhere(img0.shape)
-    cfg = FlowSolverConfig(charbonnier_eps=0.1, iters_per_level=400, convergence_tol=0.0)
+    cfg = FlowSolverConfig(charbonnier_eps=0.1)
     f_a, _ = estimate_flow(em, img0, img1, cfg)
     f_b, _ = estimate_flow(em, np.roll(img0, 3, axis=0), np.roll(img1, 3, axis=0), cfg)
     interior = np.s_[8:-8, 8:-8]
@@ -778,8 +829,8 @@ def test_zero_weight_pixels_do_not_reach_the_objective(fill, alpha):
     cfg = FlowSolverConfig(alpha=alpha)
     filled = np.where(weights == 0, fill, it)
     assert total_loss(flow, filled, it1, cfg, weights) == total_loss(flow, it, it1, cfg, weights)
-    for a, b in zip(loss_gradient(flow, filled, it1, cfg, weights),
-                    loss_gradient(flow, it, it1, cfg, weights)):
+    for a, b in zip(_gradient(flow, filled, it1, cfg, weights),
+                    _gradient(flow, it, it1, cfg, weights)):
         assert a.tobytes() == b.tobytes()
 
 
@@ -787,7 +838,8 @@ def test_zero_weight_pixels_do_not_reach_the_objective(fill, alpha):
 @pytest.mark.parametrize("entry", ["total_loss", "loss_gradient", "photometric_loss"])
 def test_bad_weight_mask_refused(entry, bad):
     # a NaN or infinite weight made the loss NaN or inf, and a negative one
-    # rewarded a larger residual at its pixel
+    # rewarded a larger residual at its pixel; each entry names what is
+    # evaluated: the objective, its descent direction, its photometric term
     rng = np.random.default_rng(110)
     it, it1 = rng.random((6, 7)), rng.random((6, 7))
     flow = rng.normal(0, 0.5, (2, 6, 7))
@@ -795,8 +847,8 @@ def test_bad_weight_mask_refused(entry, bad):
     weights[2, 3] = bad
     cfg = FlowSolverConfig()
     calls = {"total_loss": lambda: total_loss(flow, it, it1, cfg, weights),
-             "loss_gradient": lambda: loss_gradient(flow, it, it1, cfg, weights),
-             "photometric_loss": lambda: photometric_loss(flow, it, it1, weights)}
+             "loss_gradient": lambda: _gradient(flow, it, it1, cfg, weights),
+             "photometric_loss": lambda: _photometric(flow, it, it1, weights)}
     with pytest.raises(ValueError, match="weight_mask"):
         calls[entry]()
 
@@ -807,12 +859,12 @@ def test_estimate_flow_logs_each_level(monkeypatch, caplog):
     candidates = {}
     original = fl._Workspace.loss
 
-    def counting(self, u, v, oob_zero=False):
-        if not oob_zero:
-            candidates[u.shape] = candidates.get(u.shape, -1) + 1  # the first is no candidate
-        return original(self, u, v, oob_zero)
+    def counting(self, u, v):
+        candidates[u.shape] = candidates.get(u.shape, -1) + 1  # the first is no candidate
+        return original(self, u, v)
 
     monkeypatch.setattr(fl._Workspace, "loss", counting)
+    monkeypatch.setattr(fl, "_ITERS_PER_LEVEL", 40)
     rng = np.random.default_rng(108)
     img0 = rng.random((32, 40))
     img1 = np.roll(img0, 1, axis=1)
@@ -820,7 +872,7 @@ def test_estimate_flow_logs_each_level(monkeypatch, caplog):
                                        rng.integers(0, 32, 200), np.ones(200, int)),
                            (0.0, 1.0), 40, 32)
     with caplog.at_level(logging.DEBUG, logger="evreflex.flow"):
-        fl.estimate_flow(em, img0, img1, FlowSolverConfig(iters_per_level=40, pyramid_levels=3))
+        fl.estimate_flow(em, img0, img1, FlowSolverConfig(pyramid_levels=3))
     pattern = re.compile(r"level (\d+), (\d+)x(\d+): photometric term on (\d+) of (\d+) pixels; "
                          r"(\d+) iterations, (\d+) accepted, (\d+) rejected; "
                          r"first step (\S+), final step (\S+); "
@@ -837,8 +889,9 @@ def test_estimate_flow_logs_each_level(monkeypatch, caplog):
             assert (w, h) == (40, 32) and pixels == active
     # no record when DEBUG is off
     caplog.clear()
+    monkeypatch.setattr(fl, "_ITERS_PER_LEVEL", 5)
     with caplog.at_level(logging.INFO, logger="evreflex.flow"):
-        fl.estimate_flow(em, img0, img1, FlowSolverConfig(iters_per_level=5, pyramid_levels=2))
+        fl.estimate_flow(em, img0, img1, FlowSolverConfig(pyramid_levels=2))
     assert not caplog.records
 
 
@@ -859,6 +912,16 @@ def test_estimate_flow_refuses_non_finite_pixels(which, bad):
         estimate_flow(em, images["img_t"], images["img_t1"])
 
 
+@pytest.mark.parametrize("em", ["bool mask", "event counts"])
+def test_estimate_flow_refuses_an_em_that_is_not_an_event_map(em):
+    # a bool mask once failed inside with AttributeError: ... 'pos_count'
+    img = np.random.default_rng(113).random((16, 16))
+    events = _events_everywhere(img.shape)
+    em = event_mask(events) if em == "bool mask" else np.asarray(events.pos_count)
+    with pytest.raises(TypeError, match="^em must be an EventMap or None"):
+        estimate_flow(em, img, img)
+
+
 def test_estimate_flow_event_gated_refuses_map_without_events():
     rng = np.random.default_rng(107)
     img0, img1 = rng.random((16, 16)), rng.random((16, 16))
@@ -875,21 +938,18 @@ def test_solver_config_validation():
         FlowSolverConfig(alpha=-1)
     with pytest.raises(ValueError):
         FlowSolverConfig(pyramid_levels=0)
-    with pytest.raises(ValueError, match="iters_per_level"):
-        FlowSolverConfig(iters_per_level=0)
     with pytest.raises(ValueError, match="charbonnier_eps"):
         FlowSolverConfig(charbonnier_eps=-1)
-    with pytest.raises(ValueError):
-        FlowSolverConfig(iters_per_level=0, charbonnier_eps=-1)
     with pytest.raises(ValueError, match="charbonnier_alpha"):
         FlowSolverConfig(charbonnier_alpha=1.0)
-    with pytest.raises(ValueError, match="convergence_tol"):
-        FlowSolverConfig(convergence_tol=-1e-9)
+    # the iteration cap and convergence tolerance are the descent's constants
+    assert [f.name for f in dataclasses.fields(FlowSolverConfig)] == [
+        "alpha", "charbonnier_eps", "charbonnier_alpha", "pyramid_levels"]
 
 
-@pytest.mark.parametrize("field", ["pyramid_levels", "iters_per_level"])
+@pytest.mark.parametrize("field", ["pyramid_levels"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True])
 def test_solver_config_refuses_a_count_that_is_not_an_integer(field, value):
-    # pyramid_levels=2.5 once ran 3 levels; iters_per_level=2.5 failed in range()
+    # pyramid_levels=2.5 once ran 3 levels
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         FlowSolverConfig(**{field: value})

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from evreflex import io_formats
 from evreflex.flow import FlowSolverConfig, charbonnier
+from evreflex.policy import EgoMotion
 from evreflex.io_formats import (
     BadMagicError,
     BoundsError,
@@ -257,7 +258,6 @@ def test_config_range_error_names_key():
     ("wall_texture = 2.0\n", "wall_texture", 1),
     ("[flow]\ncharbonnier_eps = -1\n", "charbonnier_eps", 2),
     ("[flow]\n\ncharbonnier_alpha = 1.5\n", "charbonnier_alpha", 3),
-    ("[flow]\niters_per_level = 0\n", "iters_per_level", 2),
     ("[trajectory]\nyaw_rate = 0\n", "yaw_rate", 2),
     ("[trajectory]\nspeed = 0\n", "speed", 2),
     ("[obstacle]\nalbedo = 1.5\n", "albedo", 2),
@@ -283,7 +283,6 @@ def test_config_range_error_names_key():
     ("floor_texture = 0 0.5 inf\n", "floor_texture", 1),
     ("[flow]\nalpha = nan\n", "alpha", 2),
     ("[flow]\nalpha = inf\n", "alpha", 2),
-    ("[flow]\nconvergence_tol = nan\n", "convergence_tol", 2),
     ("[flow]\ncharbonnier_eps = nan\n", "charbonnier_eps", 2),
     ("[camera]\nfx = nan\n", "fx", 2),
     ("[camera]\nfy = inf\n", "fy", 2),
@@ -347,6 +346,32 @@ def test_positive_settings_refuse_values_not_positive_and_finite(field, value):
         assert err.value.line == text.count("\n")
 
 
+# Every other range-checked setting, and the settings that are triples of
+# numbers: how to build it with a value (a triple holds the value thrice).
+_NUMBER_SETTINGS = {
+    "alpha": lambda v: FlowSolverConfig(alpha=v),
+    "charbonnier_alpha": lambda v: FlowSolverConfig(charbonnier_alpha=v),
+    "amplitude": lambda v: TextureSpec(amplitude=v),
+    "base": lambda v: TextureSpec(base=v),
+    "albedo": lambda v: SphereObstacle(**{**_SPHERE, "albedo": v}),
+    "camera_height": lambda v: SceneConfig(camera_height=v),
+    "cx": lambda v: CameraModel(**{**_CAMERA, "cx": v}),
+    "cy": lambda v: CameraModel(**{**_CAMERA, "cy": v}),
+    "start": lambda v: SphereObstacle(**{**_SPHERE, "start": (v, v, v)}),
+    "light_dir": lambda v: SceneConfig(light_dir=(v, v, v)),
+    "v": lambda v: EgoMotion((v, v, v)),
+}
+
+
+# "1" once failed a range comparison with a TypeError that named no field, or
+# was stored as a string in a triple; True passed as 1
+@pytest.mark.parametrize("field", list(_NUMBER_SETTINGS))
+@pytest.mark.parametrize("value", ["1", True, None], ids=["str", "bool", "None"])
+def test_number_settings_refuse_values_that_are_not_numbers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must hold finite numbers"):
+        _NUMBER_SETTINGS[field](value)
+
+
 @pytest.mark.parametrize("text, key, line", [
     ("contrast_threshold = 0.1\ncontrast_threshold = 0.2\n", "contrast_threshold", 2),
     ("frame_rate = 10\n[scene]\nframe_rate = 20\n", "frame_rate", 3),
@@ -382,6 +407,17 @@ def test_config_refuses_the_retired_step_size_key():
     with pytest.raises(ConfigError, match="unknown key 'step_size' in section '\\[flow\\]'") as err:
         parse_config("frame_rate = 10\n[flow]\nalpha = 0.5\nstep_size = 0.5\n")
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[flow]\niters_per_level = 0\n", "iters_per_level"),
+    ("[flow]\nconvergence_tol = nan\n", "convergence_tol"),
+], ids=["iters_per_level", "convergence_tol"])
+def test_config_refuses_the_retired_solver_keys(text, key):
+    # the iteration cap and convergence tolerance are the descent's constants
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in section '\\[flow\\]'") as err:
+        parse_config(text)
+    assert err.value.line == 2
 
 
 def test_config_unknown_section_rejected():
@@ -464,7 +500,7 @@ def _every_key_off_default() -> RunConfig:
         random_obstacles=3,
     )
     flow = FlowSolverConfig(alpha=0.25, charbonnier_eps=0.01, charbonnier_alpha=0.4,
-                            pyramid_levels=3, iters_per_level=50, convergence_tol=1e-5)
+                            pyramid_levels=3)
     return RunConfig(scene=scene, flow=flow)
 
 

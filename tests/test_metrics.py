@@ -177,6 +177,18 @@ def test_angle_error_refuses_non_finite_vectors(which, bad):
                     (np.array(vecs["pred_vec"]), np.array(vecs["gt_vec"]))])
 
 
+@pytest.mark.parametrize("pred, gt, which", [
+    ([1.0, 0.0], [0.0, 1.0], "pred_vec"),  # once read as 90 degrees
+    ([1.0, 0.0, 0.0], [0.0, 1.0], "gt_vec"),  # once failed inside numpy's dot
+    ([[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0], "pred_vec"),
+    ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], "gt_vec"),
+    (1.0, [1.0, 0.0, 0.0], "pred_vec"),
+])
+def test_angle_error_refuses_anything_but_two_3_vectors(pred, gt, which):
+    with pytest.raises(ValueError, match=f"^{which} must be a 3-vector"):
+        angle_error(pred, gt)
+
+
 def test_aae_report_identical_pairs():
     pairs = [(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]))] * 12
     rep = aae_report(pairs)

@@ -11,11 +11,11 @@ accumulated into an event map, estimate_flow under the default solver
 settings, estimate_tti_dynamic on the solved flow, threshold_collision at a
 1 s horizon, obstacle_motion_vector over the danger mask and
 evasion_direction for a camera moving forward at 0.5 m/s.  It also
-evaluates total_loss and loss_gradient at the solved flow, and prf1 of the
-danger mask against the ground-truth danger mask of frame k.
+evaluates total_loss at the stored (float32) flow, and prf1 of the danger
+mask against the ground-truth danger mask of frame k.
 
-The digest covers the flow (u, v and the final loss), the loss and gradient at
-it, the TTI values and validity mask, the danger mask, the motion vector with
+The digest covers the flow (u, v and estimate_flow's loss, the objective the
+descent reached), total_loss at the stored flow, the TTI values and validity mask, the danger mask, the motion vector with
 its pixel count, the evasion direction with its degenerate flag and every
 prf1 count, all as their stored bytes or exact reprs.  Two trees that print
 the same digest compute the same chain on this scene to the bit, so a
@@ -72,15 +72,14 @@ def digest_pair(seq, k: int, h) -> None:
     flow_arr = np.stack([fl.u, fl.v])
     cfg = flow.FlowSolverConfig()
     weights = types.event_mask(em).astype(np.float64)
-    reported = flow.total_loss(flow_arr, f0.intensity, f1.intensity, cfg, weights)
-    gu, gv = flow.loss_gradient(flow_arr, f0.intensity, f1.intensity, cfg, weights)
+    stored_loss = flow.total_loss(flow_arr, f0.intensity, f1.intensity, cfg, weights)
     gt_mask = tti.threshold_collision(seq.tti_gt[k - 1], HORIZON_S)
     scores = metrics.prf1(danger, gt_mask, f0.class_map)
 
-    for arr in (fl.u, fl.v, gu, gv, est.values, est.valid, danger, vec):
+    for arr in (fl.u, fl.v, est.values, est.valid, danger, vec):
         h.update(arr.tobytes())
     counts = [(s.tp, s.fp, s.fn) for s in (*scores.per_class.values(), scores.overall)]
-    h.update(repr((loss, reported, count, evasion.psi, evasion.degenerate,
+    h.update(repr((loss, stored_loss, count, evasion.psi, evasion.degenerate,
                    sorted(scores.per_class), counts)).encode())
 
 
