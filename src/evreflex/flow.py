@@ -1,59 +1,74 @@
-"""Dense optical flow by direct minimization of a self-supervised objective.
+"""Dense optical flow by a fixed-point solve of a self-supervised objective.
 
 The objective (Charbonnier data plus smoothness terms, after Sun, Roth and
 Black, CVPR 2010) is a robust photometric term (intensity constancy under a
 bilinear warp whose samples clamp to the raster's edge) plus a weighted
 smoothness term on flow differences between 4-neighbours.  It is the one
-objective here: the descent minimizes it, and estimate_flow and total_loss
-report it.  It is minimized coarse-to-fine with plain gradient descent and
-backtracking, which keeps the per-level loss monotone non-increasing.  Each
-level starts at the smoothness term's stable step 2 / L (L its largest
-curvature, 8 * alpha * 2a * eps^(2a - 2)) rounded up to a power of two and
-capped at 1 (see FlowSolverConfig).
+objective here: the solve lowers it, and estimate_flow and total_loss report
+it.  It is solved coarse-to-fine on a pyramid by the nested fixed point of
+Brox, Bruhn, Papenberg and Weickert (ECCV 2004), with no step size:
+
+- Outer warps.  Each level runs _WARPS warps.  A warp linearises the
+  photometric residual about the current flow: I_t1 and its np.gradient
+  derivatives are sampled there with the clamp-to-edge bilinear footprint
+  that the loss at that flow built, one footprint for all three rasters.
+- One lagged-diffusivity freeze per warp.  The Charbonnier weights are
+  frozen at the current flow: w * b^(a - 1) per photometric pixel and
+  alpha * b^(a - 1) per 4-neighbour edge and flow channel, b = x^2 + eps^2
+  each term's base.  That leaves a linear system, two unknowns per pixel.
+- Red-black SOR.  _SWEEPS sweeps at over-relaxation _OMEGA solve it, each
+  pixel's 2x2 block at a time: the pixels of one colour (x + y even, then
+  odd) have no neighbour of their colour, so a half-sweep updates all of them
+  at once, stored contiguously by the parity of their row and column.  Each
+  freeze inverts the 2x2 blocks and applies the inverse to their constant
+  terms once; the sweeps then only read those terms.  A singular block
+  (every one at alpha = 0) takes its pseudo-inverse, the least-norm
+  solution.
+- Safeguard.  A warp whose result raises the objective has its update
+  halved until it does not (at most _HALVINGS times, after which the warp
+  keeps the flow it started from), so the objective never rises from one
+  warp to the next within a level.
 
 One kernel evaluates the objective: a `_Workspace` owns the buffers of one
 raster shape; its `loss` method evaluates l_f at a flow and keeps in those
-buffers the terms its gradient needs (residual, Charbonnier bases and their
-powers, corner differences, flow differences), and its `gradient` method
-finishes the gradient from them in place.  Every array operation writes
-into a buffer with `out=`, so the descent allocates no raster-sized
-temporary, and the float operations and their order are those of the plain
-expressions (kept as the reference in tests/test_flow.py), so the buffers
-change no result bit.  The descent builds one workspace per pyramid level,
-scores every backtracking candidate by its loss alone and finishes the
-gradient only for a step it accepts and continues from, so a rejected
-candidate costs one loss evaluation.  total_loss builds a workspace per
-call.
+buffers the terms a freeze (or a gradient) needs: the footprint, the
+residual, its Charbonnier base and power, and each edge's power.  Every array
+operation writes into a buffer with `out=`, and the float operations and
+their order are those of the plain expressions (kept as the reference in
+tests/test_flow.py), so the buffers change no result bit.  `freeze` turns
+the last loss's terms into the frozen weights in place, and `_Level` holds
+each level's flow, frozen system and sweep views in buffers allocated once
+per level.  `gradient`, the objective's analytic gradient, has no caller in
+the solve; tests check it against finite differences of the loss.
 
 Each Charbonnier base b = x^2 + eps^2 (the photometric residual's and, per
 flow channel, the horizontal and vertical differences') takes one log and
 one exp per loss: b^a = exp(a * log b), which costs about half of one
-generic power, into a power buffer of its own.  The gradient reads
-b^(a - 1) as b^a / b from that buffer and takes no log, exp or power of its
-own; b >= eps^2 > 0 keeps the quotient finite.  The public charbonnier takes
-the power the same way.
+generic power.  The frozen weights and the gradient read b^(a - 1) as
+b^a / b; an edge's power overwrites its base, so they compute the base again
+from the flow.  b >= eps^2 > 0 keeps the quotient finite.  The public
+charbonnier takes the power the same way.
 
 The photometric term is the weighted sum over the pixels of nonzero weight:
 estimate_flow given an event map gates it on the pixels that map saw events
 at, and given None weighs every pixel.  A workspace gathers the pixel grid,
 I_t and the weights at those pixels into 1-D buffers; each evaluation
 gathers the flow there, runs the footprint, interpolant, residual and
-powers on them and sums the weighted terms in raster order, and the
-gradient's photometric part is scattered into a zeroed raster.  So a pixel
-of weight 0 never reaches the objective: I_t is not read there (I_t1 is,
-where an active pixel's sample lands), and an overflow there is no
-divergence; one at a pixel of nonzero weight still is.  A weight mask must
-be finite and non-negative.  The descent reports each level (active
-pixels, accepted and rejected steps, first and final step, why it stopped)
-at DEBUG level on the "evreflex.flow" logger.
+powers on them and sums the weighted terms in raster order.  So a pixel of
+weight 0 never reaches the objective: I_t is not read there (I_t1 is, where
+an active pixel's sample lands), and an overflow there is no divergence;
+one at a pixel of nonzero weight still is.  A weight mask must be finite and
+non-negative.  The solve reports each level (active pixels, warps, safeguard
+halvings, the loss at the start and after each warp) at DEBUG level on the
+"evreflex.flow" logger.
 
-All internal arithmetic runs in float64.  The descent direction uses the
-exact derivative of the bilinear interpolant at each sample's clamped
-position.  So it matches central finite differences of the loss wherever the
-loss is differentiable and every sample stays inside the raster.  A sample
-clamped outside the raster does not move with the flow component that pushes
-it out, so the loss is flat along it; the descent direction there is still
-the interpolant's partial at the clamped position, not that zero.
+All internal arithmetic runs in float64.  The gradient uses the exact
+derivative of the bilinear interpolant at each sample's clamped position.
+So it matches central finite differences of the loss wherever the loss is
+differentiable and every sample stays inside the raster.  A sample clamped
+outside the raster does not move with the flow component that pushes it out,
+so the loss is flat along it; the gradient there is still the interpolant's
+partial at the clamped position, not that zero.
 """
 from __future__ import annotations
 
@@ -61,7 +76,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -95,21 +110,15 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class FlowSolverConfig:
-    """Solver settings; the defaults reproduce the documented behaviour.
+    """Objective and pyramid settings; the defaults reproduce the documented behaviour.
 
-    The descent has no step setting: each pyramid level starts at the step
-    the smoothness term allows, min(1, 2^ceil(log2(2 / L))) with
-    L = 8 * alpha * 2a * eps^(2a - 2) (a = charbonnier_alpha), and halves it
-    on a loss increase.  For a < 1 the Charbonnier curvature is largest at a
-    zero difference, where it is 2a * eps^(2a - 2), and 8 bounds the spectrum
-    of the 4-neighbour Laplacian, so steps much above 2 / L cannot pass (at
-    the defaults 2 / L is about 2.8e-4 and the start 2^-11).  Rounding up to a
-    power of two keeps every candidate on the lattice 1, 1/2, 1/4, ... that a
-    start at 1 halves through, so a level whose first accepted step lies at
-    or below the start takes the same steps, less the leading rejections.
-    At alpha = 0 the start is 1.  Nor is the stop a setting: a level stops
-    after 200 iterations (_ITERS_PER_LEVEL), or once an accepted step lowers
-    the loss by at most 1e-6 of its value (_CONVERGENCE_TOL).
+    alpha weighs the smoothness term, charbonnier_eps and charbonnier_alpha
+    (eps and a) shape the penalty rho(x) = (x^2 + eps^2)^a of both terms, and
+    pyramid_levels caps the levels of the coarse-to-fine pyramid (a level is
+    added while the shorter side is at least 8 pixels).  The fixed-point
+    solve has no step size, tolerance or iteration setting: each level runs
+    _WARPS warps of _SWEEPS red-black SOR sweeps at _OMEGA, module constants
+    (see the module docstring).
     """
 
     alpha: float = 0.5  # smoothness weight in l_f = l_p + alpha * l_s
@@ -130,13 +139,17 @@ class FlowSolverConfig:
 
 
 class SolverDivergenceError(RuntimeError):
-    """The descent produced a non-finite loss."""
+    """The solve met a non-finite loss, linearised system or flow.
 
-    def __init__(self, level: int, iteration: int, loss: float):
+    warp is 0 for a level's starting loss and counts the level's warps from
+    1; loss is inf when the warp's system or flow was not finite.
+    """
+
+    def __init__(self, level: int, warp: int, loss: float):
         self.level = level
-        self.iteration = iteration
+        self.warp = warp
         self.loss = loss
-        super().__init__(f"non-finite loss {loss} at pyramid level {level}, iteration {iteration}")
+        super().__init__(f"non-finite loss {loss} at pyramid level {level}, warp {warp}")
 
 
 def _gray(img: Raster) -> np.ndarray:
@@ -188,32 +201,40 @@ def _footprint(img: np.ndarray, xs: np.ndarray, ys: np.ndarray, with_mask: bool 
     np.minimum(y0, h - 2 if h > 1 else 0, out=y0)
     fx -= x0
     fy -= y0
-    # One linear index of the top-left corner gathers all four corners: the
-    # others sit at that index in views of the raveled raster that start one
-    # column, one row, or both further on (no offset along an axis of
-    # length 1, as the clamp gives).  The index is built in y0's buffer.
-    # The clamp keeps it inside every view, so take's "wrap" changes no
-    # value; its default "raise" would buffer the output.
-    flat = img.ravel()
-    right = 1 if w > 1 else 0
-    down = w if h > 1 else 0
-    top_left = y0
+    top_left = y0  # the top-left corner's linear index, built in y0's buffer
     top_left *= w
     top_left += x0
-    for corner, start in zip(corners, (0, right, down, down + right)):
-        flat[start:].take(top_left, out=corner, mode="wrap")
+    _gather_corners(img, top_left, corners)
     return corners, fx, fy, in_bounds
 
 
-def _interpolate(corners, fx, fy, out=None):
+def _gather_corners(img: np.ndarray, top_left: np.ndarray, corners) -> None:
+    """img's four footprint corners at the linear indices top_left, into the
+    four buffers corners."""
+    # The other corners sit at top_left in views of the raveled raster that
+    # start one column, one row, or both further on (no offset along an axis
+    # of length 1, as the clamp gives).  The clamp keeps each index inside
+    # every view, so take's "wrap" changes no value; its default "raise"
+    # would buffer the output.
+    h, w = img.shape
+    flat = img.ravel()
+    right = 1 if w > 1 else 0
+    down = w if h > 1 else 0
+    for corner, start in zip(corners, (0, right, down, down + right)):
+        flat[start:].take(top_left, out=corner, mode="wrap")
+
+
+def _interpolate(corners, fx, fy, out=None, top=None):
     """Bilinear interpolant over a footprint and the differences it is built from.
 
     Returns (values, ddy, dx_top, dx_bottom): the interpolant, its partial
     derivative in y, and the corner differences i01 - i00 and i11 - i10 along
     the top and bottom rows, which give the partial in x as
-    (1 - fy) * dx_top + fy * dx_bottom.  fx serves as scratch and is
-    overwritten.  out, when given, holds four float64 buffers of fx's shape
-    that receive the result.
+    (1 - fy) * dx_top + fy * dx_bottom.  out, when given, holds four float64
+    buffers of fx's shape that receive the result.  top is a buffer of fx's
+    shape for the top row's interpolant, fx itself when None (fx is then
+    overwritten); the bottom-right corner's buffer may serve, since it is
+    read only before.
     """
     i00, i01, i10, i11 = corners
     if out is None:
@@ -221,10 +242,10 @@ def _interpolate(corners, fx, fy, out=None):
     values, ddy, dx_top, dx_bottom = out
     np.subtract(i01, i00, out=dx_top)
     np.subtract(i11, i10, out=dx_bottom)
-    # bottom = i10 + fx * dx_bottom, top = i00 + fx * dx_top (into fx)
+    # bottom = i10 + fx * dx_bottom, top = i00 + fx * dx_top
     np.multiply(fx, dx_bottom, out=ddy)
     ddy += i10
-    top = np.multiply(fx, dx_top, out=fx)
+    top = np.multiply(fx, dx_top, out=fx if top is None else top)
     top += i00
     ddy -= top
     # top + fy * ddy
@@ -282,7 +303,8 @@ def _charbonnier_power(base, alpha: float, out=None):
 def charbonnier(x, eps: float = 0.001, alpha: float = 0.45):
     """Robust penalty (x^2 + eps^2)^alpha, elementwise; eps > 0, 0 < alpha < 1."""
     _check_positive("eps", eps)
-    if not 0 < alpha < 1:
+    _check_positive("alpha", alpha)
+    if not alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     x = np.asarray(x, dtype=np.float64)
     out = np.asarray(_charbonnier_power(x * x + eps * eps, alpha))
@@ -307,7 +329,7 @@ def total_loss(
     cfg: FlowSolverConfig,
     weight_mask=None,
 ) -> float:
-    """The objective l_f = l_p + alpha * l_s at flow, the one the descent minimizes.
+    """The objective l_f = l_p + alpha * l_s at flow, the one estimate_flow lowers.
 
     l_p sums weight * rho(I_t(i) - I_t1(i + F(i))) over the pixels, a sample
     outside the raster reading I_t1 at the clamped position; l_s sums rho over
@@ -317,13 +339,28 @@ def total_loss(
     return _Workspace(u.shape, _gray(img_t), _gray(img_t1), weight_mask, cfg).loss(u, v)
 
 
+# each edge direction's two ends: horizontal, then vertical 4-neighbour pairs
+_EDGES = ((np.s_[:, 1:], np.s_[:, :-1]), (np.s_[1:, :], np.s_[:-1, :]))
+
+
+def _edge_bases(channel, ahead, behind, eps: float, out: np.ndarray) -> np.ndarray:
+    """The Charbonnier bases d^2 + eps^2 of the flow channel's differences
+    d = channel[ahead] - channel[behind], into out."""
+    d = np.subtract(channel[ahead], channel[behind], out=out)
+    np.multiply(d, d, out=d)
+    d += eps * eps
+    return d
+
+
 class _Workspace:
     """The objective's kernel and the buffers it runs in, for one raster shape.
 
-    loss(u, v) evaluates l_f and leaves in the buffers the terms its gradient
-    needs; gradient() turns the terms of the last loss into (gu, gv) in place,
-    consuming them, so it runs at most once per loss.  The (gu, gv) it returns
-    are the workspace's own buffers, which the next gradient() overwrites.
+    loss(u, v) evaluates l_f and leaves in the buffers the terms that a
+    freeze or a gradient needs.  freeze() turns the terms of the last loss
+    into one warp's lagged-diffusivity weights and linearised data term, and
+    gradient() turns them into (gu, gv); each consumes the terms, so at most
+    one of them runs once per loss.  What freeze returns lives in the
+    workspace's own buffers, which the next loss overwrites.
 
     The photometric term runs on the `pixels` pixels of nonzero weight, at
     the flat indices `active` (every pixel when no weights are given).
@@ -350,14 +387,15 @@ class _Workspace:
         # the interpolant, then the residual, then rho'; its y-partial; the
         # corner differences along x, then the x-partial in dx_top
         self.residual, self.ddy, self.dx_top, self.dx_bottom = (np.empty(n) for _ in range(4))
-        self.base, self.power = np.empty(n), np.empty(n)
-        self.gu, self.gv = np.empty(shape), np.empty(shape)
-        # per flow channel: horizontal differences, their Charbonnier bases
-        # and the bases' powers, then the same for vertical differences
-        self.diffs = tuple(
-            tuple(np.empty(s) for s in ((h, w - 1),) * 3 + ((h - 1, w),) * 3)
-            for _ in range(2)
-        )
+        # the residual's Charbonnier base and power; a freeze's second sample
+        self.base, self.power, self.spare = np.empty(n), np.empty(n), np.empty(n)
+        # Per flow channel, each edge's flow difference, then its Charbonnier
+        # base, then the base's power (then its frozen weight):
+        # edges[0][c][y, x] joins (y, x) and (y, x + 1), edges[1][c][y, x]
+        # joins (y, x) and (y + 1, x); all 0 at alpha = 0, where no loss writes them
+        self.edges = (np.zeros((2, h, w - 1)), np.zeros((2, h - 1, w)))
+        # the same per flow channel and direction (as _EDGES)
+        self.powers = tuple((self.edges[0][c], self.edges[1][c]) for c in range(2))
 
     def _gather(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Raster a at the photometric term's pixels, gathered into out (a new
@@ -366,14 +404,13 @@ class _Workspace:
         # default "raise" would buffer the output
         return a.reshape(-1).take(self.active, out=out, mode="wrap")
 
-    def _scatter_product(self, rho: np.ndarray, partial: np.ndarray, grad: np.ndarray):
-        """grad = rho * partial at the photometric term's pixels, 0 elsewhere;
-        partial serves as scratch."""
-        partial *= rho
-        flat = grad.reshape(-1)
+    def _scatter(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The raster out holding values at the photometric term's pixels, 0
+        elsewhere."""
+        flat = out.reshape(-1)
         flat.fill(0.0)
-        flat[self.active] = partial
-        return grad
+        flat[self.active] = values
+        return out
 
     def loss(self, u: np.ndarray, v: np.ndarray) -> float:
         """l_f at (u, v); a sample outside the raster reads I_t1 at its
@@ -387,34 +424,78 @@ class _Workspace:
             out=(self.fx, self.fy, self.x0, self.y0, self.corners),
         )
         sampled = _interpolate(corners, fx, fy,
-                               out=(self.residual, self.ddy, self.dx_top, self.dx_bottom))[0]
+                               out=(self.residual, self.ddy, self.dx_top, self.dx_bottom),
+                               top=corners[3])[0]
         residual = np.subtract(self.it, sampled, out=sampled)
         base = np.multiply(residual, residual, out=self.base)
         base += eps2
         power = _charbonnier_power(base, cfg.charbonnier_alpha, out=self.power)
-        # fx is scratch once the interpolant is built; power stays for gradient()
-        loss = float(np.sum(np.multiply(power, self.weights, out=self.fx)))
+        # the top-left corners are scratch once the interpolant is built; the
+        # footprint and power stay for freeze() and gradient()
+        loss = float(np.sum(np.multiply(power, self.weights, out=corners[0])))
         return self.smoothness(u, v, loss) if cfg.alpha > 0 else loss
 
     def smoothness(self, u: np.ndarray, v: np.ndarray, loss: float) -> float:
         """loss plus alpha times each flow channel's smoothness sum, added in
-        turn; the differences, their bases and powers stay for gradient()."""
+        turn; the powers stay for freeze() and gradient()."""
         cfg = self.cfg
-        eps2 = cfg.charbonnier_eps * cfg.charbonnier_eps
-        ca = cfg.charbonnier_alpha
-        for channel, (dh, bh, ph, dv, bv, pv) in zip((u, v), self.diffs):
-            np.subtract(channel[:, 1:], channel[:, :-1], out=dh)
-            np.subtract(channel[1:, :], channel[:-1, :], out=dv)
-            np.multiply(dh, dh, out=bh)
-            bh += eps2
-            np.multiply(dv, dv, out=bv)
-            bv += eps2
-            loss += cfg.alpha * float(np.sum(_charbonnier_power(bh, ca, out=ph))
-                                      + np.sum(_charbonnier_power(bv, ca, out=pv)))
+        for channel, powers in zip((u, v), self.powers):
+            across, down = (
+                np.sum(_charbonnier_power(_edge_bases(channel, ahead, behind,
+                                                      cfg.charbonnier_eps, out=power),
+                                          cfg.charbonnier_alpha, out=power))
+                for power, (ahead, behind) in zip(powers, _EDGES))
+            loss += cfg.alpha * float(across + down)
         return loss
 
-    def gradient(self) -> tuple[np.ndarray, np.ndarray]:
-        """d l_f / d(u, v) at the flow of the last loss, from its terms."""
+    def _sample(self, raster: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """raster at the last loss's sample positions, into out, through the
+        footprint that loss built."""
+        _gather_corners(raster, self.y0, self.corners)
+        return _interpolate(self.corners, self.fx, self.fy,
+                            out=(out, self.ddy, self.dx_top, self.dx_bottom),
+                            top=self.corners[3])[0]
+
+    def freeze(self, u: np.ndarray, v: np.ndarray, gx: np.ndarray, gy: np.ndarray):
+        """One warp's frozen system, from the terms of the last loss, at (u, v).
+
+        gx and gy, I_t1's derivatives, are sampled at the flow's sample
+        positions and linearise the residual about it; then they serve as
+        scratch.  The edge weights alpha * b^(a - 1) replace the powers in
+        `edges` (which stay 0 at alpha = 0).  Returns 1-D arrays at the
+        photometric term's pixels: with psi = w * b^(a - 1), the data term's
+        block psi * (gx^2, gy^2, gx gy) and its constant terms
+        psi * (gx, gy) * q, where q = I_t - I_t1(i + F) + gx * u + gy * v.
+        """
+        cfg = self.cfg
+        psi = np.divide(self.power, self.base, out=self.base)
+        psi *= self.weights
+        sx = self._sample(gx, self.power)
+        sy = self._sample(gy, self.spare)
+        q = self.residual
+        for flow, slope in ((u, sx), (v, sy)):
+            term = self._gather(flow, self.ddy)
+            term *= slope
+            q += term
+        tx = np.multiply(psi, sx, out=self.dx_top)
+        ty = np.multiply(psi, sy, out=self.dx_bottom)
+        cross = np.multiply(tx, sy, out=self.corners[0])
+        sx *= tx
+        sy *= ty
+        tx *= q
+        ty *= q
+        if cfg.alpha > 0:
+            for channel, powers in zip((u, v), self.powers):
+                for power, (ahead, behind), scratch in zip(powers, _EDGES, (gx, gy)):
+                    base = _edge_bases(channel, ahead, behind, cfg.charbonnier_eps,
+                                       out=scratch[ahead])
+                    np.divide(power, base, out=power)
+                    power *= cfg.alpha
+        return sx, sy, cross, tx, ty
+
+    def gradient(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d l_f / d(u, v) at (u, v), the flow of the last loss, from its
+        terms; returns new arrays."""
         cfg = self.cfg
         ca = cfg.charbonnier_alpha
         slope = 2.0 * ca  # rho'(x) = slope * x * (base^a / base)
@@ -428,16 +509,17 @@ class _Workspace:
         np.subtract(1.0, fy, out=fy)
         x_partial *= fy
         x_partial += self.dx_bottom
-        gu = self._scatter_product(rho, x_partial, self.gu)
-        gv = self._scatter_product(rho, self.ddy, self.gv)
+        x_partial *= rho
+        gu = self._scatter(x_partial, np.empty(self.shape))
+        self.ddy *= rho
+        gv = self._scatter(self.ddy, np.empty(self.shape))
         if cfg.alpha > 0:
-            for grad, (dh, bh, ph, dv, bv, pv) in zip((gu, gv), self.diffs):
-                for d, b, power, ahead, behind in (
-                    (dh, bh, ph, np.s_[:, 1:], np.s_[:, :-1]),
-                    (dv, bv, pv, np.s_[1:, :], np.s_[:-1, :]),
-                ):
-                    term = np.multiply(d, slope, out=d)
-                    term *= np.divide(power, b, out=b)
+            for channel, grad, powers in zip((u, v), (gu, gv), self.powers):
+                for power, (ahead, behind) in zip(powers, _EDGES):
+                    d = np.subtract(channel[ahead], channel[behind])
+                    term = np.multiply(d, slope)
+                    term *= np.divide(power, _edge_bases(channel, ahead, behind,
+                                                         cfg.charbonnier_eps, out=d))
                     term *= cfg.alpha
                     grad[ahead] += term
                     grad[behind] -= term
@@ -453,78 +535,245 @@ def _downsample2(a: np.ndarray) -> np.ndarray:
     return a.reshape(ph // 2, 2, pw // 2, 2).mean(axis=(1, 3))
 
 
-def _upsample2(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    up = np.repeat(np.repeat(a, 2, axis=0), 2, axis=1)
-    return up[: shape[0], : shape[1]]
+_WARPS = 2  # outer warps per pyramid level
+_SWEEPS = 10  # red-black SOR sweeps on each warp's frozen system
+_OMEGA = 1.8  # the sweeps' over-relaxation factor
+_HALVINGS = 10  # the safeguard halves a warp's update at most this often
+# The red pixels (x + y even) are the parity classes (row, column) = (0, 0)
+# and (1, 1); the black ones (0, 1) and (1, 0).
+_RED_BLACK = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
-_STEP_GROWTH = 1.3  # re-grow the step after an accepted iteration
-_STEP_FLOOR = 1e-14  # a level stops when its step halves below this
-_ITERS_PER_LEVEL = 200  # a level stops after this many iterations
-_CONVERGENCE_TOL = 1e-6  # or once an accepted step lowers the loss by at most this share
-
-
-def _first_step(cfg: FlowSolverConfig) -> float:
-    """min(1, 2^ceil(log2(2 / L))), L = 8 * alpha * 2a * eps^(2a - 2), floored
-    at the power of two just above _STEP_FLOOR (see FlowSolverConfig).
-
-    log2(2 / L) is summed in log space: eps^(2a - 2) overflows for a tiny eps
-    (1e-300 ** -1.1 raises OverflowError) and 8 * alpha for a huge alpha.
-    """
-    if cfg.alpha == 0:
-        return 1.0
-    a = cfg.charbonnier_alpha
-    exponent = math.ceil(1.0 - math.log2(cfg.alpha) - math.log2(16.0 * a)
-                         + (2.0 - 2.0 * a) * math.log2(cfg.charbonnier_eps))
-    return math.ldexp(1.0, min(0, max(exponent, math.ceil(math.log2(_STEP_FLOOR)))))
-
-
-def _descend(u, v, ws: _Workspace, level: int):
-    # The objective counts out-of-bounds samples through the border clamp:
-    # zeroing them would make it discontinuous wherever a sample crosses the
-    # raster edge, and plain gradient descent jams on those ridges.
-    # A candidate is scored by its loss alone; the gradient is finished only
-    # for an accepted step that the descent goes on from.  The flow and the
-    # candidate live in two buffer pairs that swap roles on an accepted step,
-    # so the caller's u and v are never written.
-    cfg = ws.cfg
-    u, v = u.copy(), v.copy()
-    cu, cv = np.empty_like(u), np.empty_like(v)
-    loss = ws.loss(u, v)
-    if not np.isfinite(loss):
-        raise SolverDivergenceError(level, 0, loss)
-    gu, gv = ws.gradient()
-    step = first = _first_step(cfg)
-    accepted = rejected = 0
-    stop = "iteration cap"
-    for iteration in range(1, _ITERS_PER_LEVEL + 1):
-        np.subtract(u, np.multiply(gu, step, out=cu), out=cu)
-        np.subtract(v, np.multiply(gv, step, out=cv), out=cv)
-        cand = ws.loss(cu, cv)
-        if not np.isfinite(cand):
-            raise SolverDivergenceError(level, iteration, cand)
-        if cand > loss:
-            rejected += 1
-            step *= 0.5
-            if step < _STEP_FLOOR:
-                stop = "step underflow"
-                break
+def _image_gradient(img: np.ndarray, out: np.ndarray) -> None:
+    """np.gradient's derivatives of img, bit for bit: d/dx into out[0] and d/dy
+    into out[1], 0 along an axis of length 1."""
+    for g, a in ((out[0], img), (out[1].T, img.T)):
+        if a.shape[1] == 1:
+            g.fill(0.0)
             continue
-        accepted += 1
-        drop = loss - cand
-        u, v, cu, cv, loss = cu, cv, u, v, cand
-        if drop <= _CONVERGENCE_TOL * max(abs(loss), 1e-12):
-            stop = "converged"
-            break
-        gu, gv = ws.gradient()
-        step *= _STEP_GROWTH
-    if _log.isEnabledFor(logging.DEBUG):
+        np.subtract(a[:, 2:], a[:, :-2], out=g[:, 1:-1])
+        g[:, 1:-1] /= 2.0
+        np.subtract(a[:, 1:2], a[:, :1], out=g[:, :1])
+        np.subtract(a[:, -1:], a[:, -2:-1], out=g[:, -1:])
+
+
+class _Parity(NamedTuple):
+    """One parity class's views into a _Level's buffers."""
+
+    own: np.ndarray  # (2, n): the class's flow band
+    flows: tuple  # its left, right, upper and lower neighbours' flow bands
+    weights: tuple  # the weights of those four edges
+    terms: np.ndarray  # (5, n): its frozen terms
+    raster: np.ndarray  # its pixels in uv
+    cells: np.ndarray  # the same pixels in the class's flow
+    edges: tuple  # its pixels' left and upper edge weights: (workspace, class) pairs
+
+
+class _Level:
+    """The fixed-point solve of one pyramid level, in buffers allocated once.
+
+    uv is the flow as the loss reads it.  The sweeps run on a copy split by
+    the parity (row, column) of the pixels, so that each class is contiguous:
+    class (py, px) holds the pixels (2i + py, 2j + px) in the rows i + 1 and
+    columns j + 1 of a grid with a ring of zeros, stored flat per channel at
+    flow[py, px].  A pixel's four neighbours then sit in two other classes at
+    flat offsets of -1, 0 or +1 row or column, and each class is updated as
+    one band of the flat grids, from its first cell to its last.  left and up
+    hold each pixel's edge weight towards its left and upper neighbour in the
+    same layout; a right or lower edge is the neighbour's left or upper one.
+    A ring cell, or a cell past the raster's last row or column (odd sides),
+    has weight 0 on every edge and frozen terms 0, so it stays 0 and no
+    pixel reads it.
+
+    After a freeze, terms[py, px] holds each pixel's 2x2 block inverse
+    applied to its update, scaled by _OMEGA: the coefficients of the u
+    neighbour sum in the u update and of the v sum in the v update (rows 0
+    and 1), the cross coefficient (row 2) and the two constant terms (rows 3
+    and 4).
+    """
+
+    def __init__(self, ws: _Workspace, coarse: Optional[np.ndarray], level: int):
         h, w = ws.shape
-        _log.debug("level %d, %dx%d: photometric term on %d of %d pixels; %d iterations, "
-                   "%d accepted, %d rejected; first step %.6g, final step %.6g; stopped: %s",
-                   level, w, h, ws.pixels, h * w, accepted + rejected, accepted, rejected,
-                   first, step, stop)
-    return u, v, loss
+        self.ws, self.level = ws, level
+        hc, wc = (h + 1) // 2, (w + 1) // 2
+        row = wc + 2
+        grid = (hc + 2) * row
+        # each active pixel's flat index in terms[k], built before the
+        # level's other buffers so that its temporaries add to no peak
+        y, x = np.divmod(ws.active, w)
+        self.index = y % 2 * 2 + x % 2
+        self.index *= grid
+        y //= 2
+        y += 1
+        y *= row
+        self.index += y
+        x //= 2
+        x += 1
+        self.index += x
+        del y, x
+        self.uv = np.zeros((2, h, w))
+        if coarse is not None:  # each coarse pixel's flow, doubled, on its 2x2 block
+            for dy in (0, 1):
+                for dx in (0, 1):
+                    target = self.uv[:, dy::2, dx::2]
+                    np.multiply(coarse[:, :target.shape[1], :target.shape[2]], 2.0, out=target)
+        self.start = np.empty((2, h, w))  # a warp's first flow; I_t1's derivatives in a freeze
+        self.flow, self.left, self.up = (np.zeros((2, 2, 2, grid)) for _ in range(3))
+        self.terms = np.empty((5, 2, 2, grid))
+        first, end = row + 1, hc * row + wc + 1
+        self.sums, self.tmp = np.empty((2, 2, end - first))
+        edges_h, edges_v = ws.edges
+
+        def band(a, py, px, offset=0):
+            return a[py, px, :, first + offset:end + offset]
+
+        self.classes = []
+        for py, px in _RED_BLACK:
+            # flat offsets of the left, right, upper and lower neighbours
+            left, right = (0, 1) if px else (-1, 0)
+            upper, lower = (0, row) if py else (-row, 0)
+            hp, wp = (h - py + 1) // 2, (w - px + 1) // 2
+
+            def pixels(a):
+                return a[py, px].reshape(-1, hc + 2, row)[:, 1:1 + hp, 1:1 + wp]
+
+            # a pixel's left edge is edges_h's at its column - 1, so the first
+            # column's (px = 0) leave the raster and stay 0; likewise a
+            # pixel's upper edge in edges_v, and the first row's (py = 0)
+            self.classes.append(_Parity(
+                band(self.flow, py, px),
+                (band(self.flow, py, 1 - px, left), band(self.flow, py, 1 - px, right),
+                 band(self.flow, 1 - py, px, upper), band(self.flow, 1 - py, px, lower)),
+                (band(self.left, py, px), band(self.left, py, 1 - px, right),
+                 band(self.up, py, px), band(self.up, 1 - py, px, lower)),
+                self.terms[:, py, px, first:end],
+                self.uv[:, py::2, px::2], pixels(self.flow),
+                ((edges_h[:, py::2, 1 - px::2], pixels(self.left)[..., 1 - px:]),
+                 (edges_v[:, 1 - py::2, px::2], pixels(self.up)[:, 1 - py:])),
+            ))
+
+    def freeze(self) -> bool:
+        """Freeze the system at the flow of the workspace's last loss and
+        invert its blocks into terms; False if its data term is not finite."""
+        ws, sums, tmp = self.ws, self.sums, self.tmp
+        _image_gradient(ws.it1, self.start)
+        data = ws.freeze(*self.uv, *self.start)
+        if not all(np.isfinite(d).all() for d in data):
+            return False
+        # the block in the adjugate's order, a22 first, then its constant terms
+        self.terms.fill(0.0)
+        for term, values in zip(self.terms, (data[1], data[0], *data[2:])):
+            term.reshape(-1)[self.index] = values
+        for parity in self.classes:
+            for source, target in parity.edges:
+                np.copyto(target, source)
+        for parity in self.classes:
+            weights, terms = parity.weights, parity.terms
+            # sums: each channel's summed edge weights (S_u, S_v), then the
+            # determinant S_u * a22 + j11 * S_v, free of the cancellation in
+            # a11 * a22 - a12^2
+            np.add(weights[0], weights[1], out=sums)
+            sums += weights[2]
+            sums += weights[3]
+            terms[0] += sums[1]
+            sums[1] *= terms[1]
+            terms[1] += sums[0]
+            sums[0] *= terms[0]
+            det = np.add(sums[0], sums[1], out=sums[0])
+            singular = np.flatnonzero(det == 0)  # the ring's cells among them
+            block = terms[:, singular]
+            det[singular] = np.inf  # their terms are set below
+            scale = np.divide(_OMEGA, det, out=det)
+            terms[:3] *= scale
+            np.negative(terms[2], out=terms[2])
+            np.multiply(terms[2], terms[4], out=sums[1])
+            np.multiply(terms[0], terms[3], out=tmp[0])
+            tmp[0] += sums[1]
+            np.multiply(terms[2], terms[3], out=sums[1])
+            terms[4] *= terms[1]
+            terms[4] += sums[1]
+            np.copyto(terms[3], tmp[0])
+            # a rank-1 block a = lambda e e^T has the pseudo-inverse a / tr(a)^2
+            a22, a11, a12, cu, cv = block
+            trace = a11 + a22
+            positive = trace > 0
+            scale = np.divide(_OMEGA, trace, out=np.zeros_like(trace), where=positive)
+            np.divide(scale, trace, out=scale, where=positive)
+            p11, p22, p12 = a11 * scale, a22 * scale, a12 * scale
+            terms[:, singular] = p11, p22, p12, p11 * cu + p12 * cv, p12 * cu + p22 * cv
+        return True
+
+    def sweep(self) -> None:
+        """One red-black SOR sweep: each pixel's (u, v) moves _OMEGA of the way
+        to its block's solution given its neighbours, one colour at a time."""
+        sums, tmp = self.sums, self.tmp
+        for own, flows, weights, terms, *_ in self.classes:
+            np.multiply(weights[0], flows[0], out=sums)
+            for weight, flow in zip(weights[1:], flows[1:]):
+                np.multiply(weight, flow, out=tmp)
+                sums += tmp
+            own *= 1.0 - _OMEGA
+            own += terms[3:5]
+            np.multiply(terms[0:2], sums, out=tmp)
+            own += tmp
+            np.multiply(terms[2], sums[::-1], out=tmp)
+            own += tmp
+
+    def sweeps(self, count: int) -> None:
+        """count sweeps on the frozen system, from uv and back into it."""
+        for parity in self.classes:
+            np.copyto(parity.cells, parity.raster)
+        for _ in range(count):
+            self.sweep()
+        for parity in self.classes:
+            np.copyto(parity.raster, parity.cells)
+
+    def _loss(self, warp: int) -> float:
+        """The loss at uv; a non-finite flow or loss raises."""
+        if not np.isfinite(self.uv).all():
+            raise SolverDivergenceError(self.level, warp, math.inf)
+        loss = self.ws.loss(*self.uv)
+        if not np.isfinite(loss):
+            raise SolverDivergenceError(self.level, warp, loss)
+        return loss
+
+    def solve(self) -> float:
+        """Run the level's warps from its flow; returns the final loss."""
+        ws, uv = self.ws, self.uv
+        losses = [self._loss(0)]
+        halvings = 0
+        for warp in range(1, _WARPS + 1):
+            if not self.freeze():
+                raise SolverDivergenceError(self.level, warp, math.inf)
+            np.copyto(self.start, uv)
+            self.sweeps(_SWEEPS)
+            loss = self._loss(warp)
+            for _ in range(_HALVINGS):
+                if loss <= losses[-1]:
+                    break
+                uv += self.start
+                uv *= 0.5
+                halvings += 1
+                loss = self._loss(warp)
+            if loss > losses[-1]:
+                # keep the warp's first flow, and its loss's terms for the next freeze
+                np.copyto(uv, self.start)
+                loss = ws.loss(*uv)
+            losses.append(loss)
+        if _log.isEnabledFor(logging.DEBUG):
+            h, w = ws.shape
+            _log.debug("level %d, %dx%d: photometric term on %d of %d pixels; %d warps, "
+                       "%d halvings; loss %r at the start, then %s", self.level, w, h,
+                       ws.pixels, h * w, _WARPS, halvings, losses[0],
+                       ", ".join(map(repr, losses[1:])))
+        return losses[-1]
+
+
+def _solve_level(ws: _Workspace, coarse: Optional[np.ndarray], level: int):
+    """The level's fixed-point solve, from the coarser level's flow (zero flow
+    if None): returns its flow, shape (2, H, W), and loss."""
+    solver = _Level(ws, coarse, level)
+    return solver.uv, solver.solve()
 
 
 def estimate_flow(
@@ -537,10 +786,12 @@ def estimate_flow(
 
     Given an event map, the photometric term is trusted only where the map
     saw events; elsewhere the smoothness term fills in.  Given None, it weighs
-    every pixel.  Returns the finest-level flow and the objective the descent
+    every pixel.  Returns the finest-level flow and the objective the solve
     reached there: total_loss at that flow before it is stored as float32.
+    Raises SolverDivergenceError when the solve meets a non-finite loss,
+    linearised system or flow.
 
-    Refused before any descent: an em that is neither an EventMap nor None
+    Refused before any solve: an em that is neither an EventMap nor None
     (TypeError), an event map whose shape differs from the images'
     (ShapeMismatchError), and with ValueError an image holding a
     non-finite pixel (the message names img_t or img_t1) and an event map with
@@ -575,13 +826,8 @@ def estimate_flow(
         pit, pit1, pw = pyramid[-1]
         pyramid.append((_downsample2(pit), _downsample2(pit1), _downsample2(pw)))
 
-    lit, lit1, lw = pyramid[-1]
-    u = np.zeros(lit.shape, dtype=np.float64)
-    v = np.zeros(lit.shape, dtype=np.float64)
+    uv = None
     for level in range(len(pyramid) - 1, -1, -1):
         lit, lit1, lw = pyramid[level]
-        if u.shape != lit.shape:
-            u = _upsample2(u, lit.shape) * 2.0
-            v = _upsample2(v, lit.shape) * 2.0
-        u, v, loss = _descend(u, v, _Workspace(lit.shape, lit, lit1, lw, cfg), level)
-    return FlowField(u, v), loss
+        uv, loss = _solve_level(_Workspace(lit.shape, lit, lit1, lw, cfg), uv, level)
+    return FlowField(uv[0], uv[1]), loss

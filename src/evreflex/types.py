@@ -341,22 +341,33 @@ def _float64(raster) -> np.ndarray:
     return np.asarray(raster.values if isinstance(raster, FloatMap) else raster, dtype=np.float64)
 
 
+def _holds_bool(value) -> bool:
+    """Whether value is a bool or a tuple or list holding one at any depth;
+    numpy turns a bool among numbers into a number."""
+    if isinstance(value, (bool, np.bool_)):
+        return True
+    return isinstance(value, (tuple, list)) and any(_holds_bool(item) for item in value)
+
+
 def _check_positive(name: str, value) -> None:
     """Raise a ValueError, name first, unless value (a number or a tuple of
-    numbers; a bool or a string is not one) is positive and finite throughout."""
+    numbers; a bool or a string is not one, nor is a tuple holding one) is
+    positive and finite throughout."""
     arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf" or not np.all((arr > 0) & (arr < np.inf)):
+    if (_holds_bool(value) or arr.dtype.kind not in "iuf"
+            or not np.all((arr > 0) & (arr < np.inf))):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_finite(obj, *names: str) -> None:
     """Raise a ValueError, field name first, on the first named field of obj
     that is not a number or nested tuples of numbers (a bool, a string or None
-    is not one) or that holds a NaN or an infinity."""
+    is not one, nor is a tuple holding one) or that holds a NaN or an
+    infinity."""
     for name in names:
         value = getattr(obj, name)
         arr = np.asarray(value)
-        if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        if _holds_bool(value) or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
             raise ValueError(f"{name} must hold finite numbers, got {value!r}")
 
 

@@ -325,15 +325,17 @@ _POSITIVE_SETTINGS = {
     "charbonnier_eps": (lambda v: FlowSolverConfig(charbonnier_eps=v),
                         ("[flow]\ncharbonnier_eps = {}\n", "charbonnier_eps")),
     "eps": (lambda v: charbonnier(0.0, eps=v), None),
+    "alpha": (lambda v: charbonnier(0.0, alpha=v), None),
     "contrast threshold": (lambda v: generate_events(*_FRAMES, v), None),
 }
 
 
 # "1" once passed the finite check as 1.0 and then failed on "1" > 0 with a
-# TypeError that named no field; a config value is always a number
+# TypeError that named no field, and True among numbers passed as 1; a config
+# value is always a number
 @pytest.mark.parametrize("field", list(_POSITIVE_SETTINGS))
-@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, "1", None],
-                         ids=["0", "-1", "nan", "inf", "str", "None"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, "1", None, True],
+                         ids=["0", "-1", "nan", "inf", "str", "None", "bool"])
 def test_positive_settings_refuse_values_not_positive_and_finite(field, value):
     build, config = _POSITIVE_SETTINGS[field]
     with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
@@ -360,15 +362,17 @@ _NUMBER_SETTINGS = {
     "start": lambda v: SphereObstacle(**{**_SPHERE, "start": (v, v, v)}),
     "light_dir": lambda v: SceneConfig(light_dir=(v, v, v)),
     "v": lambda v: EgoMotion((v, v, v)),
+    "start, one of three": lambda v: SphereObstacle(**{**_SPHERE, "start": (0.0, v, 1.0)}),
+    "v, one of three": lambda v: EgoMotion((v, 0.0, 0.0)),
 }
 
 
 # "1" once failed a range comparison with a TypeError that named no field, or
-# was stored as a string in a triple; True passed as 1
+# was stored as a string in a triple; True passed as 1, alone and among numbers
 @pytest.mark.parametrize("field", list(_NUMBER_SETTINGS))
 @pytest.mark.parametrize("value", ["1", True, None], ids=["str", "bool", "None"])
 def test_number_settings_refuse_values_that_are_not_numbers(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must hold finite numbers"):
+    with pytest.raises(ValueError, match=f"^{field.split(',')[0]} must hold finite numbers"):
         _NUMBER_SETTINGS[field](value)
 
 
@@ -403,7 +407,7 @@ def test_config_unknown_key_rejected():
 
 
 def test_config_refuses_the_retired_step_size_key():
-    # the descent computes its first step from the smoothness settings
+    # the fixed-point solve has no step size
     with pytest.raises(ConfigError, match="unknown key 'step_size' in section '\\[flow\\]'") as err:
         parse_config("frame_rate = 10\n[flow]\nalpha = 0.5\nstep_size = 0.5\n")
     assert err.value.line == 4
@@ -414,7 +418,7 @@ def test_config_refuses_the_retired_step_size_key():
     ("[flow]\nconvergence_tol = nan\n", "convergence_tol"),
 ], ids=["iters_per_level", "convergence_tol"])
 def test_config_refuses_the_retired_solver_keys(text, key):
-    # the iteration cap and convergence tolerance are the descent's constants
+    # the fixed-point solve has no iteration cap or tolerance; its counts are constants
     with pytest.raises(ConfigError, match=f"unknown key '{key}' in section '\\[flow\\]'") as err:
         parse_config(text)
     assert err.value.line == 2

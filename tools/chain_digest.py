@@ -15,18 +15,19 @@ evaluates total_loss at the stored (float32) flow, and prf1 of the danger
 mask against the ground-truth danger mask of frame k.
 
 The digest covers the flow (u, v and estimate_flow's loss, the objective the
-descent reached), total_loss at the stored flow, the TTI values and validity mask, the danger mask, the motion vector with
+solve reached), total_loss at the stored flow, the TTI values and validity mask, the danger mask, the motion vector with
 its pixel count, the evasion direction with its degenerate flag and every
 prf1 count, all as their stored bytes or exact reprs.  Two trees that print
 the same digest compute the same chain on this scene to the bit, so a
 byte-identity A/B between two commits is this command run in a checkout of
 each.  tools/sim_digest.py does the same for the simulator's outputs.
 
-The line before the digest gives, per pyramid level, the descent's accepted
-and rejected steps summed over the pairs, read from estimate_flow's DEBUG
-records on the "evreflex.flow" logger.  A digest that moves while these
-counts hold is a change in the last bits of the results; moved counts mean
-the descent itself took other steps.  The digest stays the last line.
+The line before the digest gives, per pyramid level, the solve's warps and
+safeguard halvings and its final loss, each summed over the pairs (the loss
+to 6 significant digits), read from estimate_flow's DEBUG records on the
+"evreflex.flow" logger.  A digest that moves while this line holds is a
+change in the last bits of the results; a moved line means the solve itself
+went elsewhere.  The digest stays the last line.
 
 The scene: a 173x130 raster with f = 100 px at 20 frames/s, the camera moving
 forward at 0.5 m/s, and one sphere of radius 0.3 m flying head-on at 7 m/s
@@ -83,28 +84,31 @@ def digest_pair(seq, k: int, h) -> None:
                    sorted(scores.per_class), counts)).encode())
 
 
-# the fields of _descend's per-level DEBUG record that the step counts use
-LEVEL_RECORD = re.compile(r"level (\d+),.* (\d+) accepted, (\d+) rejected")
+# the fields of the solve's per-level DEBUG record that the count line uses:
+# the level, its warps and halvings, and the loss after the last warp
+LEVEL_RECORD = re.compile(r"level (\d+),.*; (\d+) warps, (\d+) halvings; .*?([^ ,]+)$")
 
 
-class StepCounts(logging.Handler):
-    """Sums accepted and rejected steps per pyramid level over the records."""
+class LevelCounts(logging.Handler):
+    """Sums warps, halvings and final losses per pyramid level over the records."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.accepted, self.rejected = Counter(), Counter()
+        self.warps, self.halvings, self.losses = Counter(), Counter(), Counter()
 
     def emit(self, record):
         match = LEVEL_RECORD.search(record.getMessage())
         if match:
-            level, accepted, rejected = map(int, match.groups())
-            self.accepted[level] += accepted
-            self.rejected[level] += rejected
+            level, warps, halvings = map(int, match.groups()[:3])
+            self.warps[level] += warps
+            self.halvings[level] += halvings
+            self.losses[level] += float(match[4])
 
     def line(self, pairs: int) -> str:
-        levels = "; ".join(f"level {level}: {self.accepted[level]} accepted, "
-                           f"{self.rejected[level]} rejected" for level in sorted(self.accepted))
-        return f"descent steps over {pairs} pairs: {levels}"
+        levels = "; ".join(f"level {level}: {self.warps[level]} warps, "
+                           f"{self.halvings[level]} halvings, loss {self.losses[level]:.6g}"
+                           for level in sorted(self.warps))
+        return f"fixed-point solve over {pairs} pairs: {levels}"
 
 
 def main(argv) -> int:
@@ -114,7 +118,7 @@ def main(argv) -> int:
     seq = simulate_sequence(scene())
     h = hashlib.sha256()
     logger = logging.getLogger("evreflex.flow")
-    counts = StepCounts()
+    counts = LevelCounts()
     logger.setLevel(logging.DEBUG)
     logger.addHandler(counts)
     pairs = range(1, len(seq.frames) - 1)
