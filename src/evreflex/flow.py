@@ -29,6 +29,22 @@ Brox, Bruhn, Papenberg and Weickert (ECCV 2004), with no step size:
   keeps the flow it started from), so the objective never rises from one
   warp to the next within a level.
 
+The two parity classes of one colour share no output: each writes only its
+own cells, and reads the other colour's flow and its own weights and terms.
+So when a level's class grids hold at least _THREADED_CELLS cells and
+os.sched_getaffinity allows the process two CPUs or more, each half-sweep
+runs its two classes at once: the calling thread sweeps one and a worker
+thread, started for that sweeps call, the other, each with scratch of its
+own, and the two hand over once per half-sweep through a pair of
+semaphores.  numpy's ufuncs release the interpreter lock over these bands,
+so the halves overlap; each cell gets the serial sweep's operations in the
+serial order, so the flow is the same to the bit.  Smaller levels, where a
+handover costs more than the overlap saves, and a process allowed one CPU
+sweep the four classes in turn on the calling thread.  The worker runs under
+the caller's numpy error state (np.errstate is per thread), an exception in
+its half is raised again in the caller, and it is joined before sweeps
+returns or raises.  It holds views of the level's buffers, not the level.
+
 One kernel evaluates the objective: a `_Workspace` owns the buffers of one
 raster shape; its `loss` method evaluates l_f at a flow and keeps in those
 buffers the terms a freeze (or a gradient) needs: the footprint, the
@@ -75,6 +91,8 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -532,7 +550,7 @@ def _downsample2(a: np.ndarray) -> np.ndarray:
     ph, pw = (h + 1) // 2 * 2, (w + 1) // 2 * 2
     if (ph, pw) != (h, w):
         a = np.pad(a, ((0, ph - h), (0, pw - w)), mode="edge")
-    return a.reshape(ph // 2, 2, pw // 2, 2).mean(axis=(1, 3))
+    return ((a[0::2, 0::2] + a[0::2, 1::2]) + (a[1::2, 0::2] + a[1::2, 1::2])) / 4
 
 
 _WARPS = 2  # outer warps per pyramid level
@@ -542,6 +560,9 @@ _HALVINGS = 10  # the safeguard halves a warp's update at most this often
 # The red pixels (x + y even) are the parity classes (row, column) = (0, 0)
 # and (1, 1); the black ones (0, 1) and (1, 0).
 _RED_BLACK = ((0, 0), (1, 1), (0, 1), (1, 0))
+# a level sweeps on two threads from this many cells per class grid: below
+# it a handover costs more than the overlap saves (see the module docstring)
+_THREADED_CELLS = 10_000
 
 
 def _image_gradient(img: np.ndarray, out: np.ndarray) -> None:
@@ -567,6 +588,74 @@ class _Parity(NamedTuple):
     raster: np.ndarray  # its pixels in uv
     cells: np.ndarray  # the same pixels in the class's flow
     edges: tuple  # its pixels' left and upper edge weights: (workspace, class) pairs
+
+
+def _half_sweep(parity: _Parity, sums: np.ndarray, tmp: np.ndarray) -> None:
+    """Move each of the parity class's pixels' (u, v) _OMEGA of the way to its
+    block's solution given its neighbours, which are of the other colour;
+    sums and tmp are (2, n) scratch of the class's band."""
+    own, flows, weights, terms, *_ = parity
+    np.multiply(weights[0], flows[0], out=sums)
+    for weight, flow in zip(weights[1:], flows[1:]):
+        np.multiply(weight, flow, out=tmp)
+        sums += tmp
+    own *= 1.0 - _OMEGA
+    own += terms[3:5]
+    np.multiply(terms[0:2], sums, out=tmp)
+    own += tmp
+    np.multiply(terms[2], sums[::-1], out=tmp)
+    own += tmp
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on at least two CPUs."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def _paired_sweeps(classes, count: int, sums: np.ndarray, tmp: np.ndarray) -> None:
+    """count sweeps over classes (in _RED_BLACK's order) with each colour's two
+    classes swept at once: this thread sweeps the first with sums and tmp, a
+    worker thread the second with scratch of its own.
+
+    A half-sweep starts once both threads have ended the last one: this
+    thread releases go before its class and acquires done after it, and the
+    worker does the reverse.  The worker runs under this thread's numpy error
+    state, its exception is raised here, and it is joined before return.
+    """
+    go, done = threading.Semaphore(0), threading.Semaphore(0)
+    failed = []
+    stop = False
+    errstate = dict(np.geterr(), call=np.geterrcall())
+    own_sums, own_tmp = np.empty_like(sums), np.empty_like(tmp)
+
+    def work():
+        try:
+            with np.errstate(**errstate):
+                for _ in range(count):
+                    for parity in classes[1::2]:
+                        go.acquire()
+                        if stop:
+                            return
+                        _half_sweep(parity, own_sums, own_tmp)
+                        done.release()
+        except BaseException as exc:  # raised again in the calling thread
+            failed.append(exc)
+            done.release()
+
+    worker = threading.Thread(target=work, name="evreflex-sweep")
+    worker.start()
+    try:
+        for _ in range(count):
+            for parity in classes[0::2]:
+                go.release()
+                _half_sweep(parity, sums, tmp)
+                done.acquire()
+                if failed:
+                    raise failed[0]
+    finally:
+        stop = True
+        go.release()
+        worker.join()
 
 
 class _Level:
@@ -703,28 +792,18 @@ class _Level:
             terms[:, singular] = p11, p22, p12, p11 * cu + p12 * cv, p12 * cu + p22 * cv
         return True
 
-    def sweep(self) -> None:
-        """One red-black SOR sweep: each pixel's (u, v) moves _OMEGA of the way
-        to its block's solution given its neighbours, one colour at a time."""
-        sums, tmp = self.sums, self.tmp
-        for own, flows, weights, terms, *_ in self.classes:
-            np.multiply(weights[0], flows[0], out=sums)
-            for weight, flow in zip(weights[1:], flows[1:]):
-                np.multiply(weight, flow, out=tmp)
-                sums += tmp
-            own *= 1.0 - _OMEGA
-            own += terms[3:5]
-            np.multiply(terms[0:2], sums, out=tmp)
-            own += tmp
-            np.multiply(terms[2], sums[::-1], out=tmp)
-            own += tmp
-
     def sweeps(self, count: int) -> None:
-        """count sweeps on the frozen system, from uv and back into it."""
+        """count sweeps on the frozen system, from uv and back into it: the
+        classes in _RED_BLACK's order, or each colour's two at once on two
+        threads when the class grids are large and two CPUs are allowed."""
         for parity in self.classes:
             np.copyto(parity.cells, parity.raster)
-        for _ in range(count):
-            self.sweep()
+        if self.flow.shape[-1] >= _THREADED_CELLS and _two_cpus():
+            _paired_sweeps(self.classes, count, self.sums, self.tmp)
+        else:
+            for _ in range(count):
+                for parity in self.classes:
+                    _half_sweep(parity, self.sums, self.tmp)
         for parity in self.classes:
             np.copyto(parity.raster, parity.cells)
 

@@ -1,11 +1,17 @@
 import dataclasses
 import logging
+import os
 import re
+import sys
+import threading
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from evreflex import flow as fl
 from evreflex.flow import (
     FlowSolverConfig,
     SolverDivergenceError,
@@ -14,10 +20,12 @@ from evreflex.flow import (
     total_loss,
     warp,
     _OMEGA,
+    _THREADED_CELLS,
     _Level,
     _Workspace,
     _charbonnier_power,
     _downsample2,
+    _half_sweep,
     _image_gradient,
     _interpolate,
 )
@@ -657,8 +665,6 @@ def test_estimate_flow_monotone_loss_per_level(monkeypatch, caplog):
     # halves it until it does not, at most _HALVINGS times, and otherwise
     # keeps the warp's first flow.  So within a level no warp ends above the
     # one before.
-    import evreflex.flow as fl
-
     evaluated = []
     original = fl._Workspace.loss
 
@@ -686,8 +692,6 @@ def test_estimate_flow_monotone_loss_per_level(monkeypatch, caplog):
 def test_estimate_flow_reports_the_objective_it_minimised(monkeypatch):
     # the returned loss is level 0's: total_loss at the float64 flow the
     # solve ended on, under the event gate's weights
-    import evreflex.flow as fl
-
     ended = []
     original = fl._solve_level
 
@@ -790,18 +794,47 @@ def _frozen_level(shape, weighting, seed):
     return level, flow, _reference_system(*flow, it, it1, weights, cfg)
 
 
+def _sweep_threads(monkeypatch, threads):
+    """Send every level's sweeps down the serial path (threads 1) or the
+    two-thread path (threads 2), whatever its size and the host's CPUs.
+    Returns the set that collects the idents of the threads that sweep."""
+    monkeypatch.setattr(fl, "_THREADED_CELLS", 0 if threads == 2 else 10 ** 12)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = set()
+
+    def recording(*args):
+        seen.add(threading.get_ident())
+        _half_sweep(*args)
+
+    monkeypatch.setattr(fl, "_half_sweep", recording)
+    return seen
+
+
+def _swept(monkeypatch, shape, weighting, seed, sweeps):
+    """The level _frozen_level builds after sweeps sweeps, and what built it,
+    swept on one thread and, from the same start, on two: the two flows
+    agree to the bit."""
+    flows = []
+    for threads in (1, 2):
+        level, flow, system = _frozen_level(shape, weighting, seed)
+        seen = _sweep_threads(monkeypatch, threads)
+        level.sweeps(sweeps)
+        assert len(seen) == threads
+        flows.append(level.uv)
+    assert np.array_equal(*flows)
+    return level, flow, system
+
+
 @pytest.mark.parametrize("weighting", ["uniform", "event_gated", "single_pixel"])
-def test_red_black_sweep_equals_double_loop_sor(weighting):
+def test_red_black_sweep_equals_double_loop_sor(weighting, monkeypatch):
     # odd sides leave cells past the raster in two of the four parity classes
-    level, flow, system = _frozen_level((7, 9), weighting, seed=120)
-    level.sweeps(3)
+    level, flow, system = _swept(monkeypatch, (7, 9), weighting, 120, 3)
     # the kernel applies each block's inverse, the reference solves each block
     np.testing.assert_allclose(level.uv, _reference_sor(flow, system, 3), rtol=1e-12, atol=1e-12)
 
 
-def test_converged_freeze_satisfies_every_pixels_system():
-    level, _, system = _frozen_level((12, 15), "event_gated", seed=121)
-    level.sweeps(400)
+def test_converged_freeze_satisfies_every_pixels_system(monkeypatch):
+    level, _, system = _swept(monkeypatch, (12, 15), "event_gated", 121, 400)
     j11, j12, j22, cu, cv, right, down = system
     u, v = level.uv
     for y in range(12):
@@ -811,6 +844,138 @@ def test_converged_freeze_satisfies_every_pixels_system():
                        - cu[y, x] - sums[0]) < 1e-10
             assert abs(j12[y, x] * u[y, x] + (j22[y, x] + weights[1]) * v[y, x]
                        - cv[y, x] - sums[1]) < 1e-10
+
+
+def test_two_thread_sweeps_give_the_one_cpu_flow_to_the_bit(monkeypatch):
+    # 192x256 has 98x130 = 12,740-cell class grids at level 0, above the
+    # threshold, so that level takes two threads when two CPUs are allowed
+    img0, img1 = _shifted_texture((192, 256), 1.3, -0.7, seed=125)
+    seen = _sweep_threads(monkeypatch, 1)
+    monkeypatch.setattr(fl, "_THREADED_CELLS", _THREADED_CELLS)
+    results = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        seen.clear()
+        results[len(cpus)] = estimate_flow(None, img0, img1)
+        assert len(seen) == len(cpus)
+    (serial, serial_loss), (paired, paired_loss) = results[1], results[2]
+    assert np.array_equal(serial.u, paired.u) and np.array_equal(serial.v, paired.v)
+    assert serial_loss == paired_loss
+
+
+def test_two_thread_sweeps_under_contention_give_the_serial_flow(monkeypatch):
+    # two levels swept at once, four sweeping threads on the host's cores,
+    # switching often: a half-sweep that started before the other thread
+    # ended the last one would move the flow
+    level = _frozen_level((40, 50), "event_gated", seed=130)[0]
+    level.sweeps(20)  # serial: its class grids hold 594 cells
+    _sweep_threads(monkeypatch, 2)
+    levels = [_frozen_level((40, 50), "event_gated", seed=130)[0] for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=other.sweeps, args=(20,), daemon=True)
+                   for other in levels]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for other in levels:
+        assert np.array_equal(other.uv, level.uv)
+
+
+class _HalfSweepFailure(Exception):
+    pass
+
+
+def _on_a_thread(call):
+    """call() on a thread of its own, so that a sweep that never ends fails
+    the test in place of hanging it; returns what call raised, or None."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(60.0)
+    assert not thread.is_alive()
+    return raised[0] if raised else None
+
+
+def _in_the_worker() -> bool:
+    return threading.current_thread().name == "evreflex-sweep"
+
+
+@pytest.mark.parametrize("side", ["worker", "caller"])
+def test_a_failed_half_sweep_raises_in_the_caller_and_joins_the_worker(side, monkeypatch):
+    level, flow, system = _frozen_level((7, 9), "uniform", seed=126)
+    seen = _sweep_threads(monkeypatch, 2)
+    recording = fl._half_sweep
+
+    def failing(*args):
+        if _in_the_worker() == (side == "worker"):
+            raise _HalfSweepFailure(side)
+        recording(*args)
+
+    monkeypatch.setattr(fl, "_half_sweep", failing)
+    threads = threading.active_count()
+    raised = _on_a_thread(lambda: level.sweeps(3))
+    assert isinstance(raised, _HalfSweepFailure) and raised.args == (side,)
+    assert threading.active_count() == threads
+    # the next solve of the level runs both threads from its flow
+    monkeypatch.setattr(fl, "_half_sweep", recording)
+    seen.clear()
+    assert _on_a_thread(lambda: level.sweeps(3)) is None
+    assert len(seen) == 2 and threading.active_count() == threads
+    np.testing.assert_allclose(level.uv, _reference_sor(flow, system, 3), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("over", ["raise", "ignore", "warn"])
+def test_the_worker_runs_under_the_callers_numpy_error_state(over, monkeypatch):
+    # numpy's error state is per thread: a worker on numpy's defaults would
+    # warn under the caller's "raise" and "ignore" alike
+    level = _frozen_level((7, 9), "uniform", seed=127)[0]
+    _sweep_threads(monkeypatch, 2)
+    recording = fl._half_sweep
+
+    def overflowing(*args):
+        if _in_the_worker():
+            np.multiply(np.full(2, 1e300), 1e300)
+        recording(*args)
+
+    def sweep():
+        with np.errstate(over=over):
+            level.sweeps(1)
+
+    monkeypatch.setattr(fl, "_half_sweep", overflowing)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        raised = _on_a_thread(sweep)
+    assert isinstance(raised, FloatingPointError) == (over == "raise")
+    overflows = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(overflows) == (2 if over == "warn" else 0)
+
+
+def test_estimate_flow_keeps_no_level_alive(monkeypatch):
+    _sweep_threads(monkeypatch, 2)
+    levels = []
+
+    class Recorded(_Level):
+        def __init__(self, *args):
+            super().__init__(*args)
+            levels.append(weakref.ref(self))
+
+    monkeypatch.setattr(fl, "_Level", Recorded)
+    img0, img1 = _shifted_texture((24, 32), 1.3, -0.7, seed=128)
+    estimate_flow(None, img0, img1)
+    assert len(levels) == 3 and all(level() is None for level in levels)
 
 
 def test_estimate_flow_at_alpha_zero_is_finite_and_no_worse_than_zero_flow():
@@ -834,6 +999,19 @@ def test_image_gradient_is_np_gradients(shape):
     for axis, derivative in zip((1, 0), out):
         expected = np.gradient(img, axis=axis) if shape[axis] > 1 else np.zeros(shape)
         assert np.array_equal(derivative, expected)
+
+
+@pytest.mark.parametrize("shape", [(260, 346), (130, 173), (65, 87), (8, 8), (7, 9), (1, 7),
+                                   (1, 1)])
+def test_downsample2_is_the_reshape_mean(shape):
+    # numpy's mean sums a block's four pixels in this order, as long as the
+    # result has two columns or more; with one (a raster at most 2 wide,
+    # which no pyramid level downsamples) numpy 2.4 sums them row by row
+    a = np.random.default_rng(129).normal(0.0, 100.0, shape)
+    h, w = shape
+    padded = np.pad(a, ((0, h % 2), (0, w % 2)), mode="edge")
+    expected = padded.reshape(padded.shape[0] // 2, 2, padded.shape[1] // 2, 2).mean(axis=(1, 3))
+    assert np.array_equal(_downsample2(a), expected)
 
 
 def test_estimate_flow_memory_is_bounded_in_rasters():
@@ -945,8 +1123,6 @@ def test_bad_weight_mask_refused(entry, bad):
 
 
 def test_estimate_flow_logs_each_level(monkeypatch, caplog):
-    import evreflex.flow as fl
-
     evaluations = {}
     original = fl._Workspace.loss
 

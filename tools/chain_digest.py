@@ -1,4 +1,4 @@
-"""One SHA-256 over the per-pair chain's outputs on a fixed head-on scene.
+"""One SHA-256 per scene over the per-pair chain's outputs on a fixed head-on scene.
 
     python3 tools/chain_digest.py [SRC]
 
@@ -14,24 +14,29 @@ evasion_direction for a camera moving forward at 0.5 m/s.  It also
 evaluates total_loss at the stored (float32) flow, and prf1 of the danger
 mask against the ground-truth danger mask of frame k.
 
-The digest covers the flow (u, v and estimate_flow's loss, the objective the
+Each digest covers the flow (u, v and estimate_flow's loss, the objective the
 solve reached), total_loss at the stored flow, the TTI values and validity mask, the danger mask, the motion vector with
 its pixel count, the evasion direction with its degenerate flag and every
 prf1 count, all as their stored bytes or exact reprs.  Two trees that print
-the same digest compute the same chain on this scene to the bit, so a
+the same digests compute the same chain on these scenes to the bit, so a
 byte-identity A/B between two commits is this command run in a checkout of
 each.  tools/sim_digest.py does the same for the simulator's outputs.
 
-The line before the digest gives, per pyramid level, the solve's warps and
+The line before each digest names the scene and gives, per pyramid level, the solve's warps and
 safeguard halvings and its final loss, each summed over the pairs (the loss
 to 6 significant digits), read from estimate_flow's DEBUG records on the
 "evreflex.flow" logger.  A digest that moves while this line holds is a
 change in the last bits of the results; a moved line means the solve itself
-went elsewhere.  The digest stays the last line.
+went elsewhere.  Each digest is a line of its own, after its count line.
 
 The scene: a 173x130 raster with f = 100 px at 20 frames/s, the camera moving
 forward at 0.5 m/s, and one sphere of radius 0.3 m flying head-on at 7 m/s
 from 2.2 m ahead until it is under a metre away (12 frames, 10 pairs scored).
+It runs twice: at 173x130, and at 346x260 with f and the principal point
+doubled (the same view at twice the resolution).  The flow solve sweeps a
+level's parity classes on two threads only above about 10,000 cells per
+class, which the first raster's levels never reach and the second's finest
+level does, so the two digests cover both paths.
 """
 from __future__ import annotations
 
@@ -49,11 +54,13 @@ HORIZON_S = 1.0
 CAMERA_SPEED = 0.5  # m/s along the optical axis
 
 
-def scene():
+def scene(scale: int):
+    """The scene at scale times the 173x130 raster."""
     from evreflex.sim import SceneConfig, SphereObstacle, TrajectorySpec
     from evreflex.types import CameraModel
 
-    camera = CameraModel(fx=100.0, fy=100.0, cx=86.0, cy=64.5, width=173, height=130)
+    camera = CameraModel(fx=100.0 * scale, fy=100.0 * scale, cx=86.0 * scale,
+                         cy=64.5 * scale, width=173 * scale, height=130 * scale)
     forward = TrajectorySpec(waypoints=((-2.4, 0.0, 0.0), (2.5, 0.0, 0.0)), speed=CAMERA_SPEED)
     sphere = SphereObstacle(radius=0.3, start=(2.2, 0.05, 1.45), velocity=(-7.0, 0.0, 0.0))
     return SceneConfig(camera=camera, trajectory=forward, obstacles=(sphere,), duration=0.6)
@@ -115,17 +122,20 @@ def main(argv) -> int:
     sys.path.insert(0, argv[1] if len(argv) > 1 else str(ROOT / "src"))
     from evreflex.sim import simulate_sequence
 
-    seq = simulate_sequence(scene())
-    h = hashlib.sha256()
     logger = logging.getLogger("evreflex.flow")
-    counts = LevelCounts()
     logger.setLevel(logging.DEBUG)
-    logger.addHandler(counts)
-    pairs = range(1, len(seq.frames) - 1)
-    for k in pairs:
-        digest_pair(seq, k, h)
-    print(counts.line(len(pairs)))
-    print(h.hexdigest())
+    for scale in (1, 2):
+        seq = simulate_sequence(scene(scale))
+        h = hashlib.sha256()
+        counts = LevelCounts()
+        logger.addHandler(counts)
+        pairs = range(1, len(seq.frames) - 1)
+        for k in pairs:
+            digest_pair(seq, k, h)
+        logger.removeHandler(counts)
+        cam = seq.scene.camera
+        print(f"{cam.width}x{cam.height} scene, {counts.line(len(pairs))}")
+        print(h.hexdigest())
     return 0
 
 
