@@ -45,30 +45,26 @@ the caller's numpy error state (np.errstate is per thread), an exception in
 its half is raised again in the caller, and it is joined before sweeps
 returns or raises.  It holds views of the level's buffers, not the level.
 
-One kernel evaluates the objective: a `_Workspace` owns the buffers of one
-raster shape; its `loss` method evaluates l_f at a flow and keeps in those
-buffers the terms a freeze (or a gradient) needs: the footprint, the
-residual, its Charbonnier base and power, and each edge's power.  Every array
-operation writes into a buffer with `out=`, and the float operations and
-their order are those of the plain expressions (kept as the reference in
-tests/test_flow.py), so the buffers change no result bit.  `freeze` turns
-the last loss's terms into the frozen weights in place, and `_Level` holds
-each level's flow, frozen system and sweep views in buffers allocated once
-per level.  `gradient`, the objective's analytic gradient, has no caller in
-the solve; tests check it against finite differences of the loss.
+One kernel evaluates the objective: a `_Workspace` holds the photometric
+term's inputs for one raster shape, and its `loss` evaluates l_f at a flow as
+plain array expressions, the float operations and their order those of the
+reference kept in tests/test_flow.py.  It keeps the arrays it built that a
+freeze reads: the footprint, the residual, its Charbonnier base and power,
+and each edge's power.  `freeze` consumes them in place into one warp's
+linearised data term and edge weights, and `_Level` holds each level's flow,
+frozen system and sweep views in buffers allocated once per level.
 
 Each Charbonnier base b = x^2 + eps^2 (the photometric residual's and, per
 flow channel, the horizontal and vertical differences') takes one log and
 one exp per loss: b^a = exp(a * log b), which costs about half of one
-generic power.  The frozen weights and the gradient read b^(a - 1) as
-b^a / b; an edge's power overwrites its base, so they compute the base again
-from the flow.  b >= eps^2 > 0 keeps the quotient finite.  The public
-charbonnier takes the power the same way.
+generic power.  The frozen weights read b^(a - 1) as b^a / b; a freeze
+computes each edge's base again from the flow.  b >= eps^2 > 0 keeps the
+quotient finite.  The public charbonnier takes the power the same way.
 
 The photometric term is the weighted sum over the pixels of nonzero weight:
 estimate_flow given an event map gates it on the pixels that map saw events
 at, and given None weighs every pixel.  A workspace gathers the pixel grid,
-I_t and the weights at those pixels into 1-D buffers; each evaluation
+I_t and the weights at those pixels into 1-D arrays; each evaluation
 gathers the flow there, runs the footprint, interpolant, residual and
 powers on them and sums the weighted terms in raster order.  So a pixel of
 weight 0 never reaches the objective: I_t is not read there (I_t1 is, where
@@ -78,13 +74,7 @@ non-negative.  The solve reports each level (active pixels, warps, safeguard
 halvings, the loss at the start and after each warp) at DEBUG level on the
 "evreflex.flow" logger.
 
-All internal arithmetic runs in float64.  The gradient uses the exact
-derivative of the bilinear interpolant at each sample's clamped position.
-So it matches central finite differences of the loss wherever the loss is
-differentiable and every sample stays inside the raster.  A sample clamped
-outside the raster does not move with the flow component that pushes it out,
-so the loss is flat along it; the gradient there is still the interpolant's
-partial at the clamped position, not that zero.
+All internal arithmetic runs in float64.
 """
 from __future__ import annotations
 
@@ -170,6 +160,11 @@ class SolverDivergenceError(RuntimeError):
         super().__init__(f"non-finite loss {loss} at pyramid level {level}, warp {warp}")
 
 
+def _check_config(cfg) -> None:
+    if not isinstance(cfg, FlowSolverConfig):
+        raise TypeError(f"cfg must be a FlowSolverConfig, got {type(cfg).__name__}")
+
+
 def _gray(img: Raster) -> np.ndarray:
     arr = _float64(img)
     if arr.ndim != 2:
@@ -188,47 +183,35 @@ def _uv(flow: Flow) -> tuple[np.ndarray, np.ndarray]:
     raise ShapeMismatchError(f"expected FlowField or (2, H, W) array, got shape {arr.shape}")
 
 
-def _footprint(img: np.ndarray, xs: np.ndarray, ys: np.ndarray, with_mask: bool = True,
-               out=None):
-    """Clamp-to-edge bilinear footprint of the samples at (xs, ys).
+def _footprint(shape: tuple[int, int], xs: np.ndarray, ys: np.ndarray, with_mask: bool = True):
+    """Clamp-to-edge bilinear footprint of the samples at (xs, ys) on a raster
+    of shape.
 
-    Returns (corners, fx, fy, in_bounds): the four corner values (top-left,
-    top-right, bottom-left, bottom-right), the fractional offsets inside the
+    Returns (top_left, fx, fy, in_bounds): each footprint's top-left corner as
+    a linear index into the raveled raster, the fractional offsets inside the
     footprint, and a flag for samples that stayed inside the raster (None
     unless with_mask).
-
-    out, when given, is (fx, fy, x0, y0, corners): float64 buffers for the
-    offsets, intp buffers for the corner indices and a tuple of four float64
-    buffers, all of xs's shape, which receive the result.  xs and ys may be
-    out's fx and fy themselves; they are clamped in place.
     """
-    h, w = img.shape
+    h, w = shape
     in_bounds = None
     if with_mask:
         in_bounds = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
-    if out is None:
-        out = (np.empty(xs.shape), np.empty(xs.shape), np.empty(xs.shape, np.intp),
-               np.empty(xs.shape, np.intp), tuple(np.empty(xs.shape) for _ in range(4)))
-    fx, fy, x0, y0, corners = out
-    np.clip(xs, 0.0, w - 1.0, out=fx)
-    np.clip(ys, 0.0, h - 1.0, out=fy)
+    fx = np.clip(xs, 0.0, w - 1.0)
+    fy = np.clip(ys, 0.0, h - 1.0)
     # fx, fy >= 0 now, so truncation is floor
-    np.copyto(x0, fx, casting="unsafe")
-    np.copyto(y0, fy, casting="unsafe")
-    np.minimum(x0, w - 2 if w > 1 else 0, out=x0)
-    np.minimum(y0, h - 2 if h > 1 else 0, out=y0)
+    x0 = np.minimum(fx.astype(np.intp), max(w - 2, 0))
+    y0 = np.minimum(fy.astype(np.intp), max(h - 2, 0))
     fx -= x0
     fy -= y0
-    top_left = y0  # the top-left corner's linear index, built in y0's buffer
+    top_left = y0  # built in y0's array
     top_left *= w
     top_left += x0
-    _gather_corners(img, top_left, corners)
-    return corners, fx, fy, in_bounds
+    return top_left, fx, fy, in_bounds
 
 
-def _gather_corners(img: np.ndarray, top_left: np.ndarray, corners) -> None:
-    """img's four footprint corners at the linear indices top_left, into the
-    four buffers corners."""
+def _gather_corners(img: np.ndarray, top_left: np.ndarray):
+    """img's four footprint corners at the linear indices top_left: top-left,
+    top-right, bottom-left, bottom-right."""
     # The other corners sit at top_left in views of the raveled raster that
     # start one column, one row, or both further on (no offset along an axis
     # of length 1, as the clamp gives).  The clamp keeps each index inside
@@ -238,38 +221,17 @@ def _gather_corners(img: np.ndarray, top_left: np.ndarray, corners) -> None:
     flat = img.ravel()
     right = 1 if w > 1 else 0
     down = w if h > 1 else 0
-    for corner, start in zip(corners, (0, right, down, down + right)):
-        flat[start:].take(top_left, out=corner, mode="wrap")
+    return tuple(flat[start:].take(top_left, mode="wrap")
+                 for start in (0, right, down, down + right))
 
 
-def _interpolate(corners, fx, fy, out=None, top=None):
-    """Bilinear interpolant over a footprint and the differences it is built from.
-
-    Returns (values, ddy, dx_top, dx_bottom): the interpolant, its partial
-    derivative in y, and the corner differences i01 - i00 and i11 - i10 along
-    the top and bottom rows, which give the partial in x as
-    (1 - fy) * dx_top + fy * dx_bottom.  out, when given, holds four float64
-    buffers of fx's shape that receive the result.  top is a buffer of fx's
-    shape for the top row's interpolant, fx itself when None (fx is then
-    overwritten); the bottom-right corner's buffer may serve, since it is
-    read only before.
-    """
+def _interpolate(corners, fx, fy) -> np.ndarray:
+    """The bilinear interpolant over a footprint's corners at the offsets
+    (fx, fy)."""
     i00, i01, i10, i11 = corners
-    if out is None:
-        out = tuple(np.empty(fx.shape) for _ in range(4))
-    values, ddy, dx_top, dx_bottom = out
-    np.subtract(i01, i00, out=dx_top)
-    np.subtract(i11, i10, out=dx_bottom)
-    # bottom = i10 + fx * dx_bottom, top = i00 + fx * dx_top
-    np.multiply(fx, dx_bottom, out=ddy)
-    ddy += i10
-    top = np.multiply(fx, dx_top, out=fx if top is None else top)
-    top += i00
-    ddy -= top
-    # top + fy * ddy
-    np.multiply(fy, ddy, out=values)
-    values += top
-    return values, ddy, dx_top, dx_bottom
+    top = i00 + fx * (i01 - i00)
+    bottom = i10 + fx * (i11 - i10)
+    return top + fy * (bottom - top)
 
 
 @functools.lru_cache(maxsize=8)
@@ -304,18 +266,18 @@ def warp(src: Raster, flow: Flow):
     img = _gray(src)
     if img.shape != u.shape:
         raise ShapeMismatchError("flow and source dimensions differ")
-    corners, fx, fy, valid = _footprint(img, *_sample_grid(img.shape, u, v))
-    values = _interpolate(corners, fx, fy)[0]
+    top_left, fx, fy, valid = _footprint(img.shape, *_sample_grid(img.shape, u, v))
+    values = _interpolate(_gather_corners(img, top_left), fx, fy)
     if isinstance(src, FloatMap):
         return FloatMap(values, src.semantics), valid
     return values, valid
 
 
-def _charbonnier_power(base, alpha: float, out=None):
-    """base^alpha as exp(alpha * log(base)), into out if given; base > 0."""
-    power = np.log(base, out=out)
+def _charbonnier_power(base, alpha: float):
+    """base^alpha as exp(alpha * log(base)), a new array; base is an array > 0."""
+    power = np.log(base)
     power *= alpha
-    return np.exp(power, out=out)
+    return np.exp(power, out=power)
 
 
 def charbonnier(x, eps: float = 0.001, alpha: float = 0.45):
@@ -325,7 +287,7 @@ def charbonnier(x, eps: float = 0.001, alpha: float = 0.45):
     if not alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     x = np.asarray(x, dtype=np.float64)
-    out = np.asarray(_charbonnier_power(x * x + eps * eps, alpha))
+    out = _charbonnier_power(np.atleast_1d(x * x + eps * eps), alpha).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -351,8 +313,10 @@ def total_loss(
 
     l_p sums weight * rho(I_t(i) - I_t1(i + F(i))) over the pixels, a sample
     outside the raster reading I_t1 at the clamped position; l_s sums rho over
-    the flow differences of each channel across 4-neighbour pairs.
+    the flow differences of each channel across 4-neighbour pairs.  A cfg
+    that is not a FlowSolverConfig is refused with TypeError.
     """
+    _check_config(cfg)
     u, v = _uv(flow)
     return _Workspace(u.shape, _gray(img_t), _gray(img_t1), weight_mask, cfg).loss(u, v)
 
@@ -361,24 +325,22 @@ def total_loss(
 _EDGES = ((np.s_[:, 1:], np.s_[:, :-1]), (np.s_[1:, :], np.s_[:-1, :]))
 
 
-def _edge_bases(channel, ahead, behind, eps: float, out: np.ndarray) -> np.ndarray:
+def _edge_bases(channel, ahead, behind, eps: float) -> np.ndarray:
     """The Charbonnier bases d^2 + eps^2 of the flow channel's differences
-    d = channel[ahead] - channel[behind], into out."""
-    d = np.subtract(channel[ahead], channel[behind], out=out)
-    np.multiply(d, d, out=d)
+    d = channel[ahead] - channel[behind]."""
+    d = channel[ahead] - channel[behind]
+    d *= d
     d += eps * eps
     return d
 
 
 class _Workspace:
-    """The objective's kernel and the buffers it runs in, for one raster shape.
+    """The objective's kernel for one raster shape.
 
-    loss(u, v) evaluates l_f and leaves in the buffers the terms that a
-    freeze or a gradient needs.  freeze() turns the terms of the last loss
-    into one warp's lagged-diffusivity weights and linearised data term, and
-    gradient() turns them into (gu, gv); each consumes the terms, so at most
-    one of them runs once per loss.  What freeze returns lives in the
-    workspace's own buffers, which the next loss overwrites.
+    loss(u, v) evaluates l_f and keeps the arrays it built that a freeze
+    reads.  freeze() consumes them: it turns the terms of the last loss into
+    one warp's linearised data term and lagged-diffusivity edge weights, so
+    it runs at most once per loss.
 
     The photometric term runs on the `pixels` pixels of nonzero weight, at
     the flat indices `active` (every pixel when no weights are given).
@@ -389,159 +351,81 @@ class _Workspace:
             raise ShapeMismatchError(
                 f"shape mismatch: images {it.shape}/{it1.shape}, flow {shape}"
             )
-        h, w = shape
         self.shape, self.it1, self.cfg = shape, it1, cfg
         weights = _weights(shape, weights)
         self.active = np.flatnonzero(weights)
+        self.pixels = self.active.size
         # the photometric term's inputs at its pixels, as 1-D arrays
         self.grid_y, self.grid_x = (self._gather(c) for c in _pixel_grid(shape))
         self.it = self._gather(it)
         self.weights = self._gather(weights)
-        n = self.pixels = self.active.size
-        # sample positions, clamped in place into the footprint's offsets
-        self.fx, self.fy = np.empty(n), np.empty(n)
-        self.x0, self.y0 = np.empty(n, np.intp), np.empty(n, np.intp)
-        self.corners = tuple(np.empty(n) for _ in range(4))
-        # the interpolant, then the residual, then rho'; its y-partial; the
-        # corner differences along x, then the x-partial in dx_top
-        self.residual, self.ddy, self.dx_top, self.dx_bottom = (np.empty(n) for _ in range(4))
-        # the residual's Charbonnier base and power; a freeze's second sample
-        self.base, self.power, self.spare = np.empty(n), np.empty(n), np.empty(n)
-        # Per flow channel, each edge's flow difference, then its Charbonnier
-        # base, then the base's power (then its frozen weight):
-        # edges[0][c][y, x] joins (y, x) and (y, x + 1), edges[1][c][y, x]
-        # joins (y, x) and (y + 1, x); all 0 at alpha = 0, where no loss writes them
-        self.edges = (np.zeros((2, h, w - 1)), np.zeros((2, h - 1, w)))
-        # the same per flow channel and direction (as _EDGES)
-        self.powers = tuple((self.edges[0][c], self.edges[1][c]) for c in range(2))
 
-    def _gather(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Raster a at the photometric term's pixels, gathered into out (a new
-        array if None); a's values at the other pixels are never read."""
+    def _gather(self, a: np.ndarray) -> np.ndarray:
+        """Raster a at the photometric term's pixels; a's values at the other
+        pixels are never read."""
         # every index is in range, so take's "wrap" changes no value; its
         # default "raise" would buffer the output
-        return a.reshape(-1).take(self.active, out=out, mode="wrap")
-
-    def _scatter(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The raster out holding values at the photometric term's pixels, 0
-        elsewhere."""
-        flat = out.reshape(-1)
-        flat.fill(0.0)
-        flat[self.active] = values
-        return out
+        return a.reshape(-1).take(self.active, mode="wrap")
 
     def loss(self, u: np.ndarray, v: np.ndarray) -> float:
         """l_f at (u, v); a sample outside the raster reads I_t1 at its
         clamped position."""
         cfg = self.cfg
-        eps2 = cfg.charbonnier_eps * cfg.charbonnier_eps
-        np.add(self.grid_x, self._gather(u, self.fx), out=self.fx)
-        np.add(self.grid_y, self._gather(v, self.fy), out=self.fy)
-        corners, fx, fy, _ = _footprint(
-            self.it1, self.fx, self.fy, with_mask=False,
-            out=(self.fx, self.fy, self.x0, self.y0, self.corners),
-        )
-        sampled = _interpolate(corners, fx, fy,
-                               out=(self.residual, self.ddy, self.dx_top, self.dx_bottom),
-                               top=corners[3])[0]
-        residual = np.subtract(self.it, sampled, out=sampled)
-        base = np.multiply(residual, residual, out=self.base)
-        base += eps2
-        power = _charbonnier_power(base, cfg.charbonnier_alpha, out=self.power)
-        # the top-left corners are scratch once the interpolant is built; the
-        # footprint and power stay for freeze() and gradient()
-        loss = float(np.sum(np.multiply(power, self.weights, out=corners[0])))
-        return self.smoothness(u, v, loss) if cfg.alpha > 0 else loss
-
-    def smoothness(self, u: np.ndarray, v: np.ndarray, loss: float) -> float:
-        """loss plus alpha times each flow channel's smoothness sum, added in
-        turn; the powers stay for freeze() and gradient()."""
-        cfg = self.cfg
-        for channel, powers in zip((u, v), self.powers):
-            across, down = (
-                np.sum(_charbonnier_power(_edge_bases(channel, ahead, behind,
-                                                      cfg.charbonnier_eps, out=power),
-                                          cfg.charbonnier_alpha, out=power))
-                for power, (ahead, behind) in zip(powers, _EDGES))
-            loss += cfg.alpha * float(across + down)
+        eps, ca = cfg.charbonnier_eps, cfg.charbonnier_alpha
+        self.footprint = _footprint(self.shape, self.grid_x + self._gather(u),
+                                    self.grid_y + self._gather(v), with_mask=False)[:3]
+        self.residual = self.it - self._sample(self.it1)
+        self.base = self.residual * self.residual + eps * eps
+        self.power = _charbonnier_power(self.base, ca)
+        loss = float(np.sum(self.power * self.weights))
+        # each flow channel's edge powers, horizontal then vertical (as _EDGES)
+        self.edges = []
+        if cfg.alpha > 0:
+            for channel in (u, v):
+                across, down = (_charbonnier_power(_edge_bases(channel, ahead, behind, eps), ca)
+                                for ahead, behind in _EDGES)
+                loss += cfg.alpha * float(np.sum(across) + np.sum(down))
+                self.edges.append((across, down))
         return loss
 
-    def _sample(self, raster: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """raster at the last loss's sample positions, into out, through the
-        footprint that loss built."""
-        _gather_corners(raster, self.y0, self.corners)
-        return _interpolate(self.corners, self.fx, self.fy,
-                            out=(out, self.ddy, self.dx_top, self.dx_bottom),
-                            top=self.corners[3])[0]
+    def _sample(self, raster: np.ndarray) -> np.ndarray:
+        """raster at the last loss's sample positions, through the footprint
+        that loss built."""
+        top_left, fx, fy = self.footprint
+        return _interpolate(_gather_corners(raster, top_left), fx, fy)
 
     def freeze(self, u: np.ndarray, v: np.ndarray, gx: np.ndarray, gy: np.ndarray):
         """One warp's frozen system, from the terms of the last loss, at (u, v).
 
         gx and gy, I_t1's derivatives, are sampled at the flow's sample
-        positions and linearise the residual about it; then they serve as
-        scratch.  The edge weights alpha * b^(a - 1) replace the powers in
-        `edges` (which stay 0 at alpha = 0).  Returns 1-D arrays at the
-        photometric term's pixels: with psi = w * b^(a - 1), the data term's
-        block psi * (gx^2, gy^2, gx gy) and its constant terms
-        psi * (gx, gy) * q, where q = I_t - I_t1(i + F) + gx * u + gy * v.
+        positions and linearise the residual about it.  Returns the data term
+        and the edge weights.  The data term is five 1-D arrays at the
+        photometric term's pixels: with psi = w * b^(a - 1), its block
+        psi * (gx^2, gy^2, gx gy) and its constant terms psi * (gx, gy) * q,
+        where q = I_t - I_t1(i + F) + gx * u + gy * v.  The edge weights are
+        alpha * b^(a - 1), per flow channel a horizontal and a vertical array
+        (as _EDGES); none at alpha = 0.
         """
         cfg = self.cfg
-        psi = np.divide(self.power, self.base, out=self.base)
+        sx, sy = self._sample(gx), self._sample(gy)
+        psi = self.power
+        psi /= self.base
         psi *= self.weights
-        sx = self._sample(gx, self.power)
-        sy = self._sample(gy, self.spare)
         q = self.residual
-        for flow, slope in ((u, sx), (v, sy)):
-            term = self._gather(flow, self.ddy)
-            term *= slope
-            q += term
-        tx = np.multiply(psi, sx, out=self.dx_top)
-        ty = np.multiply(psi, sy, out=self.dx_bottom)
-        cross = np.multiply(tx, sy, out=self.corners[0])
+        q += self._gather(u) * sx
+        q += self._gather(v) * sy
+        tx = psi * sx
+        ty = psi * sy
+        cross = tx * sy
         sx *= tx
         sy *= ty
         tx *= q
         ty *= q
-        if cfg.alpha > 0:
-            for channel, powers in zip((u, v), self.powers):
-                for power, (ahead, behind), scratch in zip(powers, _EDGES, (gx, gy)):
-                    base = _edge_bases(channel, ahead, behind, cfg.charbonnier_eps,
-                                       out=scratch[ahead])
-                    np.divide(power, base, out=power)
-                    power *= cfg.alpha
-        return sx, sy, cross, tx, ty
-
-    def gradient(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """d l_f / d(u, v) at (u, v), the flow of the last loss, from its
-        terms; returns new arrays."""
-        cfg = self.cfg
-        ca = cfg.charbonnier_alpha
-        slope = 2.0 * ca  # rho'(x) = slope * x * (base^a / base)
-        rho = np.multiply(self.residual, slope, out=self.residual)
-        rho *= np.divide(self.power, self.base, out=self.base)
-        rho *= self.weights
-        np.negative(rho, out=rho)
-        # the x-partial (1 - fy) * dx_top + fy * dx_bottom, into dx_top
-        fy, x_partial = self.fy, self.dx_top
-        self.dx_bottom *= fy
-        np.subtract(1.0, fy, out=fy)
-        x_partial *= fy
-        x_partial += self.dx_bottom
-        x_partial *= rho
-        gu = self._scatter(x_partial, np.empty(self.shape))
-        self.ddy *= rho
-        gv = self._scatter(self.ddy, np.empty(self.shape))
-        if cfg.alpha > 0:
-            for channel, grad, powers in zip((u, v), (gu, gv), self.powers):
-                for power, (ahead, behind) in zip(powers, _EDGES):
-                    d = np.subtract(channel[ahead], channel[behind])
-                    term = np.multiply(d, slope)
-                    term *= np.divide(power, _edge_bases(channel, ahead, behind,
-                                                         cfg.charbonnier_eps, out=d))
-                    term *= cfg.alpha
-                    grad[ahead] += term
-                    grad[behind] -= term
-        return gu, gv
+        for channel, powers in zip((u, v), self.edges):
+            for power, (ahead, behind) in zip(powers, _EDGES):
+                power /= _edge_bases(channel, ahead, behind, cfg.charbonnier_eps)
+                power *= cfg.alpha
+        return (sx, sy, cross, tx, ty), self.edges
 
 
 def _downsample2(a: np.ndarray) -> np.ndarray:
@@ -587,7 +471,7 @@ class _Parity(NamedTuple):
     terms: np.ndarray  # (5, n): its frozen terms
     raster: np.ndarray  # its pixels in uv
     cells: np.ndarray  # the same pixels in the class's flow
-    edges: tuple  # its pixels' left and upper edge weights: (workspace, class) pairs
+    edges: tuple  # its pixels' left and upper edge weights: (slice of the edges, class view) pairs
 
 
 def _half_sweep(parity: _Parity, sums: np.ndarray, tmp: np.ndarray) -> None:
@@ -711,7 +595,6 @@ class _Level:
         self.terms = np.empty((5, 2, 2, grid))
         first, end = row + 1, hc * row + wc + 1
         self.sums, self.tmp = np.empty((2, 2, end - first))
-        edges_h, edges_v = ws.edges
 
         def band(a, py, px, offset=0):
             return a[py, px, :, first + offset:end + offset]
@@ -726,9 +609,10 @@ class _Level:
             def pixels(a):
                 return a[py, px].reshape(-1, hc + 2, row)[:, 1:1 + hp, 1:1 + wp]
 
-            # a pixel's left edge is edges_h's at its column - 1, so the first
-            # column's (px = 0) leave the raster and stay 0; likewise a
-            # pixel's upper edge in edges_v, and the first row's (py = 0)
+            # a pixel's left edge is the horizontal edges' at its column - 1,
+            # so the first column's (px = 0) leave the raster and stay 0;
+            # likewise a pixel's upper edge among the vertical edges, and the
+            # first row's (py = 0)
             self.classes.append(_Parity(
                 band(self.flow, py, px),
                 (band(self.flow, py, 1 - px, left), band(self.flow, py, 1 - px, right),
@@ -737,8 +621,8 @@ class _Level:
                  band(self.up, py, px), band(self.up, 1 - py, px, lower)),
                 self.terms[:, py, px, first:end],
                 self.uv[:, py::2, px::2], pixels(self.flow),
-                ((edges_h[:, py::2, 1 - px::2], pixels(self.left)[..., 1 - px:]),
-                 (edges_v[:, 1 - py::2, px::2], pixels(self.up)[:, 1 - py:])),
+                ((np.s_[py::2, 1 - px::2], pixels(self.left)[..., 1 - px:]),
+                 (np.s_[1 - py::2, px::2], pixels(self.up)[:, 1 - py:])),
             ))
 
     def freeze(self) -> bool:
@@ -746,16 +630,17 @@ class _Level:
         invert its blocks into terms; False if its data term is not finite."""
         ws, sums, tmp = self.ws, self.sums, self.tmp
         _image_gradient(ws.it1, self.start)
-        data = ws.freeze(*self.uv, *self.start)
+        data, edges = ws.freeze(*self.uv, *self.start)
         if not all(np.isfinite(d).all() for d in data):
             return False
         # the block in the adjugate's order, a22 first, then its constant terms
         self.terms.fill(0.0)
         for term, values in zip(self.terms, (data[1], data[0], *data[2:])):
             term.reshape(-1)[self.index] = values
-        for parity in self.classes:
-            for source, target in parity.edges:
-                np.copyto(target, source)
+        for c, channel in enumerate(edges):  # none at alpha = 0: the edges stay 0
+            for parity in self.classes:
+                for edge, (source, target) in zip(channel, parity.edges):
+                    np.copyto(target[c], edge[source])
         for parity in self.classes:
             weights, terms = parity.weights, parity.terms
             # sums: each channel's summed edge weights (S_u, S_v), then the
@@ -848,13 +733,6 @@ class _Level:
         return losses[-1]
 
 
-def _solve_level(ws: _Workspace, coarse: Optional[np.ndarray], level: int):
-    """The level's fixed-point solve, from the coarser level's flow (zero flow
-    if None): returns its flow, shape (2, H, W), and loss."""
-    solver = _Level(ws, coarse, level)
-    return solver.uv, solver.solve()
-
-
 def estimate_flow(
     em: Optional[EventMap],
     img_t: Raster,
@@ -870,13 +748,14 @@ def estimate_flow(
     Raises SolverDivergenceError when the solve meets a non-finite loss,
     linearised system or flow.
 
-    Refused before any solve: an em that is neither an EventMap nor None
-    (TypeError), an event map whose shape differs from the images'
-    (ShapeMismatchError), and with ValueError an image holding a
-    non-finite pixel (the message names img_t or img_t1) and an event map with
-    no active pixel, which leaves the photometric term nothing to weigh and
-    would return zero flow.
+    Refused before any solve: a cfg that is not a FlowSolverConfig and an em
+    that is neither an EventMap nor None (TypeError), an event map whose
+    shape differs from the images' (ShapeMismatchError), and with ValueError
+    an image holding a non-finite pixel (the message names img_t or img_t1)
+    and an event map with no active pixel, which leaves the photometric term
+    nothing to weigh and would return zero flow.
     """
+    _check_config(cfg)
     it = _gray(img_t)
     it1 = _gray(img_t1)
     if it.shape != it1.shape:
@@ -908,5 +787,8 @@ def estimate_flow(
     uv = None
     for level in range(len(pyramid) - 1, -1, -1):
         lit, lit1, lw = pyramid[level]
-        uv, loss = _solve_level(_Workspace(lit.shape, lit, lit1, lw, cfg), uv, level)
+        # each level starts from the coarser level's flow (zero flow at the coarsest)
+        solver = _Level(_Workspace(lit.shape, lit, lit1, lw, cfg), uv, level)
+        loss = solver.solve()
+        uv = solver.uv
     return FlowField(uv[0], uv[1]), loss

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _footprint, _interpolate, _sample_grid, _uv
+from .flow import _footprint, _gather_corners, _interpolate, _sample_grid, _uv
 from .types import (
     FloatMap,
     FlowField,
@@ -75,8 +75,9 @@ def _warp_depth(depth: np.ndarray, flow: FlowField):
     four interpolation corners to hold valid depth with a bounded spread.
     """
     u, v = _uv(flow)
-    corners, fx, fy, in_bounds = _footprint(depth, *_sample_grid(depth.shape, u, v))
-    values = _interpolate(corners, fx, fy)[0]
+    top_left, fx, fy, in_bounds = _footprint(depth.shape, *_sample_grid(depth.shape, u, v))
+    corners = _gather_corners(depth, top_left)
+    values = _interpolate(corners, fx, fy)
     c00, c01, c10, c11 = corners
     lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
     hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))

@@ -27,7 +27,6 @@ from evreflex.flow import (
     _downsample2,
     _half_sweep,
     _image_gradient,
-    _interpolate,
 )
 from evreflex.types import (
     FloatMap,
@@ -61,12 +60,16 @@ def _smoothness(flow):
     return total_loss(flow, zero, zero, FlowSolverConfig(alpha=1.0), zero)
 
 
-def _gradient(flow, it, it1, cfg, weights=None):
-    """The objective's gradient at flow: a fresh workspace's loss, then its gradient."""
+def _frozen_terms(flow, it, it1, cfg, weights=None):
+    """What a solve reads of the objective at flow: a fresh workspace's loss
+    there, then its freeze with I_t1's np.gradient derivatives; the data
+    term's five arrays, then each flow channel's edge weights."""
     u, v = np.asarray(flow, dtype=np.float64)
     ws = _Workspace(u.shape, it, it1, weights, cfg)
     ws.loss(u, v)
-    return ws.gradient(u, v)
+    gy, gx = np.gradient(it1)
+    data, edges = ws.freeze(u, v, gx, gy)
+    return [*data, *(edge for channel in edges for edge in channel)]
 
 
 # -- warp ---------------------------------------------------------------------
@@ -158,23 +161,6 @@ def test_charbonnier_validation():
             charbonnier(0.0, **{name: bad})
 
 
-def test_charbonnier_deriv_matches_fd():
-    # The kernel's Charbonnier slope rho'(x), read from the gradient of the
-    # smoothness term on a 1x2 flow u = (0, x): with alpha = 1 and no
-    # photometric pixel, d l_f / d u[0, 1] is rho'(x).
-    xs = np.linspace(-2, 2, 41)
-    h = 1e-7
-    fd = (charbonnier(xs + h) - charbonnier(xs - h)) / (2 * h)
-    zero = np.zeros((1, 2))
-    ws = _Workspace((1, 2), zero, zero, zero, FlowSolverConfig(alpha=1.0))
-    slopes = []
-    for x in xs:
-        u = np.array([[0.0, x]])
-        ws.loss(u, zero)
-        slopes.append(ws.gradient(u, zero)[0][0, 1])
-    assert np.allclose(slopes, fd, atol=1e-4)
-
-
 @pytest.mark.parametrize("ca", [0.1, 0.45, 0.9])
 @pytest.mark.parametrize("r", [2.0, 510.0])  # images in [0, 1] and in [0, 255]
 def test_charbonnier_power_accuracy(r, ca):
@@ -194,23 +180,6 @@ def test_charbonnier_power_accuracy(r, ca):
     slope_power = base ** (ca - 1.0)
     assert np.all(np.abs(power / base - slope_power)
                   <= (2.5 + spread) * 2.0 ** -52 * slope_power)
-    # the helper writes into out and returns it
-    out = np.empty_like(base)
-    assert _charbonnier_power(base, ca, out=out) is out and np.array_equal(out, power)
-
-
-def test_interpolate_writes_only_its_outputs_and_top():
-    # tti._warp_depth reads the corners after the interpolant, and a
-    # workspace reads the offsets fx after it
-    rng = np.random.default_rng(114)
-    corners, fx, fy = tuple(rng.random(10) for _ in range(4)), rng.random(10), rng.random(10)
-    kept = [a.copy() for a in (*corners, fy)]
-    values = _interpolate(corners, fx.copy(), fy)[0]
-    assert all(np.array_equal(a, b) for a, b in zip((*corners, fy), kept))
-    offsets = fx.copy()
-    # the bottom-right corner may serve as top, since it is read only before
-    assert np.array_equal(_interpolate(corners, offsets, fy, top=corners[3])[0], values)
-    assert np.array_equal(offsets, fx)
 
 
 @pytest.mark.parametrize("pair", [(0.25, 0.75), (0.9, 0.1), (0.5, 0.5), (0.3, 0.300001)])
@@ -317,8 +286,8 @@ def test_loss_views_equal_kernel_loss_exactly():
     w = (rng.random((8, 8)) > 0.4).astype(np.float64)
     for cfg in (FlowSolverConfig(alpha=0.3), FlowSolverConfig(alpha=0.0)):
         for mask in (None, w):
-            assert total_loss(F, it, it1, cfg, mask) == _reference_loss_and_grad(
-                F[0], F[1], it, it1, cfg, mask)[0]
+            assert total_loss(F, it, it1, cfg, mask) == _reference_loss(
+                F[0], F[1], it, it1, cfg, mask)
 
 
 def test_total_loss_pure_smoothness_when_aligned():
@@ -330,24 +299,19 @@ def test_total_loss_pure_smoothness_when_aligned():
 
 
 # -- reference kernel -----------------------------------------------------------
-# The objective and its gradient as plain array expressions, every result a
-# fresh array and the corners gathered by 2-D indexing.  The flow kernel runs
-# the same float operations in the same order in preallocated buffers, so the
-# two must agree to the bit.  The photometric sum runs over the pixels of
-# nonzero weight in raster order, a sample outside the raster reading it1 at
-# its clamped position.  Each Charbonnier power is exp(a * log(base)), and the
-# slope's base^(a - 1) is that power over the base.
+# The objective as plain array expressions on the whole raster, the corners
+# gathered by 2-D indexing.  The flow kernel runs the same float operations in
+# the same order on 1-D arrays of the pixels of nonzero weight, so the two must
+# agree to the bit.  The photometric sum runs over those pixels in raster
+# order, a sample outside the raster reading it1 at its clamped position.
+# Each Charbonnier power is exp(a * log(base)).
 
 
 def _reference_power(base, ca):
     return np.exp(ca * np.log(base))
 
 
-def _reference_slope(x, base, ca):
-    return 2.0 * ca * x * (_reference_power(base, ca) / base)
-
-
-def _reference_loss_and_grad(u, v, it, it1, cfg, weights):
+def _reference_loss(u, v, it, it1, cfg, weights):
     eps, ca = cfg.charbonnier_eps, cfg.charbonnier_alpha
     h, w = it.shape
     wt = np.ones(it.shape) if weights is None else np.asarray(weights, dtype=np.float64)
@@ -370,27 +334,13 @@ def _reference_loss_and_grad(u, v, it, it1, cfg, weights):
     residual = it - sampled
     base = residual * residual + eps * eps
     loss = float(np.sum((wt * _reference_power(base, ca))[wt != 0]))
-    diffs = []
     if cfg.alpha > 0:
         for channel in (u, v):
             dh = channel[:, 1:] - channel[:, :-1]
             dv = channel[1:, :] - channel[:-1, :]
-            bh = dh * dh + eps * eps
-            bv = dv * dv + eps * eps
-            loss += cfg.alpha * float(np.sum(_reference_power(bh, ca))
-                                      + np.sum(_reference_power(bv, ca)))
-            diffs.append((dh, bh, dv, bv))
-    rho_prime = wt * _reference_slope(residual, base, ca)
-    gu = -rho_prime * ((1.0 - fy) * (i01 - i00) + fy * (i11 - i10))
-    gv = -rho_prime * ddy
-    for grad, (dh, bh, dv, bv) in zip((gu, gv), diffs):
-        th = cfg.alpha * _reference_slope(dh, bh, ca)
-        tv = cfg.alpha * _reference_slope(dv, bv, ca)
-        grad[:, 1:] += th
-        grad[:, :-1] -= th
-        grad[1:, :] += tv
-        grad[:-1, :] -= tv
-    return loss, gu, gv
+            loss += cfg.alpha * float(np.sum(_reference_power(dh * dh + eps * eps, ca))
+                                      + np.sum(_reference_power(dv * dv + eps * eps, ca)))
+    return loss
 
 
 KERNEL_WEIGHTINGS = ["none", "binary", "fractional", "single", "border", "row_out",
@@ -438,8 +388,8 @@ def test_kernel_bit_identical_to_reference(shape, weighting, alpha):
     it1 = rng.random(shape)
     weights = _kernel_weights(weighting, shape, rng)
     cfg = FlowSolverConfig(alpha=alpha)
-    # one workspace for every flow in turn, with a loss-only evaluation (a
-    # rejected candidate) before each one, guards against stale buffers
+    # one workspace for every flow in turn, each after a loss at another
+    # flow, guards against terms kept from an earlier evaluation
     ws = _Workspace(shape, it, it1, weights, cfg)
     # the photometric term runs on the pixels of nonzero weight, every pixel
     # under uniform weighting
@@ -447,14 +397,10 @@ def test_kernel_bit_identical_to_reference(shape, weighting, alpha):
     flows = list(_kernel_flows(shape, rng))
     for (u, v), (ru, rv) in zip(flows, flows[::-1]):
         ws.loss(ru, rv)
-        loss = ws.loss(u, v)
-        gu, gv = ws.gradient(u, v)
-        ref_loss, ref_gu, ref_gv = _reference_loss_and_grad(u, v, it, it1, cfg, weights)
-        assert loss == ref_loss
-        assert np.array_equal(gu, ref_gu) and np.array_equal(gv, ref_gv)
+        assert ws.loss(u, v) == _reference_loss(u, v, it, it1, cfg, weights)
     # total_loss builds its own workspace
     u, v = flows[1]
-    ref_loss = _reference_loss_and_grad(u, v, it, it1, cfg, weights)[0]
+    ref_loss = _reference_loss(u, v, it, it1, cfg, weights)
     assert total_loss(np.stack([u, v]), it, it1, cfg, weights) == ref_loss
 
 
@@ -465,7 +411,8 @@ def test_all_ones_mask_matches_no_mask():
     cfg = FlowSolverConfig()
     ones = np.ones(it.shape)
     assert total_loss(F, it, it1, cfg, None) == total_loss(F, it, it1, cfg, ones)
-    for a, b in zip(_gradient(F, it, it1, cfg, None), _gradient(F, it, it1, cfg, ones)):
+    for a, b in zip(_frozen_terms(F, it, it1, cfg, None), _frozen_terms(F, it, it1, cfg, ones),
+                    strict=True):
         assert a.tobytes() == b.tobytes()
     # a gate open at every pixel solves exactly as no event map does
     em = _events_everywhere(it.shape)
@@ -473,109 +420,6 @@ def test_all_ones_mask_matches_no_mask():
     uniform, uniform_loss = estimate_flow(None, it, it1, FlowSolverConfig(pyramid_levels=2))
     assert gated.u.tobytes() == uniform.u.tobytes() and gated.v.tobytes() == uniform.v.tobytes()
     assert gated_loss == uniform_loss
-
-
-# -- gradient -------------------------------------------------------------------
-
-
-def _fd_safe_instance(rng, shape=(8, 8)):
-    """Random instance whose loss is smooth around the evaluation point: every
-    sample lies inside the raster and off the pixel grid's lines."""
-    it = rng.random(shape)
-    it1 = rng.random(shape)
-    fracs = np.linspace(0.15, 0.45, 11)
-    ys, xs = np.mgrid[0:shape[0], 0:shape[1]]
-    # whole-pixel offsets that keep x + u in [0, w - 2] + fracs, and so for v
-    u = np.clip(rng.integers(-2, 3, shape), -xs, shape[1] - 2 - xs) + rng.choice(fracs, shape)
-    v = np.clip(rng.integers(-2, 3, shape), -ys, shape[0] - 2 - ys) + rng.choice(fracs, shape)
-    sampled, _ = warp(it1, np.stack([u, v]))
-    residual = it - sampled
-    it = it + np.where(np.abs(residual) < 8e-3, 0.05, 0.0)
-    return it, it1, np.stack([u, v])
-
-
-def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(99)
-    cfg = FlowSolverConfig()
-    it, it1, F = _fd_safe_instance(rng)
-    g = np.stack(_gradient(F, it, it1, cfg))
-    h = 1e-4
-    for c in range(2):
-        for i in range(8):
-            for j in range(8):
-                Fp = F.copy()
-                Fp[c, i, j] += h
-                Fm = F.copy()
-                Fm[c, i, j] -= h
-                fd = (total_loss(Fp, it, it1, cfg) - total_loss(Fm, it, it1, cfg)) / (2 * h)
-                assert abs(g[c, i, j] - fd) < 1e-3 * (1.0 + abs(g[c, i, j]))
-
-
-def test_gradient_with_weight_mask_matches_fd():
-    rng = np.random.default_rng(100)
-    cfg = FlowSolverConfig(charbonnier_eps=0.05)
-    it, it1, F = _fd_safe_instance(rng)
-    w = (rng.random((8, 8)) > 0.4).astype(np.float64)
-    gu, gv = _gradient(F, it, it1, cfg, w)
-    h = 1e-5
-    for c, i, j in [(0, 2, 3), (1, 5, 1), (0, 7, 7), (1, 0, 4)]:
-        Fp = F.copy()
-        Fp[c, i, j] += h
-        Fm = F.copy()
-        Fm[c, i, j] -= h
-        fd = (total_loss(Fp, it, it1, cfg, weight_mask=w)
-              - total_loss(Fm, it, it1, cfg, weight_mask=w)) / (2 * h)
-        g = gu if c == 0 else gv
-        assert abs(g[i, j] - fd) < 1e-4 * (1.0 + abs(g[i, j]))
-
-
-def test_gradient_zero_at_constructed_minimum():
-    # identical images at zero flow: photometric and smoothness both stationary
-    img = np.random.default_rng(101).random((8, 8))
-    cfg = FlowSolverConfig()
-    gu, gv = _gradient(_const_flow(img.shape, 0.0, 0.0), img, img, cfg)
-    assert np.abs(gu).max() < 1e-6 and np.abs(gv).max() < 1e-6
-
-
-def test_gradient_constant_images_reduces_to_smoothness():
-    cfg = FlowSolverConfig()
-    img = np.full((8, 8), 0.5)
-    rng = np.random.default_rng(102)
-    F = np.stack([rng.normal(size=(8, 8)), rng.normal(size=(8, 8))])
-    gu, gv = _gradient(F, img, img, cfg)
-    cfg_photo_only = FlowSolverConfig(alpha=0.0)
-    gu0, gv0 = _gradient(F, img, img, cfg_photo_only)
-    # photometric part vanishes (residual 0 -> rho'(0) = 0)
-    assert np.abs(gu0).max() < 1e-12 and np.abs(gv0).max() < 1e-12
-    ls = lambda f: cfg.alpha * _smoothness(f)
-    h = 1e-6
-    Fp = F.copy()
-    Fp[0, 3, 3] += h
-    Fm = F.copy()
-    Fm[0, 3, 3] -= h
-    assert gu[3, 3] == pytest.approx((ls(Fp) - ls(Fm)) / (2 * h), rel=1e-4)
-
-
-def test_descent_direction_outside_the_raster_is_the_clamped_interpolants_partial():
-    # A sample pushed past the right edge clamps there, so the loss is flat
-    # in that pixel's u and central differences see only the smoothness
-    # term.  The gradient still carries the photometric slope times
-    # the interpolant's x-partial at the clamped position.
-    rng = np.random.default_rng(111)
-    it, it1 = rng.random((6, 7)), rng.random((6, 7))
-    F = rng.normal(0, 0.3, (2, 6, 7))
-    F[0, 2, 6] = 1.3  # samples at x = 7.3; the raster ends at x = 6
-    cfg = FlowSolverConfig()
-    gu, _ = _gradient(F, it, it1, cfg)
-    h = 1e-6
-    Fp, Fm = F.copy(), F.copy()
-    Fp[0, 2, 6] += h
-    Fm[0, 2, 6] -= h
-    fd = (total_loss(Fp, it, it1, cfg) - total_loss(Fm, it, it1, cfg)) / (2 * h)
-    photometric = _reference_loss_and_grad(F[0], F[1], it, it1, FlowSolverConfig(alpha=0.0),
-                                           None)[1][2, 6]
-    assert abs(photometric) > 0.01
-    assert gu[2, 6] == pytest.approx(fd + photometric, rel=1e-6)
 
 
 # -- estimate_flow ----------------------------------------------------------------
@@ -693,14 +537,14 @@ def test_estimate_flow_reports_the_objective_it_minimised(monkeypatch):
     # the returned loss is level 0's: total_loss at the float64 flow the
     # solve ended on, under the event gate's weights
     ended = []
-    original = fl._solve_level
+    original = fl._Level.solve
 
-    def solve(ws, coarse, level):
-        uv, loss = original(ws, coarse, level)
-        ended.append((uv.copy(), loss))
-        return uv, loss
+    def solve(self):
+        loss = original(self)
+        ended.append((self.uv.copy(), loss))
+        return loss
 
-    monkeypatch.setattr(fl, "_solve_level", solve)
+    monkeypatch.setattr(fl._Level, "solve", solve)
     rng = np.random.default_rng(112)
     img0 = rng.random((24, 30))
     img1 = np.roll(img0, 1, axis=1)
@@ -1015,13 +859,17 @@ def test_downsample2_is_the_reshape_mean(shape):
 
 
 def test_estimate_flow_memory_is_bounded_in_rasters():
-    # Under uniform weighting every 1-D buffer of the photometric term is a
-    # raster of the finest level: the workspace holds 20 of them and 4 edge
-    # rasters, the level 18 (its raster flow, a warp's first flow, the parity
-    # classes' flow, edge weights and 5 frozen terms with their rings, sweep
-    # scratch and the terms' scatter index), and the coarser levels' images
-    # and weights about 2 more.  It read 44.5 on this raster with numpy 2.4;
-    # the bound leaves room for other numpy versions' temporaries.
+    # Under uniform weighting every 1-D array of the photometric term is a
+    # raster of the finest level.  The workspace holds 5 of them (the active
+    # indices, the pixel grid, I_t and the weights), and a loss keeps 10 more
+    # for the freeze: the footprint's corner index and offsets, the residual,
+    # its base and power, and 4 edge rasters of powers.  The level holds 18
+    # (its raster flow, a warp's first flow, the parity classes' flow, edge
+    # weights and 5 frozen terms with their rings, sweep scratch and the
+    # terms' scatter index), and the weights and the coarser levels' images
+    # and weights about 2 more; the rest are a loss's or a freeze's
+    # temporaries.  It read 42.9 on this raster with numpy 2.4; the bound
+    # leaves room for other numpy versions' temporaries.
     img0, img1 = _shifted_texture((192, 256), 1.3, -0.7, seed=124)
     raster = img0.nbytes
     estimate_flow(None, img0, img1)  # the pixel grid of the shape is cached
@@ -1088,8 +936,8 @@ def test_estimate_flow_divergence_at_gated_out_pixels():
 @pytest.mark.parametrize("fill", [1e200, -1e200, np.inf, np.nan, 0.0, 0.5])
 @pytest.mark.parametrize("alpha", [0.5, 0.0])
 def test_zero_weight_pixels_do_not_reach_the_objective(fill, alpha):
-    # whatever I_t holds at a pixel of weight 0, the loss and the gradient
-    # are those of any other value there, to the bit
+    # whatever I_t holds at a pixel of weight 0, the loss and the frozen
+    # system a solve reads are those of any other value there, to the bit
     rng = np.random.default_rng(109)
     shape = (16, 16)
     it, it1 = rng.random(shape), rng.random(shape)
@@ -1098,27 +946,37 @@ def test_zero_weight_pixels_do_not_reach_the_objective(fill, alpha):
     cfg = FlowSolverConfig(alpha=alpha)
     filled = np.where(weights == 0, fill, it)
     assert total_loss(flow, filled, it1, cfg, weights) == total_loss(flow, it, it1, cfg, weights)
-    for a, b in zip(_gradient(flow, filled, it1, cfg, weights),
-                    _gradient(flow, it, it1, cfg, weights)):
+    for a, b in zip(_frozen_terms(flow, filled, it1, cfg, weights),
+                    _frozen_terms(flow, it, it1, cfg, weights), strict=True):
         assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5.0])
-@pytest.mark.parametrize("entry", ["total_loss", "loss_gradient", "photometric_loss"])
-def test_bad_weight_mask_refused(entry, bad):
+@pytest.mark.parametrize("alpha", [0.5, 0.0])
+def test_bad_weight_mask_refused(alpha, bad):
     # a NaN or infinite weight made the loss NaN or inf, and a negative one
-    # rewarded a larger residual at its pixel; each entry names what is
-    # evaluated: the objective, its gradient, its photometric term
+    # rewarded a larger residual at its pixel; at alpha 0 the objective is
+    # the photometric term alone
     rng = np.random.default_rng(110)
     it, it1 = rng.random((6, 7)), rng.random((6, 7))
     flow = rng.normal(0, 0.5, (2, 6, 7))
     weights = np.ones((6, 7))
     weights[2, 3] = bad
-    cfg = FlowSolverConfig()
-    calls = {"total_loss": lambda: total_loss(flow, it, it1, cfg, weights),
-             "loss_gradient": lambda: _gradient(flow, it, it1, cfg, weights),
-             "photometric_loss": lambda: _photometric(flow, it, it1, weights)}
     with pytest.raises(ValueError, match="weight_mask"):
+        total_loss(flow, it, it1, FlowSolverConfig(alpha=alpha), weights)
+
+
+@pytest.mark.parametrize("cfg", [None, {"alpha": 0.5}], ids=["None", "dict"])
+@pytest.mark.parametrize("entry", ["estimate_flow", "total_loss"])
+def test_a_cfg_that_is_not_a_solver_config_is_refused(entry, cfg):
+    # cfg=None once failed inside with AttributeError: ... 'pyramid_levels'
+    # (estimate_flow) or ... 'charbonnier_eps' (total_loss); a dict of
+    # settings is not a config either
+    img = np.random.default_rng(115).random((16, 16))
+    calls = {"estimate_flow": lambda: estimate_flow(None, img, img, cfg),
+             "total_loss": lambda: total_loss(np.zeros((2, 16, 16)), img, img, cfg)}
+    message = f"^cfg must be a FlowSolverConfig, got {type(cfg).__name__}$"
+    with pytest.raises(TypeError, match=message):
         calls[entry]()
 
 
@@ -1155,12 +1013,6 @@ def test_estimate_flow_logs_each_level(monkeypatch, caplog):
     assert not caplog.records
 
 
-def test_estimate_flow_event_gated_requires_map():
-    img = np.zeros((16, 16))
-    flow, _ = estimate_flow(None, img, img)
-    assert flow.u.shape == (16, 16)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("which", ["img_t", "img_t1"])
 def test_estimate_flow_refuses_non_finite_pixels(which, bad):
@@ -1190,7 +1042,7 @@ def test_estimate_flow_event_gated_refuses_map_without_events():
         estimate_flow(empty, img0, img1)
     # without a map every pixel is weighed
     flow, loss = estimate_flow(None, img0, img1)
-    assert np.isfinite(loss)
+    assert flow.u.shape == flow.v.shape == (16, 16) and np.isfinite(loss)
 
 
 def test_solver_config_validation():

@@ -456,7 +456,8 @@ def _same_static_face(scene, now, then):
                                      f.yaw, f.t) for f in (now, then))
     samples = flow._sample_grid(now.flow_fwd.u.shape, now.flow_fwd.u.astype(np.float64),
                                 now.flow_fwd.v.astype(np.float64))
-    corners, _, _, inside = flow._footprint(cast_then.obj.astype(np.float64), *samples)
+    top_left, _, _, inside = flow._footprint(cast_then.obj.shape, *samples)
+    corners = flow._gather_corners(cast_then.obj.astype(np.float64), top_left)
     qualifies = inside & (cast_now.obj <= 5)
     for corner in corners:
         qualifies &= corner == cast_now.obj
@@ -519,7 +520,8 @@ def test_static_faces_keep_their_brightness_along_the_forward_flow(
     now, then = render_frame(scene, float(times[k])), render_frame(scene, float(times[k + 1]))
     cast_then, samples, qualifies = _same_static_face(scene, now, then)
     # the longest side of each sample's footprint, in metres on its face
-    tl, tr, bl, br = np.stack([flow._footprint(cast_then.points[..., axis], *samples)[0]
+    top_left = flow._footprint(cast_then.obj.shape, *samples, with_mask=False)[0]
+    tl, tr, bl, br = np.stack([flow._gather_corners(cast_then.points[..., axis], top_left)
                                for axis in range(3)], axis=-1)
     step = np.max([np.linalg.norm(a - b, axis=-1) for a, b in ((tr, tl), (bl, tl), (br, tr),
                                                                (br, bl))], axis=0)
