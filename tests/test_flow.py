@@ -1040,7 +1040,12 @@ def test_estimate_flow_event_gated_refuses_map_without_events():
     empty = accumulate_events(make_events([], [], [], []), (0.0, 1.0), 16, 16)
     with pytest.raises(ValueError, match="active pixel"):
         estimate_flow(empty, img0, img1)
-    # without a map every pixel is weighed
+
+
+def test_estimate_flow_event_gated_requires_map():
+    # event gating needs a map; without one (em=None) every pixel is weighed
+    rng = np.random.default_rng(107)
+    img0, img1 = rng.random((16, 16)), rng.random((16, 16))
     flow, loss = estimate_flow(None, img0, img1)
     assert flow.u.shape == flow.v.shape == (16, 16) and np.isfinite(loss)
 
