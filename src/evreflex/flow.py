@@ -23,7 +23,12 @@ Brox, Bruhn, Papenberg and Weickert (ECCV 2004), with no step size:
   freeze inverts the 2x2 blocks and applies the inverse to their constant
   terms once; the sweeps then only read those terms.  A singular block
   (every one at alpha = 0) takes its pseudo-inverse, the least-norm
-  solution.
+  solution.  The frozen system, its inverted terms and the flow the sweeps
+  relax are float32 (_SWEEP_DTYPE), which halves a sweep's time:
+  estimate_flow stores its flow as float32, and each warp freezes the
+  system again at the float64 flow, so float64 sweeps would compute digits
+  that neither keeps.  A system whose coefficients, or the products of
+  their inversion, overflow float32 is a divergence at its warp.
 - Safeguard.  A warp whose result raises the objective has its update
   halved until it does not (at most _HALVINGS times, after which the warp
   keeps the flow it started from), so the objective never rises from one
@@ -40,10 +45,14 @@ semaphores.  numpy's ufuncs release the interpreter lock over these bands,
 so the halves overlap; each cell gets the serial sweep's operations in the
 serial order, so the flow is the same to the bit.  Smaller levels, where a
 handover costs more than the overlap saves, and a process allowed one CPU
-sweep the four classes in turn on the calling thread.  The worker runs under
-the caller's numpy error state (np.errstate is per thread), an exception in
-its half is raised again in the caller, and it is joined before sweeps
-returns or raises.  It holds views of the level's buffers, not the level.
+sweep the four classes in turn on the calling thread.  In float32 a
+half-sweep over one 22,748-cell class band of a 346x260 level takes about
+80 us (170 us in float64), and the two threads still win there, by less:
+10 sweeps take 3.5 ms against 3.95 ms on one thread (5.7 against 9.1 ms in
+float64), on a 2-core host.  The worker runs under the caller's numpy
+error state (np.errstate is per thread), an exception in its half is raised
+again in the caller, and it is joined before sweeps returns or raises.  It
+holds views of the level's buffers, not the level.
 
 One kernel evaluates the objective: a `_Workspace` holds the photometric
 term's inputs for one raster shape, and its `loss` evaluates l_f at a flow as
@@ -74,7 +83,7 @@ non-negative.  The solve reports each level (active pixels, warps, safeguard
 halvings, the loss at the start and after each warp) at DEBUG level on the
 "evreflex.flow" logger.
 
-All internal arithmetic runs in float64.
+All internal arithmetic runs in float64, except the sweeps' (above).
 """
 from __future__ import annotations
 
@@ -150,7 +159,8 @@ class SolverDivergenceError(RuntimeError):
     """The solve met a non-finite loss, linearised system or flow.
 
     warp is 0 for a level's starting loss and counts the level's warps from
-    1; loss is inf when the warp's system or flow was not finite.
+    1; loss is inf when the warp's system or flow was not finite (the system
+    in the sweeps' float32).
     """
 
     def __init__(self, level: int, warp: int, loss: float):
@@ -441,6 +451,8 @@ _WARPS = 2  # outer warps per pyramid level
 _SWEEPS = 10  # red-black SOR sweeps on each warp's frozen system
 _OMEGA = 1.8  # the sweeps' over-relaxation factor
 _HALVINGS = 10  # the safeguard halves a warp's update at most this often
+# the frozen system and the flow the sweeps relax (see the module docstring)
+_SWEEP_DTYPE = np.float32
 # The red pixels (x + y even) are the parity classes (row, column) = (0, 0)
 # and (1, 1); the black ones (0, 1) and (1, 0).
 _RED_BLACK = ((0, 0), (1, 1), (0, 1), (1, 0))
@@ -591,10 +603,11 @@ class _Level:
                     target = self.uv[:, dy::2, dx::2]
                     np.multiply(coarse[:, :target.shape[1], :target.shape[2]], 2.0, out=target)
         self.start = np.empty((2, h, w))  # a warp's first flow; I_t1's derivatives in a freeze
-        self.flow, self.left, self.up = (np.zeros((2, 2, 2, grid)) for _ in range(3))
-        self.terms = np.empty((5, 2, 2, grid))
+        self.flow, self.left, self.up = (np.zeros((2, 2, 2, grid), _SWEEP_DTYPE)
+                                         for _ in range(3))
+        self.terms = np.empty((5, 2, 2, grid), _SWEEP_DTYPE)
         first, end = row + 1, hc * row + wc + 1
-        self.sums, self.tmp = np.empty((2, 2, end - first))
+        self.sums, self.tmp = np.empty((2, 2, end - first), _SWEEP_DTYPE)
 
         def band(a, py, px, offset=0):
             return a[py, px, :, first + offset:end + offset]
@@ -627,55 +640,62 @@ class _Level:
 
     def freeze(self) -> bool:
         """Freeze the system at the flow of the workspace's last loss and
-        invert its blocks into terms; False if its data term is not finite."""
+        invert its blocks into terms; False if a coefficient of the system or
+        of its inversion is not finite in _SWEEP_DTYPE."""
         ws, sums, tmp = self.ws, self.sums, self.tmp
         _image_gradient(ws.it1, self.start)
         data, edges = ws.freeze(*self.uv, *self.start)
-        if not all(np.isfinite(d).all() for d in data):
-            return False
-        # the block in the adjugate's order, a22 first, then its constant terms
-        self.terms.fill(0.0)
-        for term, values in zip(self.terms, (data[1], data[0], *data[2:])):
-            term.reshape(-1)[self.index] = values
-        for c, channel in enumerate(edges):  # none at alpha = 0: the edges stay 0
+        # A float64 coefficient past _SWEEP_DTYPE's range casts to inf, and the
+        # inversion's products can overflow where float64's would not; inf
+        # then spreads as inf or nan, so the checks below refuse the system
+        # and nothing here warns.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the block in the adjugate's order, a22 first, then its constant terms
+            self.terms.fill(0.0)
+            for term, values in zip(self.terms, (data[1], data[0], *data[2:])):
+                term.reshape(-1)[self.index] = values
+            for c, channel in enumerate(edges):  # none at alpha = 0: the edges stay 0
+                for parity in self.classes:
+                    for edge, (source, target) in zip(channel, parity.edges):
+                        np.copyto(target[c], edge[source])
             for parity in self.classes:
-                for edge, (source, target) in zip(channel, parity.edges):
-                    np.copyto(target[c], edge[source])
-        for parity in self.classes:
-            weights, terms = parity.weights, parity.terms
-            # sums: each channel's summed edge weights (S_u, S_v), then the
-            # determinant S_u * a22 + j11 * S_v, free of the cancellation in
-            # a11 * a22 - a12^2
-            np.add(weights[0], weights[1], out=sums)
-            sums += weights[2]
-            sums += weights[3]
-            terms[0] += sums[1]
-            sums[1] *= terms[1]
-            terms[1] += sums[0]
-            sums[0] *= terms[0]
-            det = np.add(sums[0], sums[1], out=sums[0])
-            singular = np.flatnonzero(det == 0)  # the ring's cells among them
-            block = terms[:, singular]
-            det[singular] = np.inf  # their terms are set below
-            scale = np.divide(_OMEGA, det, out=det)
-            terms[:3] *= scale
-            np.negative(terms[2], out=terms[2])
-            np.multiply(terms[2], terms[4], out=sums[1])
-            np.multiply(terms[0], terms[3], out=tmp[0])
-            tmp[0] += sums[1]
-            np.multiply(terms[2], terms[3], out=sums[1])
-            terms[4] *= terms[1]
-            terms[4] += sums[1]
-            np.copyto(terms[3], tmp[0])
-            # a rank-1 block a = lambda e e^T has the pseudo-inverse a / tr(a)^2
-            a22, a11, a12, cu, cv = block
-            trace = a11 + a22
-            positive = trace > 0
-            scale = np.divide(_OMEGA, trace, out=np.zeros_like(trace), where=positive)
-            np.divide(scale, trace, out=scale, where=positive)
-            p11, p22, p12 = a11 * scale, a22 * scale, a12 * scale
-            terms[:, singular] = p11, p22, p12, p11 * cu + p12 * cv, p12 * cu + p22 * cv
-        return True
+                weights, terms = parity.weights, parity.terms
+                # sums: each channel's summed edge weights (S_u, S_v), then the
+                # determinant S_u * a22 + j11 * S_v, free of the cancellation in
+                # a11 * a22 - a12^2
+                np.add(weights[0], weights[1], out=sums)
+                sums += weights[2]
+                sums += weights[3]
+                terms[0] += sums[1]
+                sums[1] *= terms[1]
+                terms[1] += sums[0]
+                sums[0] *= terms[0]
+                det = np.add(sums[0], sums[1], out=sums[0])
+                # an infinite determinant would scale its block to 0
+                if not np.isfinite(det).all():
+                    return False
+                singular = np.flatnonzero(det == 0)  # the ring's cells among them
+                block = terms[:, singular]
+                det[singular] = np.inf  # their terms are set below
+                scale = np.divide(_OMEGA, det, out=det)
+                terms[:3] *= scale
+                np.negative(terms[2], out=terms[2])
+                np.multiply(terms[2], terms[4], out=sums[1])
+                np.multiply(terms[0], terms[3], out=tmp[0])
+                tmp[0] += sums[1]
+                np.multiply(terms[2], terms[3], out=sums[1])
+                terms[4] *= terms[1]
+                terms[4] += sums[1]
+                np.copyto(terms[3], tmp[0])
+                # a rank-1 block a = lambda e e^T has the pseudo-inverse a / tr(a)^2
+                a22, a11, a12, cu, cv = block
+                trace = a11 + a22
+                positive = trace > 0
+                scale = np.divide(_OMEGA, trace, out=np.zeros_like(trace), where=positive)
+                np.divide(scale, trace, out=scale, where=positive)
+                p11, p22, p12 = a11 * scale, a22 * scale, a12 * scale
+                terms[:, singular] = p11, p22, p12, p11 * cu + p12 * cv, p12 * cu + p22 * cv
+        return bool(np.isfinite(self.terms).all())
 
     def sweeps(self, count: int) -> None:
         """count sweeps on the frozen system, from uv and back into it: the

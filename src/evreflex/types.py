@@ -35,6 +35,9 @@ width or a height beside it.
 *Arithmetic* on stored values runs in float64: consumers (flow solver, TTI
 estimators, metrics, policy) read a raster through ``_float64`` before they
 compute, and results that are stored again are rounded back to float32.
+The one exception is the flow solver's linear sweeps, which relax each
+warp's frozen system in float32 (see ``flow``); its objective, safeguard
+and reported loss stay float64.
 
 Boundary checks.  Each input rule is written once here, and every boundary
 calls it: ``_check_positive`` (numbers that are positive and finite),

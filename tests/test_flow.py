@@ -669,25 +669,60 @@ def _swept(monkeypatch, shape, weighting, seed, sweeps):
     return level, flow, system
 
 
+# The sweeps run on a float32 system (fl._SWEEP_DTYPE).  The oracle tests
+# patch it to float64, where the kernel's algebra matches the reference to
+# 1e-12.  The sweep and the converged system also have float32 twins, each
+# bounded by a few float32 epsilons of the reference's scale.
+_EPS32 = float(np.finfo(np.float32).eps)
+
+
 @pytest.mark.parametrize("weighting", ["uniform", "event_gated", "single_pixel"])
 def test_red_black_sweep_equals_double_loop_sor(weighting, monkeypatch):
+    monkeypatch.setattr(fl, "_SWEEP_DTYPE", np.float64)
     # odd sides leave cells past the raster in two of the four parity classes
     level, flow, system = _swept(monkeypatch, (7, 9), weighting, 120, 3)
     # the kernel applies each block's inverse, the reference solves each block
     np.testing.assert_allclose(level.uv, _reference_sor(flow, system, 3), rtol=1e-12, atol=1e-12)
 
 
-def test_converged_freeze_satisfies_every_pixels_system(monkeypatch):
-    level, _, system = _swept(monkeypatch, (12, 15), "event_gated", 121, 400)
+@pytest.mark.parametrize("weighting", ["uniform", "event_gated", "single_pixel"])
+def test_float32_red_black_sweep_is_double_loop_sor_to_rounding(weighting, monkeypatch):
+    # the flow (|reference| <= 1.04) read at most 8.7 eps * |reference| off
+    level, flow, system = _swept(monkeypatch, (7, 9), weighting, 120, 3)
+    expected = _reference_sor(flow, system, 3)
+    assert np.abs(level.uv - expected).max() <= 32 * _EPS32 * np.abs(expected).max()
+
+
+def _equation_residuals(uv, system):
+    """Each pixel's two equations at the flow uv: their residuals, and the
+    largest magnitude among the four terms of each."""
     j11, j12, j22, cu, cv, right, down = system
-    u, v = level.uv
-    for y in range(12):
-        for x in range(15):
-            weights, sums = _neighbour_sums(level.uv, right, down, y, x)
-            assert abs((j11[y, x] + weights[0]) * u[y, x] + j12[y, x] * v[y, x]
-                       - cu[y, x] - sums[0]) < 1e-10
-            assert abs(j12[y, x] * u[y, x] + (j22[y, x] + weights[1]) * v[y, x]
-                       - cv[y, x] - sums[1]) < 1e-10
+    u, v = uv
+    residuals, scales = [], []
+    for y in range(uv.shape[1]):
+        for x in range(uv.shape[2]):
+            weights, sums = _neighbour_sums(uv, right, down, y, x)
+            for terms in (((j11[y, x] + weights[0]) * u[y, x], j12[y, x] * v[y, x],
+                           -cu[y, x], -sums[0]),
+                          (j12[y, x] * u[y, x], (j22[y, x] + weights[1]) * v[y, x],
+                           -cv[y, x], -sums[1])):
+                residuals.append(abs(sum(terms)))
+                scales.append(max(map(abs, terms)))
+    return np.array(residuals), np.array(scales)
+
+
+def test_converged_freeze_satisfies_every_pixels_system(monkeypatch):
+    monkeypatch.setattr(fl, "_SWEEP_DTYPE", np.float64)
+    level, _, system = _swept(monkeypatch, (12, 15), "event_gated", 121, 400)
+    residuals, _ = _equation_residuals(level.uv, system)
+    assert residuals.max() < 1e-10
+
+
+def test_converged_float32_freeze_satisfies_every_pixels_system_to_rounding(monkeypatch):
+    # the residuals read at most 0.67 eps of the largest term, 42.1 here
+    level, _, system = _swept(monkeypatch, (12, 15), "event_gated", 121, 400)
+    residuals, scales = _equation_residuals(level.uv, system)
+    assert residuals.max() <= 8 * _EPS32 * scales.max()
 
 
 def test_two_thread_sweeps_give_the_one_cpu_flow_to_the_bit(monkeypatch):
@@ -759,6 +794,7 @@ def _in_the_worker() -> bool:
 
 @pytest.mark.parametrize("side", ["worker", "caller"])
 def test_a_failed_half_sweep_raises_in_the_caller_and_joins_the_worker(side, monkeypatch):
+    monkeypatch.setattr(fl, "_SWEEP_DTYPE", np.float64)
     level, flow, system = _frozen_level((7, 9), "uniform", seed=126)
     seen = _sweep_threads(monkeypatch, 2)
     recording = fl._half_sweep
@@ -863,13 +899,14 @@ def test_estimate_flow_memory_is_bounded_in_rasters():
     # raster of the finest level.  The workspace holds 5 of them (the active
     # indices, the pixel grid, I_t and the weights), and a loss keeps 10 more
     # for the freeze: the footprint's corner index and offsets, the residual,
-    # its base and power, and 4 edge rasters of powers.  The level holds 18
-    # (its raster flow, a warp's first flow, the parity classes' flow, edge
-    # weights and 5 frozen terms with their rings, sweep scratch and the
-    # terms' scatter index), and the weights and the coarser levels' images
-    # and weights about 2 more; the rest are a loss's or a freeze's
-    # temporaries.  It read 42.9 on this raster with numpy 2.4; the bound
-    # leaves room for other numpy versions' temporaries.
+    # its base and power, and 4 edge rasters of powers.  The level holds
+    # 11.5: its raster flow and a warp's first flow (4), the terms' scatter
+    # index (1), and in float32 the parity classes' flow, edge weights and 5
+    # frozen terms with their rings and the sweep scratch (6.5).  The weights
+    # and the coarser levels' images and weights hold about 2 more; the rest
+    # are a loss's or a freeze's temporaries.  It read 36.7 on this raster
+    # with numpy 2.4 (42.9 with a float64 system); the bound leaves room for
+    # other numpy versions' temporaries.
     img0, img1 = _shifted_texture((192, 256), 1.3, -0.7, seed=124)
     raster = img0.nbytes
     estimate_flow(None, img0, img1)  # the pixel grid of the shape is cached
@@ -931,6 +968,64 @@ def test_estimate_flow_divergence_at_gated_out_pixels():
     with pytest.raises(SolverDivergenceError) as err, np.errstate(over="ignore"):
         estimate_flow(em, img0, img1, FlowSolverConfig(pyramid_levels=1))
     assert (err.value.level, err.value.warp, err.value.loss) == (0, 1, np.inf)
+
+
+@pytest.mark.parametrize("scale", [1e15, 1e100])
+def test_a_system_past_float32s_range_is_a_divergence_not_a_warning(scale, monkeypatch):
+    # float64 solves both.  At x1e100 the data term's coefficients overflow
+    # float32 in the freeze's cast; at x1e15 they fit (up to about 4e27), and
+    # the block inversion's products overflow.  The freeze refuses either
+    # system, and the solve reports the level and warp, with no warning.
+    img0, img1 = _shifted_texture((24, 32), 1.3, -0.7, seed=128)
+    frozen = []
+    original = fl._Level.freeze
+
+    def freeze(self):
+        frozen.append(original(self))
+        return frozen[-1]
+
+    monkeypatch.setattr(fl._Level, "freeze", freeze)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverDivergenceError) as err:
+            estimate_flow(None, scale * img0, scale * img1)
+    assert frozen[-1] is False and err.value.warp >= 1 and err.value.loss == np.inf
+    assert f"level {err.value.level}, warp {err.value.warp}" in str(err.value)
+
+
+def test_a_block_whose_determinant_overflows_float32_is_refused(monkeypatch):
+    # Its coefficients fit float32 but its determinant does not: scaled by
+    # _OMEGA / inf, the block would read 0 and its pixel relax towards 0
+    # with no error.
+    level = _frozen_level((7, 9), "uniform", seed=133)[0]
+    original = fl._Workspace.freeze
+
+    def freeze(self, *args):
+        data, edges = original(self, *args)
+        for coefficient in data[:3]:
+            coefficient[10] = 3e38  # the rank-1 block of the gradient (1, 1)
+        return data, edges
+
+    monkeypatch.setattr(fl._Workspace, "freeze", freeze)
+    level.ws.loss(*level.uv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert level.freeze() is False
+
+
+@pytest.mark.parametrize("intensity", [1.0, 255.0])
+def test_float32_sweeps_stay_within_the_float64_solve(intensity, monkeypatch):
+    # The same solve on a float64 system, at unit and at 8-bit intensities.
+    # At x255 the mean distance read 5.3e-5 px and the largest 6.6e-3 px, at
+    # a pixel whose data term outweighs its edges so far that its update
+    # cancels; at x1 both read under 2e-7 px.
+    img0, img1 = (intensity * img for img in _shifted_texture((96, 128), 2.3, -1.4, seed=131))
+    single, single_loss = estimate_flow(None, img0, img1)
+    monkeypatch.setattr(fl, "_SWEEP_DTYPE", np.float64)
+    double, double_loss = estimate_flow(None, img0, img1)
+    distance = np.hypot(single.u - double.u, single.v - double.v)
+    assert distance.mean() <= 1e-4 and distance.max() <= 0.02
+    assert abs(single_loss - double_loss) <= 1e-5 * double_loss
 
 
 @pytest.mark.parametrize("fill", [1e200, -1e200, np.inf, np.nan, 0.0, 0.5])
