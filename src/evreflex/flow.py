@@ -34,25 +34,45 @@ Brox, Bruhn, Papenberg and Weickert (ECCV 2004), with no step size:
   keeps the flow it started from), so the objective never rises from one
   warp to the next within a level.
 
-The two parity classes of one colour share no output: each writes only its
-own cells, and reads the other colour's flow and its own weights and terms.
-So when a level's class grids hold at least _THREADED_CELLS cells and
-os.sched_getaffinity allows the process two CPUs or more, each half-sweep
-runs its two classes at once: the calling thread sweeps one and a worker
-thread, started for that sweeps call, the other, each with scratch of its
-own, and the two hand over once per half-sweep through a pair of
-semaphores.  numpy's ufuncs release the interpreter lock over these bands,
-so the halves overlap; each cell gets the serial sweep's operations in the
-serial order, so the flow is the same to the bit.  Smaller levels, where a
-handover costs more than the overlap saves, and a process allowed one CPU
-sweep the four classes in turn on the calling thread.  In float32 a
-half-sweep over one 22,748-cell class band of a 346x260 level takes about
-80 us (170 us in float64), and the two threads still win there, by less:
-10 sweeps take 3.5 ms against 3.95 ms on one thread (5.7 against 9.1 ms in
-float64), on a 2-core host.  The worker runs under the caller's numpy
-error state (np.errstate is per thread), an exception in its half is raised
-again in the caller, and it is joined before sweeps returns or raises.  It
-holds views of the level's buffers, not the level.
+A level whose class grids hold at least _THREADED_CELLS cells, in a
+process that os.sched_getaffinity allows two CPUs or more, solves on two
+threads: its solve opens one worker thread for the whole level, and each
+stage hands the worker one half and runs the other on the calling thread.
+numpy's ufuncs release the interpreter lock over these arrays, so the
+halves overlap.
+- Loss: the worker takes u's edge powers and their sum, the caller the
+  photometric term and v's.  The caller adds the terms in the serial order
+  (photometric, u, v), so the loss is the same to the bit.
+- Freeze: the worker takes I_t1's d/dy, its sample at the footprint and u's
+  edge weights, the caller d/dx, its sample and v's; the rest of the
+  freeze runs on the caller.
+- Sweeps: the two parity classes of one colour share no output (each
+  writes only its own cells, and reads the other colour's flow and its own
+  weights and terms), so each half-sweep runs its two classes at once, the
+  worker's with scratch of its own.  Each cell gets the serial sweep's
+  operations in the serial order, so the flow is the same to the bit.
+The threads hand over once per stage half (a half-sweep is one) through a
+pair of semaphores, at about 16 us a handover on a 2-core host.  Smaller
+levels and a process allowed one CPU run the same halves in turn on the
+calling thread.  The threshold is the break-even of a whole level on a
+2-core host: level-0 solves of central crops of the tools/chain_digest.py
+346x260 scene, from zero flow, summed over its pairs 1-10 (fastest of 7):
+
+    raster    cells per class grid   one thread   two threads
+    192x256         12,740             103.0 ms     108.4 ms
+    208x256         13,780             109.7 ms     111.2 ms
+    216x256         14,300             115.1 ms     113.4 ms
+    224x256         14,820             117.9 ms     116.9 ms
+    240x256         15,860             126.2 ms     121.7 ms
+    256x256         16,900             134.6 ms     126.7 ms
+    260x346         23,100             183.9 ms     158.0 ms
+
+So at 346x260 level 0 takes two threads and level 1 (5,963 cells) one.  The
+worker runs under the numpy error state that the calling thread had when
+the level opened it (np.errstate is per thread), an exception in its half
+is raised again in the caller, and it is joined before the solve returns
+or raises; a level's freeze or sweeps called outside a solve opens one for
+that call.  It holds views of the level's buffers, not the level.
 
 One kernel evaluates the objective: a `_Workspace` holds the photometric
 term's inputs for one raster shape, and its `loss` evaluates l_f at a flow as
@@ -87,6 +107,7 @@ All internal arithmetic runs in float64, except the sweeps' (above).
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
@@ -344,6 +365,75 @@ def _edge_bases(channel, ahead, behind, eps: float) -> np.ndarray:
     return d
 
 
+def _edge_powers(channel, eps: float, ca: float):
+    """The Charbonnier powers of the flow channel's differences, horizontal
+    then vertical (as _EDGES), and their sum."""
+    across, down = (_charbonnier_power(_edge_bases(channel, ahead, behind, eps), ca)
+                    for ahead, behind in _EDGES)
+    return (across, down), float(np.sum(across) + np.sum(down))
+
+
+class _Worker:
+    """A thread that runs tasks handed over by the thread that opened it,
+    one at a time: run(task, own) runs task there and own here at once.
+
+    The two hand over through a pair of semaphores: run releases go before
+    own and acquires done after it, and the worker acquires go before a
+    task and releases done after it.  The tasks run under the numpy error
+    state that the opening thread had when it opened the worker (np.errstate
+    is per thread), and a task's exception is raised again by its run.
+    close() ends the thread and joins it.
+    """
+
+    def __init__(self):
+        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._task = self._outcome = None
+        errstate = dict(np.geterr(), call=np.geterrcall())
+        self._thread = threading.Thread(target=self._serve, args=(errstate,),
+                                        name="evreflex-sweep")
+        self._thread.start()
+
+    def _serve(self, errstate) -> None:
+        with np.errstate(**errstate):
+            while True:
+                self._go.acquire()
+                task, self._task = self._task, None
+                if task is None:
+                    return
+                try:
+                    self._outcome = task(), None
+                except BaseException as exc:  # raised again in the calling thread
+                    self._outcome = None, exc
+                task = None
+                self._done.release()
+
+    def run(self, task, own):
+        """(task(), own()), task on the worker and own on this thread; returns
+        once both have ended, and raises own's exception, else task's."""
+        self._task = task
+        self._go.release()
+        try:
+            mine = own()
+        finally:
+            self._done.acquire()
+            (theirs, failure), self._outcome = self._outcome, None
+        if failure is not None:
+            raise failure
+        return theirs, mine
+
+    def close(self) -> None:
+        self._go.release()  # with no task: the worker returns
+        self._thread.join()
+
+
+def _at_once(worker: Optional[_Worker], first, second):
+    """(first(), second()): first on the worker while second runs here, or
+    both here in turn when worker is None."""
+    if worker is None:
+        return first(), second()
+    return worker.run(first, second)
+
+
 class _Workspace:
     """The objective's kernel for one raster shape.
 
@@ -362,6 +452,9 @@ class _Workspace:
                 f"shape mismatch: images {it.shape}/{it1.shape}, flow {shape}"
             )
         self.shape, self.it1, self.cfg = shape, it1, cfg
+        # the _Worker that loss and freeze split their stages with, while a
+        # level holds one open; None runs both halves on this thread
+        self.worker = None
         weights = _weights(shape, weights)
         self.active = np.flatnonzero(weights)
         self.pixels = self.active.size
@@ -379,24 +472,33 @@ class _Workspace:
 
     def loss(self, u: np.ndarray, v: np.ndarray) -> float:
         """l_f at (u, v); a sample outside the raster reads I_t1 at its
-        clamped position."""
+        clamped position.
+
+        With a worker, it takes u's edge powers while this thread takes
+        the photometric term and v's; the terms add in the serial order."""
         cfg = self.cfg
+        if cfg.alpha == 0:
+            self.edges = []
+            return self._photometric(u, v)
         eps, ca = cfg.charbonnier_eps, cfg.charbonnier_alpha
+        (u_edges, u_sum), (loss, (v_edges, v_sum)) = _at_once(
+            self.worker, functools.partial(_edge_powers, u, eps, ca),
+            lambda: (self._photometric(u, v), _edge_powers(v, eps, ca)))
+        loss += cfg.alpha * u_sum
+        loss += cfg.alpha * v_sum
+        # each flow channel's edge powers, horizontal then vertical (as _EDGES)
+        self.edges = [u_edges, v_edges]
+        return loss
+
+    def _photometric(self, u: np.ndarray, v: np.ndarray) -> float:
+        """l_p at (u, v), keeping its footprint, residual, base and power."""
+        eps, ca = self.cfg.charbonnier_eps, self.cfg.charbonnier_alpha
         self.footprint = _footprint(self.shape, self.grid_x + self._gather(u),
                                     self.grid_y + self._gather(v), with_mask=False)[:3]
         self.residual = self.it - self._sample(self.it1)
         self.base = self.residual * self.residual + eps * eps
         self.power = _charbonnier_power(self.base, ca)
-        loss = float(np.sum(self.power * self.weights))
-        # each flow channel's edge powers, horizontal then vertical (as _EDGES)
-        self.edges = []
-        if cfg.alpha > 0:
-            for channel in (u, v):
-                across, down = (_charbonnier_power(_edge_bases(channel, ahead, behind, eps), ca)
-                                for ahead, behind in _EDGES)
-                loss += cfg.alpha * float(np.sum(across) + np.sum(down))
-                self.edges.append((across, down))
-        return loss
+        return float(np.sum(self.power * self.weights))
 
     def _sample(self, raster: np.ndarray) -> np.ndarray:
         """raster at the last loss's sample positions, through the footprint
@@ -414,10 +516,20 @@ class _Workspace:
         psi * (gx^2, gy^2, gx gy) and its constant terms psi * (gx, gy) * q,
         where q = I_t - I_t1(i + F) + gx * u + gy * v.  The edge weights are
         alpha * b^(a - 1), per flow channel a horizontal and a vertical array
-        (as _EDGES); none at alpha = 0.
+        (as _EDGES); none at alpha = 0.  With a worker, it samples gy and
+        turns u's edge powers into weights while this thread does gx and v's.
         """
         cfg = self.cfg
-        sx, sy = self._sample(gx), self._sample(gy)
+
+        def sample(raster, channel, powers):
+            for power, (ahead, behind) in zip(powers, _EDGES):
+                power /= _edge_bases(channel, ahead, behind, cfg.charbonnier_eps)
+                power *= cfg.alpha
+            return self._sample(raster)
+
+        u_edges, v_edges = self.edges or ((), ())
+        sy, sx = _at_once(self.worker, functools.partial(sample, gy, u, u_edges),
+                          functools.partial(sample, gx, v, v_edges))
         psi = self.power
         psi /= self.base
         psi *= self.weights
@@ -431,10 +543,6 @@ class _Workspace:
         sy *= ty
         tx *= q
         ty *= q
-        for channel, powers in zip((u, v), self.edges):
-            for power, (ahead, behind) in zip(powers, _EDGES):
-                power /= _edge_bases(channel, ahead, behind, cfg.charbonnier_eps)
-                power *= cfg.alpha
         return (sx, sy, cross, tx, ty), self.edges
 
 
@@ -456,22 +564,21 @@ _SWEEP_DTYPE = np.float32
 # The red pixels (x + y even) are the parity classes (row, column) = (0, 0)
 # and (1, 1); the black ones (0, 1) and (1, 0).
 _RED_BLACK = ((0, 0), (1, 1), (0, 1), (1, 0))
-# a level sweeps on two threads from this many cells per class grid: below
-# it a handover costs more than the overlap saves (see the module docstring)
-_THREADED_CELLS = 10_000
+# a level solves on two threads from this many cells per class grid: below
+# it the handovers cost more than the overlap saves (see the module docstring)
+_THREADED_CELLS = 14_000
 
 
-def _image_gradient(img: np.ndarray, out: np.ndarray) -> None:
-    """np.gradient's derivatives of img, bit for bit: d/dx into out[0] and d/dy
-    into out[1], 0 along an axis of length 1."""
-    for g, a in ((out[0], img), (out[1].T, img.T)):
-        if a.shape[1] == 1:
-            g.fill(0.0)
-            continue
-        np.subtract(a[:, 2:], a[:, :-2], out=g[:, 1:-1])
-        g[:, 1:-1] /= 2.0
-        np.subtract(a[:, 1:2], a[:, :1], out=g[:, :1])
-        np.subtract(a[:, -1:], a[:, -2:-1], out=g[:, -1:])
+def _derivative(a: np.ndarray, out: np.ndarray) -> None:
+    """np.gradient's derivative of a along its rows into out, bit for bit: 0
+    when a has one column.  Transposed, a and out give d/dy."""
+    if a.shape[1] == 1:
+        out.fill(0.0)
+        return
+    np.subtract(a[:, 2:], a[:, :-2], out=out[:, 1:-1])
+    out[:, 1:-1] /= 2.0
+    np.subtract(a[:, 1:2], a[:, :1], out=out[:, :1])
+    np.subtract(a[:, -1:], a[:, -2:-1], out=out[:, -1:])
 
 
 class _Parity(NamedTuple):
@@ -506,52 +613,6 @@ def _half_sweep(parity: _Parity, sums: np.ndarray, tmp: np.ndarray) -> None:
 def _two_cpus() -> bool:
     """Whether this process may run on at least two CPUs."""
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-
-
-def _paired_sweeps(classes, count: int, sums: np.ndarray, tmp: np.ndarray) -> None:
-    """count sweeps over classes (in _RED_BLACK's order) with each colour's two
-    classes swept at once: this thread sweeps the first with sums and tmp, a
-    worker thread the second with scratch of its own.
-
-    A half-sweep starts once both threads have ended the last one: this
-    thread releases go before its class and acquires done after it, and the
-    worker does the reverse.  The worker runs under this thread's numpy error
-    state, its exception is raised here, and it is joined before return.
-    """
-    go, done = threading.Semaphore(0), threading.Semaphore(0)
-    failed = []
-    stop = False
-    errstate = dict(np.geterr(), call=np.geterrcall())
-    own_sums, own_tmp = np.empty_like(sums), np.empty_like(tmp)
-
-    def work():
-        try:
-            with np.errstate(**errstate):
-                for _ in range(count):
-                    for parity in classes[1::2]:
-                        go.acquire()
-                        if stop:
-                            return
-                        _half_sweep(parity, own_sums, own_tmp)
-                        done.release()
-        except BaseException as exc:  # raised again in the calling thread
-            failed.append(exc)
-            done.release()
-
-    worker = threading.Thread(target=work, name="evreflex-sweep")
-    worker.start()
-    try:
-        for _ in range(count):
-            for parity in classes[0::2]:
-                go.release()
-                _half_sweep(parity, sums, tmp)
-                done.acquire()
-                if failed:
-                    raise failed[0]
-    finally:
-        stop = True
-        go.release()
-        worker.join()
 
 
 class _Level:
@@ -638,13 +699,32 @@ class _Level:
                  (np.s_[1 - py::2, px::2], pixels(self.up)[:, 1 - py:])),
             ))
 
+    @contextlib.contextmanager
+    def _paired(self):
+        """Open a worker on the workspace for the block when the class grids
+        hold at least _THREADED_CELLS cells and two CPUs are allowed, unless
+        one is open already; it is closed and joined when the block ends."""
+        ws = self.ws
+        if ws.worker is not None or self.flow.shape[-1] < _THREADED_CELLS or not _two_cpus():
+            yield
+            return
+        worker = ws.worker = _Worker()
+        try:
+            yield
+        finally:
+            ws.worker = None
+            worker.close()
+
     def freeze(self) -> bool:
         """Freeze the system at the flow of the workspace's last loss and
         invert its blocks into terms; False if a coefficient of the system or
         of its inversion is not finite in _SWEEP_DTYPE."""
         ws, sums, tmp = self.ws, self.sums, self.tmp
-        _image_gradient(ws.it1, self.start)
-        data, edges = ws.freeze(*self.uv, *self.start)
+        with self._paired():
+            # I_t1's derivatives, d/dx into start[0] and d/dy into start[1]
+            _at_once(ws.worker, functools.partial(_derivative, ws.it1.T, self.start[1].T),
+                     functools.partial(_derivative, ws.it1, self.start[0]))
+            data, edges = ws.freeze(*self.uv, *self.start)
         # A float64 coefficient past _SWEEP_DTYPE's range casts to inf, and the
         # inversion's products can overflow where float64's would not; inf
         # then spreads as inf or nan, so the checks below refuse the system
@@ -699,16 +779,24 @@ class _Level:
 
     def sweeps(self, count: int) -> None:
         """count sweeps on the frozen system, from uv and back into it: the
-        classes in _RED_BLACK's order, or each colour's two at once on two
-        threads when the class grids are large and two CPUs are allowed."""
+        classes in _RED_BLACK's order, or with a worker each colour's two at
+        once, the second on the worker with scratch of its own."""
         for parity in self.classes:
             np.copyto(parity.cells, parity.raster)
-        if self.flow.shape[-1] >= _THREADED_CELLS and _two_cpus():
-            _paired_sweeps(self.classes, count, self.sums, self.tmp)
-        else:
-            for _ in range(count):
-                for parity in self.classes:
-                    _half_sweep(parity, self.sums, self.tmp)
+        with self._paired():
+            worker = self.ws.worker
+            if worker is None:
+                for _ in range(count):
+                    for parity in self.classes:
+                        _half_sweep(parity, self.sums, self.tmp)
+            else:
+                sums, tmp = np.empty_like(self.sums), np.empty_like(self.tmp)
+                halves = [(functools.partial(_half_sweep, theirs, sums, tmp),
+                           functools.partial(_half_sweep, mine, self.sums, self.tmp))
+                          for mine, theirs in zip(self.classes[0::2], self.classes[1::2])]
+                for _ in range(count):
+                    for theirs, mine in halves:
+                        worker.run(theirs, mine)
         for parity in self.classes:
             np.copyto(parity.raster, parity.cells)
 
@@ -724,26 +812,27 @@ class _Level:
     def solve(self) -> float:
         """Run the level's warps from its flow; returns the final loss."""
         ws, uv = self.ws, self.uv
-        losses = [self._loss(0)]
-        halvings = 0
-        for warp in range(1, _WARPS + 1):
-            if not self.freeze():
-                raise SolverDivergenceError(self.level, warp, math.inf)
-            np.copyto(self.start, uv)
-            self.sweeps(_SWEEPS)
-            loss = self._loss(warp)
-            for _ in range(_HALVINGS):
-                if loss <= losses[-1]:
-                    break
-                uv += self.start
-                uv *= 0.5
-                halvings += 1
+        with self._paired():  # one worker for every stage of the level
+            losses = [self._loss(0)]
+            halvings = 0
+            for warp in range(1, _WARPS + 1):
+                if not self.freeze():
+                    raise SolverDivergenceError(self.level, warp, math.inf)
+                np.copyto(self.start, uv)
+                self.sweeps(_SWEEPS)
                 loss = self._loss(warp)
-            if loss > losses[-1]:
-                # keep the warp's first flow, and its loss's terms for the next freeze
-                np.copyto(uv, self.start)
-                loss = ws.loss(*uv)
-            losses.append(loss)
+                for _ in range(_HALVINGS):
+                    if loss <= losses[-1]:
+                        break
+                    uv += self.start
+                    uv *= 0.5
+                    halvings += 1
+                    loss = self._loss(warp)
+                if loss > losses[-1]:
+                    # keep the warp's first flow, and its loss's terms for the next freeze
+                    np.copyto(uv, self.start)
+                    loss = ws.loss(*uv)
+                losses.append(loss)
         if _log.isEnabledFor(logging.DEBUG):
             h, w = ws.shape
             _log.debug("level %d, %dx%d: photometric term on %d of %d pixels; %d warps, "

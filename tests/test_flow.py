@@ -26,7 +26,7 @@ from evreflex.flow import (
     _charbonnier_power,
     _downsample2,
     _half_sweep,
-    _image_gradient,
+    _derivative,
 )
 from evreflex.types import (
     FloatMap,
@@ -726,9 +726,10 @@ def test_converged_float32_freeze_satisfies_every_pixels_system_to_rounding(monk
 
 
 def test_two_thread_sweeps_give_the_one_cpu_flow_to_the_bit(monkeypatch):
-    # 192x256 has 98x130 = 12,740-cell class grids at level 0, above the
+    # 260x346 has 132x175 = 23,100-cell class grids at level 0, above the
     # threshold, so that level takes two threads when two CPUs are allowed
-    img0, img1 = _shifted_texture((192, 256), 1.3, -0.7, seed=125)
+    assert 132 * 175 >= _THREADED_CELLS
+    img0, img1 = _shifted_texture((260, 346), 1.3, -0.7, seed=125)
     seen = _sweep_threads(monkeypatch, 1)
     monkeypatch.setattr(fl, "_THREADED_CELLS", _THREADED_CELLS)
     results = {}
@@ -743,18 +744,23 @@ def test_two_thread_sweeps_give_the_one_cpu_flow_to_the_bit(monkeypatch):
 
 
 def test_two_thread_sweeps_under_contention_give_the_serial_flow(monkeypatch):
-    # two levels swept at once, four sweeping threads on the host's cores,
-    # switching often: a half-sweep that started before the other thread
-    # ended the last one would move the flow
+    # two levels swept and two whole solves at once, eight threads on the
+    # host's cores, switching often: a half-sweep, loss or freeze stage that
+    # started before the other thread ended the last one would move the flow
     level = _frozen_level((40, 50), "event_gated", seed=130)[0]
     level.sweeps(20)  # serial: its class grids hold 594 cells
+    img0, img1 = _shifted_texture((40, 50), 1.3, -0.7, seed=134)
+    serial, serial_loss = estimate_flow(None, img0, img1)
     _sweep_threads(monkeypatch, 2)
     levels = [_frozen_level((40, 50), "event_gated", seed=130)[0] for _ in range(2)]
+    solved = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         callers = [threading.Thread(target=other.sweeps, args=(20,), daemon=True)
                    for other in levels]
+        callers += [threading.Thread(target=lambda: solved.append(estimate_flow(None, img0, img1)),
+                                     daemon=True) for _ in range(2)]
         for caller in callers:
             caller.start()
         for caller in callers:
@@ -764,9 +770,13 @@ def test_two_thread_sweeps_under_contention_give_the_serial_flow(monkeypatch):
     assert not any(caller.is_alive() for caller in callers)
     for other in levels:
         assert np.array_equal(other.uv, level.uv)
+    assert len(solved) == 2
+    for flow, loss in solved:
+        assert np.array_equal(flow.u, serial.u) and np.array_equal(flow.v, serial.v)
+        assert loss == serial_loss
 
 
-class _HalfSweepFailure(Exception):
+class _HalfFailure(Exception):
     pass
 
 
@@ -801,13 +811,13 @@ def test_a_failed_half_sweep_raises_in_the_caller_and_joins_the_worker(side, mon
 
     def failing(*args):
         if _in_the_worker() == (side == "worker"):
-            raise _HalfSweepFailure(side)
+            raise _HalfFailure(side)
         recording(*args)
 
     monkeypatch.setattr(fl, "_half_sweep", failing)
     threads = threading.active_count()
     raised = _on_a_thread(lambda: level.sweeps(3))
-    assert isinstance(raised, _HalfSweepFailure) and raised.args == (side,)
+    assert isinstance(raised, _HalfFailure) and raised.args == (side,)
     assert threading.active_count() == threads
     # the next solve of the level runs both threads from its flow
     monkeypatch.setattr(fl, "_half_sweep", recording)
@@ -817,30 +827,137 @@ def test_a_failed_half_sweep_raises_in_the_caller_and_joins_the_worker(side, mon
     np.testing.assert_allclose(level.uv, _reference_sor(flow, system, 3), rtol=1e-12, atol=1e-12)
 
 
+def _no_worker_alive() -> bool:
+    return not any(thread.name == "evreflex-sweep" for thread in threading.enumerate())
+
+
+# Each stage of a level that a worker shares: a function that the worker's
+# half calls, the stage on a frozen level, and how often the worker calls
+# that function in it.
+_WORKER_STAGES = {
+    "sweeps": ("_half_sweep", lambda level: level.sweeps(1), 2),
+    "loss": ("_edge_powers", lambda level: level.ws.loss(*level.uv), 1),
+    "freeze (derivative)": ("_derivative", lambda level: level.freeze(), 1),
+    "freeze (sample)": ("_interpolate", lambda level: level.freeze(), 1),
+}
+
+
+def _in_a_paired_solve(level, stage):
+    """stage(level) with the level's worker open, as a solve holds it."""
+    with level._paired():
+        return stage(level)
+
+
 @pytest.mark.parametrize("over", ["raise", "ignore", "warn"])
 def test_the_worker_runs_under_the_callers_numpy_error_state(over, monkeypatch):
     # numpy's error state is per thread: a worker on numpy's defaults would
     # warn under the caller's "raise" and "ignore" alike
-    level = _frozen_level((7, 9), "uniform", seed=127)[0]
     _sweep_threads(monkeypatch, 2)
-    recording = fl._half_sweep
+    for stage, (name, run, calls) in _WORKER_STAGES.items():
+        level = _frozen_level((7, 9), "uniform", seed=127)[0]
+        original = getattr(fl, name)
 
-    def overflowing(*args):
-        if _in_the_worker():
-            np.multiply(np.full(2, 1e300), 1e300)
-        recording(*args)
+        def overflowing(*args, original=original):
+            if _in_the_worker():
+                np.multiply(np.full(2, 1e300), 1e300)
+            return original(*args)
 
-    def sweep():
-        with np.errstate(over=over):
-            level.sweeps(1)
+        def call(run=run, level=level):
+            with np.errstate(over=over):
+                _in_a_paired_solve(level, run)
 
-    monkeypatch.setattr(fl, "_half_sweep", overflowing)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        raised = _on_a_thread(sweep)
-    assert isinstance(raised, FloatingPointError) == (over == "raise")
-    overflows = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert len(overflows) == (2 if over == "warn" else 0)
+        monkeypatch.setattr(fl, name, overflowing)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            raised = _on_a_thread(call)
+        monkeypatch.setattr(fl, name, original)
+        assert isinstance(raised, FloatingPointError) == (over == "raise"), stage
+        overflows = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(overflows) == (calls if over == "warn" else 0), stage
+        assert _no_worker_alive()
+
+
+@pytest.mark.parametrize("side", ["worker", "caller"])
+@pytest.mark.parametrize("stage", ["loss", "freeze (derivative)", "freeze (sample)"])
+def test_a_failed_loss_or_freeze_half_raises_in_the_caller_and_joins_the_worker(
+        stage, side, monkeypatch):
+    name, run, _ = _WORKER_STAGES[stage]
+    level = _frozen_level((7, 9), "uniform", seed=135)[0]
+    _sweep_threads(monkeypatch, 2)
+    original = getattr(fl, name)
+
+    def failing(*args):
+        if _in_the_worker() == (side == "worker"):
+            raise _HalfFailure(side)
+        return original(*args)
+
+    level.ws.loss(*level.uv)  # a freeze's terms, on this thread
+    monkeypatch.setattr(fl, name, failing)
+    raised = _on_a_thread(lambda: _in_a_paired_solve(level, run))
+    assert isinstance(raised, _HalfFailure) and raised.args == (side,)
+    assert _no_worker_alive() and level.ws.worker is None
+    # the next solve of the level runs from its flow
+    monkeypatch.setattr(fl, name, original)
+    assert _on_a_thread(level.solve) is None
+    assert _no_worker_alive()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.0])
+@pytest.mark.parametrize("weighting", ["uniform", "event_gated"])
+def test_two_thread_loss_and_freeze_give_the_one_thread_terms_to_the_bit(
+        weighting, alpha, monkeypatch):
+    rng = np.random.default_rng(136)
+    shape = (7, 9)
+    it, it1 = _shifted_texture(shape, 0.8, -0.4, seed=136)
+    weights = (rng.random(shape) > 0.5).astype(np.float64) if weighting == "event_gated" else None
+    flow = rng.normal(0.0, 0.5, (2, *shape))
+    sampled_on_worker = []
+    original = fl._interpolate
+
+    def recording(*args):
+        sampled_on_worker.append(_in_the_worker())
+        return original(*args)
+
+    kept = []
+    for threads in (1, 2):
+        _sweep_threads(monkeypatch, threads)
+        monkeypatch.setattr(fl, "_interpolate", recording)
+        sampled_on_worker.clear()
+        ws = _Workspace(shape, it, it1, weights, FlowSolverConfig(alpha=alpha))
+        level = _Level(ws, None, 0)
+        level.uv[...] = flow
+        with level._paired():
+            loss = ws.loss(*level.uv)
+            terms = [*ws.footprint, ws.residual, ws.base, ws.power,
+                     *(edge for channel in ws.edges for edge in channel)]
+            terms = [term.copy() for term in terms]
+            assert level.freeze()
+        kept.append((loss, terms + [level.terms, level.left, level.up]))
+        # the loss samples I_t1 here, the freeze d/dy on the worker and d/dx here
+        assert len(sampled_on_worker) == 3 and sampled_on_worker.count(True) == threads - 1
+    (serial_loss, serial), (paired_loss, paired) = kept
+    assert serial_loss == paired_loss
+    assert len(serial) == (13 if alpha else 9) == len(paired)
+    for a, b in zip(serial, paired):
+        assert np.array_equal(a, b)
+    assert _no_worker_alive()
+
+
+def test_a_solve_that_diverges_on_two_threads_leaves_no_worker_alive(monkeypatch):
+    _sweep_threads(monkeypatch, 2)
+    opened = []
+
+    class Recorded(fl._Worker):
+        def __init__(self):
+            super().__init__()
+            opened.append(self)
+
+    monkeypatch.setattr(fl, "_Worker", Recorded)
+    img0 = np.full((16, 16), 1e200)
+    with pytest.raises(SolverDivergenceError), np.errstate(over="ignore"):
+        estimate_flow(_events_everywhere(img0.shape), img0, -img0,
+                      FlowSolverConfig(pyramid_levels=1))
+    assert len(opened) == 1 and _no_worker_alive()
 
 
 def test_estimate_flow_keeps_no_level_alive(monkeypatch):
@@ -875,7 +992,8 @@ def test_estimate_flow_at_alpha_zero_is_finite_and_no_worse_than_zero_flow():
 def test_image_gradient_is_np_gradients(shape):
     img = np.random.default_rng(123).random(shape)
     out = np.empty((2, *shape))
-    _image_gradient(img, out)
+    _derivative(img, out[0])
+    _derivative(img.T, out[1].T)
     for axis, derivative in zip((1, 0), out):
         expected = np.gradient(img, axis=axis) if shape[axis] > 1 else np.zeros(shape)
         assert np.array_equal(derivative, expected)

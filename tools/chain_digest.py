@@ -33,10 +33,10 @@ The scene: a 173x130 raster with f = 100 px at 20 frames/s, the camera moving
 forward at 0.5 m/s, and one sphere of radius 0.3 m flying head-on at 7 m/s
 from 2.2 m ahead until it is under a metre away (12 frames, 10 pairs scored).
 It runs twice: at 173x130, and at 346x260 with f and the principal point
-doubled (the same view at twice the resolution).  The flow solve sweeps a
-level's parity classes on two threads only above about 10,000 cells per
-class, which the first raster's levels never reach and the second's finest
-level does, so the two digests cover both paths.
+doubled (the same view at twice the resolution).  The flow solve runs a
+level on two threads only from 14,000 cells per parity-class grid, which
+the first raster's levels never reach and the second's finest level does,
+so the two digests cover both paths.
 """
 from __future__ import annotations
 
