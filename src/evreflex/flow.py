@@ -10,8 +10,9 @@ Brox, Bruhn, Papenberg and Weickert (ECCV 2004), with no step size:
 
 - Outer warps.  Each level runs _WARPS warps.  A warp linearises the
   photometric residual about the current flow: I_t1 and its np.gradient
-  derivatives are sampled there with the clamp-to-edge bilinear footprint
-  that the loss at that flow built, one footprint for all three rasters.
+  derivatives (computed once per level) are sampled there with the
+  clamp-to-edge bilinear footprint that the loss at that flow built, one
+  footprint for all three rasters.
 - One lagged-diffusivity freeze per warp.  The Charbonnier weights are
   frozen at the current flow: w * b^(a - 1) per photometric pixel and
   alpha * b^(a - 1) per 4-neighbour edge and flow channel, b = x^2 + eps^2
@@ -36,16 +37,16 @@ Brox, Bruhn, Papenberg and Weickert (ECCV 2004), with no step size:
 
 A level whose class grids hold at least _THREADED_CELLS cells, in a
 process that os.sched_getaffinity allows two CPUs or more, solves on two
-threads: its solve opens one worker thread for the whole level, and each
-stage hands the worker one half and runs the other on the calling thread.
-numpy's ufuncs release the interpreter lock over these arrays, so the
-halves overlap.
+threads: its solve, and nothing else, opens one worker thread for the
+whole level, and each stage hands the worker one half and runs the other on
+the calling thread.  numpy's ufuncs release the interpreter lock over these
+arrays, so the halves overlap.
 - Loss: the worker takes u's edge powers and their sum, the caller the
   photometric term and v's.  The caller adds the terms in the serial order
   (photometric, u, v), so the loss is the same to the bit.
-- Freeze: the worker takes I_t1's d/dy, its sample at the footprint and u's
-  edge weights, the caller d/dx, its sample and v's; the rest of the
-  freeze runs on the caller.
+- Freeze: the worker samples I_t1's d/dy at the footprint and turns u's
+  edge powers into weights, the caller samples d/dx and does v's; the rest
+  of the freeze runs on the caller.
 - Sweeps: the two parity classes of one colour share no output (each
   writes only its own cells, and reads the other colour's flow and its own
   weights and terms), so each half-sweep runs its two classes at once, the
@@ -53,10 +54,11 @@ halves overlap.
   operations in the serial order, so the flow is the same to the bit.
 The threads hand over once per stage half (a half-sweep is one) through a
 pair of semaphores, at about 16 us a handover on a 2-core host.  Smaller
-levels and a process allowed one CPU run the same halves in turn on the
-calling thread.  The threshold is the break-even of a whole level on a
-2-core host: level-0 solves of central crops of the tools/chain_digest.py
-346x260 scene, from zero flow, summed over its pairs 1-10 (fastest of 7):
+levels and a process allowed one CPU open no worker, and each stage runs
+the same halves in turn on the calling thread.  The threshold is the
+break-even of a whole level on a 2-core host: level-0 solves of central
+crops of the tools/chain_digest.py 346x260 scene, from zero flow, summed
+over its pairs 1-10 (fastest of 7):
 
     raster    cells per class grid   one thread   two threads
     192x256         12,740             103.0 ms     108.4 ms
@@ -71,8 +73,9 @@ So at 346x260 level 0 takes two threads and level 1 (5,963 cells) one.  The
 worker runs under the numpy error state that the calling thread had when
 the level opened it (np.errstate is per thread), an exception in its half
 is raised again in the caller, and it is joined before the solve returns
-or raises; a level's freeze or sweeps called outside a solve opens one for
-that call.  It holds views of the level's buffers, not the level.
+or raises.  A level's loss, freeze or sweeps called outside a solve run
+both halves on the calling thread.  The worker holds views of the level's
+buffers, not the level.
 
 One kernel evaluates the objective: a `_Workspace` holds the photometric
 term's inputs for one raster shape, and its `loss` evaluates l_f at a flow as
@@ -452,8 +455,8 @@ class _Workspace:
                 f"shape mismatch: images {it.shape}/{it1.shape}, flow {shape}"
             )
         self.shape, self.it1, self.cfg = shape, it1, cfg
-        # the _Worker that loss and freeze split their stages with, while a
-        # level holds one open; None runs both halves on this thread
+        # the _Worker that a level's solve opens for its loss, freeze and
+        # sweeps to split their stages with; None runs both halves here
         self.worker = None
         weights = _weights(shape, weights)
         self.active = np.flatnonzero(weights)
@@ -569,18 +572,6 @@ _RED_BLACK = ((0, 0), (1, 1), (0, 1), (1, 0))
 _THREADED_CELLS = 14_000
 
 
-def _derivative(a: np.ndarray, out: np.ndarray) -> None:
-    """np.gradient's derivative of a along its rows into out, bit for bit: 0
-    when a has one column.  Transposed, a and out give d/dy."""
-    if a.shape[1] == 1:
-        out.fill(0.0)
-        return
-    np.subtract(a[:, 2:], a[:, :-2], out=out[:, 1:-1])
-    out[:, 1:-1] /= 2.0
-    np.subtract(a[:, 1:2], a[:, :1], out=out[:, :1])
-    np.subtract(a[:, -1:], a[:, -2:-1], out=out[:, -1:])
-
-
 class _Parity(NamedTuple):
     """One parity class's views into a _Level's buffers."""
 
@@ -663,12 +654,17 @@ class _Level:
                 for dx in (0, 1):
                     target = self.uv[:, dy::2, dx::2]
                     np.multiply(coarse[:, :target.shape[1], :target.shape[2]], 2.0, out=target)
-        self.start = np.empty((2, h, w))  # a warp's first flow; I_t1's derivatives in a freeze
+        self.start = np.empty((2, h, w))  # a warp's first flow
+        # I_t1's np.gradient derivatives, d/dx then d/dy: 0 along an axis of length 1
+        self.derivatives = [np.gradient(ws.it1, axis=axis) if ws.shape[axis] > 1
+                            else np.zeros((h, w)) for axis in (1, 0)]
         self.flow, self.left, self.up = (np.zeros((2, 2, 2, grid), _SWEEP_DTYPE)
                                          for _ in range(3))
         self.terms = np.empty((5, 2, 2, grid), _SWEEP_DTYPE)
         first, end = row + 1, hc * row + wc + 1
-        self.sums, self.tmp = np.empty((2, 2, end - first), _SWEEP_DTYPE)
+        # (2, n) scratch of a class's band: sums and tmp for the freeze and
+        # each colour's first class, scratch for its second
+        self.sums, self.tmp, *self.scratch = np.empty((4, 2, end - first), _SWEEP_DTYPE)
 
         def band(a, py, px, offset=0):
             return a[py, px, :, first + offset:end + offset]
@@ -702,10 +698,11 @@ class _Level:
     @contextlib.contextmanager
     def _paired(self):
         """Open a worker on the workspace for the block when the class grids
-        hold at least _THREADED_CELLS cells and two CPUs are allowed, unless
-        one is open already; it is closed and joined when the block ends."""
+        hold at least _THREADED_CELLS cells and two CPUs are allowed; it is
+        closed and joined when the block ends.  solve opens it, for every
+        stage of the level."""
         ws = self.ws
-        if ws.worker is not None or self.flow.shape[-1] < _THREADED_CELLS or not _two_cpus():
+        if self.flow.shape[-1] < _THREADED_CELLS or not _two_cpus():
             yield
             return
         worker = ws.worker = _Worker()
@@ -719,12 +716,8 @@ class _Level:
         """Freeze the system at the flow of the workspace's last loss and
         invert its blocks into terms; False if a coefficient of the system or
         of its inversion is not finite in _SWEEP_DTYPE."""
-        ws, sums, tmp = self.ws, self.sums, self.tmp
-        with self._paired():
-            # I_t1's derivatives, d/dx into start[0] and d/dy into start[1]
-            _at_once(ws.worker, functools.partial(_derivative, ws.it1.T, self.start[1].T),
-                     functools.partial(_derivative, ws.it1, self.start[0]))
-            data, edges = ws.freeze(*self.uv, *self.start)
+        sums, tmp = self.sums, self.tmp
+        data, edges = self.ws.freeze(*self.uv, *self.derivatives)
         # A float64 coefficient past _SWEEP_DTYPE's range casts to inf, and the
         # inversion's products can overflow where float64's would not; inf
         # then spreads as inf or nan, so the checks below refuse the system
@@ -779,24 +772,18 @@ class _Level:
 
     def sweeps(self, count: int) -> None:
         """count sweeps on the frozen system, from uv and back into it: the
-        classes in _RED_BLACK's order, or with a worker each colour's two at
-        once, the second on the worker with scratch of its own."""
+        colours in _RED_BLACK's order, each colour's two classes at once, the
+        second on the workspace's worker with scratch of its own (before the
+        first, on this thread, without a worker)."""
         for parity in self.classes:
             np.copyto(parity.cells, parity.raster)
-        with self._paired():
-            worker = self.ws.worker
-            if worker is None:
-                for _ in range(count):
-                    for parity in self.classes:
-                        _half_sweep(parity, self.sums, self.tmp)
-            else:
-                sums, tmp = np.empty_like(self.sums), np.empty_like(self.tmp)
-                halves = [(functools.partial(_half_sweep, theirs, sums, tmp),
-                           functools.partial(_half_sweep, mine, self.sums, self.tmp))
-                          for mine, theirs in zip(self.classes[0::2], self.classes[1::2])]
-                for _ in range(count):
-                    for theirs, mine in halves:
-                        worker.run(theirs, mine)
+        worker = self.ws.worker
+        halves = [(functools.partial(_half_sweep, second, *self.scratch),
+                   functools.partial(_half_sweep, first, self.sums, self.tmp))
+                  for first, second in zip(self.classes[0::2], self.classes[1::2])]
+        for _ in range(count):
+            for second, first in halves:
+                _at_once(worker, second, first)
         for parity in self.classes:
             np.copyto(parity.raster, parity.cells)
 

@@ -26,7 +26,6 @@ from evreflex.flow import (
     _charbonnier_power,
     _downsample2,
     _half_sweep,
-    _derivative,
 )
 from evreflex.types import (
     FloatMap,
@@ -654,6 +653,12 @@ def _sweep_threads(monkeypatch, threads):
     return seen
 
 
+def _in_a_paired_solve(level, stage):
+    """stage(level) with the level's worker open, as a solve holds it."""
+    with level._paired():
+        return stage(level)
+
+
 def _swept(monkeypatch, shape, weighting, seed, sweeps):
     """The level _frozen_level builds after sweeps sweeps, and what built it,
     swept on one thread and, from the same start, on two: the two flows
@@ -662,7 +667,7 @@ def _swept(monkeypatch, shape, weighting, seed, sweeps):
     for threads in (1, 2):
         level, flow, system = _frozen_level(shape, weighting, seed)
         seen = _sweep_threads(monkeypatch, threads)
-        level.sweeps(sweeps)
+        _in_a_paired_solve(level, lambda level: level.sweeps(sweeps))
         assert len(seen) == threads
         flows.append(level.uv)
     assert np.array_equal(*flows)
@@ -757,7 +762,8 @@ def test_two_thread_sweeps_under_contention_give_the_serial_flow(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        callers = [threading.Thread(target=other.sweeps, args=(20,), daemon=True)
+        callers = [threading.Thread(target=_in_a_paired_solve,
+                                    args=(other, lambda level: level.sweeps(20)), daemon=True)
                    for other in levels]
         callers += [threading.Thread(target=lambda: solved.append(estimate_flow(None, img0, img1)),
                                      daemon=True) for _ in range(2)]
@@ -816,13 +822,13 @@ def test_a_failed_half_sweep_raises_in_the_caller_and_joins_the_worker(side, mon
 
     monkeypatch.setattr(fl, "_half_sweep", failing)
     threads = threading.active_count()
-    raised = _on_a_thread(lambda: level.sweeps(3))
+    raised = _on_a_thread(lambda: _in_a_paired_solve(level, lambda level: level.sweeps(3)))
     assert isinstance(raised, _HalfFailure) and raised.args == (side,)
     assert threading.active_count() == threads
     # the next solve of the level runs both threads from its flow
     monkeypatch.setattr(fl, "_half_sweep", recording)
     seen.clear()
-    assert _on_a_thread(lambda: level.sweeps(3)) is None
+    assert _on_a_thread(lambda: _in_a_paired_solve(level, lambda level: level.sweeps(3))) is None
     assert len(seen) == 2 and threading.active_count() == threads
     np.testing.assert_allclose(level.uv, _reference_sor(flow, system, 3), rtol=1e-12, atol=1e-12)
 
@@ -837,15 +843,30 @@ def _no_worker_alive() -> bool:
 _WORKER_STAGES = {
     "sweeps": ("_half_sweep", lambda level: level.sweeps(1), 2),
     "loss": ("_edge_powers", lambda level: level.ws.loss(*level.uv), 1),
-    "freeze (derivative)": ("_derivative", lambda level: level.freeze(), 1),
     "freeze (sample)": ("_interpolate", lambda level: level.freeze(), 1),
 }
 
 
-def _in_a_paired_solve(level, stage):
-    """stage(level) with the level's worker open, as a solve holds it."""
-    with level._paired():
-        return stage(level)
+def test_a_levels_freeze_and_sweeps_outside_a_solve_open_no_worker(monkeypatch):
+    # only a solve opens a level's worker: its freeze and sweeps, called
+    # alone on a level that a solve would pair, run both halves here
+    seen = _sweep_threads(monkeypatch, 2)
+    counts = set()
+    for name in ("_interpolate", "_half_sweep"):
+        original = getattr(fl, name)
+
+        def recording(*args, original=original):
+            seen.add(threading.get_ident())
+            counts.add(threading.active_count())
+            return original(*args)
+
+        monkeypatch.setattr(fl, name, recording)
+    threads = threading.active_count()
+    level = _frozen_level((7, 9), "uniform", seed=137)[0]  # its loss and freeze
+    assert level.flow.shape[-1] >= fl._THREADED_CELLS
+    level.sweeps(2)
+    assert seen == {threading.get_ident()} and counts == {threads}
+    assert threading.active_count() == threads and level.ws.worker is None
 
 
 @pytest.mark.parametrize("over", ["raise", "ignore", "warn"])
@@ -878,7 +899,7 @@ def test_the_worker_runs_under_the_callers_numpy_error_state(over, monkeypatch):
 
 
 @pytest.mark.parametrize("side", ["worker", "caller"])
-@pytest.mark.parametrize("stage", ["loss", "freeze (derivative)", "freeze (sample)"])
+@pytest.mark.parametrize("stage", ["loss", "freeze (sample)"])
 def test_a_failed_loss_or_freeze_half_raises_in_the_caller_and_joins_the_worker(
         stage, side, monkeypatch):
     name, run, _ = _WORKER_STAGES[stage]
@@ -991,10 +1012,8 @@ def test_estimate_flow_at_alpha_zero_is_finite_and_no_worse_than_zero_flow():
 @pytest.mark.parametrize("shape", [(5, 7), (2, 3), (1, 6), (6, 1), (1, 1)])
 def test_image_gradient_is_np_gradients(shape):
     img = np.random.default_rng(123).random(shape)
-    out = np.empty((2, *shape))
-    _derivative(img, out[0])
-    _derivative(img.T, out[1].T)
-    for axis, derivative in zip((1, 0), out):
+    level = _Level(_Workspace(shape, np.zeros(shape), img, None, FlowSolverConfig()), None, 0)
+    for axis, derivative in zip((1, 0), level.derivatives):
         expected = np.gradient(img, axis=axis) if shape[axis] > 1 else np.zeros(shape)
         assert np.array_equal(derivative, expected)
 
@@ -1017,14 +1036,15 @@ def test_estimate_flow_memory_is_bounded_in_rasters():
     # raster of the finest level.  The workspace holds 5 of them (the active
     # indices, the pixel grid, I_t and the weights), and a loss keeps 10 more
     # for the freeze: the footprint's corner index and offsets, the residual,
-    # its base and power, and 4 edge rasters of powers.  The level holds
-    # 11.5: its raster flow and a warp's first flow (4), the terms' scatter
-    # index (1), and in float32 the parity classes' flow, edge weights and 5
-    # frozen terms with their rings and the sweep scratch (6.5).  The weights
-    # and the coarser levels' images and weights hold about 2 more; the rest
-    # are a loss's or a freeze's temporaries.  It read 36.7 on this raster
-    # with numpy 2.4 (42.9 with a float64 system); the bound leaves room for
-    # other numpy versions' temporaries.
+    # its base and power, and 4 edge rasters of powers.  The level holds 14:
+    # its raster flow and a warp's first flow (4), I_t1's two derivatives
+    # (2), the terms' scatter index (1), and in float32 the parity classes'
+    # flow, edge weights and 5 frozen terms with their rings and the scratch
+    # of a colour's two classes (7).  The weights and the coarser levels'
+    # images and weights hold about 2 more; the rest are a loss's or a
+    # freeze's temporaries.  It read 40.2 on this raster with numpy 2.4 (47.0
+    # with a float64 system); the bound leaves room for other numpy
+    # versions' temporaries.
     img0, img1 = _shifted_texture((192, 256), 1.3, -0.7, seed=124)
     raster = img0.nbytes
     estimate_flow(None, img0, img1)  # the pixel grid of the shape is cached
