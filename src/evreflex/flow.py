@@ -74,17 +74,17 @@ worker runs under the numpy error state that the calling thread had when
 the level opened it (np.errstate is per thread), an exception in its half
 is raised again in the caller, and it is joined before the solve returns
 or raises.  A level's loss, freeze or sweeps called outside a solve run
-both halves on the calling thread.  The worker holds views of the level's
-buffers, not the level.
+both halves on the calling thread.  The worker drops each task once it has
+run it, so it keeps no level alive.
 
-One kernel evaluates the objective: a `_Workspace` holds the photometric
-term's inputs for one raster shape, and its `loss` evaluates l_f at a flow as
-plain array expressions, the float operations and their order those of the
-reference kept in tests/test_flow.py.  It keeps the arrays it built that a
-freeze reads: the footprint, the residual, its Charbonnier base and power,
-and each edge's power.  `freeze` consumes them in place into one warp's
-linearised data term and edge weights, and `_Level` holds each level's flow,
-frozen system and sweep views in buffers allocated once per level.
+One `_Level` does all of a pyramid level's work, in buffers allocated once
+per level.  Its `loss` evaluates l_f at a flow as plain array expressions,
+the float operations and their order those of the reference kept in
+tests/test_flow.py, and keeps the arrays it built that a freeze reads: the
+footprint, the residual, its Charbonnier base and power, and each edge's
+power.  `freeze` consumes them in place into one warp's linearised data
+term, in the order the block inversion reads it, and edge weights.
+total_loss is a fresh level's loss.
 
 Each Charbonnier base b = x^2 + eps^2 (the photometric residual's and, per
 flow channel, the horizontal and vertical differences') takes one log and
@@ -95,16 +95,17 @@ quotient finite.  The public charbonnier takes the power the same way.
 
 The photometric term is the weighted sum over the pixels of nonzero weight:
 estimate_flow given an event map gates it on the pixels that map saw events
-at, and given None weighs every pixel.  A workspace gathers the pixel grid,
+at, and given None weighs every pixel.  A level gathers the pixel grid,
 I_t and the weights at those pixels into 1-D arrays; each evaluation
 gathers the flow there, runs the footprint, interpolant, residual and
 powers on them and sums the weighted terms in raster order.  So a pixel of
 weight 0 never reaches the objective: I_t is not read there (I_t1 is, where
 an active pixel's sample lands), and an overflow there is no divergence;
 one at a pixel of nonzero weight still is.  A weight mask must be finite and
-non-negative.  The solve reports each level (active pixels, warps, safeguard
-halvings, the loss at the start and after each warp) at DEBUG level on the
-"evreflex.flow" logger.
+non-negative.  The solve reports each level at DEBUG level on the
+"evreflex.flow" logger, its numbers also the record's fields: level, width,
+height, pixels (active), warps, safeguard halvings and losses (at the start
+and after each warp).
 
 All internal arithmetic runs in float64, except the sweeps' (above).
 """
@@ -352,7 +353,10 @@ def total_loss(
     """
     _check_config(cfg)
     u, v = _uv(flow)
-    return _Workspace(u.shape, _gray(img_t), _gray(img_t1), weight_mask, cfg).loss(u, v)
+    it, it1 = _gray(img_t), _gray(img_t1)
+    if not (it.shape == it1.shape == u.shape):
+        raise ShapeMismatchError(f"shape mismatch: images {it.shape}/{it1.shape}, flow {u.shape}")
+    return _Level(it, it1, weight_mask, cfg).loss(u, v)
 
 
 # each edge direction's two ends: horizontal, then vertical 4-neighbour pairs
@@ -437,118 +441,6 @@ def _at_once(worker: Optional[_Worker], first, second):
     return worker.run(first, second)
 
 
-class _Workspace:
-    """The objective's kernel for one raster shape.
-
-    loss(u, v) evaluates l_f and keeps the arrays it built that a freeze
-    reads.  freeze() consumes them: it turns the terms of the last loss into
-    one warp's linearised data term and lagged-diffusivity edge weights, so
-    it runs at most once per loss.
-
-    The photometric term runs on the `pixels` pixels of nonzero weight, at
-    the flat indices `active` (every pixel when no weights are given).
-    """
-
-    def __init__(self, shape, it, it1, weights, cfg: FlowSolverConfig):
-        if not (it.shape == it1.shape == shape):
-            raise ShapeMismatchError(
-                f"shape mismatch: images {it.shape}/{it1.shape}, flow {shape}"
-            )
-        self.shape, self.it1, self.cfg = shape, it1, cfg
-        # the _Worker that a level's solve opens for its loss, freeze and
-        # sweeps to split their stages with; None runs both halves here
-        self.worker = None
-        weights = _weights(shape, weights)
-        self.active = np.flatnonzero(weights)
-        self.pixels = self.active.size
-        # the photometric term's inputs at its pixels, as 1-D arrays
-        self.grid_y, self.grid_x = (self._gather(c) for c in _pixel_grid(shape))
-        self.it = self._gather(it)
-        self.weights = self._gather(weights)
-
-    def _gather(self, a: np.ndarray) -> np.ndarray:
-        """Raster a at the photometric term's pixels; a's values at the other
-        pixels are never read."""
-        # every index is in range, so take's "wrap" changes no value; its
-        # default "raise" would buffer the output
-        return a.reshape(-1).take(self.active, mode="wrap")
-
-    def loss(self, u: np.ndarray, v: np.ndarray) -> float:
-        """l_f at (u, v); a sample outside the raster reads I_t1 at its
-        clamped position.
-
-        With a worker, it takes u's edge powers while this thread takes
-        the photometric term and v's; the terms add in the serial order."""
-        cfg = self.cfg
-        if cfg.alpha == 0:
-            self.edges = []
-            return self._photometric(u, v)
-        eps, ca = cfg.charbonnier_eps, cfg.charbonnier_alpha
-        (u_edges, u_sum), (loss, (v_edges, v_sum)) = _at_once(
-            self.worker, functools.partial(_edge_powers, u, eps, ca),
-            lambda: (self._photometric(u, v), _edge_powers(v, eps, ca)))
-        loss += cfg.alpha * u_sum
-        loss += cfg.alpha * v_sum
-        # each flow channel's edge powers, horizontal then vertical (as _EDGES)
-        self.edges = [u_edges, v_edges]
-        return loss
-
-    def _photometric(self, u: np.ndarray, v: np.ndarray) -> float:
-        """l_p at (u, v), keeping its footprint, residual, base and power."""
-        eps, ca = self.cfg.charbonnier_eps, self.cfg.charbonnier_alpha
-        self.footprint = _footprint(self.shape, self.grid_x + self._gather(u),
-                                    self.grid_y + self._gather(v), with_mask=False)[:3]
-        self.residual = self.it - self._sample(self.it1)
-        self.base = self.residual * self.residual + eps * eps
-        self.power = _charbonnier_power(self.base, ca)
-        return float(np.sum(self.power * self.weights))
-
-    def _sample(self, raster: np.ndarray) -> np.ndarray:
-        """raster at the last loss's sample positions, through the footprint
-        that loss built."""
-        top_left, fx, fy = self.footprint
-        return _interpolate(_gather_corners(raster, top_left), fx, fy)
-
-    def freeze(self, u: np.ndarray, v: np.ndarray, gx: np.ndarray, gy: np.ndarray):
-        """One warp's frozen system, from the terms of the last loss, at (u, v).
-
-        gx and gy, I_t1's derivatives, are sampled at the flow's sample
-        positions and linearise the residual about it.  Returns the data term
-        and the edge weights.  The data term is five 1-D arrays at the
-        photometric term's pixels: with psi = w * b^(a - 1), its block
-        psi * (gx^2, gy^2, gx gy) and its constant terms psi * (gx, gy) * q,
-        where q = I_t - I_t1(i + F) + gx * u + gy * v.  The edge weights are
-        alpha * b^(a - 1), per flow channel a horizontal and a vertical array
-        (as _EDGES); none at alpha = 0.  With a worker, it samples gy and
-        turns u's edge powers into weights while this thread does gx and v's.
-        """
-        cfg = self.cfg
-
-        def sample(raster, channel, powers):
-            for power, (ahead, behind) in zip(powers, _EDGES):
-                power /= _edge_bases(channel, ahead, behind, cfg.charbonnier_eps)
-                power *= cfg.alpha
-            return self._sample(raster)
-
-        u_edges, v_edges = self.edges or ((), ())
-        sy, sx = _at_once(self.worker, functools.partial(sample, gy, u, u_edges),
-                          functools.partial(sample, gx, v, v_edges))
-        psi = self.power
-        psi /= self.base
-        psi *= self.weights
-        q = self.residual
-        q += self._gather(u) * sx
-        q += self._gather(v) * sy
-        tx = psi * sx
-        ty = psi * sy
-        cross = tx * sy
-        sx *= tx
-        sy *= ty
-        tx *= q
-        ty *= q
-        return (sx, sy, cross, tx, ty), self.edges
-
-
 def _downsample2(a: np.ndarray) -> np.ndarray:
     """2x block-mean downsample with edge padding for odd dimensions."""
     h, w = a.shape
@@ -607,7 +499,12 @@ def _two_cpus() -> bool:
 
 
 class _Level:
-    """The fixed-point solve of one pyramid level, in buffers allocated once.
+    """One pyramid level's objective and fixed-point solve, in buffers
+    allocated once.
+
+    loss(u, v) runs the photometric term on the `pixels` pixels of nonzero
+    weight, at the flat indices `active`, and keeps the arrays that a freeze
+    reads; freeze() consumes them, so it runs at most once per loss.
 
     uv is the flow as the loss reads it.  The sweeps run on a copy split by
     the parity (row, column) of the pixels, so that each class is contiguous:
@@ -629,15 +526,26 @@ class _Level:
     and 4).
     """
 
-    def __init__(self, ws: _Workspace, coarse: Optional[np.ndarray], level: int):
-        h, w = ws.shape
-        self.ws, self.level = ws, level
+    def __init__(self, it, it1, weights, cfg: FlowSolverConfig,
+                 coarse: Optional[np.ndarray] = None, level: int = 0):
+        self.shape = h, w = it1.shape
+        self.it1, self.cfg, self.level = it1, cfg, level
+        # the _Worker that _paired opens for the level's loss, freeze and
+        # sweeps to split their stages with; None runs both halves here
+        self.worker = None
+        weights = _weights(self.shape, weights)
+        self.active = np.flatnonzero(weights)
+        self.pixels = self.active.size
+        # the photometric term's inputs at its pixels, as 1-D arrays
+        self.grid_y, self.grid_x = (self._gather(c) for c in _pixel_grid(self.shape))
+        self.it = self._gather(it)
+        self.weights = self._gather(weights)
         hc, wc = (h + 1) // 2, (w + 1) // 2
         row = wc + 2
         grid = (hc + 2) * row
         # each active pixel's flat index in terms[k], built before the
         # level's other buffers so that its temporaries add to no peak
-        y, x = np.divmod(ws.active, w)
+        y, x = np.divmod(self.active, w)
         self.index = y % 2 * 2 + x % 2
         self.index *= grid
         y //= 2
@@ -656,7 +564,7 @@ class _Level:
                     np.multiply(coarse[:, :target.shape[1], :target.shape[2]], 2.0, out=target)
         self.start = np.empty((2, h, w))  # a warp's first flow
         # I_t1's np.gradient derivatives, d/dx then d/dy: 0 along an axis of length 1
-        self.derivatives = [np.gradient(ws.it1, axis=axis) if ws.shape[axis] > 1
+        self.derivatives = [np.gradient(it1, axis=axis) if self.shape[axis] > 1
                             else np.zeros((h, w)) for axis in (1, 0)]
         self.flow, self.left, self.up = (np.zeros((2, 2, 2, grid), _SWEEP_DTYPE)
                                          for _ in range(3))
@@ -695,29 +603,112 @@ class _Level:
                  (np.s_[1 - py::2, px::2], pixels(self.up)[:, 1 - py:])),
             ))
 
+    def _gather(self, a: np.ndarray) -> np.ndarray:
+        """Raster a at the photometric term's pixels; a's values at the other
+        pixels are never read."""
+        # every index is in range, so take's "wrap" changes no value; its
+        # default "raise" would buffer the output
+        return a.reshape(-1).take(self.active, mode="wrap")
+
     @contextlib.contextmanager
     def _paired(self):
-        """Open a worker on the workspace for the block when the class grids
-        hold at least _THREADED_CELLS cells and two CPUs are allowed; it is
-        closed and joined when the block ends.  solve opens it, for every
-        stage of the level."""
-        ws = self.ws
+        """Open the level's worker for the block when the class grids hold at
+        least _THREADED_CELLS cells and two CPUs are allowed; it is closed
+        and joined when the block ends.  solve opens it, for every stage of
+        the level."""
         if self.flow.shape[-1] < _THREADED_CELLS or not _two_cpus():
             yield
             return
-        worker = ws.worker = _Worker()
+        worker = self.worker = _Worker()
         try:
             yield
         finally:
-            ws.worker = None
+            self.worker = None
             worker.close()
 
+    def loss(self, u: np.ndarray, v: np.ndarray) -> float:
+        """l_f at (u, v); a sample outside the raster reads I_t1 at its
+        clamped position.
+
+        With a worker, it takes u's edge powers while this thread takes
+        the photometric term and v's; the terms add in the serial order."""
+        cfg = self.cfg
+        if cfg.alpha == 0:
+            self.edges = []
+            return self._photometric(u, v)
+        eps, ca = cfg.charbonnier_eps, cfg.charbonnier_alpha
+        (u_edges, u_sum), (loss, (v_edges, v_sum)) = _at_once(
+            self.worker, functools.partial(_edge_powers, u, eps, ca),
+            lambda: (self._photometric(u, v), _edge_powers(v, eps, ca)))
+        loss += cfg.alpha * u_sum
+        loss += cfg.alpha * v_sum
+        # each flow channel's edge powers, horizontal then vertical (as _EDGES)
+        self.edges = [u_edges, v_edges]
+        return loss
+
+    def _photometric(self, u: np.ndarray, v: np.ndarray) -> float:
+        """l_p at (u, v), keeping its footprint, residual, base and power."""
+        eps, ca = self.cfg.charbonnier_eps, self.cfg.charbonnier_alpha
+        self.footprint = _footprint(self.shape, self.grid_x + self._gather(u),
+                                    self.grid_y + self._gather(v), with_mask=False)[:3]
+        self.residual = self.it - self._sample(self.it1)
+        self.base = self.residual * self.residual + eps * eps
+        self.power = _charbonnier_power(self.base, ca)
+        return float(np.sum(self.power * self.weights))
+
+    def _sample(self, raster: np.ndarray) -> np.ndarray:
+        """raster at the last loss's sample positions, through the footprint
+        that loss built."""
+        top_left, fx, fy = self.footprint
+        return _interpolate(_gather_corners(raster, top_left), fx, fy)
+
+    def _linearise(self):
+        """One warp's data term and edge weights, from the terms of the last
+        loss, at uv.
+
+        I_t1's derivatives gx and gy, sampled at the flow's sample positions,
+        linearise the residual about it.  With psi = w * b^(a - 1), the data
+        term is the block psi * (gy^2, gx^2, gx gy) and the constant terms
+        psi * (gx, gy) * q, q = I_t - I_t1(i + F) + gx * u + gy * v, at the
+        photometric term's pixels.  The edge weights are alpha * b^(a - 1),
+        per flow channel a horizontal and a vertical array (as _EDGES); none
+        at alpha = 0.  With a worker, it samples gy and turns u's edge powers
+        into weights while this thread does gx and v's.
+        """
+        cfg = self.cfg
+        u, v = self.uv
+        gx, gy = self.derivatives
+
+        def sample(raster, channel, powers):
+            for power, (ahead, behind) in zip(powers, _EDGES):
+                power /= _edge_bases(channel, ahead, behind, cfg.charbonnier_eps)
+                power *= cfg.alpha
+            return self._sample(raster)
+
+        u_edges, v_edges = self.edges or ((), ())
+        sy, sx = _at_once(self.worker, functools.partial(sample, gy, u, u_edges),
+                          functools.partial(sample, gx, v, v_edges))
+        psi = self.power
+        psi /= self.base
+        psi *= self.weights
+        q = self.residual
+        q += self._gather(u) * sx
+        q += self._gather(v) * sy
+        tx = psi * sx
+        ty = psi * sy
+        cross = tx * sy
+        sx *= tx
+        sy *= ty
+        tx *= q
+        ty *= q
+        return (sy, sx, cross, tx, ty), self.edges
+
     def freeze(self) -> bool:
-        """Freeze the system at the flow of the workspace's last loss and
-        invert its blocks into terms; False if a coefficient of the system or
-        of its inversion is not finite in _SWEEP_DTYPE."""
+        """Freeze the system at the flow of the last loss and invert its
+        blocks into terms; False if a coefficient of the system or of its
+        inversion is not finite in _SWEEP_DTYPE."""
         sums, tmp = self.sums, self.tmp
-        data, edges = self.ws.freeze(*self.uv, *self.derivatives)
+        data, edges = self._linearise()
         # A float64 coefficient past _SWEEP_DTYPE's range casts to inf, and the
         # inversion's products can overflow where float64's would not; inf
         # then spreads as inf or nan, so the checks below refuse the system
@@ -725,7 +716,7 @@ class _Level:
         with np.errstate(over="ignore", invalid="ignore"):
             # the block in the adjugate's order, a22 first, then its constant terms
             self.terms.fill(0.0)
-            for term, values in zip(self.terms, (data[1], data[0], *data[2:])):
+            for term, values in zip(self.terms, data):
                 term.reshape(-1)[self.index] = values
             for c, channel in enumerate(edges):  # none at alpha = 0: the edges stay 0
                 for parity in self.classes:
@@ -773,11 +764,11 @@ class _Level:
     def sweeps(self, count: int) -> None:
         """count sweeps on the frozen system, from uv and back into it: the
         colours in _RED_BLACK's order, each colour's two classes at once, the
-        second on the workspace's worker with scratch of its own (before the
+        second on the level's worker with scratch of its own (before the
         first, on this thread, without a worker)."""
         for parity in self.classes:
             np.copyto(parity.cells, parity.raster)
-        worker = self.ws.worker
+        worker = self.worker
         halves = [(functools.partial(_half_sweep, second, *self.scratch),
                    functools.partial(_half_sweep, first, self.sums, self.tmp))
                   for first, second in zip(self.classes[0::2], self.classes[1::2])]
@@ -787,45 +778,48 @@ class _Level:
         for parity in self.classes:
             np.copyto(parity.raster, parity.cells)
 
-    def _loss(self, warp: int) -> float:
+    def _finite_loss(self, warp: int) -> float:
         """The loss at uv; a non-finite flow or loss raises."""
         if not np.isfinite(self.uv).all():
             raise SolverDivergenceError(self.level, warp, math.inf)
-        loss = self.ws.loss(*self.uv)
+        loss = self.loss(*self.uv)
         if not np.isfinite(loss):
             raise SolverDivergenceError(self.level, warp, loss)
         return loss
 
     def solve(self) -> float:
         """Run the level's warps from its flow; returns the final loss."""
-        ws, uv = self.ws, self.uv
+        uv = self.uv
         with self._paired():  # one worker for every stage of the level
-            losses = [self._loss(0)]
+            losses = [self._finite_loss(0)]
             halvings = 0
             for warp in range(1, _WARPS + 1):
                 if not self.freeze():
                     raise SolverDivergenceError(self.level, warp, math.inf)
                 np.copyto(self.start, uv)
                 self.sweeps(_SWEEPS)
-                loss = self._loss(warp)
+                loss = self._finite_loss(warp)
                 for _ in range(_HALVINGS):
                     if loss <= losses[-1]:
                         break
                     uv += self.start
                     uv *= 0.5
                     halvings += 1
-                    loss = self._loss(warp)
+                    loss = self._finite_loss(warp)
                 if loss > losses[-1]:
                     # keep the warp's first flow, and its loss's terms for the next freeze
                     np.copyto(uv, self.start)
-                    loss = ws.loss(*uv)
+                    loss = self.loss(*uv)
                 losses.append(loss)
         if _log.isEnabledFor(logging.DEBUG):
-            h, w = ws.shape
+            h, w = self.shape
             _log.debug("level %d, %dx%d: photometric term on %d of %d pixels; %d warps, "
                        "%d halvings; loss %r at the start, then %s", self.level, w, h,
-                       ws.pixels, h * w, _WARPS, halvings, losses[0],
-                       ", ".join(map(repr, losses[1:])))
+                       self.pixels, h * w, _WARPS, halvings, losses[0],
+                       ", ".join(map(repr, losses[1:])),
+                       extra={"level": self.level, "width": w, "height": h,
+                              "pixels": self.pixels, "warps": _WARPS,
+                              "halvings": halvings, "losses": tuple(losses)})
         return losses[-1]
 
 
@@ -884,7 +878,7 @@ def estimate_flow(
     for level in range(len(pyramid) - 1, -1, -1):
         lit, lit1, lw = pyramid[level]
         # each level starts from the coarser level's flow (zero flow at the coarsest)
-        solver = _Level(_Workspace(lit.shape, lit, lit1, lw, cfg), uv, level)
+        solver = _Level(lit, lit1, lw, cfg, uv, level)
         loss = solver.solve()
         uv = solver.uv
     return FlowField(uv[0], uv[1]), loss

@@ -1,7 +1,6 @@
 import dataclasses
 import logging
 import os
-import re
 import sys
 import threading
 import tracemalloc
@@ -22,7 +21,6 @@ from evreflex.flow import (
     _OMEGA,
     _THREADED_CELLS,
     _Level,
-    _Workspace,
     _charbonnier_power,
     _downsample2,
     _half_sweep,
@@ -60,14 +58,13 @@ def _smoothness(flow):
 
 
 def _frozen_terms(flow, it, it1, cfg, weights=None):
-    """What a solve reads of the objective at flow: a fresh workspace's loss
-    there, then its freeze with I_t1's np.gradient derivatives; the data
-    term's five arrays, then each flow channel's edge weights."""
-    u, v = np.asarray(flow, dtype=np.float64)
-    ws = _Workspace(u.shape, it, it1, weights, cfg)
-    ws.loss(u, v)
-    gy, gx = np.gradient(it1)
-    data, edges = ws.freeze(u, v, gx, gy)
+    """What a solve reads of the objective at flow: a fresh level's loss
+    there, then its linearisation with I_t1's np.gradient derivatives; the
+    data term's five arrays, then each flow channel's edge weights."""
+    level = _Level(it, it1, weights, cfg)
+    level.uv[...] = flow
+    level.loss(*level.uv)
+    data, edges = level._linearise()
     return [*data, *(edge for channel in edges for edge in channel)]
 
 
@@ -387,17 +384,17 @@ def test_kernel_bit_identical_to_reference(shape, weighting, alpha):
     it1 = rng.random(shape)
     weights = _kernel_weights(weighting, shape, rng)
     cfg = FlowSolverConfig(alpha=alpha)
-    # one workspace for every flow in turn, each after a loss at another
-    # flow, guards against terms kept from an earlier evaluation
-    ws = _Workspace(shape, it, it1, weights, cfg)
+    # one level for every flow in turn, each after a loss at another flow,
+    # guards against terms kept from an earlier evaluation
+    level = _Level(it, it1, weights, cfg)
     # the photometric term runs on the pixels of nonzero weight, every pixel
     # under uniform weighting
-    assert ws.pixels == (it.size if weights is None else np.count_nonzero(weights))
+    assert level.pixels == (it.size if weights is None else np.count_nonzero(weights))
     flows = list(_kernel_flows(shape, rng))
     for (u, v), (ru, rv) in zip(flows, flows[::-1]):
-        ws.loss(ru, rv)
-        assert ws.loss(u, v) == _reference_loss(u, v, it, it1, cfg, weights)
-    # total_loss builds its own workspace
+        level.loss(ru, rv)
+        assert level.loss(u, v) == _reference_loss(u, v, it, it1, cfg, weights)
+    # total_loss builds its own level
     u, v = flows[1]
     ref_loss = _reference_loss(u, v, it, it1, cfg, weights)
     assert total_loss(np.stack([u, v]), it, it1, cfg, weights) == ref_loss
@@ -452,23 +449,12 @@ def test_estimate_flow_recovers_known_shift():
     assert ee.mean() < 0.5
 
 
-_LEVEL_RECORD = re.compile(
-    r"level (\d+), (\d+)x(\d+): photometric term on (\d+) of (\d+) pixels; "
-    r"(\d+) warps, (\d+) halvings; loss (\S+) at the start, then (.+)$")
-
-
 def _level_records(caplog):
-    """The DEBUG records of estimate_flow's levels, in order, as (level, w, h,
-    pixels, total pixels, warps, halvings, [loss at the start and after each
-    warp])."""
-    records = []
-    for record in caplog.records:
-        if record.name == "evreflex.flow":
-            m = _LEVEL_RECORD.match(record.getMessage())
-            assert m, record.getMessage()
-            losses = [float(m[8])] + [float(x) for x in m[9].split(", ")]
-            records.append((*(int(g) for g in m.groups()[:7]), losses))
-    return records
+    """The DEBUG records of estimate_flow's levels, in order, as their fields
+    (level, w, h, pixels, warps, halvings, losses at the start and after each
+    warp)."""
+    return [(r.level, r.width, r.height, r.pixels, r.warps, r.halvings, r.losses)
+            for r in caplog.records if r.name == "evreflex.flow"]
 
 
 def _shifted_texture(shape, dx, dy, seed):
@@ -509,13 +495,13 @@ def test_estimate_flow_monotone_loss_per_level(monkeypatch, caplog):
     # keeps the warp's first flow.  So within a level no warp ends above the
     # one before.
     evaluated = []
-    original = fl._Workspace.loss
+    original = fl._Level.loss
 
     def recording(self, u, v):
         evaluated.append(original(self, u, v))
         return evaluated[-1]
 
-    monkeypatch.setattr(fl._Workspace, "loss", recording)
+    monkeypatch.setattr(fl._Level, "loss", recording)
     for images, settings, halved in _SAFEGUARD_CASES.values():
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="evreflex.flow"):
@@ -629,10 +615,9 @@ def _frozen_level(shape, weighting, seed):
         weights[3, 4] = 1.0
     cfg = FlowSolverConfig()
     flow = rng.normal(0.0, 0.5, (2, *shape))
-    ws = _Workspace(shape, it, it1, weights, cfg)
-    level = _Level(ws, None, 0)
+    level = _Level(it, it1, weights, cfg)
     level.uv[...] = flow
-    ws.loss(*level.uv)
+    level.loss(*level.uv)
     assert level.freeze()
     return level, flow, _reference_system(*flow, it, it1, weights, cfg)
 
@@ -842,7 +827,7 @@ def _no_worker_alive() -> bool:
 # that function in it.
 _WORKER_STAGES = {
     "sweeps": ("_half_sweep", lambda level: level.sweeps(1), 2),
-    "loss": ("_edge_powers", lambda level: level.ws.loss(*level.uv), 1),
+    "loss": ("_edge_powers", lambda level: level.loss(*level.uv), 1),
     "freeze (sample)": ("_interpolate", lambda level: level.freeze(), 1),
 }
 
@@ -866,7 +851,7 @@ def test_a_levels_freeze_and_sweeps_outside_a_solve_open_no_worker(monkeypatch):
     assert level.flow.shape[-1] >= fl._THREADED_CELLS
     level.sweeps(2)
     assert seen == {threading.get_ident()} and counts == {threads}
-    assert threading.active_count() == threads and level.ws.worker is None
+    assert threading.active_count() == threads and level.worker is None
 
 
 @pytest.mark.parametrize("over", ["raise", "ignore", "warn"])
@@ -912,11 +897,11 @@ def test_a_failed_loss_or_freeze_half_raises_in_the_caller_and_joins_the_worker(
             raise _HalfFailure(side)
         return original(*args)
 
-    level.ws.loss(*level.uv)  # a freeze's terms, on this thread
+    level.loss(*level.uv)  # a freeze's terms, on this thread
     monkeypatch.setattr(fl, name, failing)
     raised = _on_a_thread(lambda: _in_a_paired_solve(level, run))
     assert isinstance(raised, _HalfFailure) and raised.args == (side,)
-    assert _no_worker_alive() and level.ws.worker is None
+    assert _no_worker_alive() and level.worker is None
     # the next solve of the level runs from its flow
     monkeypatch.setattr(fl, name, original)
     assert _on_a_thread(level.solve) is None
@@ -944,13 +929,12 @@ def test_two_thread_loss_and_freeze_give_the_one_thread_terms_to_the_bit(
         _sweep_threads(monkeypatch, threads)
         monkeypatch.setattr(fl, "_interpolate", recording)
         sampled_on_worker.clear()
-        ws = _Workspace(shape, it, it1, weights, FlowSolverConfig(alpha=alpha))
-        level = _Level(ws, None, 0)
+        level = _Level(it, it1, weights, FlowSolverConfig(alpha=alpha))
         level.uv[...] = flow
         with level._paired():
-            loss = ws.loss(*level.uv)
-            terms = [*ws.footprint, ws.residual, ws.base, ws.power,
-                     *(edge for channel in ws.edges for edge in channel)]
+            loss = level.loss(*level.uv)
+            terms = [*level.footprint, level.residual, level.base, level.power,
+                     *(edge for channel in level.edges for edge in channel)]
             terms = [term.copy() for term in terms]
             assert level.freeze()
         kept.append((loss, terms + [level.terms, level.left, level.up]))
@@ -1012,7 +996,7 @@ def test_estimate_flow_at_alpha_zero_is_finite_and_no_worse_than_zero_flow():
 @pytest.mark.parametrize("shape", [(5, 7), (2, 3), (1, 6), (6, 1), (1, 1)])
 def test_image_gradient_is_np_gradients(shape):
     img = np.random.default_rng(123).random(shape)
-    level = _Level(_Workspace(shape, np.zeros(shape), img, None, FlowSolverConfig()), None, 0)
+    level = _Level(np.zeros(shape), img, None, FlowSolverConfig())
     for axis, derivative in zip((1, 0), level.derivatives):
         expected = np.gradient(img, axis=axis) if shape[axis] > 1 else np.zeros(shape)
         assert np.array_equal(derivative, expected)
@@ -1033,10 +1017,10 @@ def test_downsample2_is_the_reshape_mean(shape):
 
 def test_estimate_flow_memory_is_bounded_in_rasters():
     # Under uniform weighting every 1-D array of the photometric term is a
-    # raster of the finest level.  The workspace holds 5 of them (the active
+    # raster of the finest level.  The level gathers 5 of them (the active
     # indices, the pixel grid, I_t and the weights), and a loss keeps 10 more
     # for the freeze: the footprint's corner index and offsets, the residual,
-    # its base and power, and 4 edge rasters of powers.  The level holds 14:
+    # its base and power, and 4 edge rasters of powers.  Its solve holds 14:
     # its raster flow and a warp's first flow (4), I_t1's two derivatives
     # (2), the terms' scatter index (1), and in float32 the parity classes'
     # flow, edge weights and 5 frozen terms with their rings and the scratch
@@ -1136,16 +1120,16 @@ def test_a_block_whose_determinant_overflows_float32_is_refused(monkeypatch):
     # _OMEGA / inf, the block would read 0 and its pixel relax towards 0
     # with no error.
     level = _frozen_level((7, 9), "uniform", seed=133)[0]
-    original = fl._Workspace.freeze
+    original = fl._Level._linearise
 
-    def freeze(self, *args):
-        data, edges = original(self, *args)
+    def linearise(self):
+        data, edges = original(self)
         for coefficient in data[:3]:
             coefficient[10] = 3e38  # the rank-1 block of the gradient (1, 1)
         return data, edges
 
-    monkeypatch.setattr(fl._Workspace, "freeze", freeze)
-    level.ws.loss(*level.uv)
+    monkeypatch.setattr(fl._Level, "_linearise", linearise)
+    level.loss(*level.uv)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert level.freeze() is False
@@ -1215,13 +1199,13 @@ def test_a_cfg_that_is_not_a_solver_config_is_refused(entry, cfg):
 
 def test_estimate_flow_logs_each_level(monkeypatch, caplog):
     evaluations = {}
-    original = fl._Workspace.loss
+    original = fl._Level.loss
 
     def counting(self, u, v):
         evaluations[u.shape] = evaluations.get(u.shape, 0) + 1
         return original(self, u, v)
 
-    monkeypatch.setattr(fl._Workspace, "loss", counting)
+    monkeypatch.setattr(fl._Level, "loss", counting)
     rng = np.random.default_rng(108)
     img0 = rng.random((32, 40))
     img1 = np.roll(img0, 1, axis=1)
@@ -1233,9 +1217,9 @@ def test_estimate_flow_logs_each_level(monkeypatch, caplog):
     records = _level_records(caplog)
     assert [r[0] for r in records] == [2, 1, 0]
     active = np.count_nonzero(event_mask(em))
-    for level, w, h, pixels, total, warps, halvings, losses in records:
+    for level, w, h, pixels, warps, halvings, losses in records:
         # one loss at the start, one per warp and one per halving
-        assert total == w * h and warps == fl._WARPS
+        assert 0 < pixels <= w * h and warps == fl._WARPS
         assert evaluations[(h, w)] == 1 + warps + halvings
         if level == 0:
             assert (w, h) == (40, 32) and pixels == active and losses[-1] == loss

@@ -22,6 +22,7 @@ from evreflex.tti import estimate_tti_dynamic
 from evreflex.types import (
     EVENT_DTYPE,
     CameraModel,
+    EventWindowError,
     ShapeMismatchError,
     accumulate_events,
     as_event_array,
@@ -817,14 +818,19 @@ def test_every_event_producer_returns_exactly_event_dtype(tmp_path):
 # -- simulate_sequence windows ------------------------------------------------------
 
 
-def test_simulate_sequence_last_window_holds_events_at_the_last_frame_time():
+def _events_at_the_last_frame_time():
+    """A 48x36 sequence whose emulator stamps crossings at the last frame time."""
     scene = SceneConfig(
         camera=CameraModel(fx=45.0, fy=45.0, cx=23.5, cy=17.5, width=48, height=36),
         duration=0.25,
         random_obstacles=6,
         rng_seed=29,
     )
-    seq = simulate_sequence(scene)
+    return simulate_sequence(scene)
+
+
+def test_simulate_sequence_last_window_holds_events_at_the_last_frame_time():
+    seq = _events_at_the_last_frame_time()
     times = [f.t for f in seq.frames]
     at_last = seq.events[seq.events["t"] == times[-1]]
     assert at_last.size > 0  # the emulator stamps crossings at the last frame time
@@ -832,3 +838,19 @@ def test_simulate_sequence_last_window_holds_events_at_the_last_frame_time():
     assert np.array_equal(seq.event_windows[-1][-at_last.size:], at_last)
     for k, w in enumerate(seq.event_windows[:-1]):
         assert w.size == 0 or (times[k] <= w["t"][0] and w["t"][-1] < times[k + 1])
+
+
+def test_accumulating_the_last_window_to_nextafter_counts_every_event():
+    # accumulate_events takes a half-open window, so a caller closes the last
+    # window, which holds the events at the last frame time, with nextafter
+    seq = _events_at_the_last_frame_time()
+    times = [f.t for f in seq.frames]
+    cam = seq.scene.camera
+    ends = [*times[1:-1], np.nextafter(times[-1], np.inf)]
+    counted = 0
+    for window, t0, t1 in zip(seq.event_windows, times[:-1], ends, strict=True):
+        em = accumulate_events(window, (t0, t1), cam.width, cam.height)
+        counted += int(em.pos_count.sum()) + int(em.neg_count.sum())
+    assert counted == seq.events.size
+    with pytest.raises(EventWindowError):
+        accumulate_events(seq.event_windows[-1], (times[-2], times[-1]), cam.width, cam.height)

@@ -7,10 +7,11 @@ directory SRC when given (another checkout's src, to run this scene and
 these counts on that tree's program).  For every frame
 pair (k, k+1) of the scene with k >= 1 (frame 0 has no ground-truth TTI) it
 runs the chain the way a caller does: the event window of the pair
-accumulated into an event map, estimate_flow under the default solver
-settings, estimate_tti_dynamic on the solved flow, threshold_collision at a
-1 s horizon, obstacle_motion_vector over the danger mask and
-evasion_direction for a camera moving forward at 0.5 m/s.  It also
+accumulated into an event map (the last window up to the float after the
+last frame time, as SequenceResult documents), estimate_flow under the
+default solver settings, estimate_tti_dynamic on the solved flow,
+threshold_collision at a 1 s horizon, obstacle_motion_vector over the
+danger mask and evasion_direction for a camera moving forward at 0.5 m/s.  It also
 evaluates total_loss at the stored (float32) flow, and prf1 of the danger
 mask against the ground-truth danger mask of frame k.
 
@@ -24,8 +25,9 @@ each.  tools/sim_digest.py does the same for the simulator's outputs.
 
 The line before each digest names the scene and gives, per pyramid level, the solve's warps and
 safeguard halvings and its final loss, each summed over the pairs (the loss
-to 6 significant digits), read from estimate_flow's DEBUG records on the
-"evreflex.flow" logger.  A digest that moves while this line holds is a
+to 6 significant digits), read from the fields of estimate_flow's
+per-level DEBUG records on the "evreflex.flow" logger (so SRC's program
+must attach them).  A digest that moves while this line holds is a
 change in the last bits of the results; a moved line means the solve itself
 went elsewhere.  Each digest is a line of its own, after its count line.
 
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -71,7 +72,9 @@ def digest_pair(seq, k: int, h) -> None:
 
     f0, f1 = seq.frames[k], seq.frames[k + 1]
     cam = seq.scene.camera
-    em = types.accumulate_events(seq.event_windows[k], (f0.t, f1.t), cam.width, cam.height)
+    # the last window is closed at the last frame time (see SequenceResult)
+    end = np.nextafter(f1.t, np.inf) if k + 2 == len(seq.frames) else f1.t
+    em = types.accumulate_events(seq.event_windows[k], (f0.t, end), cam.width, cam.height)
     fl, loss = flow.estimate_flow(em, f0.intensity, f1.intensity)
     est = tti.estimate_tti_dynamic(fl, f0.depth, f1.depth, seq.scene.dt)
     danger = tti.threshold_collision(est, HORIZON_S)
@@ -91,25 +94,18 @@ def digest_pair(seq, k: int, h) -> None:
                    sorted(scores.per_class), counts)).encode())
 
 
-# the fields of the solve's per-level DEBUG record that the count line uses:
-# the level, its warps and halvings, and the loss after the last warp
-LEVEL_RECORD = re.compile(r"level (\d+),.*; (\d+) warps, (\d+) halvings; .*?([^ ,]+)$")
-
-
 class LevelCounts(logging.Handler):
-    """Sums warps, halvings and final losses per pyramid level over the records."""
+    """Sums warps, halvings and final losses per pyramid level over the
+    records, read from the fields of the solve's per-level DEBUG record."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
         self.warps, self.halvings, self.losses = Counter(), Counter(), Counter()
 
     def emit(self, record):
-        match = LEVEL_RECORD.search(record.getMessage())
-        if match:
-            level, warps, halvings = map(int, match.groups()[:3])
-            self.warps[level] += warps
-            self.halvings[level] += halvings
-            self.losses[level] += float(match[4])
+        self.warps[record.level] += record.warps
+        self.halvings[record.level] += record.halvings
+        self.losses[record.level] += record.losses[-1]
 
     def line(self, pairs: int) -> str:
         levels = "; ".join(f"level {level}: {self.warps[level]} warps, "
