@@ -131,7 +131,8 @@ from .types import (
     _check_finite,
     _check_int,
     _check_positive,
-    _float64,
+    _check_shapes,
+    _raster,
     event_mask,
 )
 
@@ -198,13 +199,6 @@ class SolverDivergenceError(RuntimeError):
 def _check_config(cfg) -> None:
     if not isinstance(cfg, FlowSolverConfig):
         raise TypeError(f"cfg must be a FlowSolverConfig, got {type(cfg).__name__}")
-
-
-def _gray(img: Raster) -> np.ndarray:
-    arr = _float64(img)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D raster, got shape {arr.shape}")
-    return arr
 
 
 def _uv(flow: Flow) -> tuple[np.ndarray, np.ndarray]:
@@ -298,9 +292,7 @@ def warp(src: Raster, flow: Flow):
         raise ValueError("cannot warp a CLASS_ID map: bilinear sampling does not apply "
                          "to class labels")
     u, v = _uv(flow)
-    img = _gray(src)
-    if img.shape != u.shape:
-        raise ShapeMismatchError("flow and source dimensions differ")
+    img = _raster("src", src, flow=u.shape)
     top_left, fx, fy, valid = _footprint(img.shape, *_sample_grid(img.shape, u, v))
     values = _interpolate(_gather_corners(img, top_left), fx, fy)
     if isinstance(src, FloatMap):
@@ -329,9 +321,7 @@ def charbonnier(x, eps: float = 0.001, alpha: float = 0.45):
 def _weights(shape, weight_mask) -> np.ndarray:
     if weight_mask is None:
         return np.ones(shape, dtype=np.float64)
-    w = np.asarray(weight_mask, dtype=np.float64)
-    if w.shape != shape:
-        raise ShapeMismatchError(f"weight mask shape {w.shape} != raster shape {shape}")
+    w = _raster("weight_mask", weight_mask, img_t=shape)
     if not (np.isfinite(w) & (w >= 0)).all():
         raise ValueError("weight_mask holds a NaN, infinite or negative weight")
     return w
@@ -353,9 +343,7 @@ def total_loss(
     """
     _check_config(cfg)
     u, v = _uv(flow)
-    it, it1 = _gray(img_t), _gray(img_t1)
-    if not (it.shape == it1.shape == u.shape):
-        raise ShapeMismatchError(f"shape mismatch: images {it.shape}/{it1.shape}, flow {u.shape}")
+    it, it1 = _raster("img_t", img_t, flow=u.shape), _raster("img_t1", img_t1, flow=u.shape)
     return _Level(it, it1, weight_mask, cfg).loss(u, v)
 
 
@@ -846,10 +834,8 @@ def estimate_flow(
     nothing to weigh and would return zero flow.
     """
     _check_config(cfg)
-    it = _gray(img_t)
-    it1 = _gray(img_t1)
-    if it.shape != it1.shape:
-        raise ShapeMismatchError(f"image shapes differ: {it.shape} vs {it1.shape}")
+    it = _raster("img_t", img_t)
+    it1 = _raster("img_t1", img_t1, img_t=it.shape)
     for name, img in (("img_t", it), ("img_t1", it1)):
         if not np.all(np.isfinite(img)):
             raise ValueError(f"{name} holds non-finite pixels")
@@ -858,8 +844,7 @@ def estimate_flow(
     elif not isinstance(em, EventMap):
         raise TypeError(f"em must be an EventMap or None, got {type(em).__name__}")
     else:
-        if em.pos_count.shape != it.shape:
-            raise ShapeMismatchError("event map dimensions differ from images")
+        _check_shapes(em=em.pos_count.shape, img_t=it.shape)
         weights = event_mask(em).astype(np.float64)
         if not weights.any():
             raise ValueError("the event map needs at least one active pixel")

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .types import FloatMap, FlowField, ShapeMismatchError, UndefinedMetricError, _check_positive
+from .types import FloatMap, FlowField, UndefinedMetricError, _check_positive, _check_shapes
 
 __all__ = [
     "FlowErrorStats",
@@ -64,16 +64,14 @@ def flow_aee(
     pred: FlowField, gt: FlowField, mask: Optional[np.ndarray] = None
 ) -> FlowErrorStats:
     """Average endpoint error and >3 px outlier rate over the masked pixels."""
-    if pred.u.shape != gt.u.shape:
-        raise ShapeMismatchError("flow field dimensions differ")
+    _check_shapes(pred=pred.u.shape, gt=gt.u.shape)
     ee = np.hypot(
         pred.u.astype(np.float64) - gt.u.astype(np.float64),
         pred.v.astype(np.float64) - gt.v.astype(np.float64),
     )
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != ee.shape:
-            raise ShapeMismatchError("mask dimensions differ from the flow fields")
+        _check_shapes(mask=mask.shape, pred=ee.shape)
         ee = ee[mask]
     count = int(ee.size)
     if count == 0:
@@ -104,8 +102,7 @@ def prf1(pred_mask: np.ndarray, gt_mask: np.ndarray, class_map: FloatMap) -> Cla
     pred = np.asarray(pred_mask, dtype=bool)
     gt = np.asarray(gt_mask, dtype=bool)
     classes = np.asarray(class_map.values)
-    if not (pred.shape == gt.shape == classes.shape):
-        raise ShapeMismatchError("mask and class map dimensions differ")
+    _check_shapes(pred_mask=pred.shape, gt_mask=gt.shape, class_map=classes.shape)
     per_class: dict[int, ClassScore] = {}
     for cid in sorted(int(c) for c in np.unique(classes)):
         sel = classes == cid

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import (CameraModel, FloatMap, FlowField, ShapeMismatchError, _check_finite,
-                    _check_shape)
+from .types import CameraModel, FloatMap, FlowField, _check_finite, _check_shape, _check_shapes
 from .tti import TtiMap
 
 __all__ = ["EgoMotion", "EvasionResult", "obstacle_motion_vector", "evasion_direction"]
@@ -58,15 +57,9 @@ def obstacle_motion_vector(
     contributing pixel count); an empty mask yields the zero vector.  Rasters,
     mask and camera must share one (height, width), else ShapeMismatchError.
     """
-    shape = flow.u.shape
-    if depth.values.shape != shape or t.values.shape != shape:
-        raise ShapeMismatchError("flow, depth and tti dimensions must match")
     mask = np.asarray(danger_mask, dtype=bool)
-    if mask.shape != shape:
-        raise ShapeMismatchError("danger mask dimensions must match the rasters")
-    if (camera.height, camera.width) != shape:
-        raise ShapeMismatchError(f"camera is {camera.height}x{camera.width}, rasters are "
-                                 f"{shape[0]}x{shape[1]}")
+    _check_shapes(flow=flow.u.shape, depth=depth.values.shape, t=t.values.shape,
+                  danger_mask=mask.shape, camera=(camera.height, camera.width))
     count = int(mask.sum())
     if count == 0:
         return np.zeros(3, dtype=np.float64), 0

@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,6 +64,7 @@ from .types import (
     _check_positive,
     _check_shape,
     _float64,
+    _raster,
 )
 
 __all__ = [
@@ -665,12 +666,12 @@ def generate_events(
     if len(shape) != 2 or max(shape) > 65536:
         raise ShapeMismatchError(f"frames must be 2-D with sides of at most 65536, got {shape}")
     for k, img in enumerate(intensities):
-        img = _float64(img)
-        if img.shape != shape:
-            raise ShapeMismatchError(f"frame {k} has shape {img.shape}, expected {shape}")
+        img = _raster(f"frame {k}", img, first_frame=shape)
         if not np.all((img >= 0) & (img < np.inf)):
             raise ValueError(f"frame {k} must hold finite, non-negative intensities")
     times = np.asarray(timestamps, dtype=np.float64)
+    if times.ndim != 1:
+        raise ValueError(f"timestamps must be 1-D, got shape {times.shape}")
     if not np.all(np.isfinite(times)):
         raise ValueError("timestamps must be finite")
     if not np.all(np.diff(times) > 0):

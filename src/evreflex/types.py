@@ -46,7 +46,10 @@ comparison), ``_check_raster_size`` (integer sides in [1, 65536]),
 ``_check_window`` (finite ends, t0 < t1), ``_check_int`` and
 ``_check_shape``.  A bool, a string or None is not a number.  Messages
 start with the field name, which ``parse_config`` reads to name the config
-key.
+key.  Rasters that must share the sensor raster go through
+``_check_shapes`` (equal shapes) or ``_raster`` (a 2-D float64 raster of
+the named shapes); their ShapeMismatchError names each argument and its
+shape.
 """
 from __future__ import annotations
 
@@ -307,8 +310,9 @@ class FlowField:
 
     def __post_init__(self):
         u, v = _frozen(self.u, np.float32), _frozen(self.v, np.float32)
-        if u.shape != v.shape or u.ndim != 2:
-            raise ShapeMismatchError(f"u/v shapes {u.shape} vs {v.shape} must match and be 2-D")
+        if u.ndim != 2:
+            raise ShapeMismatchError(f"u must be a 2-D raster, got shape {u.shape}")
+        _check_shapes(u=u.shape, v=v.shape)
         for name, arr in (("u", u), ("v", v)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"flow channel {name} contains non-finite values")
@@ -342,6 +346,25 @@ class FloatMap:
 def _float64(raster) -> np.ndarray:
     """A FloatMap's values, or an array-like, as a float64 array for arithmetic."""
     return np.asarray(raster.values if isinstance(raster, FloatMap) else raster, dtype=np.float64)
+
+
+def _check_shapes(**shapes) -> None:
+    """Raise a ShapeMismatchError naming every argument and its shape unless
+    all the shapes are equal."""
+    first, *rest = shapes.values()
+    if any(shape != first for shape in rest):
+        listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+        raise ShapeMismatchError(f"shapes differ: {listed}")
+
+
+def _raster(name: str, raster, **shapes) -> np.ndarray:
+    """raster through _float64, or a ShapeMismatchError naming it unless it
+    is 2-D and has each named shape; its values are not checked."""
+    arr = _float64(raster)
+    if arr.ndim != 2:
+        raise ShapeMismatchError(f"{name} must be a 2-D raster, got shape {arr.shape}")
+    _check_shapes(**{name: arr.shape}, **shapes)
+    return arr
 
 
 def _holds_bool(value) -> bool:

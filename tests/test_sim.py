@@ -639,6 +639,16 @@ def test_generate_events_refuses_a_timestamp_that_is_not_finite(bad):
         generate_events([0.0, 0.05, bad], frames, 0.1)
 
 
+@pytest.mark.parametrize("times", [[[0.0], [0.05], [0.1]], [[0.1], [0.05], [0.0]]],
+                         ids=["increasing", "decreasing"])
+def test_generate_events_refuses_timestamps_that_are_not_1d(times):
+    # np.diff of a (3, 1) array runs along its length-1 axis, so the order
+    # check once passed a decreasing column and the emulator failed later
+    _, frames = _one_pixel([0.1, 0.0, 0.1])
+    with pytest.raises(ValueError, match=r"^timestamps must be 1-D, got shape \(3, 1\)"):
+        generate_events(np.array(times), frames, 0.1)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, -1e-4])
 def test_generate_events_refuses_a_frame_with_a_bad_intensity(bad):
     frames = [np.full((1, 2), 0.1), np.array([[0.2, bad]]), np.full((1, 2), 0.1)]

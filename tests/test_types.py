@@ -3,6 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evreflex.flow import FlowSolverConfig, estimate_flow, total_loss, warp
+from evreflex.metrics import flow_aee, prf1
+from evreflex.policy import obstacle_motion_vector
+from evreflex.sim import generate_events
+from evreflex.tti import (
+    TtiMap,
+    estimate_tti_dynamic,
+    estimate_tti_static,
+    ground_truth_inverse_tti,
+    tti_mse,
+)
 from evreflex.types import (
     EventOrderError,
     EventMap,
@@ -419,3 +430,79 @@ def test_make_events_keeps_integral_floats_and_range_ends():
 def test_make_events_refuses_components_not_1d_or_not_as_long_as_t(t, x, y, polarity, field):
     with pytest.raises(ValueError, match=f"^{field} "):
         make_events(t, x, y, polarity)
+
+
+# -- the shape rule: one raster of the wrong shape at each raster boundary -----
+
+RIGHT, WRONG = (4, 5), (4, 6)
+
+
+def _depth(shape):
+    return FloatMap(np.ones(shape), MapSemantics.DEPTH_M)
+
+
+def _flow(shape):
+    return FlowField(np.zeros(shape), np.zeros(shape))
+
+
+def _mask(shape):
+    return np.ones(shape, dtype=bool)
+
+
+def _tti_map(shape):
+    return TtiMap(np.zeros(shape), dt=0.1, valid=_mask(shape))
+
+
+def _one_event_map(shape):
+    return accumulate_events(make_events([0.5], [0], [0], [1]), (0.0, 1.0), shape[1], shape[0])
+
+
+_SHAPE_BOUNDARIES = {
+    "FlowField": ("v", lambda: FlowField(np.zeros(RIGHT), np.zeros(WRONG))),
+    "warp": ("src", lambda: warp(np.zeros(WRONG), _flow(RIGHT))),
+    "total_loss images": (
+        "img_t1", lambda: total_loss(_flow(RIGHT), np.zeros(RIGHT), np.zeros(WRONG),
+                                     FlowSolverConfig())),
+    "total_loss weight_mask": (
+        "weight_mask", lambda: total_loss(_flow(RIGHT), np.zeros(RIGHT), np.zeros(RIGHT),
+                                          FlowSolverConfig(), np.ones(WRONG))),
+    "estimate_flow images": (
+        "img_t1", lambda: estimate_flow(None, np.zeros(RIGHT), np.zeros(WRONG))),
+    "estimate_flow em": (
+        "em", lambda: estimate_flow(_one_event_map(WRONG), np.zeros(RIGHT), np.zeros(RIGHT))),
+    "TtiMap": ("valid", lambda: TtiMap(np.zeros(RIGHT), dt=0.1, valid=_mask(WRONG))),
+    "ground_truth_inverse_tti": (
+        "d_prev", lambda: ground_truth_inverse_tti(_depth(WRONG), _depth(RIGHT), _flow(RIGHT),
+                                                   0.1)),
+    "estimate_tti_dynamic": (
+        "d_next", lambda: estimate_tti_dynamic(_flow(RIGHT), _depth(RIGHT), _depth(WRONG), 0.1)),
+    "estimate_tti_static": (
+        "d_curr", lambda: estimate_tti_static(_flow(RIGHT), _depth(WRONG), 0.1)),
+    "tti_mse": ("gt", lambda: tti_mse(_tti_map(RIGHT), _tti_map(WRONG))),
+    "flow_aee fields": ("gt", lambda: flow_aee(_flow(RIGHT), _flow(WRONG))),
+    "flow_aee mask": ("mask", lambda: flow_aee(_flow(RIGHT), _flow(RIGHT), _mask(WRONG))),
+    "prf1": ("class_map", lambda: prf1(_mask(RIGHT), _mask(RIGHT),
+                                       FloatMap(np.zeros(WRONG), MapSemantics.CLASS_ID))),
+    "obstacle_motion_vector": (
+        "danger_mask", lambda: obstacle_motion_vector(
+            _flow(RIGHT), _depth(RIGHT), _tti_map(RIGHT), _mask(WRONG),
+            CameraModel(fx=10.0, fy=10.0, cx=2.0, cy=2.0, width=RIGHT[1], height=RIGHT[0]))),
+    "generate_events": (
+        "frame 1", lambda: generate_events([0.0, 0.05], [np.ones(RIGHT), np.ones(WRONG)], 0.1)),
+}
+
+
+@pytest.mark.parametrize("boundary", _SHAPE_BOUNDARIES)
+def test_a_raster_of_the_wrong_shape_is_refused_by_name(boundary):
+    # the refusal names the offending argument with its shape, and the shape
+    # it had to match
+    name, call = _SHAPE_BOUNDARIES[boundary]
+    with pytest.raises(ShapeMismatchError) as refusal:
+        call()
+    message = str(refusal.value)
+    assert f"{name} {WRONG}" in message and str(RIGHT) in message
+
+
+def test_a_raster_that_is_not_2d_is_refused_by_name():
+    with pytest.raises(ShapeMismatchError, match=r"^img_t must be a 2-D raster, got shape \(20,\)"):
+        estimate_flow(None, np.zeros(20), np.zeros(RIGHT))

@@ -80,10 +80,9 @@ def digest_pair(seq, k: int, h) -> None:
     danger = tti.threshold_collision(est, HORIZON_S)
     vec, count = policy.obstacle_motion_vector(fl, f0.depth, est, danger, cam)
     evasion = policy.evasion_direction(vec, policy.EgoMotion((0.0, 0.0, CAMERA_SPEED)), count)
-    flow_arr = np.stack([fl.u, fl.v])
     cfg = flow.FlowSolverConfig()
     weights = types.event_mask(em).astype(np.float64)
-    stored_loss = flow.total_loss(flow_arr, f0.intensity, f1.intensity, cfg, weights)
+    stored_loss = flow.total_loss(fl, f0.intensity, f1.intensity, cfg, weights)
     gt_mask = tti.threshold_collision(seq.tti_gt[k - 1], HORIZON_S)
     scores = metrics.prf1(danger, gt_mask, f0.class_map)
 
