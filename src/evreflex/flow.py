@@ -84,7 +84,8 @@ tests/test_flow.py, and keeps the arrays it built that a freeze reads: the
 footprint, the residual, its Charbonnier base and power, and each edge's
 power.  `freeze` consumes them in place into one warp's linearised data
 term, in the order the block inversion reads it, and edge weights.
-total_loss is a fresh level's loss.
+total_loss is a fresh level's loss.  _warp, the one sampler of warp and of
+tti's range closure, builds the same footprint on the whole raster.
 
 Each Charbonnier base b = x^2 + eps^2 (the photometric residual's and, per
 flow channel, the horizontal and vertical differences') takes one log and
@@ -101,11 +102,11 @@ gathers the flow there, runs the footprint, interpolant, residual and
 powers on them and sums the weighted terms in raster order.  So a pixel of
 weight 0 never reaches the objective: I_t is not read there (I_t1 is, where
 an active pixel's sample lands), and an overflow there is no divergence;
-one at a pixel of nonzero weight still is.  A weight mask must be finite and
-non-negative.  The solve reports each level at DEBUG level on the
-"evreflex.flow" logger, its numbers also the record's fields: level, width,
-height, pixels (active), warps, safeguard halvings and losses (at the start
-and after each warp).
+one at a pixel of nonzero weight still is.  total_loss checks that a weight
+mask is finite and non-negative, and a level trusts its weights.  The solve
+reports each level at DEBUG level on the "evreflex.flow" logger, its
+numbers also the record's fields: level, width, height, pixels (active),
+warps, safeguard halvings and losses (at the start and after each warp).
 
 All internal arithmetic runs in float64, except the sweeps' (above).
 """
@@ -212,19 +213,15 @@ def _uv(flow: Flow) -> tuple[np.ndarray, np.ndarray]:
     raise ShapeMismatchError(f"expected FlowField or (2, H, W) array, got shape {arr.shape}")
 
 
-def _footprint(shape: tuple[int, int], xs: np.ndarray, ys: np.ndarray, with_mask: bool = True):
+def _footprint(shape: tuple[int, int], xs: np.ndarray, ys: np.ndarray):
     """Clamp-to-edge bilinear footprint of the samples at (xs, ys) on a raster
     of shape.
 
-    Returns (top_left, fx, fy, in_bounds): each footprint's top-left corner as
-    a linear index into the raveled raster, the fractional offsets inside the
-    footprint, and a flag for samples that stayed inside the raster (None
-    unless with_mask).
+    Returns (top_left, fx, fy): each footprint's top-left corner as a linear
+    index into the raveled raster, and the fractional offsets inside the
+    footprint.
     """
     h, w = shape
-    in_bounds = None
-    if with_mask:
-        in_bounds = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
     fx = np.clip(xs, 0.0, w - 1.0)
     fy = np.clip(ys, 0.0, h - 1.0)
     # fx, fy >= 0 now, so truncation is floor
@@ -235,7 +232,7 @@ def _footprint(shape: tuple[int, int], xs: np.ndarray, ys: np.ndarray, with_mask
     top_left = y0  # built in y0's array
     top_left *= w
     top_left += x0
-    return top_left, fx, fy, in_bounds
+    return top_left, fx, fy
 
 
 def _gather_corners(img: np.ndarray, top_left: np.ndarray):
@@ -275,9 +272,17 @@ def _pixel_grid(shape: tuple[int, int]) -> np.ndarray:
     return grid
 
 
-def _sample_grid(shape: tuple[int, int], u: np.ndarray, v: np.ndarray):
-    ys, xs = _pixel_grid(shape)
-    return xs + u, ys + v
+def _warp(img: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """(values, in_bounds, corners): the raster img sampled at i + (u, v)(i)
+    through the clamp-to-edge bilinear footprint, a flag for samples that
+    stayed inside the raster, and img's four footprint corners."""
+    h, w = img.shape
+    ys, xs = _pixel_grid(img.shape)
+    xs, ys = xs + u, ys + v
+    in_bounds = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
+    top_left, fx, fy = _footprint(img.shape, xs, ys)
+    corners = _gather_corners(img, top_left)
+    return _interpolate(corners, fx, fy), in_bounds, corners
 
 
 def warp(src: Raster, flow: Flow):
@@ -292,9 +297,7 @@ def warp(src: Raster, flow: Flow):
         raise ValueError("cannot warp a CLASS_ID map: bilinear sampling does not apply "
                          "to class labels")
     u, v = _uv(flow)
-    img = _raster("src", src, flow=u.shape)
-    top_left, fx, fy, valid = _footprint(img.shape, *_sample_grid(img.shape, u, v))
-    values = _interpolate(_gather_corners(img, top_left), fx, fy)
+    values, valid, _ = _warp(_raster("src", src, flow=u.shape), u, v)
     if isinstance(src, FloatMap):
         return FloatMap(values, src.semantics), valid
     return values, valid
@@ -344,7 +347,7 @@ def total_loss(
     _check_config(cfg)
     u, v = _uv(flow)
     it, it1 = _raster("img_t", img_t, flow=u.shape), _raster("img_t1", img_t1, flow=u.shape)
-    return _Level(it, it1, weight_mask, cfg).loss(u, v)
+    return _Level(it, it1, _weights(it.shape, weight_mask), cfg).loss(u, v)
 
 
 # each edge direction's two ends: horizontal, then vertical 4-neighbour pairs
@@ -490,9 +493,11 @@ class _Level:
     """One pyramid level's objective and fixed-point solve, in buffers
     allocated once.
 
-    loss(u, v) runs the photometric term on the `pixels` pixels of nonzero
-    weight, at the flat indices `active`, and keeps the arrays that a freeze
-    reads; freeze() consumes them, so it runs at most once per loss.
+    weights is a float64 raster its caller has checked (total_loss through
+    _weights).  loss(u, v) runs the photometric term on the `pixels` pixels
+    of nonzero weight, at the flat indices `active`, and keeps the arrays
+    that a freeze reads; freeze() consumes them, so it runs at most once per
+    loss.
 
     uv is the flow as the loss reads it.  The sweeps run on a copy split by
     the parity (row, column) of the pixels, so that each class is contiguous:
@@ -521,7 +526,6 @@ class _Level:
         # the _Worker that _paired opens for the level's loss, freeze and
         # sweeps to split their stages with; None runs both halves here
         self.worker = None
-        weights = _weights(self.shape, weights)
         self.active = np.flatnonzero(weights)
         self.pixels = self.active.size
         # the photometric term's inputs at its pixels, as 1-D arrays
@@ -621,9 +625,6 @@ class _Level:
         With a worker, it takes u's edge powers while this thread takes
         the photometric term and v's; the terms add in the serial order."""
         cfg = self.cfg
-        if cfg.alpha == 0:
-            self.edges = []
-            return self._photometric(u, v)
         eps, ca = cfg.charbonnier_eps, cfg.charbonnier_alpha
         (u_edges, u_sum), (loss, (v_edges, v_sum)) = _at_once(
             self.worker, functools.partial(_edge_powers, u, eps, ca),
@@ -638,7 +639,7 @@ class _Level:
         """l_p at (u, v), keeping its footprint, residual, base and power."""
         eps, ca = self.cfg.charbonnier_eps, self.cfg.charbonnier_alpha
         self.footprint = _footprint(self.shape, self.grid_x + self._gather(u),
-                                    self.grid_y + self._gather(v), with_mask=False)[:3]
+                                    self.grid_y + self._gather(v))
         self.residual = self.it - self._sample(self.it1)
         self.base = self.residual * self.residual + eps * eps
         self.power = _charbonnier_power(self.base, ca)
@@ -659,9 +660,9 @@ class _Level:
         term is the block psi * (gy^2, gx^2, gx gy) and the constant terms
         psi * (gx, gy) * q, q = I_t - I_t1(i + F) + gx * u + gy * v, at the
         photometric term's pixels.  The edge weights are alpha * b^(a - 1),
-        per flow channel a horizontal and a vertical array (as _EDGES); none
-        at alpha = 0.  With a worker, it samples gy and turns u's edge powers
-        into weights while this thread does gx and v's.
+        per flow channel a horizontal and a vertical array (as _EDGES).
+        With a worker, it samples gy and turns u's edge powers into weights
+        while this thread does gx and v's.
         """
         cfg = self.cfg
         u, v = self.uv
@@ -673,7 +674,7 @@ class _Level:
                 power *= cfg.alpha
             return self._sample(raster)
 
-        u_edges, v_edges = self.edges or ((), ())
+        u_edges, v_edges = self.edges
         sy, sx = _at_once(self.worker, functools.partial(sample, gy, u, u_edges),
                           functools.partial(sample, gx, v, v_edges))
         psi = self.power
@@ -706,7 +707,7 @@ class _Level:
             self.terms.fill(0.0)
             for term, values in zip(self.terms, data):
                 term.reshape(-1)[self.index] = values
-            for c, channel in enumerate(edges):  # none at alpha = 0: the edges stay 0
+            for c, channel in enumerate(edges):
                 for parity in self.classes:
                     for edge, (source, target) in zip(channel, parity.edges):
                         np.copyto(target[c], edge[source])

@@ -266,7 +266,7 @@ class SceneConfig:
     def realized_obstacles(self) -> tuple[SphereObstacle, ...]:
         """Configured obstacles plus `random_obstacles` seeded random spheres."""
         if self.random_obstacles == 0:
-            return self.obstacles
+            return tuple(self.obstacles)
         rng = np.random.default_rng(self.rng_seed)
         hx, hy, hz = self.half_extents
         extra = []
@@ -289,7 +289,7 @@ class SceneConfig:
                     albedo=rng.uniform(0.5, 1.0),
                 )
             )
-        return self.obstacles + tuple(extra)
+        return tuple(self.obstacles) + tuple(extra)
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,21 +460,13 @@ def _shade(scene: SceneConfig, obstacles, cast: _Raycast, t: float) -> np.ndarra
     p = cast.points.reshape(-1, 3)
     obj = cast.obj.ravel()
     out = np.zeros(obj.shape, dtype=np.float64)
-    face_planes = {  # face id -> in-plane world coordinates
-        0: (1, 2),
-        1: (1, 2),
-        2: (0, 2),
-        3: (0, 2),
-        4: (0, 1),
-        5: (0, 1),
-    }
-    for face, tex in ((0, scene.wall_texture), (1, scene.wall_texture),
-                      (2, scene.wall_texture), (3, scene.wall_texture),
-                      (4, scene.floor_texture), (5, scene.ceiling_texture)):
+    # face f lies across world axis f // 2 (see _room), and faces 0-3 are walls
+    textures = (scene.wall_texture, scene.floor_texture, scene.ceiling_texture)
+    for face in range(6):
         idx = np.flatnonzero(obj == face)
         if idx.size:
-            au, av = face_planes[face]
-            out[idx] = tex.sample(p[idx, au], p[idx, av])
+            au, av = (axis for axis in range(3) if axis != face // 2)
+            out[idx] = textures[max(face - 3, 0)].sample(p[idx, au], p[idx, av])
     light = np.asarray(scene.light_dir, dtype=np.float64)
     light = light / np.linalg.norm(light)
     for sphere, idx in zip(obstacles, cast.owned):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _footprint, _gather_corners, _interpolate, _sample_grid, _uv
+from .flow import _uv, _warp
 from .types import (
     FloatMap,
     FlowField,
@@ -73,11 +73,7 @@ def _warp_depth(depth: np.ndarray, flow: FlowField):
     Returns (values, in_bounds, footprint_ok) where footprint_ok requires all
     four interpolation corners to hold valid depth with a bounded spread.
     """
-    u, v = _uv(flow)
-    top_left, fx, fy, in_bounds = _footprint(depth.shape, *_sample_grid(depth.shape, u, v))
-    corners = _gather_corners(depth, top_left)
-    values = _interpolate(corners, fx, fy)
-    c00, c01, c10, c11 = corners
+    values, in_bounds, (c00, c01, c10, c11) = _warp(depth, *_uv(flow))
     lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
     hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
     footprint_ok = (lo > 0) & (hi - lo <= OCCLUSION_JUMP_RATIO * lo)

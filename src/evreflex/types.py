@@ -162,6 +162,8 @@ def as_event_array(events: np.ndarray) -> np.ndarray:
     pass the same checks; anything else is a TypeError."""
     if isinstance(events, np.ndarray):
         if events.dtype == EVENT_DTYPE:
+            if events.ndim != 1:
+                raise ValueError(f"events must be 1-D, got shape {events.shape}")
             return events
         if {"t", "x", "y", "polarity"} <= set(events.dtype.names or ()):
             return make_events(events["t"], events["x"], events["y"], events["polarity"])
@@ -331,9 +333,9 @@ class FloatMap:
         values = _frozen(self.values, np.float32)
         semantics = MapSemantics(self.semantics)
         if values.ndim != 2:
-            raise ShapeMismatchError(f"expected a 2-D raster, got shape {values.shape}")
+            raise ShapeMismatchError(f"values must be a 2-D raster, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("map contains non-finite values")
+            raise ValueError("values holds non-finite values")
         if semantics in (MapSemantics.DEPTH_M, MapSemantics.INV_TTI_S):
             if np.any(values < 0):
                 raise ValueError(f"{semantics.name} map must be non-negative")

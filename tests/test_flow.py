@@ -61,7 +61,7 @@ def _frozen_terms(flow, it, it1, cfg, weights=None):
     """What a solve reads of the objective at flow: a fresh level's loss
     there, then its linearisation with I_t1's np.gradient derivatives; the
     data term's five arrays, then each flow channel's edge weights."""
-    level = _Level(it, it1, weights, cfg)
+    level = _Level(it, it1, fl._weights(it.shape, weights), cfg)
     level.uv[...] = flow
     level.loss(*level.uv)
     data, edges = level._linearise()
@@ -386,7 +386,7 @@ def test_kernel_bit_identical_to_reference(shape, weighting, alpha):
     cfg = FlowSolverConfig(alpha=alpha)
     # one level for every flow in turn, each after a loss at another flow,
     # guards against terms kept from an earlier evaluation
-    level = _Level(it, it1, weights, cfg)
+    level = _Level(it, it1, fl._weights(shape, weights), cfg)
     # the photometric term runs on the pixels of nonzero weight, every pixel
     # under uniform weighting
     assert level.pixels == (it.size if weights is None else np.count_nonzero(weights))
@@ -615,7 +615,7 @@ def _frozen_level(shape, weighting, seed):
         weights[3, 4] = 1.0
     cfg = FlowSolverConfig()
     flow = rng.normal(0.0, 0.5, (2, *shape))
-    level = _Level(it, it1, weights, cfg)
+    level = _Level(it, it1, fl._weights(shape, weights), cfg)
     level.uv[...] = flow
     level.loss(*level.uv)
     assert level.freeze()
@@ -929,7 +929,7 @@ def test_two_thread_loss_and_freeze_give_the_one_thread_terms_to_the_bit(
         _sweep_threads(monkeypatch, threads)
         monkeypatch.setattr(fl, "_interpolate", recording)
         sampled_on_worker.clear()
-        level = _Level(it, it1, weights, FlowSolverConfig(alpha=alpha))
+        level = _Level(it, it1, fl._weights(shape, weights), FlowSolverConfig(alpha=alpha))
         level.uv[...] = flow
         with level._paired():
             loss = level.loss(*level.uv)
@@ -942,7 +942,7 @@ def test_two_thread_loss_and_freeze_give_the_one_thread_terms_to_the_bit(
         assert len(sampled_on_worker) == 3 and sampled_on_worker.count(True) == threads - 1
     (serial_loss, serial), (paired_loss, paired) = kept
     assert serial_loss == paired_loss
-    assert len(serial) == (13 if alpha else 9) == len(paired)
+    assert len(serial) == 13 == len(paired)
     for a, b in zip(serial, paired):
         assert np.array_equal(a, b)
     assert _no_worker_alive()
@@ -996,7 +996,7 @@ def test_estimate_flow_at_alpha_zero_is_finite_and_no_worse_than_zero_flow():
 @pytest.mark.parametrize("shape", [(5, 7), (2, 3), (1, 6), (6, 1), (1, 1)])
 def test_image_gradient_is_np_gradients(shape):
     img = np.random.default_rng(123).random(shape)
-    level = _Level(np.zeros(shape), img, None, FlowSolverConfig())
+    level = _Level(np.zeros(shape), img, np.ones(shape), FlowSolverConfig())
     for axis, derivative in zip((1, 0), level.derivatives):
         expected = np.gradient(img, axis=axis) if shape[axis] > 1 else np.zeros(shape)
         assert np.array_equal(derivative, expected)

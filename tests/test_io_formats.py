@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -38,6 +39,19 @@ def _random_events(rng, n, width=32, height=24):
     t = np.sort(rng.uniform(0, 10, n))
     return make_events(t, rng.integers(0, width, n), rng.integers(0, height, n),
                        rng.choice([-1, 1], n))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 4), (4, 1), ()])
+def test_an_event_array_that_is_not_1d_is_refused(shape, tmp_path):
+    # numpy once failed inside both functions, with messages that named no argument
+    events = make_events([0.1, 0.2, 0.3, 0.4], [0, 1, 2, 3], [0, 0, 1, 1], [1, -1, 1, -1])
+    events = events[:int(np.prod(shape))].reshape(shape)
+    refusal = rf"^events must be 1-D, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=refusal):
+        accumulate_events(events, (0.0, 1.0), 8, 8)
+    with pytest.raises(ValueError, match=refusal):
+        write_events(tmp_path / "events.bin", events, 8, 8)
+    assert not (tmp_path / "events.bin").exists()
 
 
 def test_empty_event_file_is_24_bytes(tmp_path):

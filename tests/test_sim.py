@@ -199,6 +199,17 @@ def test_a_room_of_flat_faces_renders_constant_intensity_and_no_events():
     assert simulate_sequence(replace(scene, wall_texture=sim.TextureSpec())).events.size > 0
 
 
+@pytest.mark.parametrize("random_obstacles", [0, 2])
+def test_list_and_tuple_obstacles_render_the_same_frame(random_obstacles):
+    # a list of obstacles once failed to join the random spheres' tuple
+    scene = replace(_head_on_scene(), random_obstacles=random_obstacles)
+    frames = [render_frame(replace(scene, obstacles=obstacles), 0.05)
+              for obstacles in (list(scene.obstacles), tuple(scene.obstacles))]
+    rasters = [[f.intensity.values, f.depth.values, f.class_map.values, f.flow_fwd.u,
+                f.flow_fwd.v, f.flow_bwd.u, f.flow_bwd.v] for f in frames]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(*rasters))
+
+
 @pytest.mark.parametrize("spec, field", [
     (dict(amplitude=0.0, base=-1.0), "base"),
     (dict(amplitude=0.0, base=1.5), "base"),
@@ -449,20 +460,17 @@ def _turn_then_move_scene(seed, spheres, start, yaw, turn, end, speed, **texture
 
 
 def _same_static_face(scene, now, then):
-    """Frame k+1's cast, the samples x + flow_fwd[k] of frame k's pixels, and
-    the mask of frame-k pixels that show a room face (static) and whose
-    sample's 2x2 footprint in frame k+1 lies inside the raster on that same
-    face (unoccluded, and not across an edge)."""
+    """Frame k+1's cast, and the mask of frame-k pixels that show a room face
+    (static) and whose sample x + flow_fwd[k] has its 2x2 footprint in frame
+    k+1 inside the raster on that same face (unoccluded, and not across an
+    edge)."""
     cast_now, cast_then = (sim._cast(scene, scene.realized_obstacles(), np.array(f.position),
                                      f.yaw, f.t) for f in (now, then))
-    samples = flow._sample_grid(now.flow_fwd.u.shape, now.flow_fwd.u.astype(np.float64),
-                                now.flow_fwd.v.astype(np.float64))
-    top_left, _, _, inside = flow._footprint(cast_then.obj.shape, *samples)
-    corners = flow._gather_corners(cast_then.obj.astype(np.float64), top_left)
+    _, inside, corners = flow._warp(cast_then.obj.astype(np.float64), *flow._uv(now.flow_fwd))
     qualifies = inside & (cast_now.obj <= 5)
     for corner in corners:
         qualifies &= corner == cast_now.obj
-    return cast_then, samples, qualifies
+    return cast_then, qualifies
 
 
 _TURN_THEN_MOVE = dict(seed=st.integers(0, 10_000), spheres=st.integers(0, 4), start=_CAMERA_XY,
@@ -479,7 +487,7 @@ def test_forward_and_backward_flow_invert_on_static_unoccluded_pixels(
     scene = _turn_then_move_scene(seed, spheres, start, yaw, turn, end, speed)
     times = scene.frame_times()
     now, then = render_frame(scene, float(times[k])), render_frame(scene, float(times[k + 1]))
-    qualifies = _same_static_face(scene, now, then)[2]
+    qualifies = _same_static_face(scene, now, then)[1]
     back_u, _ = flow.warp(then.flow_bwd.u.astype(np.float64), now.flow_fwd)
     back_v, _ = flow.warp(then.flow_bwd.v.astype(np.float64), now.flow_fwd)
     assume(qualifies.any())
@@ -519,10 +527,10 @@ def test_static_faces_keep_their_brightness_along_the_forward_flow(
         floor_texture=sim.TextureSpec(amplitude=0.5, period_m=_TEXTURE_PERIOD_M))
     times = scene.frame_times()
     now, then = render_frame(scene, float(times[k])), render_frame(scene, float(times[k + 1]))
-    cast_then, samples, qualifies = _same_static_face(scene, now, then)
+    cast_then, qualifies = _same_static_face(scene, now, then)
     # the longest side of each sample's footprint, in metres on its face
-    top_left = flow._footprint(cast_then.obj.shape, *samples, with_mask=False)[0]
-    tl, tr, bl, br = np.stack([flow._gather_corners(cast_then.points[..., axis], top_left)
+    u, v = flow._uv(now.flow_fwd)
+    tl, tr, bl, br = np.stack([flow._warp(cast_then.points[..., axis], u, v)[2]
                                for axis in range(3)], axis=-1)
     step = np.max([np.linalg.norm(a - b, axis=-1) for a, b in ((tr, tl), (bl, tl), (br, tr),
                                                                (br, bl))], axis=0)

@@ -506,3 +506,19 @@ def test_a_raster_of_the_wrong_shape_is_refused_by_name(boundary):
 def test_a_raster_that_is_not_2d_is_refused_by_name():
     with pytest.raises(ShapeMismatchError, match=r"^img_t must be a 2-D raster, got shape \(20,\)"):
         estimate_flow(None, np.zeros(20), np.zeros(RIGHT))
+
+
+_MAPS = {
+    "FloatMap": lambda values: FloatMap(values, MapSemantics.INV_TTI_S),
+    "TtiMap": lambda values: TtiMap(values, 0.1, np.ones(np.shape(values), dtype=bool)),
+}
+
+
+@pytest.mark.parametrize("kind", _MAPS)
+def test_a_map_refuses_its_values_by_name(kind):
+    build = _MAPS[kind]
+    refusal = r"^values must be a 2-D raster, got shape \(20,\)$"
+    with pytest.raises(ShapeMismatchError, match=refusal):
+        build(np.zeros(20))
+    with pytest.raises(ValueError, match="^values holds non-finite values"):
+        build(np.full(RIGHT, np.nan))
