@@ -39,8 +39,16 @@ A level whose class grids hold at least _THREADED_CELLS cells, in a
 process that os.sched_getaffinity allows two CPUs or more, solves on two
 threads: its solve, and nothing else, opens one worker thread for the
 whole level, and each stage hands the worker one half and runs the other on
-the calling thread.  numpy's ufuncs release the interpreter lock over these
-arrays, so the halves overlap.
+the calling thread.  Opening it pins the calling thread to the CPU it is on
+and the worker to the calling thread's other CPUs, each thread by
+os.sched_setaffinity for itself, and closing it gives the calling thread its
+mask back, also when a half raised; a placement the system refuses leaves
+its thread where it was, and the flow is the same either way.  The halves
+overlap only on two CPUs: numpy's ufuncs release the interpreter lock over
+these arrays, but left to the scheduler the worker ran on its caller's CPU.
+On a 2-vCPU host, one 346x260 level-0 colour (its two classes' half-sweeps)
+took 292-315 us on two threads left to the scheduler, 264-305 us on one
+thread, and 179-231 us on two threads placed on different CPUs.
 - Loss: the worker takes u's edge powers and their sum, the caller the
   photometric term and v's.  The caller adds the terms in the serial order
   (photometric, u, v), so the loss is the same to the bit.
@@ -53,29 +61,31 @@ arrays, so the halves overlap.
   worker's with scratch of its own.  Each cell gets the serial sweep's
   operations in the serial order, so the flow is the same to the bit.
 The threads hand over once per stage half (a half-sweep is one) through a
-pair of semaphores, at about 16 us a handover on a 2-core host.  Smaller
-levels and a process allowed one CPU open no worker, and each stage runs
-the same halves in turn on the calling thread.  The threshold is the
-break-even of a whole level on a 2-core host: level-0 solves of central
-crops of the tools/chain_digest.py 346x260 scene, from zero flow, summed
-over its pairs 1-10 (fastest of 7):
+pair of locks, at about 14 us a handover between two CPUs of a 2-vCPU
+host (25-28 us through a pair of semaphores).  Smaller levels and a process
+allowed one CPU open no worker, and each stage runs the same halves in turn
+on the calling thread.  The threshold is the break-even of a whole level on a
+2-vCPU host, the threads placed: level-0 solves of central crops of the
+tools/chain_digest.py 346x260 scene, from zero flow, summed over its pairs
+1-10 (per pair the fastest of 7):
 
     raster    cells per class grid   one thread   two threads
-    192x256         12,740             103.0 ms     108.4 ms
-    208x256         13,780             109.7 ms     111.2 ms
-    216x256         14,300             115.1 ms     113.4 ms
-    224x256         14,820             117.9 ms     116.9 ms
-    240x256         15,860             126.2 ms     121.7 ms
-    256x256         16,900             134.6 ms     126.7 ms
-    260x346         23,100             183.9 ms     158.0 ms
+    130x173          5,963             114.1 ms     143.4 ms
+    176x224         10,260             140.3 ms     155.8 ms
+    192x256         12,740             172.0 ms     164.4 ms
+    208x256         13,780             183.8 ms     173.9 ms
+    224x256         14,820             189.6 ms     169.8 ms
+    256x256         16,900             220.0 ms     201.7 ms
+    260x346         23,100             267.5 ms     229.1 ms
 
-So at 346x260 level 0 takes two threads and level 1 (5,963 cells) one.  The
-worker runs under the numpy error state that the calling thread had when
-the level opened it (np.errstate is per thread), an exception in its half
-is raised again in the caller, and it is joined before the solve returns
-or raises.  A level's loss, freeze or sweeps called outside a solve run
-both halves on the calling thread.  The worker drops each task once it has
-run it, so it keeps no level alive.
+Two threads won from 13,780 cells in each of five such runs, and tied at
+12,740 in two of them.  So at 346x260 level 0 takes two threads and level 1
+(5,963 cells) one.  The worker runs under the numpy error state that the
+calling thread had when the level opened it (np.errstate is per thread), an
+exception in its half is raised again in the caller, and it is joined
+before the solve returns or raises.  A level's loss, freeze or sweeps
+called outside a solve run both halves on the calling thread.  The worker
+drops each task once it has run it, so it keeps no level alive.
 
 One `_Level` does all of a pyramid level's work, in buffers allocated once
 per level.  Its `loss` evaluates l_f at a flow as plain array expressions,
@@ -371,27 +381,62 @@ def _edge_powers(channel, eps: float, ca: float):
     return (across, down), float(np.sum(across) + np.sum(down))
 
 
+def _cpu() -> int:
+    """The CPU the calling thread is on: field 39 of its /proc stat line."""
+    with open("/proc/thread-self/stat", "rb") as stat:
+        # field 2, the command name in parentheses, may hold spaces and
+        # parentheses; the fields after its last ")" start at field 3
+        return int(stat.read().rpartition(b")")[2].split()[36])
+
+
+def _place(cpus) -> None:
+    """Confine the calling thread to cpus; where that is refused, it runs
+    where it did."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
 class _Worker:
     """A thread that runs tasks handed over by the thread that opened it,
     one at a time: run(task, own) runs task there and own here at once.
 
-    The two hand over through a pair of semaphores: run releases go before
-    own and acquires done after it, and the worker acquires go before a
-    task and releases done after it.  The tasks run under the numpy error
-    state that the opening thread had when it opened the worker (np.errstate
-    is per thread), and a task's exception is raised again by its run.
-    close() ends the thread and joins it.
+    The opening thread keeps the CPU it is on and the worker takes the other
+    CPUs of the opening thread's mask, each thread placing itself; close()
+    ends the worker, joins it and gives the opening thread its mask back.  A
+    placement that the system refuses leaves its thread unplaced.  The two
+    hand over through a pair of locks, each released by one thread and
+    acquired by the other: run releases go before own and acquires done
+    after it, and the worker acquires go before a task and releases done
+    after it.  The tasks run under the numpy error state that the opening
+    thread had when it opened the worker (np.errstate is per thread), and a
+    task's exception is raised again by its run.
     """
 
     def __init__(self):
-        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        # each held until the other thread releases it
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
         self._task = self._outcome = None
         errstate = dict(np.geterr(), call=np.geterrcall())
-        self._thread = threading.Thread(target=self._serve, args=(errstate,),
+        mask = os.sched_getaffinity(0)
+        try:
+            here = {_cpu()}
+        except OSError:  # no /proc: both threads run unplaced
+            mask = here = None
+        self._mask = mask  # this thread's, given back by close()
+        # started before this thread places itself, so that it inherits the
+        # whole mask should its own placement be refused
+        self._thread = threading.Thread(target=self._serve,
+                                        args=(errstate, here and mask - here),
                                         name="evreflex-sweep")
         self._thread.start()
+        if here:
+            _place(here)
 
-    def _serve(self, errstate) -> None:
+    def _serve(self, errstate, cpus) -> None:
+        if cpus:
+            _place(cpus)
         with np.errstate(**errstate):
             while True:
                 self._go.acquire()
@@ -422,6 +467,8 @@ class _Worker:
     def close(self) -> None:
         self._go.release()  # with no task: the worker returns
         self._thread.join()
+        if self._mask:
+            _place(self._mask)
 
 
 def _at_once(worker: Optional[_Worker], first, second):

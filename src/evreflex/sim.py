@@ -238,6 +238,8 @@ class SceneConfig:
     random_obstacles: int = 0
 
     def __post_init__(self):
+        # a list of obstacles is stored as the tuple it equals and hashes as
+        object.__setattr__(self, "obstacles", tuple(self.obstacles))
         _check_int(self, "rng_seed", "random_obstacles")
         _check_shape(self, (3,), "half_extents", "light_dir")
         _check_finite(self, "camera_height", "light_dir")
@@ -266,7 +268,7 @@ class SceneConfig:
     def realized_obstacles(self) -> tuple[SphereObstacle, ...]:
         """Configured obstacles plus `random_obstacles` seeded random spheres."""
         if self.random_obstacles == 0:
-            return tuple(self.obstacles)
+            return self.obstacles
         rng = np.random.default_rng(self.rng_seed)
         hx, hy, hz = self.half_extents
         extra = []
@@ -289,7 +291,7 @@ class SceneConfig:
                     albedo=rng.uniform(0.5, 1.0),
                 )
             )
-        return tuple(self.obstacles) + tuple(extra)
+        return self.obstacles + tuple(extra)
 
 
 @dataclass(frozen=True, eq=False)

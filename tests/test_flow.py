@@ -622,12 +622,24 @@ def _frozen_level(shape, weighting, seed):
     return level, flow, _reference_system(*flow, it, it1, weights, cfg)
 
 
+def _allow_two_cpus(monkeypatch):
+    """Let the solve see two CPUs: the process's own mask where it has two
+    or more, else a fake mask of its one CPU and CPU 65536, which no host
+    has.  Either way a worker's placement and the restore of its caller's
+    mask act on the real mask: with the fake, the system refuses to place
+    the worker, the two threads share the one CPU, and a process pinned to
+    one CPU of a larger host (taskset -c 0) stays there."""
+    if not fl._two_cpus():
+        cpus = {*(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}), 1 << 16}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
 def _sweep_threads(monkeypatch, threads):
     """Send every level's sweeps down the serial path (threads 1) or the
     two-thread path (threads 2), whatever its size and the host's CPUs.
     Returns the set that collects the idents of the threads that sweep."""
     monkeypatch.setattr(fl, "_THREADED_CELLS", 0 if threads == 2 else 10 ** 12)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _allow_two_cpus(monkeypatch)
     seen = set()
 
     def recording(*args):
@@ -723,11 +735,12 @@ def test_two_thread_sweeps_give_the_one_cpu_flow_to_the_bit(monkeypatch):
     seen = _sweep_threads(monkeypatch, 1)
     monkeypatch.setattr(fl, "_THREADED_CELLS", _THREADED_CELLS)
     results = {}
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+    for cpus in (2, 1):
+        if cpus == 1:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         seen.clear()
-        results[len(cpus)] = estimate_flow(None, img0, img1)
-        assert len(seen) == len(cpus)
+        results[cpus] = estimate_flow(None, img0, img1)
+        assert len(seen) == cpus
     (serial, serial_loss), (paired, paired_loss) = results[1], results[2]
     assert np.array_equal(serial.u, paired.u) and np.array_equal(serial.v, paired.v)
     assert serial_loss == paired_loss
@@ -899,13 +912,94 @@ def test_a_failed_loss_or_freeze_half_raises_in_the_caller_and_joins_the_worker(
 
     level.loss(*level.uv)  # a freeze's terms, on this thread
     monkeypatch.setattr(fl, name, failing)
-    raised = _on_a_thread(lambda: _in_a_paired_solve(level, run))
+    masks = []
+
+    def call():
+        masks.append(os.sched_getaffinity(0))
+        try:
+            _in_a_paired_solve(level, run)
+        finally:
+            masks.append(os.sched_getaffinity(0))
+
+    raised = _on_a_thread(call)
     assert isinstance(raised, _HalfFailure) and raised.args == (side,)
     assert _no_worker_alive() and level.worker is None
+    # the caller's CPU mask is given back although a half raised
+    assert len(masks) == 2 and len(masks[0]) >= 2 and masks[0] == masks[1]
     # the next solve of the level runs from its flow
     monkeypatch.setattr(fl, name, original)
     assert _on_a_thread(level.solve) is None
     assert _no_worker_alive()
+
+
+_TWO_CPUS = pytest.mark.skipif(not fl._two_cpus(), reason="the process may use one CPU")
+
+
+@_TWO_CPUS
+def test_a_paired_solves_halves_run_on_different_cpus(monkeypatch):
+    _sweep_threads(monkeypatch, 2)
+    cpus = {True: set(), False: set()}  # by whether the worker ran it
+    for name in ("_half_sweep", "_edge_powers"):  # the sweeps' and the loss's halves
+        original = getattr(fl, name)
+
+        def recording(*args, original=original):
+            cpus[_in_the_worker()].add(fl._cpu())
+            return original(*args)
+
+        monkeypatch.setattr(fl, name, recording)
+    img0, img1 = _shifted_texture((24, 32), 1.3, -0.7, seed=138)
+    # one level, so one worker and one placement for the whole solve
+    assert _on_a_thread(lambda: estimate_flow(None, img0, img1,
+                                              FlowSolverConfig(pyramid_levels=1))) is None
+    assert len(cpus[False]) == 1 and cpus[True] and not cpus[True] & cpus[False]
+
+
+@_TWO_CPUS
+def test_a_solve_gives_its_caller_its_cpu_mask_back(monkeypatch):
+    # pinned to the CPU it is on while the finest level's worker is open
+    monkeypatch.setattr(fl, "_THREADED_CELLS", 0)
+    original, masks, ends = fl._edge_powers, [], []
+
+    def recording(*args):
+        if not _in_the_worker():
+            masks.append(os.sched_getaffinity(0))
+        return original(*args)
+
+    monkeypatch.setattr(fl, "_edge_powers", recording)
+    img0, img1 = _shifted_texture((24, 32), 1.3, -0.7, seed=139)
+
+    def call():
+        ends.append(os.sched_getaffinity(0))
+        estimate_flow(None, img0, img1)
+        ends.append(os.sched_getaffinity(0))
+
+    assert _on_a_thread(call) is None
+    before, after = ends
+    assert len(before) >= 2 and after == before
+    assert masks and all(len(mask) == 1 for mask in masks)
+
+
+def test_a_refused_placement_gives_the_one_cpu_flow_to_the_bit(monkeypatch):
+    img0, img1 = _shifted_texture((24, 32), 1.3, -0.7, seed=140)
+    cfg = FlowSolverConfig(pyramid_levels=1)  # one worker
+    seen = _sweep_threads(monkeypatch, 1)
+    serial, serial_loss = estimate_flow(None, img0, img1, cfg)
+    assert len(seen) == 1
+    refused = []
+
+    def refuse(pid, cpus):
+        refused.append(set(cpus))
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    seen = _sweep_threads(monkeypatch, 2)
+    paired, paired_loss = estimate_flow(None, img0, img1, cfg)
+    assert len(seen) == 2 and _no_worker_alive()
+    # the caller and the worker tried to place themselves, and the caller
+    # to take its mask back
+    assert len(refused) == 3
+    assert np.array_equal(serial.u, paired.u) and np.array_equal(serial.v, paired.v)
+    assert serial_loss == paired_loss
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.0])

@@ -210,6 +210,15 @@ def test_list_and_tuple_obstacles_render_the_same_frame(random_obstacles):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(*rasters))
 
 
+def test_a_list_of_obstacles_is_the_config_its_tuple_is():
+    # the list was kept as given: the two configs compared unequal and the
+    # list's config could not be hashed
+    sphere = _head_on_scene().obstacles[0]
+    as_list, as_tuple = SceneConfig(obstacles=[sphere]), SceneConfig(obstacles=(sphere,))
+    assert as_list.obstacles == (sphere,)
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+
+
 @pytest.mark.parametrize("spec, field", [
     (dict(amplitude=0.0, base=-1.0), "base"),
     (dict(amplitude=0.0, base=1.5), "base"),
