@@ -11,11 +11,21 @@ from the camera by the ray direction and keeps the nearest face.  Arithmetic
 that combines an (H, W, 3) array with a 3-vector runs on the array's (H, 3W)
 row view against the vector tiled W times: the same float operations, without
 numpy's inner loop over an axis of length 3, which costs several times more.
-Products with the camera basis stay BLAS products on the (H, W, 3) array, since
-written out as sums they round differently.  Each sphere's ray quadratic has
-its discriminant evaluated only on the band of rows whose rays can meet it, and
-its roots only where the discriminant is non-negative; normals, shading,
-classes and material motion touch only the pixels the sphere owns.
+The rays' world directions stay a BLAS product with the camera basis on the
+(H, W, 3) array, since written out as sums they round differently.  Each
+sphere's ray quadratic has its discriminant evaluated only on the band of rows
+whose rays can meet it, and its roots only where the discriminant is
+non-negative; normals, shading, classes and material motion touch only the
+pixels the sphere owns.
+
+Ground-truth flow is computed in the camera frame at the target time, from each
+pixel's depth: the hit point there is Z * D + R_to^T (o_from - o_to), D the
+pixel's ray turned into that frame (one cached (3, H, W) table per pair of
+camera bases), plus R_to^T v dt on the pixels of a sphere of velocity v.  No
+world point is formed.  This is the projection of the world hit points, moved
+with their spheres, into the camera at the target time; the two formulas agree
+up to float64 rounding of the camera-frame point (7e-15 px on a held camera),
+which the stored float32 flows show only where it crosses a float32 rounding.
 
 Events are emulated from the rendered intensity stream by log-intensity
 threshold crossings: each pixel's reference level stays on a fixed lattice of
@@ -313,15 +323,22 @@ class Frame:
 
 
 class _Raycast:
-    """Per-pixel hit result for one camera pose."""
+    """Per-pixel hit result for one camera pose, and that pose.
 
-    __slots__ = ("depth", "points", "obj", "owned")
+    A hit point is origin + depth * R ((x - cx) / fx, (y - cy) / fy, 1), R the
+    camera basis: _flow_to needs only the depth and the pose to move it into
+    another pose's camera frame, and points serve the shading.
+    """
 
-    def __init__(self, depth, points, obj, owned):
+    __slots__ = ("depth", "points", "obj", "owned", "origin", "basis")
+
+    def __init__(self, depth, points, obj, owned, origin, basis):
         self.depth = depth  # camera-frame Z (ray parameter), (H, W)
         self.points = points  # world hit points, (H, W, 3)
         self.obj = obj  # 0..5 room faces, 6+i for obstacle i
         self.owned = owned  # owned[i]: flat indices of the pixels obstacle i owns
+        self.origin = origin  # camera centre, world frame
+        self.basis = basis  # the bytes of the camera basis, as _rays is keyed
 
 
 @functools.lru_cache(maxsize=4)
@@ -348,10 +365,11 @@ def _rays(cam: CameraModel, basis: bytes) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=4)
 def _room(cam: CameraModel, basis: bytes, half_extents: tuple[float, float, float]):
     """The room-face table of one camera pose in one room, read-only: per
-    world axis, the bound of the face each ray heads for, (H, W); that face's
-    id, (H, W) int8, {-x:0, +x:1, -y:2, +y:3, floor:4, ceiling:5}; and the flat
-    indices of the rays with |d| <= _TINY, d the ray's component along the
-    axis, which meet neither face of the axis.
+    world axis, d, the rays' component along the axis, (H, W), a contiguous
+    copy of dirs[..., axis] (dividing by the strided view takes about twice as
+    long); the bound of the face each ray heads for, (H, W); that face's id,
+    (H, W) int8, {-x:0, +x:1, -y:2, +y:3, floor:4, ceiling:5}; and the flat
+    indices of the rays with |d| <= _TINY, which meet neither face of the axis.
 
     Keyed like _rays, plus the room: two rooms seen from one pose put their
     walls at different distances.
@@ -360,15 +378,36 @@ def _room(cam: CameraModel, basis: bytes, half_extents: tuple[float, float, floa
     hx, hy, hz = half_extents
     table = []
     for axis, (lo, hi) in enumerate(((-hx, hx), (-hy, hy), (0.0, 2 * hz))):
-        d = dirs[..., axis]
+        d = np.ascontiguousarray(dirs[..., axis])
         ahead = d > 0
         bound = np.where(ahead, float(hi), float(lo))
         face = axis * 2 + ahead.astype(np.int8)
         parallel = np.flatnonzero(np.abs(d) <= _TINY)
-        for arr in (bound, face, parallel):
+        for arr in (d, bound, face, parallel):
             arr.flags.writeable = False
-        table.append((bound, face, parallel))
+        table.append((d, bound, face, parallel))
     return tuple(table)
+
+
+@functools.lru_cache(maxsize=2)
+def _turned_rays(cam: CameraModel, basis_from: bytes, basis_to: bytes) -> np.ndarray:
+    """The rays of the pose with basis_from in the camera frame of the pose
+    with basis_to, read-only, (3, H, W): D = R_to^T R_from ((x - cx) / fx,
+    (y - cy) / fy, 1).  A pixel's hit point at depth Z lies at
+    Z * D + R_to^T (o_from - o_to) in the frame of the camera at o_to.
+
+    Keyed like _rays, by both bases' bytes.  A straight move shares one entry
+    (2.2 MB at 346x260) across its frames; a turn makes a new one every call,
+    so the cache is kept small.
+    """
+    turn = np.frombuffer(basis_to).reshape(3, 3).T @ np.frombuffer(basis_from).reshape(3, 3)
+    ys, xs = _pixel_grid((cam.height, cam.width))
+    x_n, y_n = (xs - cam.cx) / cam.fx, (ys - cam.cy) / cam.fy
+    # written out per component: each product and sum rounded in one fixed
+    # order, which a BLAS kernel does not promise
+    table = np.stack([turn[c, 0] * x_n + turn[c, 1] * y_n + turn[c, 2] for c in range(3)])
+    table.flags.writeable = False
+    return table
 
 
 def _row_band(cam: CameraModel, centre: np.ndarray, radius: float) -> tuple[int, int]:
@@ -410,9 +449,9 @@ def _cast(scene: SceneConfig, obstacles, origin: np.ndarray, yaw: float, t: floa
     # nearest face.
     best_t = np.full(dirs.shape[:2], np.inf)
     best_obj = np.full(dirs.shape[:2], -1, dtype=np.int32)
-    for axis, (bound, face, parallel) in enumerate(_room(cam, basis, tuple(scene.half_extents))):
+    for axis, (d, bound, face, parallel) in enumerate(_room(cam, basis, tuple(scene.half_extents))):
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_plane = (bound - origin[axis]) / dirs[..., axis]
+            t_plane = (bound - origin[axis]) / d
         t_plane.ravel()[parallel] = np.inf
         closer = t_plane < best_t
         np.copyto(best_t, t_plane, where=closer)
@@ -455,7 +494,8 @@ def _cast(scene: SceneConfig, obstacles, origin: np.ndarray, yaw: float, t: floa
     points += np.tile(origin, w)
     points = points.reshape(h, w, 3)
     owned = [np.flatnonzero(flat_obj == 6 + i) for i in range(len(obstacles))]
-    return _Raycast(depth=best_t, points=points, obj=best_obj, owned=owned)
+    return _Raycast(depth=best_t, points=points, obj=best_obj, owned=owned, origin=origin,
+                    basis=basis)
 
 
 def _shade(scene: SceneConfig, obstacles, cast: _Raycast, t: float) -> np.ndarray:
@@ -481,23 +521,42 @@ def _shade(scene: SceneConfig, obstacles, cast: _Raycast, t: float) -> np.ndarra
 
 def _flow_to(scene: SceneConfig, obstacles, cast: _Raycast, t_from: float, t_to: float,
              traj: _Trajectory) -> FlowField:
+    """The flow from cast's pose at t_from to the pose at t_to, (u, v) in px.
+
+    Each pixel's hit point is moved into the camera frame at t_to from its
+    depth: rel = Z * D + R_to^T (o_from - o_to), D the pixel's ray in that
+    frame (_turned_rays), plus R_to^T v (t_to - t_from) on the pixels a sphere
+    of velocity v owns.  Then u = fx * rel_x / max(rel_z, 1e-9) + cx - x, and
+    likewise v.  This is the projection of the world hit point, moved with its
+    sphere, into the camera at t_to, (p + v (t_to - t_from) - o_to) @ R_to.
+    The two formulas differ by float64 rounding of the camera-frame point,
+    which the projection divides by rel_z: at most 7.1e-15 px on a held
+    camera, and 1.4e-13 px on a moving one where rel_z > 0.1 m.
+    """
     cam = scene.camera
     pos2, yaw2 = traj.pose(t_to)
     origin2 = np.array([pos2[0], pos2[1], scene.camera_height])
-    # Each hit point at t_to less the camera centre at t_to: p - origin2 on
-    # (H, 3W) rows, (p + velocity * dt) - origin2 on the pixels a sphere owns.
-    h, w = cast.depth.shape
-    offsets = cast.points.reshape(h, 3 * w) - np.tile(origin2, w)
-    flat, points = offsets.reshape(-1, 3), cast.points.reshape(-1, 3)
+    rot2 = _camera_basis(yaw2)
+    rays = _turned_rays(cam, cast.basis, rot2.tobytes())
+    offset = (cast.origin - origin2) @ rot2
+    rel = rays * cast.depth
+    rel += offset[:, None, None]
+    # each sphere's step, written through 1-D views of the components
+    # (rel's .flat costs more)
+    components = rel.reshape(3, -1)
     for sphere, idx in zip(obstacles, cast.owned):
-        step = np.asarray(sphere.velocity, dtype=np.float64) * (t_to - t_from)
-        flat[idx] = points.take(idx, axis=0) + step - origin2
-    rel = offsets.reshape(h, w, 3) @ _camera_basis(yaw2)  # camera-frame coordinates
-    z = np.maximum(rel[..., 2], 1e-9)
-    ys, xs = _pixel_grid((h, w))
-    du = cam.fx * rel[..., 0] / z + cam.cx - xs
-    dv = cam.fy * rel[..., 1] / z + cam.cy - ys
-    return FlowField(du, dv)
+        step = (np.asarray(sphere.velocity, dtype=np.float64) * (t_to - t_from)) @ rot2
+        for comp, s in zip(components, step):
+            comp[idx] += s
+    x, y, z = rel
+    np.maximum(z, 1e-9, out=z)
+    ys, xs = _pixel_grid(z.shape)
+    for comp, f, centre, grid in ((x, cam.fx, cam.cx, xs), (y, cam.fy, cam.cy, ys)):
+        comp *= f
+        comp /= z
+        comp += centre
+        comp -= grid
+    return FlowField(x, y)
 
 
 def render_frame(scene: SceneConfig, t: float) -> Frame:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _uv, _warp
+from .flow import _warp
 from .types import (
     FloatMap,
     FlowField,
@@ -73,7 +73,9 @@ def _warp_depth(depth: np.ndarray, flow: FlowField):
     Returns (values, in_bounds, footprint_ok) where footprint_ok requires all
     four interpolation corners to hold valid depth with a bounded spread.
     """
-    values, in_bounds, (c00, c01, c10, c11) = _warp(depth, *_uv(flow))
+    # the stored float32 channels: the sample positions xs + u widen them
+    # exactly, so float64 copies of them would only cost time
+    values, in_bounds, (c00, c01, c10, c11) = _warp(depth, flow.u, flow.v)
     lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
     hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
     footprint_ok = (lo > 0) & (hi - lo <= OCCLUSION_JUMP_RATIO * lo)

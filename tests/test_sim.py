@@ -271,7 +271,7 @@ def _reference_render(scene: SceneConfig, t: float):
         best_t = np.where(closer, t_sph, best_t)
         best_obj = np.where(closer, 6 + i, best_obj)
     points = origin + best_t[..., None] * dirs
-    normals, velocity = np.zeros_like(points), np.zeros_like(points)
+    normals = np.zeros_like(points)
     out, classes = np.zeros(xs.shape), np.where(best_obj == 4, 1.0, 0.0)
     textures = (scene.wall_texture,) * 4 + (scene.floor_texture, scene.ceiling_texture)
     planes = ((1, 2), (1, 2), (0, 2), (0, 2), (0, 1), (0, 1))
@@ -285,18 +285,28 @@ def _reference_render(scene: SceneConfig, t: float):
         sel = best_obj == 6 + i
         if np.any(sel):
             normals[sel] = (points[sel] - sphere.center(t)) / sphere.radius
-            velocity[sel] = np.asarray(sphere.velocity, dtype=np.float64)
             lambert = np.maximum(normals[sel] @ light, 0.0)
             out[sel] = sphere.albedo * (sim._AMBIENT + (1.0 - sim._AMBIENT) * lambert)
             classes[sel] = sphere.class_id
 
     def flow_to(t_to):
+        # camera-frame coordinates at t_to from the depth: the ray of each
+        # pixel turned into that frame, times the depth, plus the camera's
+        # move and, on a sphere's pixels, the sphere's
         pos2, yaw2 = traj.pose(t_to)
         origin2 = np.array([pos2[0], pos2[1], scene.camera_height])
-        moved = points + velocity * (t_to - t)
-        rel = (moved - origin2) @ sim._camera_basis(yaw2)  # camera-frame coordinates
-        z = np.maximum(rel[..., 2], 1e-9)
-        return cam.fx * rel[..., 0] / z + cam.cx - xs, cam.fy * rel[..., 1] / z + cam.cy - ys
+        rot2 = sim._camera_basis(yaw2)
+        turn = rot2.T @ sim._camera_basis(yaw)
+        offset = (origin - origin2) @ rot2
+        step = np.zeros_like(points)
+        for i, sphere in enumerate(obstacles):
+            step[best_obj == 6 + i] = (np.asarray(sphere.velocity, dtype=np.float64)
+                                       * (t_to - t)) @ rot2
+        rel = [best_t * (turn[c, 0] * dirs_cam[..., 0] + turn[c, 1] * dirs_cam[..., 1]
+                         + turn[c, 2] * dirs_cam[..., 2]) + offset[c] + step[..., c]
+               for c in range(3)]
+        z = np.maximum(rel[2], 1e-9)
+        return cam.fx * rel[0] / z + cam.cx - xs, cam.fy * rel[1] / z + cam.cy - ys
 
     return np.clip(out, 0.0, 1.0), best_t, classes, flow_to(t + scene.dt), flow_to(t - scene.dt)
 
@@ -384,6 +394,7 @@ def test_render_frame_alternating_rooms_matches_reference():
             if cold:
                 sim._rays.cache_clear()
                 sim._room.cache_clear()
+                sim._turned_rays.cache_clear()
             depths.append(_assert_renders_like_reference(scene, 0.05).depth.values)
         assert not np.array_equal(depths[0], depths[1])
 
@@ -394,8 +405,10 @@ def test_cached_ray_tables_are_read_only():
     camera = CameraModel(fx=4.0, fy=4.0, cx=8.0, cy=5.0, width=16, height=11)
     basis = sim._camera_basis(math.radians(45.0)).tobytes()
     room = sim._room(camera, basis, (3.0, 3.0, 1.5))
-    assert all(parallel.size for _, _, parallel in room)
+    assert all(parallel.size for *_, parallel in room)
+    turned = sim._camera_basis(math.radians(30.0)).tobytes()
     for table in (*sim._rays(camera, basis), *(a for axis in room for a in axis),
+                  sim._turned_rays(camera, basis, basis), sim._turned_rays(camera, basis, turned),
                   *flow._pixel_grid((5, 7))):
         with pytest.raises(ValueError):
             table[...] = 0
@@ -502,6 +515,91 @@ def test_forward_and_backward_flow_invert_on_static_unoccluded_pixels(
     assume(qualifies.any())
     assert np.abs(back_u + now.flow_fwd.u)[qualifies].max() <= _INVERSION_TOL_PX
     assert np.abs(back_v + now.flow_fwd.v)[qualifies].max() <= _INVERSION_TOL_PX
+
+
+# -- the camera-frame flow is the world points' projection -----------------------
+
+# _flow_to moves each pixel's hit point into the camera frame at t_to from its
+# depth.  The world-point formula, the projection of (p + v dt - o_to) @ R_to,
+# is the same geometry, so the two differ by float64 rounding of the
+# camera-frame point, which the projection divides by its z: an error e in it
+# moves u by up to (fx + |u + x - cx|) e / z.  The tolerance, in px, is
+# _WORLD_POINT_TOL_M (1 + |flow|) / max(|z|, 1e-9), z the world-point
+# formula's.  On 6,000 seeded scenes the largest error was 8.8e-14
+# (1 + |flow|) / z px, and 1.4e-13 px where z > 0.1 m; near z = 0, where the
+# flows run to thousands of px and the 1e-9 clamp then takes over, the z term
+# carries the bound.
+_WORLD_POINT_TOL_M = 1e-12
+
+
+def _float64_flows(scene: SceneConfig, t: float):
+    """render_frame's frame at t with each flow a float64 (2, H, W) array, as
+    computed before float32 storage."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "FlowField", lambda u, v: np.stack([u, v]))
+        return render_frame(scene, t)
+
+
+def _world_point_flow(scene: SceneConfig, frame, t_to: float):
+    """The flow of frame to the pose at t_to from its world hit points, each
+    moved with its sphere, as (2, H, W); and their camera-frame z at t_to."""
+    obstacles, cam = scene.realized_obstacles(), scene.camera
+    cast = sim._cast(scene, obstacles, np.array(frame.position), frame.yaw, frame.t)
+    moved = cast.points.copy()
+    for i, sphere in enumerate(obstacles):
+        moved[cast.obj == 6 + i] += np.asarray(sphere.velocity) * (t_to - frame.t)
+    pos, yaw = sim._Trajectory(scene.trajectory).pose(t_to)
+    rel = (moved - np.array([pos[0], pos[1], scene.camera_height])) @ sim._camera_basis(yaw)
+    z = np.maximum(rel[..., 2], 1e-9)
+    ys, xs = np.mgrid[0 : cam.height, 0 : cam.width].astype(np.float64)
+    return np.stack([cam.fx * rel[..., 0] / z + cam.cx - xs,
+                     cam.fy * rel[..., 1] / z + cam.cy - ys]), rel[..., 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_TURN_THEN_MOVE, held=st.booleans())
+@example(seed=0, spheres=3, start=(0.0, 0.0), yaw=30, turn=10, end=(1.5, 1.0), speed=2.0,
+         k=1, held=False)
+def test_flows_match_the_world_point_formula(seed, spheres, start, yaw, turn, end, speed, k,
+                                             held):
+    scene = _turn_then_move_scene(seed, spheres, start, yaw, turn, end, speed)
+    if held:
+        scene = replace(scene, trajectory=TrajectorySpec(waypoints=((*start, yaw),)))
+    frame = _float64_flows(scene, float(scene.frame_times()[k]))
+    for got, t_to in ((frame.flow_fwd, frame.t + scene.dt), (frame.flow_bwd, frame.t - scene.dt)):
+        if got is None:
+            continue
+        want, z = _world_point_flow(scene, frame, t_to)
+        tol = _WORLD_POINT_TOL_M * (1.0 + np.abs(want)) / np.maximum(np.abs(z), 1e-9)
+        assert np.all(np.abs(got - want) <= tol)
+
+
+def test_flow_along_the_optical_axis_is_the_depth_ratio_less_one():
+    # The camera moves forward at V along its optical axis, so a static point
+    # at depth Z lies at Z - V dt one frame later: its pixel moves away from
+    # the principal point by (x - cx, y - cy) (Z / (Z - V dt) - 1).  Both
+    # sides hold float32 storage's rounding, so the tolerance is counted in
+    # float32 ulps of the oracle: one for the stored flow's, and
+    # Z / (Z - V dt) for the stored depth's, which the ratio amplifies by that
+    # factor.  The largest error seen was 1.14 ulps, 4.9e-8 px.
+    speed = 2.0
+    scene = SceneConfig(
+        camera=_WIDE_CAMERA,
+        trajectory=TrajectorySpec(waypoints=((-1.5, 0.0, 0.0), (1.5, 0.0, 0.0)), speed=speed),
+        obstacles=(SphereObstacle(radius=0.3, start=(0.5, 0.1, 1.4), velocity=(-2.0, 0.0, 0.0)),),
+        duration=0.25)
+    cam = scene.camera
+    ys, xs = np.mgrid[0 : cam.height, 0 : cam.width].astype(np.float64)
+    for t in scene.frame_times()[:-1]:
+        frame = render_frame(scene, float(t))
+        static = frame.class_map.values != sim.CLASS_FLYING
+        assert 0 < static.sum() < static.size
+        depth = frame.depth.values.astype(np.float64)
+        scale = depth / (depth - speed * scene.dt)
+        for got, offset in ((frame.flow_fwd.u, xs - cam.cx), (frame.flow_fwd.v, ys - cam.cy)):
+            want = offset * (scale - 1.0)
+            tol = (1.0 + scale) * np.spacing(np.abs(want).astype(np.float32))
+            assert np.all(np.abs(got - want)[static] <= tol[static])
 
 
 # -- static room faces keep their brightness along the forward flow ----------------

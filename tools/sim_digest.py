@@ -10,7 +10,11 @@ both flows, and every ground-truth inverse TTI map with its validity mask,
 all as their stored bytes.  Two trees that print the same digest produce
 byte-identical simulate_sequence output on these scenes, so a
 byte-identity A/B between two commits is this command run on the src of
-each.
+each.  The maps are hashed as stored, in float32: a change that moves the
+simulator's float64 arithmetic in its last bits (a flow computed by another
+formula for the same geometry, say) moves the digest only where that change
+crosses a float32 rounding, so an unchanged digest shows equal stored
+outputs, not equal float64 arithmetic.
 
 The scenes, all at the 346x260 sensor raster with f = 200 px and 20 frames/s:
 busy      the camera moving forward through eight seeded random spheres and
