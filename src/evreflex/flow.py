@@ -5,14 +5,38 @@ Black, CVPR 2010) is a robust photometric term (intensity constancy under a
 bilinear warp whose samples clamp to the raster's edge) plus a weighted
 smoothness term on flow differences between 4-neighbours.  It is the one
 objective here: the solve lowers it, and estimate_flow and total_loss report
-it.  It is solved coarse-to-fine on a pyramid by the nested fixed point of
-Brox, Bruhn, Papenberg and Weickert (ECCV 2004), with no step size:
+it.
 
-- Outer warps.  Each level runs _WARPS warps.  A warp linearises the
-  photometric residual about the current flow: I_t1 and its np.gradient
-  derivatives (computed once per level) are sampled there with the
-  clamp-to-edge bilinear footprint that the loss at that flow built, one
-  footprint for all three rasters.
+The photometric term reads the images on a 0-255 scale: callers pass them in
+the simulator's [0, 1] units, and a level multiplies both by
+_INTENSITY_SCALE (255) before anything else, so estimate_flow, total_loss
+and a level built directly agree.  The Charbonnier settings (eps = 0.001,
+a = 0.45) are Sun, Roth and Black's for 8-bit intensities.  On [0, 1] the
+data term is 255^0.9, about 146 times, weaker against the smoothness term:
+it scored the true flow of a 173x130 approach pair at 1.32-4.90 times zero
+flow, and the solve ended 2-3% below zero flow's error.  The reported
+objective is in the 0-255 units.
+
+The objective is solved coarse-to-fine on a pyramid by the nested fixed
+point of Brox, Bruhn, Papenberg and Weickert (ECCV 2004), with no step size.
+Each coarser level's images are the finer level's reduced by _reduce: the
+5-tap binomial [1 4 6 4 1]/16 with edge padding, then the 2x2 block mean,
+computed as one 6-tap [1 5 10 10 5 1]/32 pass per axis at the kept samples
+only: the same to rounding on even sides, in about half the time of the
+blur followed by the decimation.  Without the blur the block mean aliases a
+texture's short periods at the coarse levels, and the 0-255 data term
+follows them: the flows solved on a 48x48 texture and on its 3-row shift
+differed by a mean of 2.7 px inside the border, against 0.085 px with the
+blur.  The weights are block means (_downsample2).  Per level:
+
+- Outer warps.  Level 0 runs _FINEST_WARPS (1) warp and every coarser level
+  _WARPS (2).  On the 0-255 scale level 0's second warp bought no accuracy,
+  while one warp on the coarser levels as well cost the flow its shift
+  equivariance (0.13 px with one warp on levels 0-1, 0.25 px on every level,
+  against 0.085 px).  A warp linearises the photometric residual about the
+  current flow: I_t1 and its np.gradient derivatives (computed once per
+  level) are sampled there with the clamp-to-edge bilinear footprint that
+  the loss at that flow built, one footprint for all three rasters.
 - One lagged-diffusivity freeze per warp.  The Charbonnier weights are
   frozen at the current flow: w * b^(a - 1) per photometric pixel and
   alpha * b^(a - 1) per 4-neighbour edge and flow channel, b = x^2 + eps^2
@@ -80,10 +104,14 @@ tools/chain_digest.py 346x260 scene, from zero flow, summed over its pairs
 
 Two threads won from 13,780 cells in each of five such runs, and tied at
 12,740 in two of them.  So at 346x260 level 0 takes two threads and level 1
-(5,963 cells) one.  The worker runs under the numpy error state that the
-calling thread had when the level opened it (np.errstate is per thread), an
-exception in its half is raised again in the caller, and it is joined
-before the solve returns or raises.  A level's loss, freeze or sweeps
+(5,963 cells) one.  The table predates the 0-255 data term and level 0's
+single warp.  Under them, on a 2-vCPU host, estimate_flow on the approach
+benchmark's pairs 1-10 (per pair the fastest of 5, 4 alternating rounds)
+summed 466-585 ms on two threads against 551-636 ms on one, two threads
+faster in every round, so the threshold stays.  The worker runs under the
+numpy error state that the calling thread had when the level opened it
+(np.errstate is per thread), an exception in its half is raised again in
+the caller, and it is joined before the solve returns or raises.  A level's loss, freeze or sweeps
 called outside a solve run both halves on the calling thread.  The worker
 drops each task once it has run it, so it keeps no level alive.
 
@@ -116,7 +144,8 @@ one at a pixel of nonzero weight still is.  total_loss checks that a weight
 mask is finite and non-negative, and a level trusts its weights.  The solve
 reports each level at DEBUG level on the "evreflex.flow" logger, its
 numbers also the record's fields: level, width, height, pixels (active),
-warps, safeguard halvings and losses (at the start and after each warp).
+warps (the level's own count), safeguard halvings and losses (at the start
+and after each warp).
 
 All internal arithmetic runs in float64, except the sweeps' (above).
 """
@@ -169,10 +198,13 @@ class FlowSolverConfig:
     alpha weighs the smoothness term, charbonnier_eps and charbonnier_alpha
     (eps and a) shape the penalty rho(x) = (x^2 + eps^2)^a of both terms, and
     pyramid_levels caps the levels of the coarse-to-fine pyramid (a level is
-    added while the shorter side is at least 8 pixels).  The fixed-point
-    solve has no step size, tolerance or iteration setting: each level runs
-    _WARPS warps of _SWEEPS red-black SOR sweeps at _OMEGA, module constants
-    (see the module docstring).
+    added while the shorter side is at least 8 pixels).  The images are
+    given in the simulator's [0, 1] units, and the photometric residual is
+    taken between them times _INTENSITY_SCALE (255), the scale these
+    defaults are set for.  The fixed-point solve has no step size, tolerance
+    or iteration setting: level 0 runs _FINEST_WARPS warps and each coarser
+    level _WARPS, each of _SWEEPS red-black SOR sweeps at _OMEGA, module
+    constants (see the module docstring).
     """
 
     alpha: float = 0.5  # smoothness weight in l_f = l_p + alpha * l_s
@@ -349,8 +381,9 @@ def total_loss(
 ) -> float:
     """The objective l_f = l_p + alpha * l_s at flow, the one estimate_flow lowers.
 
-    l_p sums weight * rho(I_t(i) - I_t1(i + F(i))) over the pixels, a sample
-    outside the raster reading I_t1 at the clamped position; l_s sums rho over
+    l_p sums weight * rho(I_t(i) - I_t1(i + F(i))) over the pixels, with the
+    [0, 1] images times _INTENSITY_SCALE (255), a sample outside the raster
+    reading I_t1 at the clamped position; l_s sums rho over
     the flow differences of each channel across 4-neighbour pairs.  A cfg
     that is not a FlowSolverConfig is refused with TypeError.
     """
@@ -488,7 +521,41 @@ def _downsample2(a: np.ndarray) -> np.ndarray:
     return ((a[0::2, 0::2] + a[0::2, 1::2]) + (a[1::2, 0::2] + a[1::2, 1::2])) / 4
 
 
-_WARPS = 2  # outer warps per pyramid level
+def _reduce_axis(a: np.ndarray, axis: int) -> np.ndarray:
+    """a's kept samples j along axis: [1 5 10 10 5 1]/32 over its samples
+    2j - 2 .. 2j + 3, an index past either end reading the end sample."""
+    n = a.shape[axis]
+    kept = (n + 1) // 2
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (2, 2 * kept + 2 - n)  # padded sample i is a's sample i - 2
+    padded = np.pad(a, pad, mode="edge")
+
+    def tap(t):
+        index = [slice(None), slice(None)]
+        index[axis] = slice(t, t + 2 * kept - 1, 2)
+        return padded[tuple(index)]
+
+    out = tap(0) + tap(5)
+    pair = tap(1) + tap(4)
+    pair *= 5.0
+    out += pair
+    np.add(tap(2), tap(3), out=pair)
+    pair *= 10.0
+    out += pair
+    out *= 1.0 / 32.0
+    return out
+
+
+def _reduce(a: np.ndarray) -> np.ndarray:
+    """One anti-aliased pyramid step: the 5-tap binomial [1 4 6 4 1]/16 with
+    edge padding, then the 2x2 block mean, as one 6-tap pass per axis; a
+    raster of shape ((h + 1) // 2, (w + 1) // 2)."""
+    return _reduce_axis(_reduce_axis(a, 0), 1)
+
+
+_INTENSITY_SCALE = 255.0  # the photometric term's images: the [0, 1] inputs times this
+_WARPS = 2  # outer warps per coarser pyramid level
+_FINEST_WARPS = 1  # outer warps at level 0
 _SWEEPS = 10  # red-black SOR sweeps on each warp's frozen system
 _OMEGA = 1.8  # the sweeps' over-relaxation factor
 _HALVINGS = 10  # the safeguard halves a warp's update at most this often
@@ -540,11 +607,12 @@ class _Level:
     """One pyramid level's objective and fixed-point solve, in buffers
     allocated once.
 
-    weights is a float64 raster its caller has checked (total_loss through
-    _weights).  loss(u, v) runs the photometric term on the `pixels` pixels
-    of nonzero weight, at the flat indices `active`, and keeps the arrays
-    that a freeze reads; freeze() consumes them, so it runs at most once per
-    loss.
+    it and it1 are in [0, 1] units, and the level holds them times
+    _INTENSITY_SCALE.  weights is a float64 raster its caller has checked
+    (total_loss through _weights).  loss(u, v) runs the photometric term on
+    the `pixels` pixels of nonzero weight, at the flat indices `active`, and
+    keeps the arrays that a freeze reads; freeze() consumes them, so it runs
+    at most once per loss.
 
     uv is the flow as the loss reads it.  The sweeps run on a copy split by
     the parity (row, column) of the pixels, so that each class is contiguous:
@@ -569,6 +637,7 @@ class _Level:
     def __init__(self, it, it1, weights, cfg: FlowSolverConfig,
                  coarse: Optional[np.ndarray] = None, level: int = 0):
         self.shape = h, w = it1.shape
+        it1 = it1 * _INTENSITY_SCALE  # I_t is scaled once gathered, below
         self.it1, self.cfg, self.level = it1, cfg, level
         # the _Worker that _paired opens for the level's loss, freeze and
         # sweeps to split their stages with; None runs both halves here
@@ -578,6 +647,7 @@ class _Level:
         # the photometric term's inputs at its pixels, as 1-D arrays
         self.grid_y, self.grid_x = (self._gather(c) for c in _pixel_grid(self.shape))
         self.it = self._gather(it)
+        self.it *= _INTENSITY_SCALE
         self.weights = self._gather(weights)
         hc, wc = (h + 1) // 2, (w + 1) // 2
         row = wc + 2
@@ -826,10 +896,11 @@ class _Level:
     def solve(self) -> float:
         """Run the level's warps from its flow; returns the final loss."""
         uv = self.uv
+        warps = _WARPS if self.level else _FINEST_WARPS
         with self._paired():  # one worker for every stage of the level
             losses = [self._finite_loss(0)]
             halvings = 0
-            for warp in range(1, _WARPS + 1):
+            for warp in range(1, warps + 1):
                 if not self.freeze():
                     raise SolverDivergenceError(self.level, warp, math.inf)
                 np.copyto(self.start, uv)
@@ -851,10 +922,10 @@ class _Level:
             h, w = self.shape
             _log.debug("level %d, %dx%d: photometric term on %d of %d pixels; %d warps, "
                        "%d halvings; loss %r at the start, then %s", self.level, w, h,
-                       self.pixels, h * w, _WARPS, halvings, losses[0],
+                       self.pixels, h * w, warps, halvings, losses[0],
                        ", ".join(map(repr, losses[1:])),
                        extra={"level": self.level, "width": w, "height": h,
-                              "pixels": self.pixels, "warps": _WARPS,
+                              "pixels": self.pixels, "warps": warps,
                               "halvings": halvings, "losses": tuple(losses)})
         return losses[-1]
 
@@ -867,10 +938,12 @@ def estimate_flow(
 ) -> tuple[FlowField, float]:
     """Coarse-to-fine minimization of the combined objective over the flow field.
 
-    Given an event map, the photometric term is trusted only where the map
-    saw events; elsewhere the smoothness term fills in.  Given None, it weighs
-    every pixel.  Returns the finest-level flow and the objective the solve
-    reached there: total_loss at that flow before it is stored as float32.
+    img_t and img_t1 are in the simulator's [0, 1] units; the photometric
+    term compares them times _INTENSITY_SCALE (255).  Given an event map,
+    the photometric term is trusted only where the map saw events; elsewhere
+    the smoothness term fills in.  Given None, it weighs every pixel.
+    Returns the finest-level flow and the objective the solve reached there:
+    total_loss at that flow before it is stored as float32.
     Raises SolverDivergenceError when the solve meets a non-finite loss,
     linearised system or flow.
 
@@ -905,7 +978,7 @@ def estimate_flow(
     pyramid = [(it, it1, weights)]
     for _ in range(max_levels - 1):
         pit, pit1, pw = pyramid[-1]
-        pyramid.append((_downsample2(pit), _downsample2(pit1), _downsample2(pw)))
+        pyramid.append((_reduce(pit), _reduce(pit1), _downsample2(pw)))
 
     uv = None
     for level in range(len(pyramid) - 1, -1, -1):

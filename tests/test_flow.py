@@ -24,8 +24,11 @@ from evreflex.flow import (
     _charbonnier_power,
     _downsample2,
     _half_sweep,
+    _reduce,
 )
+from evreflex.sim import SceneConfig, SphereObstacle, TrajectorySpec, simulate_sequence
 from evreflex.types import (
+    CameraModel,
     FloatMap,
     FlowField,
     MapSemantics,
@@ -181,10 +184,11 @@ def test_charbonnier_power_accuracy(r, ca):
 @pytest.mark.parametrize("pair", [(0.25, 0.75), (0.9, 0.1), (0.5, 0.5), (0.3, 0.300001)])
 def test_photometric_loss_of_one_pixel_is_charbonnier(pair):
     # the public penalty and the kernel take the same power, so on a 1x1
-    # pair with weight 1 the loss is the penalty of the residual to the bit
+    # pair with weight 1 the loss is the penalty of the residual between the
+    # 0-255 images to the bit
     it, it1 = (np.full((1, 1), value) for value in pair)
     loss = _photometric(np.zeros((2, 1, 1)), it, it1, np.ones((1, 1)))
-    assert loss == charbonnier(pair[0] - pair[1])
+    assert loss == charbonnier(fl._INTENSITY_SCALE * pair[0] - fl._INTENSITY_SCALE * pair[1])
 
 
 # -- losses ---------------------------------------------------------------------
@@ -205,7 +209,7 @@ def test_photometric_exact_alignment_after_shift():
     loss = _photometric(_const_flow(img.shape, 1.0, 0.0), img, shifted)
     interior = 8 * 7
     # the last column samples at x = 8, which clamps to shifted[:, 7] = img[:, 6]
-    edge = np.sum(charbonnier(img[:, 7] - img[:, 6]))
+    edge = np.sum(charbonnier(fl._INTENSITY_SCALE * (img[:, 7] - img[:, 6])))
     assert loss == pytest.approx(interior * charbonnier(0.0) + edge, rel=1e-12)
 
 
@@ -229,7 +233,7 @@ def test_photometric_matches_double_loop_oracle():
             fx, fy = sx - x0, sy - y0
             val = (it1[y0, x0] * (1 - fx) * (1 - fy) + it1[y0, x0 + 1] * fx * (1 - fy)
                    + it1[y0 + 1, x0] * (1 - fx) * fy + it1[y0 + 1, x0 + 1] * fx * fy)
-            total += float(charbonnier(it[y, x] - val))
+            total += float(charbonnier(fl._INTENSITY_SCALE * (it[y, x] - val)))
     assert loss == pytest.approx(total, rel=1e-9)
 
 
@@ -309,6 +313,7 @@ def _reference_power(base, ca):
 
 def _reference_loss(u, v, it, it1, cfg, weights):
     eps, ca = cfg.charbonnier_eps, cfg.charbonnier_alpha
+    it, it1 = it * fl._INTENSITY_SCALE, it1 * fl._INTENSITY_SCALE
     h, w = it.shape
     wt = np.ones(it.shape) if weights is None else np.asarray(weights, dtype=np.float64)
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
@@ -439,14 +444,55 @@ def test_estimate_flow_identical_images_stays_zero():
 
 
 def test_estimate_flow_recovers_known_shift():
+    # at eps 0.1 and at the chain's eps 0.001 the mean error read 0.421 and
+    # 0.146 px (1.896 px at eps 0.001 with the data term on [0, 1])
     ys, xs = np.mgrid[0:64, 0:64].astype(np.float64)
     period = 24.0
     img0 = 0.5 + 0.3 * np.sin(2 * np.pi * xs / period) * np.sin(2 * np.pi * ys / period)
     img1 = 0.5 + 0.3 * np.sin(2 * np.pi * (xs - 2.0) / period) * np.sin(2 * np.pi * ys / period)
     em = _events_everywhere(img0.shape)
-    flow, _ = estimate_flow(em, img0, img1, FlowSolverConfig(charbonnier_eps=0.1))
-    ee = np.hypot(flow.u - 2.0, flow.v)
-    assert ee.mean() < 0.5
+    for eps in (0.1, FlowSolverConfig().charbonnier_eps):
+        flow, _ = estimate_flow(em, img0, img1, FlowSolverConfig(charbonnier_eps=eps))
+        ee = np.hypot(flow.u - 2.0, flow.v)
+        assert ee.mean() < 0.5, eps
+
+
+def _approach_scene():
+    """The approach benchmark's scene (benchmarks/workloads.py) at 173x130:
+    a textured room, the camera moving forward at 0.5 m/s and a sphere
+    flying head-on at 7 m/s, offset by its fixed draws; 12 frames at 20/s."""
+    rng = np.random.default_rng([0, 1])
+    sphere = SphereObstacle(radius=0.3, start=(2.2, rng.uniform(-0.1, 0.1),
+                                               1.5 + rng.uniform(-0.1, 0.1)),
+                            velocity=(-7.0, 0.0, 0.0))
+    forward = TrajectorySpec(waypoints=((-2.4 + rng.uniform(-0.05, 0.05), 0.0, 0.0),
+                                        (2.5, 0.0, 0.0)), speed=0.5)
+    camera = CameraModel(fx=100.0, fy=100.0, cx=86.0, cy=64.5, width=173, height=130)
+    return SceneConfig(camera=camera, obstacles=(sphere,), trajectory=forward,
+                       frame_rate=20.0, duration=0.6)
+
+
+def test_the_objective_ranks_the_true_flow_below_zero_flow_on_the_approach_scene():
+    # The Charbonnier settings assume 0-255 intensities.  On each pair 1-10
+    # the event-gated objective at the true forward flow read 0.30-0.97 of
+    # its value at zero flow; with the data term on the simulator's [0, 1]
+    # it read 1.32-4.90, so the solve had no reason to leave zero flow.
+    seq = simulate_sequence(_approach_scene())
+    cam, cfg = seq.scene.camera, FlowSolverConfig()
+    zero = np.zeros((2, cam.height, cam.width))
+    for k in range(1, len(seq.frames) - 1):
+        f0, f1 = seq.frames[k], seq.frames[k + 1]
+        # the last window is closed at the last frame time (see SequenceResult)
+        end = np.nextafter(f1.t, np.inf) if k + 2 == len(seq.frames) else f1.t
+        em = accumulate_events(seq.event_windows[k], (f0.t, end), cam.width, cam.height)
+        gate = event_mask(em).astype(np.float64)
+        true = total_loss(f0.flow_fwd, f0.intensity, f1.intensity, cfg, gate)
+        assert true < total_loss(zero, f0.intensity, f1.intensity, cfg, gate), k
+
+
+def _warps(level):
+    """The warps a solve runs at the pyramid level."""
+    return fl._FINEST_WARPS if level == 0 else fl._WARPS
 
 
 def _level_records(caplog):
@@ -475,16 +521,29 @@ def _rolled(shape, shift, seed):
     return img0, np.roll(img0, shift, axis=(0, 1))
 
 
-# Images and settings on which level 0's warps lower the objective with no
-# halving, after one halving, and in no halving at all (its second warp then
-# keeps the flow it started from).
+def _zigzag(shape):
+    """Images on which every step from zero flow raises the objective.
+
+    Each pixel of I_t1 is a strict extremum along x with nonzero central
+    differences (0, 1, 0.2, 0.9 repeating), and I_t sits above I_t1 at its
+    maxima and below it at its minima.  A sample moved from its pixel either
+    way moves I_t1 away from I_t there, and any flow raises the smoothness
+    term, so np.gradient's linearisation asks for an update that raises the
+    objective at every step length."""
+    x = np.arange(shape[1]) % 4
+    it1 = np.broadcast_to(np.array([0.0, 1.0, 0.2, 0.9])[x], shape)
+    return it1 + 0.02 * np.array([-1.0, 1.0, -1.0, 1.0])[x], it1
+
+
+# Images and settings on which level 0's warp lowers the objective with no
+# halving, after one halving, and in no halving at all (the warp then keeps
+# the flow it started from).
 _SAFEGUARD_CASES = {
     "no halving": (lambda: _shifted_texture((24, 32), 2.6, -1.1, seed=105),
                    {"pyramid_levels": 3}, 0),
-    "one halving": (lambda: _rolled((24, 32), (1, 3), seed=25),
-                    {"pyramid_levels": 3, "charbonnier_eps": 0.1}, 1),
-    "no halving helps": (lambda: _shifted_texture((24, 32), 3.2, 2.1, seed=105),
-                         {"pyramid_levels": 2, "charbonnier_eps": 0.1}, 10),
+    "one halving": (lambda: _rolled((24, 32), (0, 1), seed=174),
+                    {"pyramid_levels": 2, "charbonnier_eps": 0.1}, 1),
+    "no halving helps": (lambda: _zigzag((24, 32)), {"pyramid_levels": 1}, 10),
 }
 
 
@@ -508,8 +567,8 @@ def test_estimate_flow_monotone_loss_per_level(monkeypatch, caplog):
             _, loss = fl.estimate_flow(None, *images(), FlowSolverConfig(**settings))
         records = _level_records(caplog)
         assert [r[0] for r in records] == list(range(settings["pyramid_levels"] - 1, -1, -1))
-        for *_, warps, halvings, losses in records:
-            assert len(losses) == warps + 1 == fl._WARPS + 1
+        for level, *_, warps, halvings, losses in records:
+            assert len(losses) == warps + 1 == _warps(level) + 1
             assert all(later <= earlier for earlier, later in zip(losses, losses[1:]))
             assert set(losses) <= set(evaluated)
         *_, halvings, losses = records[-1]
@@ -553,6 +612,7 @@ def _reference_system(u, v, it, it1, weights, cfg):
     (j11 + S_u) u_p + j12 v_p = cu + sum of w * u over its neighbours, and
     j12 u_p + (j22 + S_v) v_p = cv + the same for v, S the summed weights."""
     eps2, ca = cfg.charbonnier_eps ** 2, cfg.charbonnier_alpha
+    it, it1 = it * fl._INTENSITY_SCALE, it1 * fl._INTENSITY_SCALE
     flow = np.stack([u, v])
     wt = np.ones(it.shape) if weights is None else weights
     gy, gx = np.gradient(it1)
@@ -689,15 +749,21 @@ def test_red_black_sweep_equals_double_loop_sor(weighting, monkeypatch):
 
 @pytest.mark.parametrize("weighting", ["uniform", "event_gated", "single_pixel"])
 def test_float32_red_black_sweep_is_double_loop_sor_to_rounding(weighting, monkeypatch):
-    # the flow (|reference| <= 1.04) read at most 8.7 eps * |reference| off
+    # The float32 coefficients carry a rounding relative to their own size,
+    # and a block whose data term outweighs its edges (8e4 against 70 here)
+    # turns it into a flow error along its weak direction that is large
+    # against the flow (1.5e-5 px on a flow of 2.2 px).  So the flows are
+    # compared in the equations' units: each equation's residual at the two
+    # flows differed by at most 9.4 eps of the largest term at the reference.
     level, flow, system = _swept(monkeypatch, (7, 9), weighting, 120, 3)
-    expected = _reference_sor(flow, system, 3)
-    assert np.abs(level.uv - expected).max() <= 32 * _EPS32 * np.abs(expected).max()
+    ours, _ = _equation_residuals(level.uv, system)
+    theirs, scales = _equation_residuals(_reference_sor(flow, system, 3), system)
+    assert np.abs(ours - theirs).max() <= 32 * _EPS32 * scales.max()
 
 
 def _equation_residuals(uv, system):
-    """Each pixel's two equations at the flow uv: their residuals, and the
-    largest magnitude among the four terms of each."""
+    """Each pixel's two equations at the flow uv: their signed residuals, and
+    the largest magnitude among the four terms of each."""
     j11, j12, j22, cu, cv, right, down = system
     u, v = uv
     residuals, scales = [], []
@@ -708,7 +774,7 @@ def _equation_residuals(uv, system):
                            -cu[y, x], -sums[0]),
                           (j12[y, x] * u[y, x], (j22[y, x] + weights[1]) * v[y, x],
                            -cv[y, x], -sums[1])):
-                residuals.append(abs(sum(terms)))
+                residuals.append(sum(terms))
                 scales.append(max(map(abs, terms)))
     return np.array(residuals), np.array(scales)
 
@@ -717,14 +783,14 @@ def test_converged_freeze_satisfies_every_pixels_system(monkeypatch):
     monkeypatch.setattr(fl, "_SWEEP_DTYPE", np.float64)
     level, _, system = _swept(monkeypatch, (12, 15), "event_gated", 121, 400)
     residuals, _ = _equation_residuals(level.uv, system)
-    assert residuals.max() < 1e-10
+    assert np.abs(residuals).max() < 1e-10
 
 
 def test_converged_float32_freeze_satisfies_every_pixels_system_to_rounding(monkeypatch):
-    # the residuals read at most 0.67 eps of the largest term, 42.1 here
+    # the residuals read at most 2.4 eps of the largest term, 449 here
     level, _, system = _swept(monkeypatch, (12, 15), "event_gated", 121, 400)
     residuals, scales = _equation_residuals(level.uv, system)
-    assert residuals.max() <= 8 * _EPS32 * scales.max()
+    assert np.abs(residuals).max() <= 8 * _EPS32 * scales.max()
 
 
 def test_two_thread_sweeps_give_the_one_cpu_flow_to_the_bit(monkeypatch):
@@ -1089,10 +1155,12 @@ def test_estimate_flow_at_alpha_zero_is_finite_and_no_worse_than_zero_flow():
 
 @pytest.mark.parametrize("shape", [(5, 7), (2, 3), (1, 6), (6, 1), (1, 1)])
 def test_image_gradient_is_np_gradients(shape):
+    # the derivatives of the data term's 0-255 image
     img = np.random.default_rng(123).random(shape)
     level = _Level(np.zeros(shape), img, np.ones(shape), FlowSolverConfig())
+    scaled = fl._INTENSITY_SCALE * img
     for axis, derivative in zip((1, 0), level.derivatives):
-        expected = np.gradient(img, axis=axis) if shape[axis] > 1 else np.zeros(shape)
+        expected = np.gradient(scaled, axis=axis) if shape[axis] > 1 else np.zeros(shape)
         assert np.array_equal(derivative, expected)
 
 
@@ -1109,20 +1177,68 @@ def test_downsample2_is_the_reshape_mean(shape):
     assert np.array_equal(_downsample2(a), expected)
 
 
+def _response(omega):
+    """The pyramid step's gain on a cosine of angular frequency omega (per
+    fine pixel): the 6-tap kernel's response about its centre."""
+    return (np.cos(2.5 * omega) + 5 * np.cos(1.5 * omega) + 10 * np.cos(0.5 * omega)) / 16
+
+
+@pytest.mark.parametrize("shape", [(24, 32), (23, 31), (9, 40)])
+def test_reduce_of_a_cosine_is_the_cosine_times_its_response(shape):
+    # On the interior, where no tap reads past the raster, a coarse pixel k
+    # sits at the fine position 2k + 0.5 and the kernel is symmetric about
+    # it, so a cosine comes out as the same cosine there times the kernel's
+    # response, and a separable product as the product of the responses.
+    # The error read at most 7.1 float64 eps.
+    h, w = shape
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    out_y, out_x = np.mgrid[0:(h + 1) // 2, 0:(w + 1) // 2] * 2 + 0.5
+    interior = np.s_[1:(h - 4) // 2 + 1, 1:(w - 4) // 2 + 1]
+    for omega_y, omega_x in ((0.0, 0.2), (0.0, np.pi / 2), (0.0, np.pi), (0.7, 0.0),
+                             (2.6, 0.0), (0.5, 1.1), (2.0, 0.3)):
+        img = np.cos(omega_y * ys + 0.2) * np.cos(omega_x * xs - 0.7)
+        expected = (_response(omega_y) * _response(omega_x)
+                    * np.cos(omega_y * out_y + 0.2) * np.cos(omega_x * out_x - 0.7))
+        assert np.abs(_reduce(img) - expected)[interior].max() <= 16 * 2.0 ** -52
+
+
+@pytest.mark.parametrize("shape", [(260, 346), (7, 9), (6, 1), (1, 7), (2, 3), (1, 1)])
+def test_reduce_keeps_a_constant_and_rounds_odd_sides_up(shape):
+    h, w = shape
+    for value in np.random.default_rng(141).uniform(0.0, 255.0, 20):
+        out = _reduce(np.full(shape, value))
+        assert out.shape == ((h + 1) // 2, (w + 1) // 2)
+        assert np.all(np.abs(out - value) <= np.spacing(value))
+
+
+@pytest.mark.parametrize("shape", [(260, 346), (130, 174), (8, 8), (2, 6)])
+def test_reduce_is_the_binomial_blur_then_the_block_mean_on_even_sides(shape):
+    # the 5-tap binomial [1 4 6 4 1]/16 with edge padding, along each axis
+    img = np.random.default_rng(142).random(shape)
+    blurred = img
+    for axis in (0, 1):
+        pad = [(2, 2) if a == axis else (0, 0) for a in (0, 1)]
+        padded = np.pad(blurred, pad, mode="edge")
+        n = blurred.shape[axis]
+        blurred = sum(weight * padded.take(np.arange(t, t + n), axis=axis)
+                      for t, weight in enumerate(np.array([1, 4, 6, 4, 1]) / 16))
+    np.testing.assert_allclose(_reduce(img), _downsample2(blurred), rtol=0, atol=2.0 ** -51)
+
+
 def test_estimate_flow_memory_is_bounded_in_rasters():
     # Under uniform weighting every 1-D array of the photometric term is a
     # raster of the finest level.  The level gathers 5 of them (the active
     # indices, the pixel grid, I_t and the weights), and a loss keeps 10 more
     # for the freeze: the footprint's corner index and offsets, the residual,
-    # its base and power, and 4 edge rasters of powers.  Its solve holds 14:
-    # its raster flow and a warp's first flow (4), I_t1's two derivatives
-    # (2), the terms' scatter index (1), and in float32 the parity classes'
-    # flow, edge weights and 5 frozen terms with their rings and the scratch
-    # of a colour's two classes (7).  The weights and the coarser levels'
-    # images and weights hold about 2 more; the rest are a loss's or a
-    # freeze's temporaries.  It read 40.2 on this raster with numpy 2.4 (47.0
-    # with a float64 system); the bound leaves room for other numpy
-    # versions' temporaries.
+    # its base and power, and 4 edge rasters of powers.  Its solve holds 15:
+    # its raster flow and a warp's first flow (4), I_t1 on the 0-255 scale
+    # and its two derivatives (3), the terms' scatter index (1), and in
+    # float32 the parity classes' flow, edge weights and 5 frozen terms with
+    # their rings and the scratch of a colour's two classes (7).  The weights
+    # and the coarser levels' images and weights hold about 2 more; the rest
+    # are a loss's or a freeze's temporaries.  It read 41.2 on this raster
+    # with numpy 2.4; the bound leaves room for other numpy versions'
+    # temporaries.
     img0, img1 = _shifted_texture((192, 256), 1.3, -0.7, seed=124)
     raster = img0.nbytes
     estimate_flow(None, img0, img1)  # the pixel grid of the shape is cached
@@ -1186,12 +1302,15 @@ def test_estimate_flow_divergence_at_gated_out_pixels():
     assert (err.value.level, err.value.warp, err.value.loss) == (0, 1, np.inf)
 
 
-@pytest.mark.parametrize("scale", [1e15, 1e100])
+@pytest.mark.parametrize("scale", [1e14, 1e100])
 def test_a_system_past_float32s_range_is_a_divergence_not_a_warning(scale, monkeypatch):
-    # float64 solves both.  At x1e100 the data term's coefficients overflow
-    # float32 in the freeze's cast; at x1e15 they fit (up to about 4e27), and
-    # the block inversion's products overflow.  The freeze refuses either
-    # system, and the solve reports the level and warp, with no warning.
+    # At x1e100 the data term's coefficients overflow float32 in the freeze's
+    # cast.  At x1e14 they fit (up to about 5.4e30, on a flow that has run
+    # off to 1e15 px by level 1's second warp) and the block inversion's
+    # products overflow; float64 sweeps solve this one.  The freeze refuses
+    # either system, and the solve reports the level and warp, with no
+    # warning.  Which input scales overflow only in the inversion is erratic:
+    # x1e13.5, x1e14 and x1e14.3 did, x1e13.8 and x1e14.1 did not.
     img0, img1 = _shifted_texture((24, 32), 1.3, -0.7, seed=128)
     frozen = []
     original = fl._Level.freeze
@@ -1229,13 +1348,13 @@ def test_a_block_whose_determinant_overflows_float32_is_refused(monkeypatch):
         assert level.freeze() is False
 
 
-@pytest.mark.parametrize("intensity", [1.0, 255.0])
-def test_float32_sweeps_stay_within_the_float64_solve(intensity, monkeypatch):
-    # The same solve on a float64 system, at unit and at 8-bit intensities.
-    # At x255 the mean distance read 5.3e-5 px and the largest 6.6e-3 px, at
-    # a pixel whose data term outweighs its edges so far that its update
-    # cancels; at x1 both read under 2e-7 px.
-    img0, img1 = (intensity * img for img in _shifted_texture((96, 128), 2.3, -1.4, seed=131))
+@pytest.mark.parametrize("scale", [1.0, 255.0])
+def test_float32_sweeps_stay_within_the_float64_solve(scale, monkeypatch):
+    # The same solve on a float64 system, with the data term on unit and on
+    # 8-bit intensities (the default).  At x255 the mean distance read 2.5e-6
+    # px and the largest 1.8e-5 px, at x1 under 4e-8 px (numpy 2.4).
+    monkeypatch.setattr(fl, "_INTENSITY_SCALE", scale)
+    img0, img1 = _shifted_texture((96, 128), 2.3, -1.4, seed=131)
     single, single_loss = estimate_flow(None, img0, img1)
     monkeypatch.setattr(fl, "_SWEEP_DTYPE", np.float64)
     double, double_loss = estimate_flow(None, img0, img1)
@@ -1313,7 +1432,7 @@ def test_estimate_flow_logs_each_level(monkeypatch, caplog):
     active = np.count_nonzero(event_mask(em))
     for level, w, h, pixels, warps, halvings, losses in records:
         # one loss at the start, one per warp and one per halving
-        assert 0 < pixels <= w * h and warps == fl._WARPS
+        assert 0 < pixels <= w * h and warps == _warps(level)
         assert evaluations[(h, w)] == 1 + warps + halvings
         if level == 0:
             assert (w, h) == (40, 32) and pixels == active and losses[-1] == loss
